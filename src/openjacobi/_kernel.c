@@ -1,0 +1,130 @@
+/* Euler-Maruyama block kernel for hybrid Jacobi market weights.
+ *
+ * Compiled on first use by openjacobi._kernel with -ffp-contract=off and
+ * called through ctypes.  It reproduces sde._advance_block_numpy bit for
+ * bit: every arithmetic operation happens in the same order as in the numpy
+ * expression, and the two row sums follow numpy's pairwise summation.
+ */
+
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+/* numpy's pairwise_sum for float64 (loops_utils.h.src). */
+static double pairwise_sum(const double *v, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += v[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = v[j];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += v[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
+                     ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += v[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(v, n2) + pairwise_sum(v + n2, n - n2);
+}
+
+/* Sum of a row as ``arr.sum(axis=-1)`` computes it: the add reduction
+ * starts from the identity 0.0. */
+static double row_sum(const double *v, int64_t n)
+{
+    return 0.0 + pairwise_sum(v, n);
+}
+
+/* Whether name i ranks ahead of name j: a larger weight, or an equal weight
+ * and a smaller index.  NaN ranks last, as in numpy's sort of -x. */
+static int ahead(double xi, int64_t i, double xj, int64_t j)
+{
+    if (xi > xj)
+        return 1;
+    if (xi < xj)
+        return 0;
+    if (xi == xj)
+        return i < j;
+    if (isnan(xi))
+        return isnan(xj) && i < j;
+    return 1;
+}
+
+/* Fill block[1..B] from block[0].  block is (B+1, P, d) and z is (B, P, d),
+ * both C-contiguous; clips[p] counts the steps of path p that clipped.
+ * Steps advance all paths in lockstep, so memory is swept row by row.  Each
+ * path keeps its rank order from the previous step, so the insertion sort
+ * usually does d - 1 comparisons.  Returns 0, or -1 when out of memory. */
+int oj_advance_block(int64_t B, int64_t P, int64_t d, double *block,
+                     const double *z, const double *a, const double *gamma,
+                     double half, double total, double dt, double vol,
+                     int64_t *clips)
+{
+    int64_t *orders = malloc((size_t)(P * d) * sizeof *orders);
+    double *sz = malloc((size_t)d * sizeof *sz);
+    double *drift = malloc((size_t)d * sizeof *drift);
+    if (!orders || !sz || !drift) {
+        free(orders);
+        free(sz);
+        free(drift);
+        return -1;
+    }
+    const int64_t row = P * d;
+    for (int64_t j = 0; j < row; j++)
+        orders[j] = j % d;
+    for (int64_t b = 0; b < B; b++) {
+        for (int64_t p = 0; p < P; p++) {
+            int64_t *order = orders + p * d;
+            const double *x = block + b * row + p * d;
+            const double *zb = z + b * row + p * d;
+            double *xn = block + (b + 1) * row + p * d;
+
+            for (int64_t k = 1; k < d; k++) {
+                int64_t name = order[k];
+                int64_t m = k;
+                while (m > 0 && ahead(x[name], name, x[order[m - 1]], order[m - 1])) {
+                    order[m] = order[m - 1];
+                    m--;
+                }
+                order[m] = name;
+            }
+            for (int64_t k = 0; k < d; k++) {
+                int64_t i = order[k];
+                drift[i] = half * ((gamma[i] + a[k]) - total * x[i]);
+            }
+            for (int64_t i = 0; i < d; i++)
+                sz[i] = sqrt(x[i]) * zb[i];
+            double mix = row_sum(sz, d);
+            int bad = 0;
+            for (int64_t i = 0; i < d; i++) {
+                double v = (x[i] + drift[i] * dt) + vol * (sz[i] - x[i] * mix);
+                if (v < 0.0) {
+                    v = 0.0;
+                    bad = 1;
+                } else if (v > 1.0) {
+                    v = 1.0;
+                    bad = 1;
+                }
+                xn[i] = v;
+            }
+            clips[p] += bad;
+            double s = row_sum(xn, d);
+            for (int64_t i = 0; i < d; i++)
+                xn[i] /= s;
+        }
+    }
+    free(orders);
+    free(sz);
+    free(drift);
+    return 0;
+}

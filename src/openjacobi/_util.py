@@ -10,16 +10,22 @@ from pathlib import Path
 
 import numpy as np
 
+SEED_LIMIT = 1 << 64
+
+
 def path_stream(master_seed: int, path_index: int) -> np.random.Generator:
     """Counter-based stream keyed by (master seed, path index).
 
     Uses Philox so streams are independent and the assignment is
     order-free: path ``i`` always sees the same numbers no matter how
-    many workers run or in which order paths are dispatched.
+    many workers run or in which order paths are dispatched.  Both parts
+    of the key must lie in [0, 2**64), so distinct pairs never share a key.
     """
-    if master_seed < 0:
-        raise ValueError("master seed must be a nonnegative integer")
-    key = (int(master_seed) & 0xFFFFFFFFFFFFFFFF) << 64 | (int(path_index) & 0xFFFFFFFFFFFFFFFF)
+    if not 0 <= master_seed < SEED_LIMIT:
+        raise ValueError("master seed must be an integer in [0, 2**64)")
+    if not 0 <= path_index < SEED_LIMIT:
+        raise ValueError("path index must be an integer in [0, 2**64)")
+    key = int(master_seed) << 64 | int(path_index)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -71,13 +77,15 @@ def to_jsonable(obj):
     return obj
 
 
-def write_json(path, payload: dict, config_echo: dict | None = None) -> None:
-    """Write a JSON report; the timestamp lives in its own ``meta`` key so
-    everything outside ``meta`` is byte-stable for a fixed config and seed."""
+def write_json(path, payload: dict, config_echo: dict | None = None,
+               meta: dict | None = None) -> None:
+    """Write a JSON report; the timestamp and the extra ``meta`` entries live
+    in their own ``meta`` key so everything outside ``meta`` is byte-stable
+    for a fixed config and seed."""
     doc = dict(to_jsonable(payload))
     if config_echo is not None:
         doc["config"] = to_jsonable(config_echo)
-    doc["meta"] = {"created_utc": datetime.now(timezone.utc).isoformat()}
+    doc["meta"] = {"created_utc": datetime.now(timezone.utc).isoformat(), **(meta or {})}
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 

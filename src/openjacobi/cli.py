@@ -23,7 +23,7 @@ from . import invariant as invariant_mod
 from . import pdlimit as pdlimit_mod
 from . import portfolio as portfolio_mod
 from . import sde as sde_mod
-from ._util import write_csv, write_json
+from ._util import SEED_LIMIT, write_csv, write_json
 from .simplex import (
     DivergentIntegralError,
     ModelParams,
@@ -123,6 +123,11 @@ def _parallel_batches(params, x0, T, dt, seed, n_paths, threads, observer_factor
         return list(pool.map(run, jobs))
 
 
+def _euler_meta():
+    """``meta`` entries of a report whose run took Euler steps."""
+    return {"euler_backend": sde_mod.euler_backend()}
+
+
 def _merged_projection(batches):
     total = sum(int(b.n_projected.sum()) for b in batches)
     steps = sum(b.n_steps * b.n_paths for b in batches)
@@ -143,7 +148,8 @@ def cmd_simulate(cfg, out, threads):
     batch = sde_mod.run_paths(params, x0, T, dt, seed, n_paths=n_paths, store=True)
     for path in batch.paths:
         path.to_csv(out / f"path_{path.path_index:04d}.csv")
-    write_json(out / "simulate_summary.json", {"results": batch.summary()}, cfg)
+    write_json(out / "simulate_summary.json", {"results": batch.summary()}, cfg,
+               meta=_euler_meta())
     if batch.under_resolved:
         raise DiagnosticError(
             f"under-resolved run: projection rate {batch.projection_rate:.2%} > 1%"
@@ -184,7 +190,8 @@ def cmd_invariant(cfg, out, threads):
         )
         payload["results"]["ergodic"] = report.rows()
         payload["results"]["ergodic_pass"] = report.passed
-    write_json(out / "invariant_report.json", payload, cfg)
+    write_json(out / "invariant_report.json", payload, cfg,
+               meta=_euler_meta() if report is not None else None)
     if sample.warnings:
         raise DiagnosticError("; ".join(sample.warnings))
     if report is not None and report.under_resolved:
@@ -223,8 +230,9 @@ def cmd_growth(cfg, out, threads):
             "n_guarded": guarded,
             "projection_rate": _merged_projection(batches),
         }
-    write_json(out / "growth_report.json", payload, cfg)
     backtest = payload["results"].get("backtest")
+    write_json(out / "growth_report.json", payload, cfg,
+               meta=_euler_meta() if backtest else None)
     if backtest and backtest["projection_rate"] > sde_mod.UNDER_RESOLVED_RATE:
         raise DiagnosticError("wealth backtest ran under-resolved")
     return EXIT_OK
@@ -247,7 +255,8 @@ def cmd_boundary(cfg, out, threads):
         seed=cfg["seed"],
     )
     table.to_csv(out / "boundary_frequencies.csv")
-    write_json(out / "boundary_verdict.json", {"results": table.as_dict()}, cfg)
+    write_json(out / "boundary_verdict.json", {"results": table.as_dict()}, cfg,
+               meta=_euler_meta())
     if table.under_resolved:
         raise DiagnosticError("boundary simulation ran under-resolved")
     return EXIT_OK
@@ -365,8 +374,8 @@ def run(argv=None) -> int:
         if "seed" not in cfg:
             raise ConfigError("a master seed is required (config 'seed' or --seed)")
         cfg["seed"] = int(cfg["seed"])
-        if cfg["seed"] < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+        if not 0 <= cfg["seed"] < SEED_LIMIT:
+            raise ConfigError("seed must be an integer in [0, 2**64)")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         handler = COMMANDS[args.command]

@@ -32,7 +32,6 @@ from .simplex import (
 MCMC_MAX_DIM = 6          # permutation sums grow like d!
 MCMC_BURN_IN = 10_000
 ACCEPTANCE_FLOOR = 1e-3
-ESS_FLOOR_FRACTION = 0.05
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,13 @@ Paths are driven by counter-based Philox streams keyed by
 block size, worker count, or dispatch order.  Long-horizon experiments
 avoid storing full trajectories by attaching observers that consume the
 simulation block by block.
+
+Steps run in a compiled C kernel (``_kernel.c``, built on first use and
+cached; see ``_kernel``) that releases the GIL, so worker threads simulate
+in parallel.  ``_advance_block_numpy`` is its reference: the C kernel
+repeats its arithmetic operation by operation, so both give bit-identical
+states and clip counts, and it runs instead whenever the C kernel cannot be
+built.  ``euler_backend()`` names the kernel in use.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernel
 from ._util import path_stream, write_csv
 from .simplex import ModelParams, as_simplex, ranks_of_names, validate_params
 
@@ -59,14 +67,9 @@ def drift(x, params: ModelParams) -> np.ndarray:
     return half * (params.gamma + params.a[ranks] - params.total_mass * x)
 
 
-def euler_step(x, params: ModelParams, dt: float, gaussians) -> tuple[np.ndarray, bool]:
-    """One Euler-Maruyama step from a single state; returns (state, clipped)."""
-    x = np.asarray(x, dtype=float)[None, :]
-    z = np.asarray(gaussians, dtype=float)[None, None, :]
-    block = np.empty((2,) + x.shape)
-    block[0] = x
-    clips = _advance_block(block, params, dt, z)
-    return block[1, 0], bool(clips[0])
+def euler_backend() -> str:
+    """The Euler kernel this process runs: ``"c"`` or ``"numpy"``."""
+    return "numpy" if _kernel.load() is None else "c"
 
 
 def _advance_block(block, params: ModelParams, dt: float, z) -> np.ndarray:
@@ -74,6 +77,37 @@ def _advance_block(block, params: ModelParams, dt: float, z) -> np.ndarray:
 
     Returns the per-path count of steps where clipping occurred.
     """
+    kernel = _kernel.load()
+    if kernel is None:
+        return _advance_block_numpy(block, params, dt, z)
+    return _advance_block_c(kernel, block, params, dt, z)
+
+
+def _advance_block_c(kernel, block, params: ModelParams, dt: float, z) -> np.ndarray:
+    """The compiled kernel behind ``_advance_block``'s contract."""
+    B, P, d = z.shape
+    z = np.ascontiguousarray(z, dtype=float)
+    work = np.ascontiguousarray(block, dtype=float)
+    a = np.ascontiguousarray(params.a, dtype=float)
+    gamma = np.ascontiguousarray(params.gamma, dtype=float)
+    if work.shape != (B + 1, P, d) or a.shape != (d,) or gamma.shape != (d,):
+        raise ValueError(f"block {work.shape}, normals {z.shape} and model "
+                         f"dimension {a.shape} do not match")
+    sigma = params.sigma
+    clips = np.zeros(P, dtype=np.int64)
+    status = kernel(B, P, d, work.ctypes.data, z.ctypes.data, a.ctypes.data,
+                    gamma.ctypes.data, float(0.5 * sigma * sigma),
+                    float(params.total_mass), float(dt), float(sigma * math.sqrt(dt)),
+                    clips.ctypes.data)
+    if status != 0:
+        raise MemoryError("the Euler kernel could not allocate its work rows")
+    if work is not block:
+        block[...] = work
+    return clips
+
+
+def _advance_block_numpy(block, params: ModelParams, dt: float, z) -> np.ndarray:
+    """Reference kernel; same contract as ``_advance_block``."""
     B, P, d = z.shape
     a = params.a
     gamma = params.gamma

@@ -1,8 +1,10 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from openjacobi import _kernel
 from openjacobi.cli import run
 
 
@@ -217,3 +219,80 @@ def test_seed_flag_overrides_config(tmp_path):
     assert run(["simulate", "--config", str(cfg), "--out", str(out_b)]) == 0
     assert (out_a / "path_0000.csv").read_bytes() != (out_b / "path_0000.csv").read_bytes()
     assert read_json(out_a / "simulate_summary.json")["config"]["seed"] == 99
+
+
+@pytest.mark.parametrize("seed", [2 ** 64, 2 ** 64 + 1, -1])
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_seed_outside_64_bits_exits_two(tmp_path, capsys, seed, where):
+    payload = {"model": BASE_MODEL, "sim": {"T": 0.01, "dt": 1e-3}}
+    if where == "config":
+        payload["seed"] = seed
+    cfg = write_config(tmp_path, payload)
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if where == "flag":
+        argv += ["--seed", str(seed)]
+    assert run(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "validation"
+    assert "seed" in err["detail"]
+
+
+def test_largest_seed_runs(tmp_path):
+    cfg = write_config(tmp_path, {"seed": 2 ** 64 - 1, "model": BASE_MODEL,
+                                  "sim": {"T": 0.01, "dt": 1e-3}})
+    assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def _outputs(out):
+    """Every output file's bytes; JSON reports without ``meta``, which is
+    returned separately."""
+    files, meta = {}, {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            doc = read_json(path)
+            meta[path.name] = doc.pop("meta")
+            files[path.name] = json.dumps(doc, sort_keys=True)
+        else:
+            files[path.name] = path.read_bytes()
+    return files, meta
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None,
+                    reason="no C compiler (gcc on PATH), so the compiled Euler "
+                           "kernel cannot be built")
+@pytest.mark.parametrize("command, payload", [
+    ("growth", {
+        "seed": 31,
+        "model": {"a": [1.5, 1.5, 1.5], "gamma": [0.0, 0.0, 0.0], "sigma": 1.0},
+        "open_market_size": 1,
+        "growth": {"n": 2_000, "sim": {"T": 1.0, "dt": 1e-3, "paths": 3}},
+    }),
+    ("boundary", {
+        "seed": 32,
+        "model": {"a": [1.0, 0.5], "gamma": [0.0, 0.0], "sigma": 0.11},
+        "boundary": {"kind": "rank_hits", "k": 2, "T": 1.0, "paths": 30, "dt": 1e-3},
+    }),
+])
+def test_outputs_identical_across_euler_backends(tmp_path, monkeypatch, command, payload):
+    assert _kernel.load() is not None, _kernel.failure
+    cfg = write_config(tmp_path, payload)
+    fast, slow = tmp_path / "c", tmp_path / "numpy"
+    assert run([command, "--config", str(cfg), "--out", str(fast), "--threads", "2"]) == 0
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    assert run([command, "--config", str(cfg), "--out", str(slow), "--threads", "2"]) == 0
+    fast_files, fast_meta = _outputs(fast)
+    slow_files, slow_meta = _outputs(slow)
+    assert fast_files == slow_files
+    assert {m["euler_backend"] for m in fast_meta.values()} == {"c"}
+    assert {m["euler_backend"] for m in slow_meta.values()} == {"numpy"}
+
+
+def test_euler_backend_only_in_reports_that_took_euler_steps(tmp_path):
+    cfg = write_config(tmp_path, {"seed": 3, "pd": {"theta": 1.0, "n": 200, "max_degree": 3}})
+    assert run(["pd", "--config", str(cfg), "--out", str(tmp_path / "pd")]) == 0
+    assert "euler_backend" not in read_json(tmp_path / "pd" / "pd_report.json")["meta"]
+    cfg = write_config(tmp_path, {"seed": 3, "model": BASE_MODEL,
+                                  "sim": {"T": 0.01, "dt": 1e-3}})
+    assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+    meta = read_json(tmp_path / "sim" / "simulate_summary.json")["meta"]
+    assert meta["euler_backend"] in ("c", "numpy")

@@ -1,5 +1,12 @@
+import itertools
+import shutil
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openjacobi import (
     InvalidModelError,
@@ -8,7 +15,6 @@ from openjacobi import (
     TimeAverageObserver,
     diffusion_c,
     drift,
-    euler_step,
     gap_local_time,
     model_covariation_integral,
     occupation_stats,
@@ -17,12 +23,36 @@ from openjacobi import (
     simulate,
     simulate_given_noise,
 )
+from openjacobi import _kernel, sde
+from openjacobi._util import path_stream
+from openjacobi.cli import _parallel_batches
 from openjacobi.sde import PathObserver, SimPath
+
+requires_cc = pytest.mark.skipif(
+    shutil.which("gcc") is None,
+    reason="no C compiler (gcc on PATH), so the compiled Euler kernel cannot be built",
+)
 
 
 def rank_jacobi(a, sigma=1.0):
     a = np.asarray(a, dtype=float)
     return ModelParams(a=a, gamma=np.zeros(a.size), sigma=sigma)
+
+
+def euler_step(x, params, dt, gaussians):
+    """One Euler-Maruyama step from a single state; returns (state, clipped)."""
+    x = np.asarray(x, dtype=float)[None, :]
+    z = np.asarray(gaussians, dtype=float)[None, None, :]
+    block = np.empty((2,) + x.shape)
+    block[0] = x
+    clips = sde._advance_block(block, params, dt, z)
+    return block[1, 0], bool(clips[0])
+
+
+def compiled_kernel():
+    kernel = _kernel.load()
+    assert kernel is not None, f"the compiled Euler kernel did not load: {_kernel.failure}"
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -315,3 +345,179 @@ def test_under_resolved_flag_for_coarse_dt():
     batch = run_paths(p, [0.6, 0.3, 0.1], T=10.0, dt=0.5, seed=2, n_paths=4)
     assert batch.projection_rate > 0.01
     assert batch.under_resolved
+
+
+# ---------------------------------------------------------------------------
+# seeds
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed, index", [
+    (2 ** 64, 0), (2 ** 64 + 1, 0), (-1, 0), (0, 2 ** 64), (0, 2 ** 64 + 1), (0, -1),
+])
+def test_path_stream_rejects_keys_outside_64_bits(seed, index):
+    with pytest.raises(ValueError):
+        path_stream(seed, index)
+
+
+def test_path_stream_values_unchanged_for_valid_seeds():
+    assert path_stream(7, 0).standard_normal(3).tolist() == [
+        0.8092421975343789, 0.26472064784364424, 0.45459694192449634]
+    top = 2 ** 64 - 1
+    assert path_stream(top, top).standard_normal(2).tolist() == [
+        0.6313842391058808, -1.1589078121430747]
+
+
+# ---------------------------------------------------------------------------
+# compiled kernel: bit-identity with the numpy reference, fallback, caching
+# ---------------------------------------------------------------------------
+
+def _kernel_case(d, P, steps, seed):
+    """Model, start block and normals with tied, zero and spread weights."""
+    rng = np.random.default_rng(seed)
+    params = ModelParams(a=rng.uniform(0.0, 2.0, d), gamma=rng.uniform(0.0, 0.5, d),
+                         sigma=1.3)
+    start = np.full((P, d), 1.0 / d)                  # every weight tied
+    start[1::3] = rng.dirichlet(np.full(d, 0.3), size=start[1::3].shape[0])
+    start[2::3, :2] = 0.5                             # ties at 1/2 and at 0
+    start[2::3, 2:] = 0.0
+    block = np.empty((steps + 1, P, d))
+    block[0] = start
+    return params, block, rng.standard_normal((steps, P, d))
+
+
+@requires_cc
+@pytest.mark.parametrize("d, P, dt", list(itertools.product(
+    [2, 3, 5, 10, 50, 130], [1, 20, 500], [1e-3, 1e-1])))
+def test_compiled_kernel_bit_identical_to_numpy(d, P, dt):
+    kernel = compiled_kernel()
+    params, block_np, z = _kernel_case(d, P, steps=8 if P == 500 else 30, seed=d * P)
+    block_c = block_np.copy()
+    clips_np = sde._advance_block_numpy(block_np, params, dt, z)
+    clips_c = sde._advance_block_c(kernel, block_c, params, dt, z)
+    assert np.array_equal(block_c, block_np)
+    assert np.array_equal(clips_c, clips_np)
+    if dt == 1e-1 and P > 1:
+        assert clips_np.sum() > 0                     # the clip branch ran
+
+
+@requires_cc
+def test_run_paths_falls_back_to_numpy_when_the_kernel_fails(monkeypatch):
+    compiled_kernel()
+    p = ModelParams(a=[1.0, 0.5, 0.5], gamma=[0.3, 0.2, 0.1])
+    args = (p, [0.5, 0.3, 0.2], 2.0, 1e-2, 17)
+    fast = run_paths(*args, n_paths=3, store=True)
+    assert sde.euler_backend() == "c"
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    assert sde.euler_backend() == "numpy"
+    slow = run_paths(*args, n_paths=3, store=True)
+    assert np.array_equal(fast.final_states, slow.final_states)
+    assert np.array_equal(fast.n_projected, slow.n_projected)
+    for a, b in zip(fast.paths, slow.paths):
+        assert np.array_equal(a.states, b.states)
+
+
+@requires_cc
+def test_kernel_build_is_cached_and_reused(tmp_path, monkeypatch):
+    lib = _kernel.build(tmp_path)
+    assert lib == _kernel.library_path(tmp_path) and lib.exists()
+    assert [f.name for f in tmp_path.iterdir()] == [lib.name]    # no temp files left
+    stamp = lib.stat().st_mtime_ns
+    monkeypatch.setattr(shutil, "which", lambda name: None)   # no compiler needed now
+    assert _kernel.build(tmp_path) == lib
+    assert lib.stat().st_mtime_ns == stamp
+
+
+@requires_cc
+def test_concurrent_first_loads_build_and_load_once(monkeypatch):
+    compiled_kernel()                                  # the cached library exists
+    monkeypatch.setattr(_kernel, "_done", False)
+    monkeypatch.setattr(_kernel, "_function", None)
+    builds = []
+    real_build = _kernel.build
+    monkeypatch.setattr(_kernel, "build", lambda d: builds.append(d) or real_build(d))
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(_kernel.load()))
+               for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(builds) == 1
+    assert len(results) == 8 and results[0] is not None
+    assert all(r is results[0] for r in results)
+
+
+def test_compiled_kernel_rejects_mismatched_shapes():
+    p = rank_jacobi([1.0, 1.0, 1.0])
+    with pytest.raises(ValueError):
+        sde._advance_block_c(None, np.empty((3, 2, 3)), p, 1e-3, np.zeros((3, 2, 3)))
+    with pytest.raises(ValueError):
+        sde._advance_block_c(None, np.empty((4, 2, 2)), p, 1e-3, np.zeros((3, 2, 2)))
+
+
+def test_load_reports_an_unwritable_cache(tmp_path, monkeypatch):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    monkeypatch.setattr(_kernel, "_done", False)
+    monkeypatch.setattr(_kernel, "_function", None)
+    monkeypatch.setattr(_kernel, "failure", None)
+    assert _kernel.load() is None
+    assert _kernel.failure
+    assert sde.euler_backend() == "numpy"
+
+
+# ---------------------------------------------------------------------------
+# properties, under the compiled kernel
+# ---------------------------------------------------------------------------
+
+_models = st.sampled_from([
+    rank_jacobi([1.0, 1.0, 1.0]),
+    rank_jacobi([1.0, 0.5]),
+    ModelParams(a=[1.0, 0.5, 0.5, 0.2], gamma=[0.3, 0.2, 0.1, 0.0], sigma=1.2),
+])
+
+
+@requires_cc
+@settings(max_examples=25, deadline=None)
+@given(params=_models, n_paths=st.integers(1, 4), n_steps=st.integers(1, 120),
+       block_steps=st.integers(1, 50), dt=st.sampled_from([1e-3, 5e-2]),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_run_paths_independent_of_block_steps(params, n_paths, n_steps, block_steps,
+                                              dt, seed):
+    compiled_kernel()
+    x0 = np.full(params.d, 1.0 / params.d)
+    T = n_steps * dt
+    ref = run_paths(params, x0, T, dt, seed, n_paths=n_paths, store=True,
+                    block_steps=n_steps)
+    got = run_paths(params, x0, T, dt, seed, n_paths=n_paths, store=True,
+                    block_steps=block_steps)
+    assert np.array_equal(got.n_projected, ref.n_projected)
+    for a, b in zip(got.paths, ref.paths):
+        assert np.array_equal(a.states, b.states)
+
+
+@requires_cc
+@settings(max_examples=15, deadline=None)
+@given(params=_models, n_paths=st.integers(1, 6), threads=st.integers(2, 4),
+       seed=st.integers(0, 2 ** 32))
+def test_parallel_batches_independent_of_thread_count(params, n_paths, threads, seed):
+    compiled_kernel()
+    x0 = np.full(params.d, 1.0 / params.d)
+
+    def run(workers):
+        batches = _parallel_batches(
+            params, x0, 0.1, 1e-3, seed, n_paths, workers,
+            lambda: TimeAverageObserver({"y1": lambda s: s.max(axis=-1)}))
+        return (np.concatenate([b.final_states for b in batches]),
+                np.concatenate([b.n_projected for b in batches]),
+                np.concatenate([b.observations["time_averages"]["y1"] for b in batches]))
+
+    for got, ref in zip(run(threads), run(1)):
+        assert np.array_equal(got, ref)
