@@ -15,7 +15,7 @@ import numpy as np
 
 from ._util import wilson_interval, write_csv
 from .sde import HitObserver, run_paths
-from .simplex import ModelParams, tail_sums, validate_params
+from .simplex import ModelParams, ranked_weights, tail_sums
 
 
 def rank_avoids_zero(params: ModelParams, k: int) -> bool:
@@ -51,7 +51,7 @@ def nameset_avoids_zero(params: ModelParams, names) -> bool:
     in_set = np.zeros(d, dtype=bool)
     in_set[np.asarray(idx) - 1] = True
     gamma_in = params.gamma[in_set].sum()
-    comp_sorted = np.sort(params.gamma[~in_set])[::-1]      # decreasing, length d-n
+    comp_sorted = ranked_weights(params.gamma[~in_set])      # length d-n
     comp_tails = np.concatenate([tail_sums(comp_sorted), [0.0]])
     for ell in range(2, d - n + 2):
         value = abar[ell - 1] + gamma_in + comp_tails[ell - 1]
@@ -97,7 +97,7 @@ class BoundaryQuery:
             k = self.k
 
             def rank_cond(states, eps_ladder):
-                y = -np.sort(-states, axis=-1)
+                y = ranked_weights(states)
                 shaped = eps_ladder.reshape((-1,) + (1,) * (states.ndim - 1))
                 dip = y[None, ..., k - 1] < shaped
                 if self.kind == "rank_pushed_only":
@@ -165,9 +165,6 @@ def mc_hit_frequency(params: ModelParams, query: BoundaryQuery, *,
     the epsilon ladder; when it says "hits", they stay bounded away from
     zero as epsilon decreases at fixed horizon.
     """
-    validate = validate_params(params)
-    if not validate.valid:
-        raise ValueError(f"invalid model: tail margin at k={validate.first_violation}")
     x0 = np.full(params.d, 1.0 / params.d) if x0 is None else x0
     observer = HitObserver(query.condition(), eps)
     batch = run_paths(params, x0, T, dt, seed, n_paths=n_paths,

@@ -28,7 +28,7 @@ from .simplex import (
     DivergentIntegralError,
     ModelParams,
     QuadratureError,
-    validate_params,
+    require_valid,
 )
 
 EXIT_OK = 0
@@ -37,9 +37,7 @@ EXIT_DIAGNOSTIC = 3
 
 
 class ConfigError(ValueError):
-    def __init__(self, detail, violated_index=None):
-        super().__init__(detail)
-        self.violated_index = violated_index
+    """The config or the command line does not describe a valid run."""
 
 
 class DiagnosticError(RuntimeError):
@@ -78,12 +76,7 @@ def model_from_config(cfg: dict) -> ModelParams:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model block: {exc}") from exc
-    report = validate_params(params)
-    if not report.valid:
-        raise ConfigError(
-            f"invalid model: tail margin at k={report.first_violation} is nonpositive",
-            violated_index=report.first_violation,
-        )
+    require_valid(params)
     return params
 
 
@@ -380,7 +373,7 @@ def run(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         handler = COMMANDS[args.command]
         return handler(cfg, out, args.threads)
-    except (ConfigError, sde_mod.InvalidModelError, ValueError) as exc:
+    except ValueError as exc:          # includes ConfigError and InvalidModelError
         return _fail("validation", exc, EXIT_CONFIG)
     except (DiagnosticError, DivergentIntegralError, QuadratureError,
             pdlimit_mod.HeavyTiltError) as exc:

@@ -19,14 +19,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import mean_and_se, substream, z_score
-from .sde import InvalidModelError, TimeAverageObserver, require_valid, run_paths
+from .sde import TimeAverageObserver, run_paths
 from .simplex import (
+    InvalidModelError,
     ModelParams,
     as_ranked,
     as_simplex,
     monomial_integral,
+    ranked_weights,
     ranking_order,
+    require_valid,
     tail_sums,
+    to_names,
 )
 
 MCMC_MAX_DIM = 6          # permutation sums grow like d!
@@ -38,11 +42,6 @@ ACCEPTANCE_FLOOR = 1e-3
 # densities and normalizing constants
 # ---------------------------------------------------------------------------
 
-def _rank_exponents(params: ModelParams, order) -> np.ndarray:
-    """Exponents a_k + gamma_{n_k} - 1 along ranks for given name order."""
-    return params.a + params.gamma[order] - 1.0
-
-
 def density_p(x, params: ModelParams, normalized: bool = False,
               z: float | None = None) -> float:
     """Stationary density of the named weights at a single point.
@@ -53,13 +52,7 @@ def density_p(x, params: ModelParams, normalized: bool = False,
     """
     x = as_simplex(x)
     order = ranking_order(x)
-    y = x[order]
-    expo = _rank_exponents(params, order)
-    with np.errstate(divide="ignore"):
-        logs = expo * np.log(y)
-    if np.any(np.isnan(logs)):            # 0 ** 0 style corner
-        logs = np.where((y == 0.0) & (expo == 0.0), 0.0, logs)
-    value = math.exp(logs.sum()) if np.all(np.isfinite(logs)) else math.inf
+    value = _monomial_at(x[order], params.a + params.gamma[order])
     if normalized:
         z = normalizer(params) if z is None else z
         value = value / z
@@ -67,6 +60,7 @@ def density_p(x, params: ModelParams, normalized: bool = False,
 
 
 def _permutations_array(d: int) -> np.ndarray:
+    """All name-to-rank assignments of d names as rows, in ``itertools`` order."""
     if d > MCMC_MAX_DIM:
         raise ValueError(f"permutation sums are limited to d <= {MCMC_MAX_DIM}")
     if d not in _PERM_CACHE:
@@ -95,8 +89,8 @@ def density_q(y, params: ModelParams, normalized: bool = True,
         total = float(np.exp(expo @ np.log(y)).sum())
     else:
         total = 0.0
-        for perm in itertools.permutations(range(d)):
-            total += _monomial_at(y, params.a + params.gamma[list(perm)])
+        for perm in _permutations_array(d):
+            total += _monomial_at(y, params.a + params.gamma[perm])
     if not normalized:
         return total
     z = normalizer(params) if z is None else z
@@ -104,6 +98,7 @@ def density_q(y, params: ModelParams, normalized: bool = True,
 
 
 def _monomial_at(y, b) -> float:
+    """prod_k y_k^(b_k - 1), with 0^0 = 1 and +inf at singular zeros."""
     with np.errstate(divide="ignore"):
         logs = (np.asarray(b) - 1.0) * np.log(y)
     if np.any(np.isnan(logs)):
@@ -127,40 +122,15 @@ def normalizer(params: ModelParams, rel_tol: float = 1e-8) -> float:
     d = params.d
     if params.is_rank_based:
         return math.factorial(d) * monomial_integral(params.a, rel_tol=rel_tol)
-    if d > MCMC_MAX_DIM:
-        raise ValueError(f"permutation-sum normalizer is limited to d <= {MCMC_MAX_DIM}")
     total = 0.0
-    for perm in itertools.permutations(range(d)):
-        total += monomial_integral(params.a + params.gamma[list(perm)], rel_tol=rel_tol)
+    for perm in _permutations_array(d):
+        total += monomial_integral(params.a + params.gamma[perm], rel_tol=rel_tol)
     return total
 
 
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
-
-@dataclass
-class InvariantSpec:
-    """A stationary law to sample from: model, coordinate kind, sampler route.
-
-    ``method=None`` routes automatically; the normalizer is computed lazily
-    and cached for repeated density evaluations.
-    """
-
-    params: ModelParams
-    kind: str = "ranked"
-    method: str | None = None
-    _z: float | None = None
-
-    def normalizer(self) -> float:
-        if self._z is None:
-            self._z = normalizer(self.params)
-        return self._z
-
-    def sample(self, n: int, seed: int, **options) -> "SampleResult":
-        return sample_invariant(self.params, n, seed, kind=self.kind,
-                                method=self.method, **options)
-
 
 @dataclass
 class SampleResult:
@@ -215,7 +185,7 @@ def _sample_dirichlet(params, n, rng, kind):
         raise InvalidModelError("Dirichlet weights require every gamma_i > 0")
     draws = rng.dirichlet(params.gamma, size=n)
     if kind == "ranked":
-        draws = -np.sort(-draws, axis=1)
+        draws = ranked_weights(draws)
     return SampleResult(draws=draws, kind=kind, method="dirichlet")
 
 
@@ -265,10 +235,7 @@ def _sample_spacing(params, n, rng, kind, chunk: int = 20000,
     if rate < ACCEPTANCE_FLOOR:
         warnings.append(f"rejection acceptance rate {rate:.2e} below floor {ACCEPTANCE_FLOOR}")
     if kind == "named":
-        perms = np.argsort(rng.random((n, d)), axis=1)
-        named = np.empty_like(out)
-        np.put_along_axis(named, perms, out, axis=1)
-        out = named
+        out = to_names(out, np.argsort(rng.random((n, d)), axis=1))
     return SampleResult(draws=out, kind=kind, method="spacing",
                         acceptance_rate=rate, warnings=warnings)
 
@@ -300,10 +267,7 @@ def _sample_mcmc(params, n, rng, kind, burn_in: int = MCMC_BURN_IN,
     (or the doubling budget runs out, which is reported, not raised).
     """
     d = params.d
-    if d > MCMC_MAX_DIM:
-        raise ValueError(f"hybrid MCMC is limited to d <= {MCMC_MAX_DIM}")
-    perms = np.array(list(itertools.permutations(range(d))))
-    perm_matrix = params.a[None, :] + params.gamma[perms]
+    perm_matrix = params.a[None, :] + params.gamma[_permutations_array(d)]
     z = np.full(d - 1, 0.5)
     logp = _log_target_z(z, params, perm_matrix)
     step = 0.5
@@ -379,8 +343,7 @@ def _assign_names(ranked, params, rng):
     Given the ranked point, the name assignment sigma has probability
     proportional to prod_k y_k^{gamma_{sigma(k)}}.
     """
-    d = params.d
-    perms = np.array(list(itertools.permutations(range(d))))
+    perms = _permutations_array(params.d)
     with np.errstate(divide="ignore"):
         logy = np.log(ranked)                       # (n, d)
     logw = logy @ params.gamma[perms].T             # (n, n_perms)
@@ -390,10 +353,7 @@ def _assign_names(ranked, params, rng):
     cum = np.cumsum(w, axis=1)
     u = rng.random((ranked.shape[0], 1))
     choice = (u > cum).sum(axis=1)
-    named = np.empty_like(ranked)
-    rows = np.arange(ranked.shape[0])[:, None]
-    named[rows, perms[choice]] = ranked
-    return named
+    return to_names(ranked, perms[choice])
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +365,9 @@ _STAT_PATTERNS = [
     (re.compile(r"^x(\d+)$"),
      lambda m: lambda x, i=int(m.group(1)) - 1: x[..., i]),
     (re.compile(r"^y(\d+)$"),
-     lambda m: lambda x, k=int(m.group(1)) - 1: -np.sort(-x, axis=-1)[..., k]),
+     lambda m: lambda x, k=int(m.group(1)) - 1: ranked_weights(x)[..., k]),
     (re.compile(r"^y(\d+)\^2$"),
-     lambda m: lambda x, k=int(m.group(1)) - 1: (-np.sort(-x, axis=-1)[..., k]) ** 2),
+     lambda m: lambda x, k=int(m.group(1)) - 1: ranked_weights(x)[..., k] ** 2),
     (re.compile(r"^phi(\d+)$"),
      lambda m: lambda x, p=int(m.group(1)): (x ** p).sum(axis=-1)),
     (re.compile(r"^rank(\d+)_is_(\d+)$"),

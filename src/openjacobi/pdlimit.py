@@ -15,7 +15,7 @@ import numpy as np
 
 from ._util import mean_and_se, substream, write_csv, z_score
 from .invariant import sample_invariant
-from .simplex import ModelParams, tail_sums
+from .simplex import ModelParams, ranked_weights, tail_sums
 
 TAIL_EXPECTATION_BOUND = 1e-6     # required expected truncation mass at length M
 ESS_FLOOR_FRACTION = 0.05
@@ -111,7 +111,7 @@ def pd_sample(theta: float, M: int, n: int, seed: int,
         if np.exp(log_rem.max()) < tail_floor:
             break
     weights = np.concatenate(blocks, axis=1)
-    weights = -np.sort(-weights, axis=1)
+    weights = ranked_weights(weights)
     return PDSample(weights=weights, tail_mass=np.exp(log_rem), theta=theta, M=M)
 
 

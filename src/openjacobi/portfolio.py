@@ -22,9 +22,13 @@ from .invariant import rank_normalizer, sample_invariant
 from .sde import PathObserver, SimPath, drift, gap_local_time, sum_over_steps
 from .simplex import (
     ModelParams,
+    diffusion_c,
     ordered_simplex_integral,
+    ranked_weights,
     ranking_order,
+    ranks_of_names,
     tail_sums,
+    to_names,
     validate_params,
 )
 
@@ -80,9 +84,7 @@ def expand_open(h, x) -> np.ndarray:
         [h + financing, np.broadcast_to(financing, x.shape[:-1] + (d - n_top,))],
         axis=-1,
     )
-    theta = np.empty_like(x)
-    np.put_along_axis(theta, order, theta_by_rank, axis=-1)
-    return theta
+    return to_names(theta_by_rank, order)
 
 
 def optimal_share_field(x, params: ModelParams) -> np.ndarray:
@@ -94,8 +96,7 @@ def optimal_share_field(x, params: ModelParams) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("share field is undefined at zero weights")
-    ranks = np.argsort(np.argsort(-x, axis=-1, kind="stable"), axis=-1)
-    return (params.gamma + params.a[ranks]) / (2.0 * x)
+    return (params.gamma + params.a[ranks_of_names(x)]) / (2.0 * x)
 
 
 def optimal_rank_holdings(y, order, params: ModelParams, n_top: int) -> np.ndarray:
@@ -155,9 +156,7 @@ def growth_optimal_theta(x, params: ModelParams, n_top: int) -> np.ndarray:
          np.broadcast_to(base + small_tilt, y[..., n_top:].shape)],
         axis=-1,
     )
-    theta = np.empty_like(x)
-    np.put_along_axis(theta, order, by_rank, axis=-1)
-    return theta
+    return to_names(by_rank, order)
 
 
 def growth_exists(params: ModelParams, n_top: int):
@@ -198,8 +197,7 @@ def local_growth_rate(y, order, params: ModelParams, n_top: int) -> np.ndarray:
 
 def local_growth_direct(y, order, params: ModelParams, n_top: int) -> float:
     """Same quantity by direct matrix algebra (independent of the closed form)."""
-    y = np.asarray(y, dtype=float)
-    kappa = params.sigma ** 2 * (np.diag(y) - np.outer(y, y))
+    kappa = diffusion_c(y, params.sigma)
     h = optimal_rank_holdings(y, order, params, n_top)
     return float(h @ kappa[:n_top, :n_top] @ h)
 
@@ -208,7 +206,7 @@ def foc_residual(y, order, params: ModelParams, n_top: int) -> float:
     """Max-norm residual of the first-order condition kappa^N h = (kappa rho)^N."""
     y = np.asarray(y, dtype=float)
     order = np.asarray(order)
-    kappa = params.sigma ** 2 * (np.diag(y) - np.outer(y, y))
+    kappa = diffusion_c(y, params.sigma)
     rho = (params.a + params.gamma[order]) / (2.0 * y)
     h = optimal_rank_holdings(y, order, params, n_top)
     lhs = kappa[:n_top, :n_top] @ h
@@ -219,6 +217,14 @@ def foc_residual(y, order, params: ModelParams, n_top: int) -> float:
 # ---------------------------------------------------------------------------
 # strategies as objects
 # ---------------------------------------------------------------------------
+
+def _near_top_boundary(x, n_top: int) -> np.ndarray:
+    """Guard of the top-N strategies: some top-N ranked weight or the mass
+    below rank N is under ``INTERIOR_FLOOR``, where their holdings blow up."""
+    y = ranked_weights(x)
+    tail = y[..., n_top:].sum(axis=-1)
+    return (y[..., :n_top].min(axis=-1) < INTERIOR_FLOOR) | (tail < INTERIOR_FLOOR)
+
 
 class Strategy:
     """Feedback strategy: a vectorized map from named states to theta."""
@@ -287,10 +293,7 @@ class GrowthOptimalStrategy(Strategy):
         return growth_optimal_theta(x, self.params, self.n_top)
 
     def guard(self, x):
-        x = np.asarray(x, dtype=float)
-        y = -np.sort(-x, axis=-1)
-        tail = y[..., self.n_top:].sum(axis=-1)
-        return (y[..., : self.n_top].min(axis=-1) < INTERIOR_FLOOR) | (tail < INTERIOR_FLOOR)
+        return _near_top_boundary(x, self.n_top)
 
 
 class GeneratedStrategy(Strategy):
@@ -338,58 +341,63 @@ class WealthLedger:
         write_csv(path, ["time", "logV", "drift_part", "mart_part"], rows)
 
 
-def _resolve_guard(theta, states, mask):
-    """Replace flagged rows with the previous step's holdings, re-shifted so
-    the self-financing identity holds at the current state."""
-    n_guarded = 0
-    idx = np.flatnonzero(mask)
-    for t in idx:
-        prev = theta[t - 1] if t > 0 else np.ones(states.shape[-1])
-        theta[t] = shift_self_financing(prev, states[t])
-        n_guarded += 1
-    return n_guarded
+def guarded_holdings(strategy: Strategy, states, prev):
+    """Holdings at time-ordered states (T, ..., d) and the mask of guarded rows.
 
-
-def wealth_increments(theta_left, states, dt, sigma):
-    """d log V per step from left-evaluated holdings along stored states."""
-    dx = np.diff(states, axis=0)
-    x_left = states[:-1]
-    lin = (theta_left * dx).sum(axis=-1)
-    qv = sigma * sigma * (
-        (theta_left ** 2 * x_left).sum(axis=-1) - (theta_left * x_left).sum(axis=-1) ** 2
-    )
-    return lin - 0.5 * qv * dt
-
-
-def wealth(path: SimPath, strategy: Strategy, tol: float = SELF_FINANCING_TOL) -> WealthLedger:
-    """Accumulate the strategy's log wealth along a stored path.
-
-    States flagged by the strategy guard (or yielding non-finite holdings)
-    keep the previous step's share counts, shifted back onto the identity
-    theta . x = 1; such steps are counted in ``n_guarded``.
+    Rows flagged by the strategy guard, or whose holdings are not finite,
+    keep the holdings of the row before (``prev`` for the first row),
+    shifted back onto the identity theta . x = 1 at their own state.  Rows
+    are resolved in time order, so a run of guarded rows carries one set of
+    share counts forward.
     """
-    states = path.states
-    params = path.params
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         theta = np.array(strategy.theta(states), dtype=float)
     mask = ~np.isfinite(theta).all(axis=-1)
     extra = strategy.guard(states)
     if extra is not None:
         mask |= extra
-    n_guarded = _resolve_guard(theta, states, mask)
+    for t, *rest in zip(*np.nonzero(mask)):
+        before = theta[(t - 1, *rest)] if t > 0 else prev[tuple(rest)]
+        theta[(t, *rest)] = shift_self_financing(before, states[(t, *rest)])
+    return theta, mask
+
+
+def _increments(theta_left, states, dt, sigma, model_drift):
+    """Per-step d log V and its drift part along states (T+1, ..., d).
+
+    ``theta_left`` holds the holdings at the left endpoints and
+    ``model_drift`` the model drift there, the compensator of the split.
+    """
+    left = states[:-1]
+    qv = sigma ** 2 * (
+        (theta_left ** 2 * left).sum(axis=-1) - (theta_left * left).sum(axis=-1) ** 2
+    )
+    dlog = (theta_left * np.diff(states, axis=0)).sum(axis=-1) - 0.5 * qv * dt
+    return dlog, ((theta_left * model_drift).sum(axis=-1) - 0.5 * qv) * dt
+
+
+def wealth_increments(theta_left, states, dt, sigma):
+    """d log V per step from left-evaluated holdings along stored states."""
+    return _increments(theta_left, states, dt, sigma, 0.0)[0]
+
+
+def wealth(path: SimPath, strategy: Strategy, tol: float = SELF_FINANCING_TOL) -> WealthLedger:
+    """Accumulate the strategy's log wealth along a stored path.
+
+    Guarded states keep the previous step's share counts (see
+    ``guarded_holdings``); ``n_guarded`` counts the guarded states a step
+    is traded from, so the terminal state never counts.
+    """
+    states = path.states
+    params = path.params
+    theta, mask = guarded_holdings(strategy, states, np.ones(states.shape[-1]))
     gap = np.abs((theta * states).sum(axis=-1) - 1.0)
     if gap.max() > tol:
         raise SelfFinancingError(
             f"strategy {strategy.name!r}: max |theta.x - 1| = {gap.max():.3e}"
         )
-    theta_left = theta[:-1]
-    dlog = wealth_increments(theta_left, states, path.dt, params.sigma)
-    b = drift(states[:-1], params)
-    qv = params.sigma ** 2 * (
-        (theta_left ** 2 * states[:-1]).sum(axis=-1)
-        - (theta_left * states[:-1]).sum(axis=-1) ** 2
-    )
-    drift_incr = ((theta_left * b).sum(axis=-1) - 0.5 * qv) * path.dt
+    dlog, drift_incr = _increments(theta[:-1], states, path.dt, params.sigma,
+                                   drift(states[:-1], params))
     zero = np.zeros(1)
     log_wealth = np.concatenate([zero, np.cumsum(dlog)])
     drift_part = np.concatenate([zero, np.cumsum(drift_incr)])
@@ -400,7 +408,7 @@ def wealth(path: SimPath, strategy: Strategy, tol: float = SELF_FINANCING_TOL) -
         mart_part=log_wealth - drift_part,
         strategy=strategy.name,
         path_index=path.path_index,
-        n_guarded=n_guarded,
+        n_guarded=int(mask[:-1].sum()),
     )
 
 
@@ -425,25 +433,12 @@ class WealthObserver(PathObserver):
     def update(self, times, states):
         dt = float(times[1] - times[0])
         left = states[:-1]                                  # (B, P, d)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            theta = np.array(self.strategy.theta(left), dtype=float)
-        mask = ~np.isfinite(theta).all(axis=-1)
-        extra = self.strategy.guard(left)
-        if extra is not None:
-            mask |= extra
-        if mask.any():
-            for b, p in zip(*np.nonzero(mask)):
-                prev = theta[b - 1, p] if b > 0 else self._prev_theta[p]
-                theta[b, p] = shift_self_financing(prev, left[b, p])
-                self._guarded[p] += 1
-        dx = np.diff(states, axis=0)
-        lin = (theta * dx).sum(axis=-1)
-        qv = self.params.sigma ** 2 * (
-            (theta ** 2 * left).sum(axis=-1) - (theta * left).sum(axis=-1) ** 2
-        )
-        b_model = drift(left, self.params)
-        self._logv += sum_over_steps(lin - 0.5 * qv * dt)
-        self._drift += sum_over_steps(((theta * b_model).sum(axis=-1) - 0.5 * qv) * dt)
+        theta, mask = guarded_holdings(self.strategy, left, self._prev_theta)
+        dlog, drift_incr = _increments(theta, states, dt, self.params.sigma,
+                                       drift(left, self.params))
+        self._guarded += mask.sum(axis=0)
+        self._logv += sum_over_steps(dlog)
+        self._drift += sum_over_steps(drift_incr)
         self._prev_theta = theta[-1].copy()
 
     def result(self):
@@ -539,11 +534,8 @@ class RankPowerGenerator(Generator):
         self._a_top = params.a[: self.n_top]
         self._a_tail = float(params.a[self.n_top:].sum())
 
-    def _ranked(self, x):
-        return -np.sort(-np.asarray(x, dtype=float), axis=-1)
-
     def log_value(self, x):
-        y = self._ranked(x)
+        y = ranked_weights(x)
         tail = y[..., self.n_top:].sum(axis=-1)
         return 0.5 * (
             (self._a_top * np.log(y[..., : self.n_top])).sum(axis=-1)
@@ -564,9 +556,7 @@ class RankPowerGenerator(Generator):
             ],
             axis=-1,
         )
-        g = np.empty_like(x)
-        np.put_along_axis(g, order, by_rank, axis=-1)
-        return g
+        return to_names(by_rank, order)
 
     def quad_form(self, x_left, dx):
         """Realized quadratic form of d_kl F / F in ranked coordinates,
@@ -576,8 +566,8 @@ class RankPowerGenerator(Generator):
         the top block, constant in the small-cap block), the form is
         (u . dy)^2 + dy^T H dy on ranked increments dy.
         """
-        y = self._ranked(x_left)
-        dy = self._ranked(np.asarray(x_left, dtype=float) + np.asarray(dx, dtype=float)) - y
+        y = ranked_weights(x_left)
+        dy = ranked_weights(np.asarray(x_left, dtype=float) + np.asarray(dx, dtype=float)) - y
         n = self.n_top
         top = y[..., :n]
         tail = y[..., n:].sum(axis=-1)
@@ -594,9 +584,7 @@ class RankPowerGenerator(Generator):
         return u_dy ** 2 + h_dy
 
     def guard(self, x):
-        y = self._ranked(x)
-        tail = y[..., self.n_top:].sum(axis=-1)
-        return (y[..., : self.n_top].min(axis=-1) < INTERIOR_FLOOR) | (tail < INTERIOR_FLOOR)
+        return _near_top_boundary(x, self.n_top)
 
     def local_time_drift(self, path: SimPath) -> np.ndarray:
         """Cumulative ranked-gap local-time corrections along a path."""

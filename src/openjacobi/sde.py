@@ -29,26 +29,9 @@ import numpy as np
 
 from . import _kernel
 from ._util import path_stream, write_csv
-from .simplex import ModelParams, as_simplex, ranks_of_names, validate_params
+from .simplex import ModelParams, as_simplex, ranked_weights, ranks_of_names, require_valid
 
 UNDER_RESOLVED_RATE = 0.01
-
-
-class InvalidModelError(ValueError):
-    """Model parameters violate the tail-margin positivity condition."""
-
-    def __init__(self, message: str, violated_index: int | None = None):
-        super().__init__(message)
-        self.violated_index = violated_index
-
-
-def require_valid(params: ModelParams) -> None:
-    report = validate_params(params)
-    if not report.valid:
-        raise InvalidModelError(
-            f"tail margin at k={report.first_violation} is nonpositive",
-            violated_index=report.first_violation,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -108,21 +91,13 @@ def _advance_block_c(kernel, block, params: ModelParams, dt: float, z) -> np.nda
 
 def _advance_block_numpy(block, params: ModelParams, dt: float, z) -> np.ndarray:
     """Reference kernel; same contract as ``_advance_block``."""
-    B, P, d = z.shape
-    a = params.a
-    gamma = params.gamma
+    B, P, _ = z.shape
     sigma = params.sigma
-    half = 0.5 * sigma * sigma
-    total = params.total_mass
     sqdt = math.sqrt(dt)
-    idx = np.broadcast_to(np.arange(d), (P, d))
     clips = np.zeros(P, dtype=np.int64)
     x = block[0]
     for b in range(B):
-        order = np.argsort(-x, axis=1, kind="stable")
-        ranks = np.empty_like(order)
-        np.put_along_axis(ranks, order, idx, axis=1)
-        drift_b = half * (gamma + a[ranks] - total * x)
+        drift_b = drift(x, params)
         sq = np.sqrt(x)
         zb = z[b]
         mix = (sq * zb).sum(axis=1, keepdims=True)
@@ -170,7 +145,7 @@ class SimPath:
         return self.projection_rate > UNDER_RESOLVED_RATE
 
     def ranked_states(self) -> np.ndarray:
-        return -np.sort(-self.states, axis=-1)
+        return ranked_weights(self.states)
 
     def to_csv(self, path) -> None:
         d = self.states.shape[1]
@@ -401,7 +376,7 @@ class OccupationObserver(PathObserver):
         self._n += states.shape[0] - 1
 
     def _count(self, states):
-        y = -np.sort(-states, axis=-1)            # (B, P, d)
+        y = ranked_weights(states)                # (B, P, d)
         gaps = y[..., :-1] - y[..., 1:]           # (B, P, d-1)
         smallest = y[..., -1]                     # (B, P)
         if y.shape[-1] >= 3:
@@ -492,17 +467,15 @@ def occupation_stats(path: SimPath, eps: float) -> OccupationReport:
     """Fractions of grid times with near-collisions or near-boundary states."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    y = path.ranked_states()
-    gaps = y[:, :-1] - y[:, 1:]
-    d = y.shape[1]
-    triple = (
-        float(((y[:, :-2] - y[:, 2:]).min(axis=1) < eps).mean()) if d >= 3 else 0.0
-    )
+    counter = OccupationObserver((eps,))
+    counter.start(path.times[0], path.states[:1])
+    counter.update(path.times, path.states[:, None, :])
+    occ = counter.result()["occupation"]
     return OccupationReport(
         eps=eps,
-        gap_fractions=(gaps < eps).mean(axis=0),
-        min_weight_fraction=float((y[:, -1] < eps).mean()),
-        triple_fraction=triple,
+        gap_fractions=occ["gap_fraction"][0, :, 0],
+        min_weight_fraction=float(occ["min_weight_fraction"][0, 0]),
+        triple_fraction=float(occ["triple_fraction"][0, 0]),
     )
 
 

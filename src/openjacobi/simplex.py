@@ -32,6 +32,14 @@ class SimplexError(ValueError):
     """Input cannot be interpreted as a point on the (ordered) simplex."""
 
 
+class InvalidModelError(ValueError):
+    """Model parameters violate the tail-margin positivity condition."""
+
+    def __init__(self, message: str, violated_index: int | None = None):
+        super().__init__(message)
+        self.violated_index = violated_index
+
+
 class DivergentIntegralError(ArithmeticError):
     """Monomial integral over the ordered simplex is infinite."""
 
@@ -96,10 +104,26 @@ def ranking_order(x) -> np.ndarray:
 def ranks_of_names(x) -> np.ndarray:
     """0-based rank occupied by each name; inverse permutation of order."""
     order = ranking_order(x)
-    ranks = np.empty_like(order)
-    idx = np.arange(order.shape[-1])
-    np.put_along_axis(ranks, order, np.broadcast_to(idx, order.shape), axis=-1)
-    return ranks
+    return to_names(np.broadcast_to(np.arange(order.shape[-1]), order.shape), order)
+
+
+def ranked_weights(x) -> np.ndarray:
+    """Decreasing rearrangement along the last axis: the ranked weights.
+
+    Equals ``take_along_axis(x, ranking_order(x))``; a plain sort gives the
+    same values because tied entries are equal.
+    """
+    x = np.asarray(x, dtype=float)
+    return -np.sort(-x, axis=-1)
+
+
+def to_names(by_rank, order) -> np.ndarray:
+    """Scatter rank-indexed values to names: ``out[..., order[..., k]] =
+    by_rank[..., k]``, with ``order`` as returned by ``ranking_order``."""
+    by_rank = np.asarray(by_rank)
+    out = np.empty(by_rank.shape, dtype=by_rank.dtype)
+    np.put_along_axis(out, order, by_rank, axis=-1)
+    return out
 
 
 def rank_of(x, i: int) -> int:
@@ -199,7 +223,7 @@ class ModelParams:
     def tail_margins(self) -> np.ndarray:
         """a_bar_k + gamma_bar_(k) for k = 2..d (length d-1)."""
         abar = tail_sums(self.a)
-        gbar = tail_sums(np.sort(self.gamma)[::-1])
+        gbar = tail_sums(ranked_weights(self.gamma))
         return abar[1:] + gbar[1:]
 
 
@@ -249,6 +273,16 @@ def validate_params(params: ModelParams, open_market_size: int | None = None) ->
         growth_margins=growth_margins,
         growth_ok=growth_ok,
     )
+
+
+def require_valid(params: ModelParams) -> None:
+    """Raise ``InvalidModelError`` unless every tail margin is positive."""
+    report = validate_params(params)
+    if not report.valid:
+        raise InvalidModelError(
+            f"invalid model: tail margin at k={report.first_violation} is nonpositive",
+            violated_index=report.first_violation,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -271,14 +271,3 @@ def test_rank_occupancy_is_uniform_for_symmetric_name_model():
     for entry in report.entries:
         assert abs(entry.time_avg - 1.0 / 3.0) < 0.03
         assert entry.passed, (entry.function_id, entry.z_score)
-
-
-def test_invariant_spec_wraps_sampling_and_normalizer():
-    from openjacobi.invariant import InvariantSpec
-
-    p = rank_jacobi([1.5, 1.0])
-    spec = InvariantSpec(p, kind="ranked")
-    res = spec.sample(500, seed=49)
-    assert res.method == "spacing"
-    assert res.draws.shape == (500, 2)
-    assert spec.normalizer() == pytest.approx(normalizer(p))

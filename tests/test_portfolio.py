@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from openjacobi import (
     ExpLinearGenerator,
@@ -32,10 +35,13 @@ from openjacobi import (
     wealth,
 )
 from openjacobi.portfolio import (
+    SELF_FINANCING_TOL,
     ConstantGenerator,
     GeneratedStrategy,
     GrowthConditionError,
     SelfFinancingError,
+    WealthObserver,
+    guarded_holdings,
     wealth_increments,
 )
 from openjacobi._util import path_stream
@@ -372,6 +378,77 @@ def test_wealth_guard_counts_boundary_steps():
     ledger = wealth(path, GrowthOptimalStrategy(p, 1))
     assert ledger.n_guarded == 1
     assert np.all(np.isfinite(ledger.log_wealth))
+
+
+def stored_path(states, params, dt=0.01):
+    states = np.asarray(states, dtype=float)
+    return SimPath(times=np.arange(states.shape[0]) * dt, states=states, params=params,
+                   seed=0, path_index=0, dt=dt, n_projected=0)
+
+
+def observe(path, strategy, blocks=1):
+    """Feed a stored path through a WealthObserver in ``blocks`` pieces."""
+    obs = WealthObserver(strategy, path.params)
+    obs.start(0.0, path.states[:1])
+    edges = np.linspace(0, path.n_steps, blocks + 1).round().astype(int)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi > lo:
+            obs.update(path.times[lo:hi + 1], path.states[lo:hi + 1, None, :])
+    return obs.result()["wealth"]
+
+
+def test_wealth_guard_ignores_terminal_state():
+    p = rank_jacobi([1.0, 1.0])
+    path = stored_path([[0.6, 0.4], [0.7, 0.3], [0.5, 0.5], [1.0, 0.0]], p)
+    strategy = GrowthOptimalStrategy(p, 1)
+    ledger = wealth(path, strategy)
+    streamed = observe(path, strategy)
+    assert ledger.n_guarded == 0
+    assert streamed["n_guarded"][0] == 0
+    assert ledger.log_wealth[-1] == pytest.approx(streamed["log_wealth"][0], abs=1e-14)
+
+
+def _strategies(d, gamma):
+    params = ModelParams(a=np.linspace(1.5, 0.5, d), gamma=gamma[:d])
+    rank_params = ModelParams(a=params.a, gamma=np.zeros(d))
+    coeffs = np.linspace(-2.0, 3.0, d)
+    return [
+        (params, MarketPortfolio()),
+        # h = 0.1 / (rank-2 weight) is infinite at the boundary, so the
+        # non-finite rows are guarded too
+        (params, OpenMarketStrategy(1, lambda y, order: 0.1 / y[..., 1:2])),
+        (params, GrowthOptimalStrategy(params, d - 1)),
+        (params, GrowthOptimalStrategy(params, 1)),
+        (params, GeneratedStrategy(ConstantGenerator())),
+        (params, GeneratedStrategy(ExpLinearGenerator(coeffs))),
+        (rank_params, GeneratedStrategy(RankPowerGenerator(rank_params, 1))),
+    ]
+
+
+# Rows of small integers, normalized: zeros put states on the boundary and
+# equal entries make ties.
+_paths = st.integers(2, 4).flatmap(lambda d: hnp.arrays(
+    float, st.tuples(st.integers(2, 10), st.just(d)),
+    elements=st.integers(0, 4).map(float),
+)).filter(lambda w: np.all(w.sum(axis=-1) > 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=_paths, gamma=hnp.arrays(float, 4, elements=st.floats(0.0, 1.0)),
+       blocks=st.integers(1, 3))
+def test_ledger_and_observer_share_the_wealth_core(w, gamma, blocks):
+    states = w / w.sum(axis=-1, keepdims=True)
+    for params, strategy in _strategies(states.shape[1], gamma):
+        theta, _ = guarded_holdings(strategy, states, np.ones(states.shape[1]))
+        assert np.all(np.abs((theta * states).sum(axis=-1) - 1.0) <= SELF_FINANCING_TOL)
+        path = stored_path(states, params)
+        ledger = wealth(path, strategy)
+        streamed = observe(path, strategy, blocks)
+        assert ledger.n_guarded == streamed["n_guarded"][0]
+        assert ledger.log_wealth[-1] == pytest.approx(streamed["log_wealth"][0],
+                                                      rel=1e-12, abs=1e-12)
+        assert ledger.drift_part[-1] == pytest.approx(streamed["drift_part"][0],
+                                                      rel=1e-12, abs=1e-12)
 
 
 def test_wealth_csv_export(tmp_path):

@@ -9,10 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openjacobi import (
+    BoundaryQuery,
+    GrowthOptimalStrategy,
+    HitObserver,
     InvalidModelError,
     ModelParams,
     OccupationObserver,
     TimeAverageObserver,
+    WealthObserver,
     diffusion_c,
     drift,
     gap_local_time,
@@ -501,6 +505,36 @@ def test_run_paths_independent_of_block_steps(params, n_paths, n_steps, block_st
     assert np.array_equal(got.n_projected, ref.n_projected)
     for a, b in zip(got.paths, ref.paths):
         assert np.array_equal(a.states, b.states)
+
+
+@settings(max_examples=25, deadline=None)
+@given(params=_models, n_paths=st.integers(1, 4), n_steps=st.integers(1, 150),
+       block_steps=st.integers(1, 50), dt=st.sampled_from([1e-3, 5e-2]),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_observers_independent_of_block_steps(params, n_paths, n_steps, block_steps,
+                                              dt, seed):
+    x0 = np.full(params.d, 1.0 / params.d)
+    eps = (0.2, 1e-2, 1e-4)
+
+    def run(steps):
+        observers = [
+            TimeAverageObserver({"y1": lambda s: s.max(axis=-1), "x1": lambda s: s[..., 0]}),
+            OccupationObserver(eps),
+            HitObserver(BoundaryQuery("rank_hits", k=params.d).condition(), eps),
+            WealthObserver(GrowthOptimalStrategy(params, 1), params),
+        ]
+        return run_paths(params, x0, n_steps * dt, dt, seed, n_paths=n_paths,
+                         observers=observers, block_steps=steps).observations
+
+    got, ref = run(block_steps), run(n_steps)
+    for key in ("gap_fraction", "min_weight_fraction", "triple_fraction"):
+        assert np.array_equal(got["occupation"][key], ref["occupation"][key])
+    assert np.array_equal(got["hits"]["hit"], ref["hits"]["hit"])
+    assert np.array_equal(got["wealth"]["n_guarded"], ref["wealth"]["n_guarded"])
+    floats = [(got["time_averages"][k], ref["time_averages"][k]) for k in ("y1", "x1")]
+    floats += [(got["wealth"][k], ref["wealth"][k]) for k in ("log_wealth", "drift_part")]
+    for a, b in floats:
+        assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 @requires_cc

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import special
 
 from openjacobi import (
@@ -24,6 +27,8 @@ from openjacobi import (
     tail_sum,
     validate_params,
 )
+from openjacobi.sde import drift
+from openjacobi.simplex import ranked_weights, to_names
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +99,46 @@ def test_order_and_ranks_are_inverse_batched():
     ranks = ranks_of_names(x)
     assert np.array_equal(np.take_along_axis(ranks, order, axis=-1),
                           np.broadcast_to(np.arange(5), order.shape))
+
+
+# Small integer weights make ties common; rows are normalized onto the simplex.
+_tied_weights = hnp.arrays(
+    float,
+    st.tuples(st.integers(1, 4), st.integers(2, 6)),
+    elements=st.integers(0, 3).map(float),
+).filter(lambda w: np.all(w.sum(axis=-1) > 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=_tied_weights)
+def test_ranking_round_trips_with_ties(w):
+    x = w / w.sum(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    order = ranking_order(x)
+    ranks = ranks_of_names(x)
+    assert np.array_equal(np.take_along_axis(ranks, order, axis=-1),
+                          np.broadcast_to(np.arange(d), x.shape))
+    y = ranked_weights(x)
+    assert np.array_equal(y, np.take_along_axis(x, order, axis=-1))
+    assert np.array_equal(to_names(y, order), x)
+    # a larger weight, or an equal weight and a smaller name, ranks ahead
+    for i in range(d):
+        for j in range(i + 1, d):
+            ahead = x[..., i] >= x[..., j]
+            assert np.array_equal(ranks[..., i] < ranks[..., j], ahead)
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=_tied_weights,
+       a=hnp.arrays(float, 6, elements=st.floats(-3, 3)),
+       gamma=hnp.arrays(float, 6, elements=st.floats(-3, 3)),
+       sigma=st.floats(0.1, 3.0))
+def test_drift_sums_to_zero_on_the_simplex(w, a, gamma, sigma):
+    x = w / w.sum(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    params = ModelParams(a=a[:d], gamma=gamma[:d], sigma=sigma)
+    scale = sigma * sigma * (np.abs(a[:d]).sum() + np.abs(gamma[:d]).sum() + 1.0)
+    assert np.all(np.abs(drift(x, params).sum(axis=-1)) <= 1e-13 * scale)
 
 
 # ---------------------------------------------------------------------------
