@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 from datetime import datetime, timezone
@@ -30,9 +31,13 @@ def path_stream(master_seed: int, path_index: int) -> np.random.Generator:
 
 
 def substream(master_seed: int, label: str) -> np.random.Generator:
-    """Deterministic named substream (for samplers, MC batches, etc.)."""
-    digest = int.from_bytes(label.encode("utf8"), "little") % (1 << 64)
-    return path_stream(master_seed, digest)
+    """Deterministic named substream (for samplers, MC batches, etc.).
+
+    The label enters through a 64-bit BLAKE2b digest of all its bytes, so
+    labels sharing a prefix still get distinct streams.
+    """
+    digest = hashlib.blake2b(label.encode("utf8"), digest_size=8).digest()
+    return path_stream(master_seed, int.from_bytes(digest, "little"))
 
 
 def mean_and_se(values) -> tuple[float, float]:

@@ -3,9 +3,10 @@
 One JSON config (or inline flags) fully determines a run: every random
 number flows from a single mandatory master seed, outputs embed the
 resolved config, and results are byte-identical across repeated runs and
-worker counts.  Exit codes: 0 success, 2 config/validation error, 3
-numerical-diagnostic failure (divergence, low sampler quality,
-under-resolved discretization).  Errors go to stderr as single-line JSON.
+worker counts.  Exit codes: 0 success, 2 config/validation error (a bad
+config, an invalid model, a point off the simplex), 3 numerical-diagnostic
+failure (divergence, low sampler quality, under-resolved discretization),
+4 any other error, which is a bug.  Errors go to stderr as single-line JSON.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +29,18 @@ from . import sde as sde_mod
 from ._util import SEED_LIMIT, write_csv, write_json
 from .simplex import (
     DivergentIntegralError,
+    InvalidModelError,
     ModelParams,
     QuadratureError,
+    SimplexError,
+    as_simplex,
     require_valid,
 )
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIAGNOSTIC = 3
+EXIT_INTERNAL = 4
 
 
 class ConfigError(ValueError):
@@ -49,6 +56,9 @@ def _fail(kind, exc, code):
     index = getattr(exc, "violated_index", None)
     if index is not None:
         payload["violated_index"] = index
+    if code == EXIT_INTERNAL:
+        payload["detail"] = f"{type(exc).__name__}: {exc}"
+        payload["traceback"] = "".join(traceback.format_exception(exc))
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
     return code
 
@@ -66,16 +76,33 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+@contextmanager
+def _config_block(name: str):
+    """Read the config block ``name``: a missing key, a value of the wrong
+    type or one its constructor rejects becomes a ``ConfigError``."""
+    try:
+        yield
+    except (ConfigError, InvalidModelError, SimplexError):
+        raise
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"bad {name} block: {exc}") from exc
+
+
+def _positive(value) -> float:
+    value = float(value)
+    if not value > 0:
+        raise ValueError(f"expected a positive number, got {value}")
+    return value
+
+
 def model_from_config(cfg: dict) -> ModelParams:
     block = _require(cfg, "model")
-    try:
+    with _config_block("model"):
         params = ModelParams(
             a=np.asarray(block["a"], dtype=float),
             gamma=np.asarray(block.get("gamma", np.zeros(len(block["a"]))), dtype=float),
             sigma=float(block.get("sigma", 1.0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model block: {exc}") from exc
     require_valid(params)
     return params
 
@@ -86,7 +113,10 @@ def _x0(cfg_block, d):
         if x0 != "uniform":
             raise ConfigError(f"unknown x0 spec {x0!r}")
         return np.full(d, 1.0 / d)
-    return np.asarray(x0, dtype=float)
+    x0 = as_simplex(x0)
+    if x0.size != d:
+        raise ConfigError(f"x0 has {x0.size} entries for a model with d={d}")
+    return x0
 
 
 def _chunks(n_paths, threads):
@@ -133,10 +163,11 @@ def _merged_projection(batches):
 
 def cmd_simulate(cfg, out, threads):
     params = model_from_config(cfg)
-    sim = _require(cfg, "sim")
-    T, dt = float(sim["T"]), float(sim["dt"])
-    n_paths = int(sim.get("paths", 1))
-    x0 = _x0(sim, params.d)
+    with _config_block("sim"):
+        sim = _require(cfg, "sim")
+        T, dt = _positive(sim["T"]), _positive(sim["dt"])
+        n_paths = int(_positive(sim.get("paths", 1)))
+        x0 = _x0(sim, params.d)
     seed = cfg["seed"]
     batch = sde_mod.run_paths(params, x0, T, dt, seed, n_paths=n_paths, store=True)
     for path in batch.paths:
@@ -152,13 +183,25 @@ def cmd_simulate(cfg, out, threads):
 
 def cmd_invariant(cfg, out, threads):
     params = model_from_config(cfg)
-    sampler = cfg.get("sampler", {})
-    n = int(sampler.get("n", 10_000))
+    with _config_block("sampler"):
+        sampler = cfg.get("sampler", {})
+        n = int(_positive(sampler.get("n", 10_000)))
+        kind = sampler.get("kind", "ranked")
+        method = sampler.get("method")
+        if kind not in ("ranked", "named"):
+            raise ConfigError(f"sampler kind must be 'ranked' or 'named', not {kind!r}")
+        if method not in (None, "dirichlet", "spacing", "mcmc"):
+            raise ConfigError(f"unknown sampler method {method!r}")
+        ergodic_cfg = cfg.get("ergodic")
+        if ergodic_cfg:
+            funcs = {name: invariant_mod.make_statistic(name)
+                     for name in ergodic_cfg.get("functions", ["y1"])}
+            T, dt = _positive(ergodic_cfg["T"]), _positive(ergodic_cfg["dt"])
+            n_paths = int(_positive(ergodic_cfg.get("paths", 8)))
+            n_samples = int(_positive(ergodic_cfg.get("n", n)))
+            z_threshold = float(cfg.get("tolerances", {}).get("ergodic_z", 3.0))
     seed = cfg["seed"]
-    sample = invariant_mod.sample_invariant(
-        params, n, seed, kind=sampler.get("kind", "ranked"),
-        method=sampler.get("method"),
-    )
+    sample = invariant_mod.sample_invariant(params, n, seed, kind=kind, method=method)
     write_csv(out / "invariant_samples.csv",
               [f"x_{i}" for i in range(1, params.d + 1)], sample.draws)
     payload = {
@@ -169,17 +212,11 @@ def cmd_invariant(cfg, out, threads):
             "warnings": sample.warnings,
         }
     }
-    ergodic_cfg = cfg.get("ergodic")
     report = None
     if ergodic_cfg:
-        funcs = {name: name for name in ergodic_cfg.get("functions", ["y1"])}
         report = invariant_mod.ergodic_compare(
-            params, funcs,
-            T=float(ergodic_cfg["T"]), dt=float(ergodic_cfg["dt"]),
-            n_paths=int(ergodic_cfg.get("paths", 8)),
-            n_samples=int(ergodic_cfg.get("n", n)),
-            seed=seed, sampler_method=sampler.get("method"),
-            z_threshold=float(cfg.get("tolerances", {}).get("ergodic_z", 3.0)),
+            params, funcs, T=T, dt=dt, n_paths=n_paths, n_samples=n_samples,
+            seed=seed, sampler_method=method, z_threshold=z_threshold,
         )
         payload["results"]["ergodic"] = report.rows()
         payload["results"]["ergodic_pass"] = report.passed
@@ -194,24 +231,34 @@ def cmd_invariant(cfg, out, threads):
 
 def cmd_growth(cfg, out, threads):
     params = model_from_config(cfg)
-    n_top = int(_require(cfg, "open_market_size"))
+    d = params.d
+    with _config_block("growth"):
+        n_top = int(_require(cfg, "open_market_size"))
+        if not 1 <= n_top <= d - 1:
+            raise ConfigError(f"open_market_size must lie in 1..{d - 1}")
+        growth_cfg = cfg.get("growth", {})
+        method = growth_cfg.get("method", "mc")
+        if method not in ("mc", "quadrature"):
+            raise ConfigError(f"unknown growth method {method!r}")
+        if method == "quadrature" and n_top < d - 1 and d > 3:
+            raise ConfigError("quadrature growth rates with open_market_size < d-1 "
+                              "are limited to d <= 3")
+        n = int(_positive(growth_cfg.get("n", 100_000)))
+        sim = growth_cfg.get("sim")
+        if sim:
+            T, dt = _positive(sim["T"]), _positive(sim["dt"])
+            n_paths = int(_positive(sim.get("paths", 4)))
+            x0 = _x0(sim, d)
     seed = cfg["seed"]
     exists, detail = portfolio_mod.growth_exists(params, n_top)
     payload = {"results": {"exists": exists, "existence_report": detail}}
-    growth_cfg = cfg.get("growth", {})
     if exists and params.is_rank_based and np.all(detail["margins"] > 0.0):
-        report = portfolio_mod.robust_growth_rate(
-            params, n_top, method=growth_cfg.get("method", "mc"),
-            n=int(growth_cfg.get("n", 100_000)), seed=seed,
-        )
+        report = portfolio_mod.robust_growth_rate(params, n_top, method=method, n=n, seed=seed)
         payload["results"]["robust_growth"] = report.as_dict()
-    sim = growth_cfg.get("sim")
     if exists and sim:
-        T, dt = float(sim["T"]), float(sim["dt"])
-        n_paths = int(sim.get("paths", 4))
         strategy = portfolio_mod.GrowthOptimalStrategy(params, n_top)
         batches = _parallel_batches(
-            params, _x0(sim, params.d), T, dt, seed, n_paths, threads,
+            params, x0, T, dt, seed, n_paths, threads,
             lambda: portfolio_mod.WealthObserver(strategy, params),
         )
         logv = np.concatenate([b.observations["wealth"]["log_wealth"] for b in batches])
@@ -233,19 +280,19 @@ def cmd_growth(cfg, out, threads):
 
 def cmd_boundary(cfg, out, threads):
     params = model_from_config(cfg)
-    block = _require(cfg, "boundary")
-    query = boundary_mod.BoundaryQuery(
-        kind=block.get("kind", "rank_hits"),
-        k=block.get("k"),
-        names=tuple(block.get("names", ())),
-    )
+    with _config_block("boundary"):
+        block = _require(cfg, "boundary")
+        query = boundary_mod.BoundaryQuery(
+            kind=block.get("kind", "rank_hits"),
+            k=block.get("k"),
+            names=tuple(block.get("names", ())),
+        )
+        query.analytic_avoids(params)       # checks k or the names against d
+        T, dt = _positive(block.get("T", 50.0)), _positive(block.get("dt", 1e-3))
+        eps = tuple(_positive(e) for e in block.get("eps", (1e-2, 1e-3, 1e-4)))
+        n_paths = int(_positive(block.get("paths", 500)))
     table = boundary_mod.mc_hit_frequency(
-        params, query,
-        T=float(block.get("T", 50.0)),
-        eps=tuple(block.get("eps", (1e-2, 1e-3, 1e-4))),
-        n_paths=int(block.get("paths", 500)),
-        dt=float(block.get("dt", 1e-3)),
-        seed=cfg["seed"],
+        params, query, T=T, eps=eps, n_paths=n_paths, dt=dt, seed=cfg["seed"],
     )
     table.to_csv(out / "boundary_frequencies.csv")
     write_json(out / "boundary_verdict.json", {"results": table.as_dict()}, cfg,
@@ -256,11 +303,13 @@ def cmd_boundary(cfg, out, threads):
 
 
 def cmd_pd(cfg, out, threads):
-    block = _require(cfg, "pd")
-    theta = float(_require(block, "theta"))
-    n = int(block.get("n", 100_000))
-    M = int(block.get("M", 10_000))
-    max_degree = int(block.get("max_degree", 6))
+    with _config_block("pd"):
+        block = _require(cfg, "pd")
+        theta = float(_require(block, "theta"))
+        n = int(_positive(block.get("n", 100_000)))
+        M = int(block.get("M", 10_000))
+        pdlimit_mod.PDConfig(theta=theta, M=M)
+        max_degree = int(block.get("max_degree", 6))
     seed = cfg["seed"]
     sample = pdlimit_mod.pd_sample(theta, M, n, seed)
     multisets = _multisets_up_to(max_degree)
@@ -301,32 +350,34 @@ def _multisets_up_to(total):
 
 
 def cmd_limit(cfg, out, threads):
-    block = _require(cfg, "pd")
-    pd_cfg = pdlimit_mod.PDConfig(
-        theta=float(_require(block, "theta")),
-        tilt=tuple(block.get("tilt", ())),
-        M=int(block.get("M", 10_000)),
-    )
-    sched_block = _require(cfg, "schedule")
-    schedule = pdlimit_mod.make_schedule(
-        pd_cfg.theta, pd_cfg.tilt,
-        d_list=sched_block["d_list"],
-        tail=sched_block.get("tail", "flat"),
-    )
-    limit_block = cfg.get("limit", {})
-    n = int(limit_block.get("n", 100_000))
-    func_names = limit_block.get("functions", ["phi2"])
-    funcs = {name: invariant_mod.make_statistic(name) for name in func_names}
+    with _config_block("limit"):
+        block = _require(cfg, "pd")
+        pd_cfg = pdlimit_mod.PDConfig(
+            theta=float(_require(block, "theta")),
+            tilt=tuple(block.get("tilt", ())),
+            M=int(block.get("M", 10_000)),
+        )
+        sched_block = _require(cfg, "schedule")
+        schedule = pdlimit_mod.make_schedule(
+            pd_cfg.theta, pd_cfg.tilt,
+            d_list=sched_block["d_list"],
+            tail=sched_block.get("tail", "flat"),
+        )
+        limit_block = cfg.get("limit", {})
+        n = int(_positive(limit_block.get("n", 100_000)))
+        func_names = limit_block.get("functions", ["phi2"])
+        funcs = {name: invariant_mod.make_statistic(name) for name in func_names}
+        growth_block = limit_block.get("growth")
+        if growth_block:
+            sigma = _positive(growth_block.get("sigma", 1.0))
+            n_top = int(growth_block.get("N", pd_cfg.n_tilted))
+            pdlimit_mod.require_limit_growth(pd_cfg, n_top)
     report = pdlimit_mod.convergence_experiment(schedule, pd_cfg, funcs, n, cfg["seed"])
     report.to_csv(out / "limit_convergence.csv")
     payload = {"results": {"passed": report.passed, "final_gap_z": report.final_gap_z}}
-    growth_block = limit_block.get("growth")
     if growth_block:
-        est = pdlimit_mod.limit_growth_rate(
-            pd_cfg, sigma=float(growth_block.get("sigma", 1.0)),
-            n_top=int(growth_block.get("N", pd_cfg.n_tilted)),
-            n=n, seed=cfg["seed"],
-        )
+        est = pdlimit_mod.limit_growth_rate(pd_cfg, sigma=sigma, n_top=n_top, n=n,
+                                            seed=cfg["seed"])
         payload["results"]["limit_growth"] = {
             "value": est.value, "se": est.se, "ess": est.ess,
         }
@@ -373,11 +424,13 @@ def run(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         handler = COMMANDS[args.command]
         return handler(cfg, out, args.threads)
-    except ValueError as exc:          # includes ConfigError and InvalidModelError
+    except (ConfigError, InvalidModelError, SimplexError) as exc:
         return _fail("validation", exc, EXIT_CONFIG)
     except (DiagnosticError, DivergentIntegralError, QuadratureError,
             pdlimit_mod.HeavyTiltError) as exc:
         return _fail("diagnostic", exc, EXIT_DIAGNOSTIC)
+    except Exception as exc:           # a bug: report it with its traceback
+        return _fail("internal", exc, EXIT_INTERNAL)
 
 
 def main():  # console entry point

@@ -62,7 +62,7 @@ def density_p(x, params: ModelParams, normalized: bool = False,
 def _permutations_array(d: int) -> np.ndarray:
     """All name-to-rank assignments of d names as rows, in ``itertools`` order."""
     if d > MCMC_MAX_DIM:
-        raise ValueError(f"permutation sums are limited to d <= {MCMC_MAX_DIM}")
+        raise InvalidModelError(f"permutation sums are limited to d <= {MCMC_MAX_DIM}")
     if d not in _PERM_CACHE:
         _PERM_CACHE[d] = np.array(list(itertools.permutations(range(d))))
     return _PERM_CACHE[d]
@@ -180,7 +180,7 @@ def sample_invariant(params: ModelParams, n: int, seed: int, kind: str = "ranked
 
 def _sample_dirichlet(params, n, rng, kind):
     if not np.all(params.a == 0.0):
-        raise ValueError("exact Dirichlet sampling requires a = 0")
+        raise InvalidModelError("exact Dirichlet sampling requires a = 0")
     if np.any(params.gamma <= 0.0):
         raise InvalidModelError("Dirichlet weights require every gamma_i > 0")
     draws = rng.dirichlet(params.gamma, size=n)
@@ -210,7 +210,7 @@ def _sample_spacing(params, n, rng, kind, chunk: int = 20000,
     bound B uses 1/d <= y_1 <= 1.
     """
     if not params.is_rank_based:
-        raise ValueError("spacing sampler requires gamma = 0")
+        raise InvalidModelError("spacing sampler requires gamma = 0")
     a = params.a
     abar = tail_sums(a)
     d = a.size

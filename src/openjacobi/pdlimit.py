@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import mean_and_se, substream, write_csv, z_score
+from ._util import SEED_LIMIT, mean_and_se, substream, write_csv, z_score
 from .invariant import sample_invariant
 from .simplex import ModelParams, ranked_weights, tail_sums
 
@@ -298,7 +298,9 @@ def convergence_experiment(schedule: ScheduleAd, cfg: PDConfig, funcs: dict,
     tilted PD limit along the d-ladder.
 
     Finite-d draws come from the exact rank-based sampler, zero-padded into
-    the infinite ordered simplex.  Passes when every function's gap
+    the infinite ordered simplex; ladder member d takes its seed from the
+    substream labelled ``limit-ladder-d<d>``, so members never reuse
+    another run's master seed.  Passes when every function's gap
     sequence decreases along the ladder and the final gap is within three
     combined standard errors.  ``limit_overrides`` may supply exact limit
     values (se 0) for functions with closed forms.
@@ -315,7 +317,9 @@ def convergence_experiment(schedule: ScheduleAd, cfg: PDConfig, funcs: dict,
     rows = []
     for d in schedule.d_list:
         params = schedule.params_for(d)
-        sample = sample_invariant(params, n, seed + d, kind="ranked",
+        member = substream(seed, f"limit-ladder-d{d}")
+        member_seed = member.integers(SEED_LIMIT, dtype=np.uint64)
+        sample = sample_invariant(params, n, int(member_seed), kind="ranked",
                                   method="spacing")
         for name, fn in funcs.items():
             vals = np.asarray(fn(sample.draws), dtype=float)
@@ -338,6 +342,17 @@ def convergence_experiment(schedule: ScheduleAd, cfg: PDConfig, funcs: dict,
     return ConvergenceReport(rows=rows, passed=passed, final_gap_z=final_gap_z)
 
 
+def require_limit_growth(cfg: PDConfig, n_top: int) -> None:
+    """Raise ``ValueError`` unless ``limit_growth_rate`` applies to (cfg, n_top)."""
+    if n_top != cfg.n_tilted:
+        raise ValueError("n_top must match the number of tilted ranks")
+    if not cfg.theta > 1.0:
+        raise ValueError("limit growth rate requires theta > 1")
+    for k in range(2, cfg.n_tilted + 1):
+        if not cfg.theta + sum(cfg.tilt[k - 1:]) > 1.0:
+            raise ValueError("limit growth rate requires theta + tilt tails > 1")
+
+
 def limit_growth_rate(cfg: PDConfig, sigma: float, n_top: int, n: int,
                       seed: int) -> TiltedEstimate:
     """Large-d limit of the robust optimal growth rate:
@@ -346,13 +361,7 @@ def limit_growth_rate(cfg: PDConfig, sigma: float, n_top: int, n: int,
 
     Requires theta > 1 and theta + (tilt tail sums) > 1 for k = 2..N.
     """
-    if n_top != cfg.n_tilted:
-        raise ValueError("n_top must match the number of tilted ranks")
-    if not cfg.theta > 1.0:
-        raise ValueError("limit growth rate requires theta > 1")
-    for k in range(2, cfg.n_tilted + 1):
-        if not cfg.theta + sum(cfg.tilt[k - 1:]) > 1.0:
-            raise ValueError("limit growth rate requires theta + tilt tails > 1")
+    require_limit_growth(cfg, n_top)
     a = np.asarray(cfg.tilt)
     s2 = sigma * sigma
 

@@ -693,9 +693,11 @@ def robust_growth_rate(params: ModelParams, n_top: int, method: str = "mc",
     (sigma^2/8) * (a_bar_1)^2.
 
     Requires the strict condition a_bar_k > 1 for k = 2..N+1.  The Monte
-    Carlo route uses the exact rejection sampler; quadrature is exact Q-ratio
-    algebra plus (for the small-cap term) full ordered-simplex quadrature,
-    hence limited to d <= 3 unless N = d-1.
+    Carlo route uses the exact rejection sampler.  Quadrature is exact
+    Q-ratio algebra, each Q one ``monomial_integral`` (a one-dimensional
+    recursion per dimension, milliseconds at d <= 6), so with N = d-1 it
+    serves any d; for N < d-1 the small-cap term needs full ordered-simplex
+    quadrature, which limits that case to d <= 3.
     """
     margins = _require_strict_growth(params, n_top)
     a = params.a

@@ -4,9 +4,11 @@ Vectors of market weights live on the standard simplex (nonnegative entries
 summing to one); their decreasing rearrangements live on the ordered simplex.
 This module provides validated constructors for both, rank/name bookkeeping
 with a deterministic lexicographic tie-break, tail sums, index-set sums,
-model-parameter validation, the Wright-Fisher-type diffusion matrices, and a
-recursive quadrature toolkit for monomial integrals over ordered shells
-(the normalizing-constant machinery used by the invariant-density code).
+model-parameter validation, the Wright-Fisher-type diffusion matrices, and
+monomial integrals over ordered shells (the normalizing-constant machinery
+used by the invariant-density code).  A monomial integral is one backward
+recursion over a single scalar per dimension, each level a Chebyshev table
+filled by a Gauss rule, so its cost grows linearly in d.
 
 Measure convention: all integrals over the simplex and the ordered simplex
 are taken with respect to the pushforward of Lebesgue measure on R^{d-1}
@@ -18,11 +20,13 @@ references must rescale accordingly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from numpy.polynomial import chebyshev
+from scipy import integrate, special
 
 SUM_TOL = 1e-12          # accepted deviation of sum(x) from 1 after construction
 RENORM_TOL = 1e-9        # inputs whose sum is off by at most this get renormalized
@@ -33,7 +37,8 @@ class SimplexError(ValueError):
 
 
 class InvalidModelError(ValueError):
-    """Model parameters violate the tail-margin positivity condition."""
+    """Model parameters violate the tail-margin positivity condition, or
+    lie outside what the requested computation supports."""
 
     def __init__(self, message: str, violated_index: int | None = None):
         super().__init__(message)
@@ -323,16 +328,20 @@ def monomial_integral_finite(exponents) -> bool:
     return bool(np.all(tail_sums(b)[1:] > 0.0))
 
 
+_SHELL_RULE_SIZES = (8, 16, 32, 64, 128, 256)
+
+
 def monomial_integral(exponents, alpha: float = 1.0, beta: float = 0.0,
-                      rel_tol: float = 1e-8, depth_limit: int = 200) -> float:
+                      rel_tol: float = 1e-8) -> float:
     """Integral of prod_k y_k^{b_k - 1} over the ordered shell
     {y_1 >= ... >= y_d >= beta, sum y_k = alpha}.
 
-    Evaluated by peeling off the smallest coordinate one adaptive 1-d
-    Gauss-Kronrod quadrature at a time; each inner call is rescaled to a
-    unit shell through the homogeneity identity
-    Q(lam*alpha, lam*beta) = lam^(sum b - 1) Q(alpha, beta) to keep the
-    recursion well conditioned.  With beta = 0 divergence is decided
+    The homogeneity identity Q(lam*alpha, lam*beta) = lam^(sum b - 1)
+    Q(alpha, beta) reduces every shell to alpha = 1, where
+    ``_shell_recursion`` integrates one scalar variable per dimension.  The
+    rule size doubles until two successive sizes agree to within
+    50 * rel_tol relative; ``QuadratureError`` reports a value that does
+    not settle by the largest size.  With beta = 0 divergence is decided
     analytically up front, never by watching the quadrature fail.
     """
     b = np.asarray(exponents, dtype=float)
@@ -340,41 +349,126 @@ def monomial_integral(exponents, alpha: float = 1.0, beta: float = 0.0,
         raise ValueError("exponent vector must be 1-d and nonempty")
     if not alpha > 0 or beta < 0:
         raise ValueError("need alpha > 0 and beta >= 0")
-    if beta == 0.0 and b.size > 1 and not monomial_integral_finite(b):
+    d = b.size
+    if beta == 0.0 and d > 1 and not monomial_integral_finite(b):
         bad = np.flatnonzero(tail_sums(b)[1:] <= 0.0)[0] + 2
         raise DivergentIntegralError(
             f"tail sum of exponents from position {bad} is nonpositive; integral diverges"
         )
-    return _monomial_recurse(b, float(alpha), float(beta), rel_tol, depth_limit)
-
-
-def _monomial_recurse(b, alpha, beta, rel_tol, limit):
-    d = b.size
-    if beta > alpha / d:
-        return 0.0
+    rel_beta = beta / alpha
     if d == 1:
         # degenerate one-point shell {y_1 = alpha}; pushforward of Lebesgue
         # on R^0 is a unit point mass
-        return alpha ** (b[0] - 1.0)
-    bp = b[:-1]
-    scale_pow = bp.sum() - 1.0
+        return alpha ** (b[0] - 1.0) if rel_beta <= 1.0 else 0.0
+    if rel_beta > 0.0 and 1.0 / rel_beta <= d:
+        return 0.0
+    scale = alpha ** (b.sum() - 1.0)
+    tails = tail_sums(b)
+    previous = None
+    for n in _SHELL_RULE_SIZES:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = _shell_recursion(tails, rel_beta, n)
+        if not math.isfinite(value):
+            raise QuadratureError("ordered-shell recursion returned a non-finite value")
+        if previous is not None and abs(value - previous) <= 50 * rel_tol * abs(value):
+            return scale * value
+        previous = value
+    raise QuadratureError(
+        f"quadrature stalled: estimated error {scale * abs(value - previous):.3g} "
+        f"on value {scale * value:.6g}"
+    )
 
-    def integrand(yd):
-        rest = alpha - yd
-        inner = _monomial_recurse(bp, 1.0, yd / rest, rel_tol, limit)
-        return yd ** (b[-1] - 1.0) * rest ** scale_pow * inner
 
-    with np.errstate(divide="ignore", over="ignore"):
-        value, abserr = integrate.quad(
-            integrand, beta, alpha / d, epsabs=0.0, epsrel=rel_tol, limit=limit
-        )
-    if not math.isfinite(value):
-        raise QuadratureError("quadrature returned a non-finite value")
-    if value != 0.0 and abserr > 50 * rel_tol * abs(value):
-        raise QuadratureError(
-            f"quadrature stalled: estimated error {abserr:.3g} on value {value:.6g}"
-        )
-    return value
+def _shell_recursion(tails, beta: float, n: int) -> float:
+    """Q(b; 1, beta) from the tail sums of b, with rules of size n.
+
+    With u_k = y_k / y_{k-1} and sigma_k = y_k / (y_1 + ... + y_k), so that
+    sigma_1 = 1 and sigma_k = u_k s / (1 + u_k s) for s = sigma_{k-1},
+
+        Q = int_[0,1]^(d-1) prod_(k>=2) u_k^(bbar_k - 1)
+            (1 + u_k sigma_(k-1))^(-bbar_1) 1[sigma_d >= beta] du.
+
+    Integrating u_d, ..., u_2 in turn leaves one function of one scalar
+    per level: H_d(s) = 1[s >= beta], H_(k-1)(s) = int_0^1 u^(bbar_k - 1)
+    (1 + u s)^(-bbar_1) H_k(u s / (1 + u s)) du, and Q = H_1(1).  H_k lives
+    on [beta_k, 1/k] with 1/beta_k = 1/beta - (d - k), where it is analytic,
+    so it is tabulated at n Chebyshev points after division by the envelope
+    (1 + (d - k) s)^(-bbar_1), which carries its steep decay for large
+    exponents.  For beta = 0 the table is in s and the u-rule is
+    Gauss-Jacobi for the weight u^(bbar_k - 1), integrable exactly when
+    ``monomial_integral_finite`` holds.  For beta > 0 the lower limit is
+    u >= beta_(k-1) / s, and both the table and the u-rule work in log s and
+    log u, which resolves the boundary layer at the lower end of each
+    support.
+    """
+    d = tails.size
+    total = tails[0]
+    graded = beta > 0.0
+    table = None                     # H_k / envelope as (coefficients, lo, hi)
+    for j in range(d - 1, 0, -1):    # integrate u_(j+1) out, giving H_j
+        floor = 1.0 / (1.0 / beta - (d - j)) if graded else 0.0
+        if j == 1:
+            s = np.ones(1)
+        else:
+            lo, hi = (math.log(floor), -math.log(j)) if graded else (0.0, 1.0 / j)
+            s = lo + (hi - lo) * (_chebyshev(n)[0] + 1.0) / 2.0
+            if graded:
+                s = np.exp(s)
+        c = tails[j]
+        if graded:
+            t, w = _legendre(n)
+            log_low = np.log(floor / s)[:, None]
+            log_u = log_low * t
+            u = np.exp(log_u)
+            weights = -log_low * w * np.exp(c * log_u)
+        else:
+            u, weights = _jacobi(n, c)
+        us = u * s[:, None]
+        # (1 + u s)^(-bbar_1) times the envelope of H_(j+1) at u s / (1 + u s)
+        # is (1 + m u s)^(-bbar_1); dividing by H_j's envelope at s leaves
+        m = d - j
+        vals = weights * np.exp(-total * (np.log1p(m * us) - np.log1p(m * s[:, None])))
+        if table is not None:
+            coef, t_lo, t_hi = table
+            x_next = us / (1.0 + us)
+            if graded:
+                x_next = np.log(x_next)
+            z = np.clip((2.0 * x_next - t_lo - t_hi) / (t_hi - t_lo), -1.0, 1.0)
+            vals *= chebyshev.chebval(z, coef)
+        h = vals.sum(axis=1)
+        if j == 1:
+            return float(h[0]) * float(d) ** -total
+        table = (_chebyshev(n)[1] @ h, lo, hi)
+
+
+@functools.lru_cache(maxsize=None)
+def _chebyshev(n: int):
+    """Chebyshev points of the first kind and the matrix taking values at
+    them to Chebyshev coefficients of the interpolant."""
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    to_coef = (2.0 / n) * np.cos(np.outer(np.arange(n), theta))
+    to_coef[0] /= 2.0
+    points = np.cos(theta)
+    points.flags.writeable = to_coef.flags.writeable = False
+    return points, to_coef
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre(n: int):
+    """Gauss-Legendre rule on [0, 1]."""
+    x, w = special.roots_legendre(n)
+    t, w = (1.0 - x) / 2.0, w / 2.0
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+@functools.lru_cache(maxsize=1024)
+def _jacobi(n: int, c: float):
+    """Gauss-Jacobi rule on [0, 1] for the weight u^(c - 1), c > 0."""
+    x, w = special.roots_jacobi(n, 0.0, c - 1.0)
+    u, w = (1.0 + x) / 2.0, w * 2.0 ** -c
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
 def ordered_simplex_integral(fn, d: int, rel_tol: float = 1e-8) -> float:

@@ -114,6 +114,60 @@ def test_invalid_params_exit_two_with_violated_index(tmp_path, capsys):
     assert err["violated_index"] == 2
 
 
+@pytest.mark.parametrize("command, payload, error_class", [
+    # quadrature growth rates with N < d - 1 need full-simplex quadrature, d <= 3
+    ("growth", {"model": {"a": [2.0, 2.0, 2.0, 2.0]}, "open_market_size": 1,
+                "growth": {"method": "quadrature"}}, "ConfigError"),
+    ("invariant", {"model": BASE_MODEL, "sampler": {"method": "gibbs"}}, "ConfigError"),
+    ("invariant", {"model": BASE_MODEL, "sampler": {"n": 10},
+                   "ergodic": {"T": 1.0, "dt": 1e-3, "functions": ["median"]}}, "ConfigError"),
+    ("simulate", {"model": BASE_MODEL, "sim": {"T": 1.0, "dt": 0.0}}, "ConfigError"),
+    ("simulate", {"model": BASE_MODEL, "sim": {"T": "long", "dt": 1e-3}}, "ConfigError"),
+    ("boundary", {"model": BASE_MODEL, "boundary": {"kind": "rank_hits", "k": 4}}, "ConfigError"),
+    ("limit", {"pd": {"theta": 0.5}, "schedule": {"d_list": [10, 40]},
+               "limit": {"growth": {"sigma": 1.0}}}, "ConfigError"),
+    ("simulate", {"model": BASE_MODEL, "sim": {"T": 1.0, "dt": 1e-3, "x0": [0.7, 0.7, -0.4]}},
+     "SimplexError"),
+    ("invariant", {"model": {"a": [1.0, 1.0], "gamma": [0.5, 0.0]},
+                   "sampler": {"method": "spacing"}}, "InvalidModelError"),
+])
+def test_typed_config_and_model_errors_exit_two(tmp_path, capsys, monkeypatch,
+                                                command, payload, error_class):
+    import openjacobi.cli as cli
+
+    raised = []
+    fail = cli._fail
+
+    def recording_fail(kind, exc, code):
+        raised.append(exc)
+        return fail(kind, exc, code)
+
+    monkeypatch.setattr(cli, "_fail", recording_fail)
+    cfg = write_config(tmp_path, {"seed": 4, **payload})
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "validation"
+    assert type(raised[0]).__name__ == error_class
+
+
+def test_unexpected_error_exits_four(tmp_path, capsys, monkeypatch):
+    import openjacobi.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli.sde_mod, "run_paths", broken)
+    cfg = write_config(tmp_path, {"seed": 4, "model": BASE_MODEL,
+                                  "sim": {"T": 0.01, "dt": 1e-3}})
+    assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "internal"
+    assert err["detail"] == "ValueError: operands could not be broadcast together"
+    assert "broken" in err["traceback"]
+
+
 def test_under_resolved_simulation_exits_three(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "seed": 2,

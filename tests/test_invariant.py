@@ -1,8 +1,10 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy import special
 
 from openjacobi import (
     InvalidModelError,
@@ -18,6 +20,7 @@ from openjacobi import (
     sample_invariant,
 )
 from openjacobi._util import z_score
+from openjacobi.invariant import MCMC_MAX_DIM
 
 
 def rank_jacobi(a, sigma=1.0):
@@ -117,6 +120,29 @@ def test_normalizer_invalid_params_raise_with_index():
     with pytest.raises(InvalidModelError) as err:
         normalizer(p)
     assert err.value.violated_index == 2
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_hybrid_normalizer_with_constant_a_is_a_dirichlet_integral(d):
+    # with a = c the permutation sum tiles the simplex with the ordered cells
+    # of the Dirichlet(c + gamma) integrand; distinct gamma makes the cells differ
+    c = 0.7
+    gamma = np.linspace(0.1, 0.9, d)
+    oracle = math.exp(special.gammaln(c + gamma).sum() - special.gammaln(d * c + gamma.sum()))
+    p = ModelParams(a=np.full(d, c), gamma=gamma)
+    assert normalizer(p) == pytest.approx(oracle, rel=1e-9)
+
+
+@pytest.mark.parametrize("d", range(5, MCMC_MAX_DIM + 1))
+def test_hybrid_normalizer_and_density_q_finish_up_to_max_dim(d):
+    p = ModelParams(a=np.linspace(1.5, 0.5, d), gamma=np.linspace(0.4, -0.2, d)[::-1])
+    start = time.perf_counter()
+    z = normalizer(p)
+    assert time.perf_counter() - start < 5.0
+    assert math.isfinite(z) and z > 0.0
+    y = np.linspace(2.0, 1.0, d)
+    q = density_q(y / y.sum(), p, z=z)
+    assert math.isfinite(q) and q > 0.0
 
 
 # ---------------------------------------------------------------------------

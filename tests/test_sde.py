@@ -28,7 +28,7 @@ from openjacobi import (
     simulate_given_noise,
 )
 from openjacobi import _kernel, sde
-from openjacobi._util import path_stream
+from openjacobi._util import path_stream, substream
 from openjacobi.cli import _parallel_batches
 from openjacobi.sde import PathObserver, SimPath
 
@@ -555,3 +555,13 @@ def test_parallel_batches_independent_of_thread_count(params, n_paths, threads, 
 
     for got, ref in zip(run(threads), run(1)):
         assert np.array_equal(got, ref)
+
+
+def test_substream_labels_sharing_a_prefix_get_distinct_streams():
+    labels = ["invariant-dirichlet", "invariant-spacing", "invariant-mcmc",
+              "acceptance-foc", "acceptance-c6", "acceptance-c11", "pd-sticks"]
+    firsts = {tuple(substream(7, label).random(4)) for label in labels}
+    assert len(firsts) == len(labels)
+    assert substream(7, "pd-sticks").random(4).tolist() == \
+        substream(7, "pd-sticks").random(4).tolist()
+    assert substream(7, "pd-sticks").random() != substream(8, "pd-sticks").random()

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy import special
 from openjacobi import (
     DivergentIntegralError,
     ModelParams,
+    QuadratureError,
     SimplexError,
     as_ranked,
     as_simplex,
@@ -249,7 +251,8 @@ def test_monomial_integral_frozen_values():
     assert monomial_integral([1.0, 1.0, 1.0]) == pytest.approx(1 / 12, rel=1e-10)
 
 
-@pytest.mark.parametrize("d,beta", [(2, 1.5), (3, 1.5), (3, 0.7), (4, 1.0), (4, 2.0)])
+@pytest.mark.parametrize("d,beta", [(2, 1.5), (3, 1.5), (3, 0.7), (4, 1.0), (4, 2.0),
+                                    (5, 0.7), (5, 1.5), (6, 0.4), (6, 1.3)])
 def test_monomial_integral_symmetric_oracle(d, beta):
     # symmetric case: the full-simplex Dirichlet integral split over d! cells
     oracle = special.gamma(beta) ** d / (math.factorial(d) * special.gamma(d * beta))
@@ -289,6 +292,49 @@ def test_monomial_integral_divergence_detected_analytically(b):
     assert not monomial_integral_finite(b)
     with pytest.raises(DivergentIntegralError):
         monomial_integral(b)
+
+
+# Q(b; 1, beta) for beta in BETA_GRID, frozen from the nested adaptive
+# Gauss-Kronrod quadrature that preceded the shell recursion, run at
+# rel_tol=1e-10.  The one exception is (2, -0.5, 1, 0.6) at beta = 0, where
+# that quadrature stalled at 1e-10; its value is frozen at rel_tol=1e-9.
+BETA_GRID = (0.0, 1e-6, 1e-3, 0.05, 0.1)
+FROZEN_SHELLS = {
+    (2.3, 0.6): (0.8452037653267399, 0.8447851177922522, 0.8188017548540463,
+                 0.5757004093258734, 0.446773427231113),
+    (-0.5, 1.5): (0.4292036732051034, 0.4292036725383356, 0.4291825723634134,
+                  0.4213990172602423, 0.40603811533172113),
+    (1.2, 0.8, 1.5): (0.02996693775636799, 0.029966937302613593, 0.029952665499477407,
+                      0.025593310770033892, 0.019144873275660383),
+    (3.0, -1.0, 2.0): (0.0963264454454267, 0.09632544546256859, 0.09533490452181423,
+                       0.05734399875457591, 0.032484673034614),
+    (0.4, 0.4, 0.4, 0.4): (1.1289062076905816, 1.109293530560521, 0.8420650725464167,
+                           0.17011675986086433, 0.05428483202397674),
+    (2.0, -0.5, 1.0, 0.6): (0.2050748202886197, 0.20464847199805286, 0.17991115588830442,
+                            0.04081919732583373, 0.011749207662223973),
+}
+
+
+@pytest.mark.parametrize("b", sorted(FROZEN_SHELLS))
+def test_monomial_integral_beta_grid_frozen(b):
+    values = [monomial_integral(b, beta=beta, rel_tol=1e-10) for beta in BETA_GRID]
+    assert values == pytest.approx(FROZEN_SHELLS[b], rel=1e-9)
+    assert all(later <= earlier for earlier, later in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+def test_monomial_integral_d6_takes_under_a_second(beta):
+    start = time.perf_counter()
+    monomial_integral([0.4, 1.3, 0.7, 2.0, 0.9, 1.1], beta=beta, rel_tol=1e-12)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_monomial_integral_raises_when_rel_tol_cannot_be_met():
+    # at beta = 1e-300 the largest rules still differ by about 2e-7
+    assert monomial_integral([1.2, 0.8, 1.5], beta=1e-300) == pytest.approx(
+        monomial_integral([1.2, 0.8, 1.5]), rel=1e-8)
+    with pytest.raises(QuadratureError):
+        monomial_integral([1.2, 0.8, 1.5], beta=1e-300, rel_tol=1e-10)
 
 
 def test_monomial_integral_positive_beta_always_finite():
