@@ -209,6 +209,7 @@ def cmd_invariant(cfg, out, threads):
             "method": sample.method,
             "acceptance_rate": sample.acceptance_rate,
             "ess": sample.ess,
+            "rhat": sample.rhat,
             "warnings": sample.warnings,
         }
     }
@@ -427,7 +428,7 @@ def run(argv=None) -> int:
     except (ConfigError, InvalidModelError, SimplexError) as exc:
         return _fail("validation", exc, EXIT_CONFIG)
     except (DiagnosticError, DivergentIntegralError, QuadratureError,
-            pdlimit_mod.HeavyTiltError) as exc:
+            pdlimit_mod.HeavyTiltError, pdlimit_mod.TruncationError) as exc:
         return _fail("diagnostic", exc, EXIT_DIAGNOSTIC)
     except Exception as exc:           # a bug: report it with its traceback
         return _fail("internal", exc, EXIT_INTERNAL)

@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from ._util import mean_and_se, substream, z_score
 from .sde import TimeAverageObserver, run_paths
@@ -34,7 +35,12 @@ from .simplex import (
 )
 
 MCMC_MAX_DIM = 6          # permutation sums grow like d!
-MCMC_BURN_IN = 10_000
+MCMC_CHAINS = 64          # Metropolis chains advanced in lockstep
+MCMC_BURN_IN = 1_000      # burn-in steps per chain
+MCMC_ADAPT_EVERY = 50     # burn-in steps between step-size updates
+MCMC_MIN_STEPS = 1_000    # first sampling block per chain; split R-hat exceeds 1
+                          # by about (tau - 1) / length for autocorrelation time tau
+RHAT_CEILING = 1.01
 ACCEPTANCE_FLOOR = 1e-3
 
 
@@ -134,13 +140,19 @@ def normalizer(params: ModelParams, rel_tol: float = 1e-8) -> float:
 
 @dataclass
 class SampleResult:
-    """Draws from the stationary law plus sampler diagnostics."""
+    """Draws from the stationary law plus sampler diagnostics.
+
+    ``acceptance_rate`` is the rejection sampler's rate, or for MCMC the
+    pooled Metropolis acceptance after burn-in; ``ess`` and ``rhat`` (the
+    rank-normalized split R-hat) describe the top weight of the MCMC chains.
+    """
 
     draws: np.ndarray                # (n, d); ranked or named per ``kind``
     kind: str                        # "ranked" | "named"
     method: str                      # "dirichlet" | "spacing" | "mcmc"
     acceptance_rate: float | None = None
     ess: float | None = None
+    rhat: float | None = None
     warnings: list = field(default_factory=list)
 
     @property
@@ -240,101 +252,184 @@ def _sample_spacing(params, n, rng, kind, chunk: int = 20000,
                         acceptance_rate=rate, warnings=warnings)
 
 
-def _log_target_z(z, params, perm_matrix):
-    """Log stationary density of the log-gap coordinates (up to a constant).
+def _lockstep(z, logp, step, n_steps, rng, target, out=None):
+    """Advance every chain of ``z`` (K, d-1) by n_steps Metropolis steps.
 
-    perm_matrix rows hold a_k + gamma_{sigma(k)} over all assignments sigma;
-    the +1 Jacobian of the coordinate change cancels the -1 in the exponent.
+    One step draws the K Gaussian increments and the K uniforms in one call
+    each.  Proposals are reflected at z = 0, which keeps the random walk
+    symmetric on the positive orthant.  Returns the new states, their log
+    targets and the number of accepted proposals; ``out`` (n_steps, K, d-1),
+    when given, receives the states after every step.
     """
-    cum = np.concatenate([[0.0], np.cumsum(z)])
-    log_y1 = -_logsumexp(-cum)
-    log_y = log_y1 - cum
-    return _logsumexp(perm_matrix @ log_y)
+    moves = np.zeros(z.shape[0], dtype=np.int64)
+    for i in range(n_steps):
+        prop = np.abs(z + step * rng.standard_normal(z.shape))
+        log_u = np.log(rng.random(z.shape[0]))
+        logp_prop = target(prop)
+        move = log_u < logp_prop - logp
+        np.copyto(z, prop, where=move[:, None])
+        np.copyto(logp, logp_prop, where=move)
+        moves += move
+        if out is not None:
+            out[i] = z
+    return z, logp, int(moves.sum())
 
 
-def _logsumexp(v):
-    v = np.asarray(v, dtype=float)
-    m = v.max()
-    return float(m + np.log(np.exp(v - m).sum()))
+def _log_target(params):
+    """Vectorized log stationary density of log-gap coordinates z >= 0,
+    up to a constant, for rows of chain states.
+
+    With the ranked log weights log_y = log y_1 - (0, z_1, z_1+z_2, ...),
+    the target is the row-wise logsumexp of log_y @ perm_matrix.T, where
+    perm_matrix rows hold a_k + gamma_{sigma(k)} over all assignments sigma
+    (the +1 Jacobian of the coordinate change cancels the -1 in the
+    exponent).  Every row of perm_matrix sums to s = sum(a) + sum(gamma), so
+    that equals logsumexp(-z @ tails) - s log(1/y_1), with tails[j, sigma]
+    the tail sum of row sigma from rank j + 2 on and
+    1/y_1 = 1 + sum_k exp(-(z_1+...+z_k)).  Every tail sum of a valid model
+    is positive, so each exponential lies in (0, 1] and the logsumexp needs
+    no shift.  Both sums come from one product with an indicator matrix.
+    """
+    perm_matrix = params.a[None, :] + params.gamma[_permutations_array(params.d)]
+    n_perms, d = perm_matrix.shape
+    upper = np.triu(np.ones((d - 1, d - 1)))                # z @ upper = cumsum(z)
+    tails = upper @ perm_matrix[:, 1:].T
+    exponents = np.concatenate([-tails, -upper, np.zeros((d - 1, 1))], axis=1)
+    sums = np.zeros((n_perms + d, 2))
+    sums[:n_perms, 0] = 1.0
+    sums[n_perms:, 1] = 1.0
+    weights = np.array([1.0, -perm_matrix[0].sum()])
+
+    def target(z):
+        return np.log(np.exp(z @ exponents) @ sums) @ weights
+
+    return target
 
 
 def _sample_mcmc(params, n, rng, kind, burn_in: int = MCMC_BURN_IN,
                  thin: int = 4, max_doublings: int = 3):
     """Random-walk Metropolis on log-gap coordinates for the hybrid law.
 
-    Step size adapts toward ~30% acceptance during burn-in only.  The chain
-    is extended until the effective sample size of the top weight reaches n
-    (or the doubling budget runs out, which is reported, not raised).
+    MCMC_CHAINS chains start from dispersed points and advance in lockstep.
+    Each chain takes ``burn_in`` steps first, during which (only) the
+    common step size adapts toward ~30% pooled acceptance.  The chains then
+    run n * thin states in total (at least MCMC_MIN_STEPS per chain),
+    doubling until the multi-chain ESS of the top weight reaches n and its
+    rank-normalized R-hat is at most RHAT_CEILING; a doubling budget that
+    runs out first is reported as a warning, not raised.  The n returned
+    draws are spread evenly over the retained states, stored chain after
+    chain, so their order still carries the chains' autocorrelation.
     """
     d = params.d
-    perm_matrix = params.a[None, :] + params.gamma[_permutations_array(d)]
-    z = np.full(d - 1, 0.5)
-    logp = _log_target_z(z, params, perm_matrix)
+    target = _log_target(params)
+    z = rng.exponential(1.0, size=(MCMC_CHAINS, d - 1))
+    logp = target(z)
     step = 0.5
-    accepted = 0
-    for it in range(burn_in):
-        z_new = z + step * rng.standard_normal(d - 1)
-        if np.all(z_new > 0.0):
-            logp_new = _log_target_z(z_new, params, perm_matrix)
-            if math.log(rng.random()) < logp_new - logp:
-                z, logp = z_new, logp_new
-                accepted += 1
-        if (it + 1) % 200 == 0:
-            rate = accepted / 200.0
-            step *= math.exp(0.5 * (rate - 0.3))
-            accepted = 0
+    for start in range(0, burn_in, MCMC_ADAPT_EVERY):
+        steps = min(MCMC_ADAPT_EVERY, burn_in - start)
+        z, logp, moves = _lockstep(z, logp, step, steps, rng, target)
+        step *= math.exp(0.5 * (moves / (steps * MCMC_CHAINS) - 0.3))
 
     warnings = []
-    chain = None
-    length = n * thin
-    for attempt in range(max_doublings + 1):
-        extra = np.empty((length, d - 1))
-        acc = 0
-        for i in range(length):
-            z_new = z + step * rng.standard_normal(d - 1)
-            if np.all(z_new > 0.0):
-                logp_new = _log_target_z(z_new, params, perm_matrix)
-                if math.log(rng.random()) < logp_new - logp:
-                    z, logp = z_new, logp_new
-                    acc += 1
-            extra[i] = z
-        chain = extra if chain is None else np.vstack([chain, extra])
-        ess = _ess(_z_to_ranked(chain, d)[:, 0])
-        if ess >= n:
+    blocks = []
+    steps = max(-(-n * thin // MCMC_CHAINS), MCMC_MIN_STEPS)
+    accepted = 0
+    for _ in range(max_doublings + 1):
+        block = np.empty((steps, MCMC_CHAINS, d - 1))
+        z, logp, moves = _lockstep(z, logp, step, steps, rng, target, out=block)
+        accepted += moves
+        blocks.append(block)
+        chains = np.concatenate(blocks).transpose(1, 0, 2)     # (K, steps, d-1)
+        y1 = _z_to_ranked(chains)[..., 0]
+        ess, rhat = _ess(y1), _rhat(y1)
+        if ess >= n and rhat <= RHAT_CEILING:
             break
-        length = chain.shape[0]
-        if attempt == max_doublings:
+        steps = chains.shape[1]
+    else:
+        if ess < n:
             warnings.append(f"MCMC effective sample size {ess:.0f} below requested {n}")
-    y = _z_to_ranked(chain, d)
-    take = np.linspace(0, y.shape[0] - 1, n).round().astype(int)
-    ranked = y[take]
+        if rhat > RHAT_CEILING:
+            warnings.append(f"MCMC R-hat {rhat:.4f} above {RHAT_CEILING}")
+    states = chains.reshape(-1, d - 1)
+    take = np.linspace(0, states.shape[0] - 1, n).round().astype(int)
+    ranked = _z_to_ranked(states[take])
     if kind == "named":
         ranked = _assign_names(ranked, params, rng)
-    return SampleResult(draws=ranked, kind=kind, method="mcmc", ess=float(ess),
-                        warnings=warnings)
+    return SampleResult(draws=ranked, kind=kind, method="mcmc",
+                        acceptance_rate=accepted / (chains.shape[0] * chains.shape[1]),
+                        ess=float(ess), rhat=float(rhat), warnings=warnings)
 
 
-def _z_to_ranked(z_chain, d):
-    cum = np.concatenate([np.zeros((z_chain.shape[0], 1)), np.cumsum(z_chain, axis=1)], axis=1)
+def _z_to_ranked(z):
+    """Ranked weights from log-gap coordinates along the last axis."""
+    cum = np.concatenate([np.zeros(z.shape[:-1] + (1,)), np.cumsum(z, axis=-1)], axis=-1)
     rel = np.exp(-cum)
-    return rel / rel.sum(axis=1, keepdims=True)
+    return rel / rel.sum(axis=-1, keepdims=True)
 
 
-def _ess(series) -> float:
-    """Effective sample size via initial-positive-sequence autocorrelation."""
-    x = np.asarray(series, dtype=float)
-    n = x.size
-    x = x - x.mean()
-    var = float(np.dot(x, x)) / n
-    if var == 0.0:
-        return float(n)
-    tau = 1.0
-    for lag in range(1, min(n // 2, 2000)):
-        rho = float(np.dot(x[:-lag], x[lag:])) / ((n - lag) * var)
-        if rho <= 0.0:
-            break
-        tau += 2.0 * rho
-    return n / tau
+def _split_chains(chains):
+    """Each chain's two halves as separate chains (a middle draw of an odd
+    length is dropped), so a trend within a chain shows as disagreement."""
+    chains = np.atleast_2d(np.asarray(chains, dtype=float))
+    half = chains.shape[1] // 2
+    return np.concatenate([chains[:, :half], chains[:, chains.shape[1] - half:]])
+
+
+def _ess(chains) -> float:
+    """Multi-chain effective sample size of the mean of ``chains`` (m, n).
+
+    Follows Vehtari et al. (2021, Bayesian Analysis 16:667) on split
+    chains: the combined autocorrelation rho_t = 1 - (W - mean_m acov_t) /
+    var_plus is summed over Geyer's (1992) initial monotone sequence of
+    pair sums rho_2k + rho_2k+1, truncated before the first negative pair.
+    """
+    x = _split_chains(chains)
+    m, n = x.shape
+    within, var_plus = _variances(x)
+    if var_plus == 0.0:
+        return float(m * n)
+    centred = x - x.mean(axis=1, keepdims=True)
+    spectrum = np.fft.rfft(centred, 2 * n)
+    acov = np.fft.irfft(spectrum * spectrum.conj(), 2 * n)[:, :n] / n
+    rho = 1.0 - (within - acov.mean(axis=0)) / var_plus
+    rho[0] = 1.0
+    pairs = rho[: n - n % 2].reshape(-1, 2).sum(axis=1)
+    negative = np.flatnonzero(pairs < 0.0)
+    pairs = pairs[: negative[0] if negative.size else pairs.size]
+    tau = 2.0 * np.minimum.accumulate(pairs).sum() - 1.0
+    return m * n / tau
+
+
+def _rhat(chains) -> float:
+    """Rank-normalized split R-hat of ``chains`` (m, n): the larger of the
+    bulk value and the value for the folded draws |x - median| (Vehtari et
+    al. 2021)."""
+    x = _split_chains(chains)
+    values = []
+    for draws in (x, np.abs(x - np.median(x))):
+        within, var_plus = _variances(_rank_normalize(draws))
+        values.append(math.sqrt(var_plus / within))
+    return max(values)
+
+
+def _rank_normalize(x):
+    """Normal scores of the pooled ranks (ties share their average rank)."""
+    flat = x.ravel()
+    order = np.argsort(flat)
+    ordered = flat[order]
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    ends = np.append(starts[1:], flat.size)          # a tie group holds ranks starts+1..ends
+    ranks = np.empty(flat.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return special.ndtri((ranks - 0.375) / (flat.size + 0.25)).reshape(x.shape)
+
+
+def _variances(x):
+    """Mean within-chain variance W of ``x`` (m, n) and the pooled estimate
+    var_plus = (n - 1) / n * W + (variance of the chain means)."""
+    n = x.shape[1]
+    within = x.var(axis=1, ddof=1).mean()
+    return within, within * (n - 1) / n + x.mean(axis=1).var(ddof=1)
 
 
 def _assign_names(ranked, params, rng):

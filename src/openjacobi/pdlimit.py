@@ -27,6 +27,10 @@ class HeavyTiltError(RuntimeError):
     """Importance sampling effective size fell below the floor."""
 
 
+class TruncationError(RuntimeError):
+    """Stick breaking needed more than M sticks to reach the tail floor."""
+
+
 @dataclass(frozen=True)
 class PDConfig:
     """Poisson-Dirichlet limit parameters: concentration theta plus power
@@ -87,8 +91,8 @@ def pd_sample(theta: float, M: int, n: int, seed: int,
     """Draw n approximate PD(theta) points by stick breaking and sorting.
 
     Beta(1, theta) sticks are generated in blocks until every draw's
-    remaining mass is below ``tail_floor`` (an error is raised if that
-    would take more than M sticks, the configured truncation length).
+    remaining mass is below ``tail_floor`` (``TruncationError`` is raised if
+    that would take more than M sticks, the configured truncation length).
     """
     cfg = PDConfig(theta=theta, M=M)       # reuse the validity checks
     rng = substream(seed, "pd-sticks")
@@ -98,7 +102,7 @@ def pd_sample(theta: float, M: int, n: int, seed: int,
     while True:
         width = min(STICK_BLOCK, cfg.M - ncols)
         if width <= 0:
-            raise ValueError(
+            raise TruncationError(
                 f"truncation length M={M} too small for tail floor {tail_floor}"
             )
         v = rng.beta(1.0, theta, size=(n, width))

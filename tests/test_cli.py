@@ -261,6 +261,61 @@ def test_heavy_tilt_exits_three(tmp_path, capsys):
     assert err["error"] == "diagnostic"
 
 
+def test_pd_truncation_too_short_exits_three(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"seed": 3, "pd": {"theta": 1.0, "M": 20, "n": 100}})
+    assert run(["pd", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "diagnostic"
+    assert "truncation length M=20 too small" in err["detail"]
+
+
+HYBRID_MODEL = {"a": [1.0, 0.5, 0.5], "gamma": [0.3, 0.2, 0.1], "sigma": 1.0}
+
+
+def test_invariant_reports_acceptance_and_rhat(tmp_path):
+    cfg = write_config(tmp_path, {
+        "seed": 19, "model": HYBRID_MODEL,
+        "sampler": {"n": 1_000, "kind": "named", "method": "mcmc"},
+    })
+    assert run(["invariant", "--config", str(cfg), "--out", str(tmp_path / "mcmc")]) == 0
+    res = read_json(tmp_path / "mcmc" / "invariant_report.json")["results"]
+    assert 0.0 < res["acceptance_rate"] < 1.0
+    assert res["ess"] >= 1_000
+    assert res["rhat"] <= 1.01
+    cfg = write_config(tmp_path, {"seed": 19, "model": BASE_MODEL, "sampler": {"n": 100}})
+    assert run(["invariant", "--config", str(cfg), "--out", str(tmp_path / "spacing")]) == 0
+    res = read_json(tmp_path / "spacing" / "invariant_report.json")["results"]
+    assert res["method"] == "spacing"
+    assert res["rhat"] is None
+
+
+def test_mcmc_rhat_above_ceiling_after_budget_exits_three(tmp_path, capsys, monkeypatch):
+    import openjacobi.invariant as invariant
+
+    rhat = invariant._rhat
+    seen = []
+
+    def inflated(chains):
+        seen.append(rhat(chains) + 0.05)
+        return seen[-1]
+
+    monkeypatch.setattr(invariant, "_rhat", inflated)
+    cfg = write_config(tmp_path, {
+        "seed": 23, "model": HYBRID_MODEL,
+        "sampler": {"n": 500, "kind": "named", "method": "mcmc"},
+    })
+    out = tmp_path / "out"
+    assert run(["invariant", "--config", str(cfg), "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "diagnostic"
+    assert "R-hat" in err["detail"] and "above 1.01" in err["detail"]
+    assert len(seen) == 4                     # the first block and three doublings
+    res = read_json(out / "invariant_report.json")["results"]
+    assert res["rhat"] == pytest.approx(seen[-1])
+    assert res["rhat"] > 1.01
+    assert len(np.loadtxt(out / "invariant_samples.csv", delimiter=",", skiprows=1)) == 500
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path, {
         "seed": 1,

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import signal, special, stats
 
 from openjacobi import (
     InvalidModelError,
@@ -20,7 +20,8 @@ from openjacobi import (
     sample_invariant,
 )
 from openjacobi._util import z_score
-from openjacobi.invariant import MCMC_MAX_DIM
+from openjacobi import invariant
+from openjacobi.invariant import MCMC_MAX_DIM, RHAT_CEILING, _ess, _rank_normalize, _rhat
 
 
 def rank_jacobi(a, sigma=1.0):
@@ -234,6 +235,94 @@ def test_mcmc_hybrid_named_mean_matches_monomial_ratio():
     target = num / den
     se = res.draws[:, 0].std(ddof=1) / math.sqrt(res.ess)
     assert abs(z_score(res.draws[:, 0].mean(), se, target, 0.0)) < 4.0
+
+
+def test_mcmc_reports_pooled_acceptance_and_rhat():
+    p = ModelParams(a=[1.0, 0.5, 0.5], gamma=[0.3, 0.2, 0.1])
+    res = sample_invariant(p, 2_000, seed=53, kind="named")
+    assert res.method == "mcmc" and res.n == 2_000 and not res.warnings
+    assert 0.1 < res.acceptance_rate < 0.6
+    assert res.ess >= 2_000
+    assert 1.0 - 0.01 < res.rhat <= RHAT_CEILING
+    again = sample_invariant(p, 2_000, seed=53, kind="named")
+    assert np.array_equal(res.draws, again.draws)
+
+
+def test_mcmc_exhausted_budget_warns_instead_of_raising(monkeypatch):
+    p = ModelParams(a=[0.5, 0.5], gamma=[1.0, 0.5])
+    monkeypatch.setattr(invariant, "_rhat", lambda chains: 1.5)
+    monkeypatch.setattr(invariant, "_ess", lambda chains: 10.0)
+    res = sample_invariant(p, 100, seed=59, kind="ranked", burn_in=100, max_doublings=1)
+    assert res.n == 100
+    assert res.rhat == 1.5 and res.ess == 10.0
+    assert len(res.warnings) == 2
+    assert "effective sample size 10 below requested 100" in res.warnings[0]
+    assert "R-hat 1.5000 above 1.01" in res.warnings[1]
+
+
+def _ar1(rho, n, rng):
+    noise = rng.standard_normal(n)
+    series = signal.lfilter([math.sqrt(1.0 - rho * rho)], [1.0, -rho], noise)
+    series[0] = noise[0]
+    return series
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, -0.3])
+def test_ess_of_ar1_series_matches_theory(rho):
+    n = 100_000
+    series = _ar1(rho, n, np.random.default_rng(61))
+    expected = n * (1.0 - rho) / (1.0 + rho)
+    assert _ess(series) == pytest.approx(expected, rel=0.1)
+    assert _ess(series.reshape(4, -1)) == pytest.approx(expected, rel=0.1)
+
+
+def _single_lag_ess(series):
+    """The former estimator: sum of single-lag autocorrelations up to the
+    first non-positive one, at most 2000 lags."""
+    x = np.asarray(series, dtype=float)
+    n = x.size
+    x = x - x.mean()
+    var = float(np.dot(x, x)) / n
+    tau = 1.0
+    for lag in range(1, min(n // 2, 2000)):
+        rho = float(np.dot(x[:-lag], x[lag:])) / ((n - lag) * var)
+        if rho <= 0.0:
+            break
+        tau += 2.0 * rho
+    return n / tau
+
+
+@pytest.mark.parametrize("hold", [100, 1000])
+def test_ess_of_sticky_series_not_above_single_lag_estimate(hold):
+    # a chain that keeps its value for geometric times of mean ``hold`` and
+    # then jumps to a fresh normal: rho_t = (1 - 1/hold)^t
+    rng = np.random.default_rng(67)
+    n = 200_000
+    states = np.cumsum(rng.random(n) < 1.0 / hold)
+    series = rng.standard_normal(states[-1] + 1)[states]
+    assert _ess(series) <= _single_lag_ess(series)
+
+
+def test_rank_normalization_uses_average_ranks_of_ties():
+    # repeated values, as a chain produces when it rejects proposals
+    x = np.round(np.random.default_rng(73).random((8, 50)), 1)
+    ranks = stats.rankdata(x, method="average").reshape(x.shape)
+    expected = special.ndtri((ranks - 0.375) / (x.size + 0.25))
+    np.testing.assert_allclose(_rank_normalize(x), expected, rtol=1e-14)
+
+
+def test_rhat_is_one_for_iid_chains_and_flags_disagreeing_chains():
+    rng = np.random.default_rng(71)
+    iid = rng.standard_normal((64, 1_000))
+    assert abs(_rhat(iid) - 1.0) < 0.002
+    shifted = iid + np.repeat([0.0, 0.5], 32)[:, None]
+    assert _rhat(shifted) > RHAT_CEILING
+    # equal means, unequal spreads: only the folded (tail) part notices
+    scaled = iid * np.repeat([1.0, 2.0], 32)[:, None]
+    assert _rhat(scaled) > RHAT_CEILING
+    # a trend within every chain shows through the split halves
+    trending = iid + np.linspace(0.0, 1.0, 1_000)[None, :]
+    assert _rhat(trending) > RHAT_CEILING
 
 
 def test_sampler_input_validation():

@@ -18,7 +18,7 @@ from openjacobi import (
     tilted_expect,
 )
 from openjacobi._util import z_score
-from openjacobi.pdlimit import HeavyTiltError
+from openjacobi.pdlimit import HeavyTiltError, TruncationError
 
 
 def mc_z(values, target):
@@ -68,6 +68,13 @@ def test_pd_sample_deterministic_in_seed():
     a = pd_sample(theta=0.5, M=10_000, n=100, seed=9)
     b = pd_sample(theta=0.5, M=10_000, n=100, seed=9)
     assert np.array_equal(a.weights, b.weights)
+
+
+def test_pd_sample_truncation_too_short_for_tail_floor_is_typed():
+    # M = 20 passes PDConfig's expected-tail bound, (1/2)^20 < 1e-6, but the
+    # sticks cannot reach the 1e-13 tail floor within 20 columns
+    with pytest.raises(TruncationError, match="M=20 too small"):
+        pd_sample(theta=1.0, M=20, n=100, seed=3)
 
 
 def test_pd_sample_top_share_moment():

@@ -30,7 +30,7 @@ from openjacobi import (
     validate_params,
 )
 from openjacobi.sde import drift
-from openjacobi.simplex import ranked_weights, to_names
+from openjacobi.simplex import RENORM_TOL, SUM_TOL, ranked_weights, to_names
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +52,28 @@ def test_as_simplex_rejects_out_of_range_entries():
         as_simplex([1.2, -0.2])
     with pytest.raises(SimplexError):
         as_simplex([0.5])
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=hnp.arrays(float, st.integers(2, 8), elements=st.floats(0.0, 1.0))
+       .filter(lambda w: w.sum() > 0.0),
+       scale=st.floats(-0.5, 0.5))
+def test_as_simplex_round_trips(w, scale):
+    x = w / w.sum()
+    v = as_simplex(x)
+    assert not np.shares_memory(v, x)
+    assert abs(v.sum() - 1.0) <= SUM_TOL
+    assert np.all((v >= 0.0) & (v <= 1.0))
+    np.testing.assert_allclose(v, x, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(as_simplex(v), v, rtol=1e-14, atol=0.0)
+    # a sum off by less than RENORM_TOL is renormalized back onto the point
+    np.testing.assert_allclose(as_simplex(x * (1.0 + scale * RENORM_TOL)), x,
+                               rtol=1e-14, atol=0.0)
+    # one off by more is rejected
+    with pytest.raises(SimplexError):
+        as_simplex(x * (1.0 + 4.0 * RENORM_TOL))
+    ranked = ranked_weights(v)
+    np.testing.assert_allclose(as_ranked(ranked), ranked, rtol=1e-14, atol=0.0)
 
 
 def test_as_ranked_requires_monotone():
