@@ -241,9 +241,6 @@ def cmd_growth(cfg, out, threads):
         method = growth_cfg.get("method", "mc")
         if method not in ("mc", "quadrature"):
             raise ConfigError(f"unknown growth method {method!r}")
-        if method == "quadrature" and n_top < d - 1 and d > 3:
-            raise ConfigError("quadrature growth rates with open_market_size < d-1 "
-                              "are limited to d <= 3")
         n = int(_positive(growth_cfg.get("n", 100_000)))
         sim = growth_cfg.get("sim")
         if sim:
@@ -316,11 +313,13 @@ def cmd_pd(cfg, out, threads):
     multisets = _multisets_up_to(max_degree)
     rows = []
     table = {}
+    sums = {m: pdlimit_mod.power_sum(sample.weights, m)
+            for m in sorted({m for ms in multisets for m in ms})}
     for ms in multisets:
         exact = pdlimit_mod.moment_recursion(theta, ms)
         vals = np.ones(sample.n)
         for m in ms:
-            vals = vals * pdlimit_mod.power_sum(sample.weights, m)
+            vals = vals * sums[m]
         mc = float(vals.mean())
         se = float(vals.std(ddof=1) / np.sqrt(sample.n))
         key = "*".join(f"phi{m}" for m in ms)

@@ -23,10 +23,9 @@ from .sde import PathObserver, SimPath, drift, gap_local_time, sum_over_steps
 from .simplex import (
     ModelParams,
     diffusion_c,
-    ordered_simplex_integral,
     ranked_weights,
     ranking_order,
-    ranks_of_names,
+    small_cap_integral,
     tail_sums,
     to_names,
     validate_params,
@@ -85,18 +84,6 @@ def expand_open(h, x) -> np.ndarray:
         axis=-1,
     )
     return to_names(theta_by_rank, order)
-
-
-def optimal_share_field(x, params: ModelParams) -> np.ndarray:
-    """Share field solving c(x) v = drift(x): v_i = (gamma_i + a_rank(i)) / (2 x_i).
-
-    After a market-portfolio shift this is the closed-market growth-optimal
-    strategy.  Undefined on the boundary: zero weights raise.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("share field is undefined at zero weights")
-    return (params.gamma + params.a[ranks_of_names(x)]) / (2.0 * x)
 
 
 def optimal_rank_holdings(y, order, params: ModelParams, n_top: int) -> np.ndarray:
@@ -193,13 +180,6 @@ def local_growth_rate(y, order, params: ModelParams, n_top: int) -> np.ndarray:
         + small_num ** 2 / tail
         - params.total_mass ** 2
     )
-
-
-def local_growth_direct(y, order, params: ModelParams, n_top: int) -> float:
-    """Same quantity by direct matrix algebra (independent of the closed form)."""
-    kappa = diffusion_c(y, params.sigma)
-    h = optimal_rank_holdings(y, order, params, n_top)
-    return float(h @ kappa[:n_top, :n_top] @ h)
 
 
 def foc_residual(y, order, params: ModelParams, n_top: int) -> float:
@@ -374,11 +354,6 @@ def _increments(theta_left, states, dt, sigma, model_drift):
     )
     dlog = (theta_left * np.diff(states, axis=0)).sum(axis=-1) - 0.5 * qv * dt
     return dlog, ((theta_left * model_drift).sum(axis=-1) - 0.5 * qv) * dt
-
-
-def wealth_increments(theta_left, states, dt, sigma):
-    """d log V per step from left-evaluated holdings along stored states."""
-    return _increments(theta_left, states, dt, sigma, 0.0)[0]
 
 
 def wealth(path: SimPath, strategy: Strategy, tol: float = SELF_FINANCING_TOL) -> WealthLedger:
@@ -694,10 +669,10 @@ def robust_growth_rate(params: ModelParams, n_top: int, method: str = "mc",
 
     Requires the strict condition a_bar_k > 1 for k = 2..N+1.  The Monte
     Carlo route uses the exact rejection sampler.  Quadrature is exact
-    Q-ratio algebra, each Q one ``monomial_integral`` (a one-dimensional
-    recursion per dimension, milliseconds at d <= 6), so with N = d-1 it
-    serves any d; for N < d-1 the small-cap term needs full ordered-simplex
-    quadrature, which limits that case to d <= 3.
+    Q-ratio algebra, each integral one ordered-shell recursion (one
+    scalar per dimension, milliseconds at d <= 6), and serves every N at
+    every d: the small-cap term E[1/T] is ``small_cap_integral``, a plain
+    shifted monomial when N = d-1.
     """
     margins = _require_strict_growth(params, n_top)
     a = params.a
@@ -724,11 +699,7 @@ def robust_growth_rate(params: ModelParams, n_top: int, method: str = "mc",
             shifted[-1] -= 1.0
             inv_tail = rank_normalizer(shifted, rel_tol=rel_tol) / qa
         else:
-            def integrand(y):
-                base = np.prod(y ** (a - 1.0))
-                return base / y[n_top:].sum()
-
-            inv_tail = ordered_simplex_integral(integrand, d, rel_tol=rel_tol) / qa
+            inv_tail = small_cap_integral(a, n_top, rel_tol=rel_tol) / qa
         lam = (s2 / 8.0) * (inv_top + abar_tail ** 2 * inv_tail) - offset
         return GrowthReport(lambda_hat=lam, stderr=0.0, method="quadrature",
                             condition_margins=margins, n=0)

@@ -3,12 +3,13 @@
 Vectors of market weights live on the standard simplex (nonnegative entries
 summing to one); their decreasing rearrangements live on the ordered simplex.
 This module provides validated constructors for both, rank/name bookkeeping
-with a deterministic lexicographic tie-break, tail sums, index-set sums,
-model-parameter validation, the Wright-Fisher-type diffusion matrices, and
-monomial integrals over ordered shells (the normalizing-constant machinery
-used by the invariant-density code).  A monomial integral is one backward
-recursion over a single scalar per dimension, each level a Chebyshev table
-filled by a Gauss rule, so its cost grows linearly in d.
+with a deterministic lexicographic tie-break, tail sums, model-parameter
+validation, the Wright-Fisher-type diffusion matrix, and monomial integrals
+over ordered shells (the normalizing-constant machinery used by the
+invariant-density code) together with the open market's small-cap
+integral.  Each integral is one backward recursion over a single scalar per
+dimension, each level a Chebyshev table filled by a Gauss rule, so its cost
+grows linearly in d.
 
 Measure convention: all integrals over the simplex and the ordered simplex
 are taken with respect to the pushforward of Lebesgue measure on R^{d-1}
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy import integrate, special
+from scipy import integrate, special  # integrate unused; bench/tracing.py patches it
 
 SUM_TOL = 1e-12          # accepted deviation of sum(x) from 1 after construction
 RENORM_TOL = 1e-9        # inputs whose sum is off by at most this get renormalized
@@ -50,7 +51,7 @@ class DivergentIntegralError(ArithmeticError):
 
 
 class QuadratureError(ArithmeticError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """An ordered-shell recursion did not settle to the requested tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -131,56 +132,14 @@ def to_names(by_rank, order) -> np.ndarray:
     return out
 
 
-def rank_of(x, i: int) -> int:
-    """Rank (1-based) held by name ``i`` (1-based)."""
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    if not 1 <= i <= d:
-        raise IndexError(f"name {i} out of range 1..{d}")
-    return int(ranks_of_names(x)[i - 1]) + 1
-
-
-def name_of(x, k: int) -> int:
-    """Name (1-based) occupying rank ``k`` (1-based)."""
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    if not 1 <= k <= d:
-        raise IndexError(f"rank {k} out of range 1..{d}")
-    return int(ranking_order(x)[k - 1]) + 1
-
-
 # ---------------------------------------------------------------------------
-# tail sums and index-set sums
+# tail sums
 # ---------------------------------------------------------------------------
 
 def tail_sums(v) -> np.ndarray:
     """All tail sums: ``out[k-1] = v_k + ... + v_d`` for k = 1..d."""
     v = np.asarray(v, dtype=float)
     return np.cumsum(v[..., ::-1], axis=-1)[..., ::-1]
-
-
-def tail_sum(v, k: int) -> float:
-    """Sum of entries from position ``k`` (1-based) to the end."""
-    v = np.asarray(v, dtype=float)
-    if not 1 <= k <= v.shape[-1]:
-        raise IndexError(f"index {k} out of range 1..{v.shape[-1]}")
-    return float(v[k - 1:].sum())
-
-
-def lambda_sum(x, names) -> float:
-    """Sum of the weights of the given 1-based names; the empty set gives 0."""
-    x = np.asarray(x, dtype=float)
-    idx = _index_set(names, x.shape[-1])
-    if idx.size == 0:
-        return 0.0
-    return float(x[idx - 1].sum())
-
-
-def _index_set(names, d: int) -> np.ndarray:
-    idx = np.asarray(sorted(set(int(i) for i in names)), dtype=int)
-    if idx.size and (idx[0] < 1 or idx[-1] > d):
-        raise IndexError(f"index set entries must lie in 1..{d}")
-    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +259,6 @@ def diffusion_c(x, sigma: float = 1.0) -> np.ndarray:
     return sigma * sigma * (np.diag(x) - np.outer(x, x))
 
 
-def diffusion_kappa(y, sigma: float = 1.0) -> np.ndarray:
-    """Ranked diffusion matrix; the identical algebra on the ranked vector."""
-    return diffusion_c(np.asarray(y, dtype=float), sigma)
-
-
 def covariation_form(u, v, x, sigma: float = 1.0) -> float:
     """Quadratic covariation shortcut u^T c(x) v without building c.
 
@@ -364,10 +318,59 @@ def monomial_integral(exponents, alpha: float = 1.0, beta: float = 0.0,
         return 0.0
     scale = alpha ** (b.sum() - 1.0)
     tails = tail_sums(b)
+    return _settle(lambda n: _shell_recursion(tails, rel_beta, n), rel_tol, scale)
+
+
+def small_cap_integral(exponents, n_top: int, rel_tol: float = 1e-8) -> float:
+    """Integral of prod_k y_k^{a_k - 1} / T over the ordered simplex, where
+    T = y_(N+1) + ... + y_d is the mass below rank N = ``n_top``.
+
+    Finite iff a_bar_k > 1 for k = 2..N+1 and a_bar_k > 0 beyond.  With
+    B = a_bar_1 > 1 and A = a_bar_(N+1), the Laplace form of 1/T on the cone
+    gives I = (B - 1)/(A - 1) int F_a(u) max(1, u_(N+1))^(1 - A) du, where
+    F_a is the integrand of ``_shell_recursion`` and the junction ratio
+    u_(N+1) = y_(N+1)/y_N runs over [0, inf) instead of [0, 1].  For
+    B <= 1, sum y = 1 gives I(a) = Q(a) + sum_(k<=N) I(a + e_k), each term
+    raising B by one.
+    """
+    a = np.asarray(exponents, dtype=float)
+    d = a.size
+    if not 1 <= n_top <= d - 1:
+        raise ValueError("need 1 <= N <= d-1")
+    tails = tail_sums(a)
+    if np.any(tails[1:n_top + 1] <= 1.0) or np.any(tails[n_top + 1:] <= 0.0):
+        raise DivergentIntegralError(
+            "small-cap integral diverges: need a_bar_k > 1 for k = 2..N+1 "
+            "and a_bar_k > 0 beyond"
+        )
+    if tails[0] <= 1.0:
+        # apply the split until B > 1, merging shifts that several orders
+        # reach: level s holds each multiset of s top ranks with its count
+        value, level = 0.0, {(): 1}
+        for _ in range(math.floor(1.0 - tails[0]) + 1):
+            value += sum(count * monomial_integral(a + np.bincount(ks, minlength=d),
+                                                   rel_tol=rel_tol)
+                         for ks, count in level.items())
+            grown = {}
+            for ks, count in level.items():
+                for k in range(n_top):
+                    key = tuple(sorted(ks + (k,)))
+                    grown[key] = grown.get(key, 0) + count
+            level = grown
+        return value + sum(count * small_cap_integral(a + np.bincount(ks, minlength=d),
+                                                      n_top, rel_tol)
+                           for ks, count in level.items())
+    scale = (tails[0] - 1.0) / (tails[n_top] - 1.0)
+    return _settle(lambda n: _shell_recursion(tails, 0.0, n, n_top), rel_tol, scale)
+
+
+def _settle(recursion, rel_tol: float, scale: float) -> float:
+    """``scale * recursion(n)`` once two successive rule sizes n agree to
+    within 50 * rel_tol relative; ``QuadratureError`` if they never do."""
     previous = None
     for n in _SHELL_RULE_SIZES:
         with np.errstate(over="ignore", invalid="ignore"):
-            value = _shell_recursion(tails, rel_beta, n)
+            value = recursion(n)
         if not math.isfinite(value):
             raise QuadratureError("ordered-shell recursion returned a non-finite value")
         if previous is not None and abs(value - previous) <= 50 * rel_tol * abs(value):
@@ -379,7 +382,7 @@ def monomial_integral(exponents, alpha: float = 1.0, beta: float = 0.0,
     )
 
 
-def _shell_recursion(tails, beta: float, n: int) -> float:
+def _shell_recursion(tails, beta: float, n: int, junction: int = 0) -> float:
     """Q(b; 1, beta) from the tail sums of b, with rules of size n.
 
     With u_k = y_k / y_{k-1} and sigma_k = y_k / (y_1 + ... + y_k), so that
@@ -400,21 +403,31 @@ def _shell_recursion(tails, beta: float, n: int) -> float:
     u >= beta_(k-1) / s, and both the table and the u-rule work in log s and
     log u, which resolves the boundary layer at the lower end of each
     support.
+
+    A junction N >= 1 (beta = 0 only) instead integrates F_b(u)
+    max(1, u_(N+1))^(1 - bbar_(N+1)) with u_(N+1) over [0, inf), as
+    ``small_cap_integral`` needs.  H_j for j > N is unchanged but lives on
+    [0, 1/(j - N)].  On u_(N+1) >= 1 the weight is 1, and x = u s / (1 + u s)
+    over [s / (1 + s), 1) takes a Gauss-Jacobi rule for (1 - x)^(bbar_1 - 2).
+    H_N(s) grows like 1/s as s -> 0, so the levels j <= N tabulate
+    G_j = s H_j, which obeys the same recursion with bbar_(j+1) and bbar_1
+    each lowered by one.
     """
     d = tails.size
-    total = tails[0]
     graded = beta > 0.0
     table = None                     # H_k / envelope as (coefficients, lo, hi)
     for j in range(d - 1, 0, -1):    # integrate u_(j+1) out, giving H_j
+        total = tails[0] - (j < junction)
         floor = 1.0 / (1.0 / beta - (d - j)) if graded else 0.0
         if j == 1:
             s = np.ones(1)
         else:
-            lo, hi = (math.log(floor), -math.log(j)) if graded else (0.0, 1.0 / j)
+            lo, hi = (math.log(floor), -math.log(j)) if graded else (
+                0.0, 1.0 / (j - junction if j > junction else j))
             s = lo + (hi - lo) * (_chebyshev(n)[0] + 1.0) / 2.0
             if graded:
                 s = np.exp(s)
-        c = tails[j]
+        c = tails[j] - (j < junction)
         if graded:
             t, w = _legendre(n)
             log_low = np.log(floor / s)[:, None]
@@ -428,9 +441,20 @@ def _shell_recursion(tails, beta: float, n: int) -> float:
         # is (1 + m u s)^(-bbar_1); dividing by H_j's envelope at s leaves
         m = d - j
         vals = weights * np.exp(-total * (np.log1p(m * us) - np.log1p(m * s[:, None])))
+        x_next = us / (1.0 + us)
+        if j == junction:
+            # G_N's envelope is (1 + m s)^(1 - bbar_1); x = (s + t) / (1 + s)
+            # on u >= 1, so H_(N+1)'s envelope there is (1 + m s + (m - 1) t)^(-bbar_1)
+            # times (1 + s)^bbar_1
+            t, w = _jacobi(n, total - 1.0)
+            t = 1.0 - t
+            s_col = s[:, None]
+            far = w * (1.0 + s_col) * (1.0 + (m - 1) * t / (1.0 + m * s_col)) ** -total
+            vals = np.concatenate([vals * s_col, far], axis=1) / (1.0 + m * s_col)
+            x_next = np.concatenate([x_next, (s_col + t) / (1.0 + s_col)], axis=1)
+            total -= 1.0
         if table is not None:
             coef, t_lo, t_hi = table
-            x_next = us / (1.0 + us)
             if graded:
                 x_next = np.log(x_next)
             z = np.clip((2.0 * x_next - t_lo - t_hi) / (t_hi - t_lo), -1.0, 1.0)
@@ -469,27 +493,3 @@ def _jacobi(n: int, c: float):
     u, w = (1.0 + x) / 2.0, w * 2.0 ** -c
     u.flags.writeable = w.flags.writeable = False
     return u, w
-
-
-def ordered_simplex_integral(fn, d: int, rel_tol: float = 1e-8) -> float:
-    """Integral of a scalar function over the full ordered simplex, d <= 3.
-
-    ``fn`` receives the full d-vector (y_1, ..., y_d).  Used for invariant
-    densities and growth-rate integrands that are not pure monomials.
-    """
-    if d == 2:
-        val, _ = integrate.quad(lambda y1: fn(np.array([y1, 1.0 - y1])),
-                                0.5, 1.0, epsabs=0.0, epsrel=rel_tol, limit=200)
-        return val
-    if d == 3:
-        def inner(y2, y1):
-            return fn(np.array([y1, y2, 1.0 - y1 - y2]))
-
-        val, _ = integrate.dblquad(
-            inner, 1.0 / 3.0, 1.0,
-            lambda y1: (1.0 - y1) / 2.0,
-            lambda y1: min(y1, 1.0 - y1),
-            epsabs=0.0, epsrel=rel_tol,
-        )
-        return val
-    raise ValueError("full-simplex quadrature is limited to d <= 3")

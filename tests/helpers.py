@@ -1,0 +1,105 @@
+"""Helpers that only the tests use: scalar rank/name lookups, tail and
+index-set sums, direct-algebra references for closed forms, and a nested
+scipy quadrature over the ordered simplex (d <= 3) that serves as an
+oracle independent of the ordered-shell recursion."""
+
+import numpy as np
+from scipy import integrate
+
+from openjacobi.portfolio import _increments, optimal_rank_holdings
+from openjacobi.simplex import ModelParams, diffusion_c, ranking_order, ranks_of_names
+
+
+def rank_of(x, i: int) -> int:
+    """Rank (1-based) held by name ``i`` (1-based)."""
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
+    if not 1 <= i <= d:
+        raise IndexError(f"name {i} out of range 1..{d}")
+    return int(ranks_of_names(x)[i - 1]) + 1
+
+
+def name_of(x, k: int) -> int:
+    """Name (1-based) occupying rank ``k`` (1-based)."""
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
+    if not 1 <= k <= d:
+        raise IndexError(f"rank {k} out of range 1..{d}")
+    return int(ranking_order(x)[k - 1]) + 1
+
+
+def tail_sum(v, k: int) -> float:
+    """Sum of entries from position ``k`` (1-based) to the end."""
+    v = np.asarray(v, dtype=float)
+    if not 1 <= k <= v.shape[-1]:
+        raise IndexError(f"index {k} out of range 1..{v.shape[-1]}")
+    return float(v[k - 1:].sum())
+
+
+def lambda_sum(x, names) -> float:
+    """Sum of the weights of the given 1-based names; the empty set gives 0."""
+    x = np.asarray(x, dtype=float)
+    idx = _index_set(names, x.shape[-1])
+    if idx.size == 0:
+        return 0.0
+    return float(x[idx - 1].sum())
+
+
+def _index_set(names, d: int) -> np.ndarray:
+    idx = np.asarray(sorted(set(int(i) for i in names)), dtype=int)
+    if idx.size and (idx[0] < 1 or idx[-1] > d):
+        raise IndexError(f"index set entries must lie in 1..{d}")
+    return idx
+
+
+def diffusion_kappa(y, sigma: float = 1.0) -> np.ndarray:
+    """Ranked diffusion matrix; the identical algebra on the ranked vector."""
+    return diffusion_c(np.asarray(y, dtype=float), sigma)
+
+
+def ordered_simplex_integral(fn, d: int, rel_tol: float = 1e-8) -> float:
+    """Integral of a scalar function over the full ordered simplex, d <= 3.
+
+    ``fn`` receives the full d-vector (y_1, ..., y_d).  Used for invariant
+    densities and growth-rate integrands that are not pure monomials.
+    """
+    if d == 2:
+        val, _ = integrate.quad(lambda y1: fn(np.array([y1, 1.0 - y1])),
+                                0.5, 1.0, epsabs=0.0, epsrel=rel_tol, limit=200)
+        return val
+    if d == 3:
+        def inner(y2, y1):
+            return fn(np.array([y1, y2, 1.0 - y1 - y2]))
+
+        val, _ = integrate.dblquad(
+            inner, 1.0 / 3.0, 1.0,
+            lambda y1: (1.0 - y1) / 2.0,
+            lambda y1: min(y1, 1.0 - y1),
+            epsabs=0.0, epsrel=rel_tol,
+        )
+        return val
+    raise ValueError("full-simplex quadrature is limited to d <= 3")
+
+
+def optimal_share_field(x, params: ModelParams) -> np.ndarray:
+    """Share field solving c(x) v = drift(x): v_i = (gamma_i + a_rank(i)) / (2 x_i).
+
+    After a market-portfolio shift this is the closed-market growth-optimal
+    strategy.  Undefined on the boundary: zero weights raise.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0):
+        raise ValueError("share field is undefined at zero weights")
+    return (params.gamma + params.a[ranks_of_names(x)]) / (2.0 * x)
+
+
+def local_growth_direct(y, order, params: ModelParams, n_top: int) -> float:
+    """``local_growth_rate`` by direct matrix algebra (independent of the closed form)."""
+    kappa = diffusion_c(y, params.sigma)
+    h = optimal_rank_holdings(y, order, params, n_top)
+    return float(h @ kappa[:n_top, :n_top] @ h)
+
+
+def wealth_increments(theta_left, states, dt, sigma):
+    """d log V per step from left-evaluated holdings along stored states."""
+    return _increments(theta_left, states, dt, sigma, 0.0)[0]

@@ -115,9 +115,8 @@ def test_invalid_params_exit_two_with_violated_index(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, payload, error_class", [
-    # quadrature growth rates with N < d - 1 need full-simplex quadrature, d <= 3
     ("growth", {"model": {"a": [2.0, 2.0, 2.0, 2.0]}, "open_market_size": 1,
-                "growth": {"method": "quadrature"}}, "ConfigError"),
+                "growth": {"method": "dblquad"}}, "ConfigError"),
     ("invariant", {"model": BASE_MODEL, "sampler": {"method": "gibbs"}}, "ConfigError"),
     ("invariant", {"model": BASE_MODEL, "sampler": {"n": 10},
                    "ergodic": {"T": 1.0, "dt": 1e-3, "functions": ["median"]}}, "ConfigError"),
@@ -148,6 +147,23 @@ def test_typed_config_and_model_errors_exit_two(tmp_path, capsys, monkeypatch,
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "validation"
     assert type(raised[0]).__name__ == error_class
+
+
+def test_growth_quadrature_serves_every_open_market_size(tmp_path):
+    # d = 4 with N = 1 < d - 1: the small-cap term comes from the shell recursion
+    rates = {}
+    for method in ("quadrature", "mc"):
+        cfg = write_config(tmp_path, {
+            "seed": 4,
+            "model": {"a": [-1.0, 0.2, 0.3, 2.1], "gamma": [0.0] * 4},
+            "open_market_size": 1,
+            "growth": {"method": method, "n": 100_000},
+        }, name=f"{method}.json")
+        out = tmp_path / method
+        assert run(["growth", "--config", str(cfg), "--out", str(out)]) == 0
+        rates[method] = read_json(out / "growth_report.json")["results"]["robust_growth"]
+    gap = abs(rates["quadrature"]["lambda_hat"] - rates["mc"]["lambda_hat"])
+    assert gap < 4.0 * rates["mc"]["stderr"]
 
 
 def test_unexpected_error_exits_four(tmp_path, capsys, monkeypatch):
@@ -230,6 +246,22 @@ def test_pd_command_moment_tables(tmp_path):
     lines = (out / "pd_moments.csv").read_text().splitlines()
     assert lines[0] == "product,recursion,mc,se"
     assert len(lines) == 1 + 4        # phi2, phi3, phi4, phi2*phi2
+
+
+def test_pd_command_computes_each_power_sum_once(tmp_path, monkeypatch):
+    import openjacobi.cli as cli
+
+    calls = []
+    power_sum = cli.pdlimit_mod.power_sum
+
+    def counting(y, m):
+        calls.append(m)
+        return power_sum(y, m)
+
+    monkeypatch.setattr(cli.pdlimit_mod, "power_sum", counting)
+    cfg = write_config(tmp_path, {"seed": 17, "pd": {"theta": 1.0, "n": 200, "max_degree": 6}})
+    assert run(["pd", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert sorted(calls) == [2, 3, 4, 5, 6]     # not one call per part of 10 products
 
 
 def test_limit_command_convergence_and_growth(tmp_path):

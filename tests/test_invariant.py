@@ -15,13 +15,14 @@ from openjacobi import (
     make_statistic,
     monomial_integral,
     normalizer,
-    ordered_simplex_integral,
     rank_normalizer,
     sample_invariant,
 )
 from openjacobi._util import z_score
 from openjacobi import invariant
 from openjacobi.invariant import MCMC_MAX_DIM, RHAT_CEILING, _ess, _rank_normalize, _rhat
+
+from helpers import ordered_simplex_integral
 
 
 def rank_jacobi(a, sigma=1.0):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,13 +21,10 @@ from openjacobi import (
     foc_residual,
     growth_exists,
     growth_optimal_theta,
-    local_growth_direct,
     local_growth_rate,
     master_formula,
     monomial_integral,
     optimal_rank_holdings,
-    optimal_share_field,
-    ordered_simplex_integral,
     ranking_order,
     robust_growth_rate,
     shift_self_financing,
@@ -42,10 +40,16 @@ from openjacobi.portfolio import (
     SelfFinancingError,
     WealthObserver,
     guarded_holdings,
-    wealth_increments,
 )
 from openjacobi._util import path_stream
 from openjacobi.sde import SimPath
+
+from helpers import (
+    local_growth_direct,
+    optimal_share_field,
+    ordered_simplex_integral,
+    wealth_increments,
+)
 
 
 def rank_jacobi(a, sigma=1.0):
@@ -557,6 +561,58 @@ def test_robust_growth_rate_closed_market_quadrature_route():
     quad = robust_growth_rate(p, 2, method="quadrature")
     mc = robust_growth_rate(p, 2, method="mc", n=100_000, seed=6)
     assert abs(mc.lambda_hat - quad.lambda_hat) < 4.0 * mc.stderr
+
+
+# lambda_hat at N = 1 from the dblquad oracle of tests/helpers.py at rel_tol
+# 1e-10, frozen; the last two have a_bar_1 <= 1
+FROZEN_D3_RATES = [
+    ((1.5, 1.5, 1.5), 0.956903194528556),
+    ((0.0, 0.75, 0.75), 0.9200101336448245),
+    ((1.6, 1.3, 1.2), 0.8398357584684235),
+    ((-0.5, 0.75, 0.75), 1.0147861119990735),
+    ((-1.0, 1.2, 0.3), 1.266252752212035),
+]
+
+
+@pytest.mark.parametrize("a, frozen", FROZEN_D3_RATES)
+def test_robust_growth_rate_quadrature_matches_frozen_oracle(a, frozen):
+    quad = robust_growth_rate(rank_jacobi(a), 1, method="quadrature")
+    assert quad.lambda_hat == pytest.approx(frozen, rel=1e-8)
+
+
+@pytest.mark.parametrize("a", [
+    (0.5, 0.3, 0.2, 2.1),
+    (-1.5, 0.2, 0.2, 0.2, 2.2),
+    (-2.0, 0.1, 0.1, 0.1, 0.1, 2.1),         # a_bar_1 <= 1
+])
+def test_robust_growth_rate_quadrature_matches_mc_every_open_market_size(a):
+    # a_d > 2 keeps the growth integrand square-integrable for every N
+    p = rank_jacobi(a)
+    for n_top in range(1, p.d):
+        quad = robust_growth_rate(p, n_top, method="quadrature")
+        mc = robust_growth_rate(p, n_top, method="mc", n=100_000, seed=40 + n_top)
+        assert abs(mc.lambda_hat - quad.lambda_hat) < 4.0 * mc.stderr
+
+
+def test_robust_growth_rate_quadrature_d6_small_open_market_is_fast():
+    p = rank_jacobi([2.0, 1.0, 0.8, 0.7, 0.6, 0.5])
+    start = time.perf_counter()
+    quad = robust_growth_rate(p, 1, method="quadrature")
+    assert time.perf_counter() - start < 1.0
+    assert math.isfinite(quad.lambda_hat)
+
+
+def test_robust_growth_rate_quadrature_uses_no_nested_quadrature(monkeypatch):
+    from scipy import integrate
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("nested scipy quadrature called")
+
+    monkeypatch.setattr(integrate, "quad", forbidden)
+    monkeypatch.setattr(integrate, "dblquad", forbidden)
+    for a in ([1.5, 1.5, 1.5], [1.5, 1.5, 1.5, 1.5]):
+        quad = robust_growth_rate(rank_jacobi(a), 1, method="quadrature")
+        assert math.isfinite(quad.lambda_hat)
 
 
 def test_robust_growth_rate_requires_strict_margins():

@@ -17,20 +17,29 @@ from openjacobi import (
     as_simplex,
     covariation_form,
     diffusion_c,
-    diffusion_kappa,
-    lambda_sum,
     monomial_integral,
     monomial_integral_finite,
-    name_of,
-    ordered_simplex_integral,
-    rank_of,
     ranking_order,
     ranks_of_names,
-    tail_sum,
     validate_params,
 )
 from openjacobi.sde import drift
-from openjacobi.simplex import RENORM_TOL, SUM_TOL, ranked_weights, to_names
+from openjacobi.simplex import (
+    RENORM_TOL,
+    SUM_TOL,
+    ranked_weights,
+    small_cap_integral,
+    to_names,
+)
+
+from helpers import (
+    diffusion_kappa,
+    lambda_sum,
+    name_of,
+    ordered_simplex_integral,
+    rank_of,
+    tail_sum,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +371,34 @@ def test_monomial_integral_raises_when_rel_tol_cannot_be_met():
 def test_monomial_integral_positive_beta_always_finite():
     value = monomial_integral([1.0, -2.0], beta=0.05)
     assert math.isfinite(value) and value > 0.0
+
+
+@pytest.mark.parametrize("a", [
+    [1.5, 1.3, 1.2, 1.1],
+    [2.0, 1.0, 0.8, 0.7, 0.6, 1.2],
+    [-0.5, 0.6, 0.6, 0.6, 0.6, 1.1],      # a_bar_1 <= 1 for the shifts below
+])
+def test_small_cap_integral_identities(a):
+    # T / T = 1 gives Q(a) = sum_(k>N) I(a + e_k, N); with N = d - 1 the
+    # integrand is the monomial of a - e_d
+    b = np.array(a)
+    d = b.size
+    e = np.eye(d)
+    for n_top in range(1, d):
+        tails = sum(small_cap_integral(b + e[k], n_top, rel_tol=1e-10) for k in range(n_top, d))
+        assert tails == pytest.approx(monomial_integral(b, rel_tol=1e-10), rel=1e-11)
+    assert small_cap_integral(b, d - 1, rel_tol=1e-10) == pytest.approx(
+        monomial_integral(b - e[-1], rel_tol=1e-10), rel=1e-11
+    )
+
+
+def test_small_cap_integral_divergence_is_decided_up_front():
+    with pytest.raises(DivergentIntegralError):
+        small_cap_integral([2.0, 0.5, 0.5, 0.5], 2)     # a_bar_3 = 1
+    with pytest.raises(DivergentIntegralError):
+        small_cap_integral([2.0, 1.5, 0.5, -0.2], 1)    # a_bar_4 < 0
+    with pytest.raises(ValueError):
+        small_cap_integral([1.5, 1.5, 1.5], 3)
 
 
 def test_ordered_simplex_integral_measures():
