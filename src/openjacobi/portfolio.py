@@ -671,12 +671,10 @@ def robust_growth_rate(params: ModelParams, n_top: int, method: str = "mc",
     Carlo route uses the exact rejection sampler.  Quadrature is exact
     Q-ratio algebra, each integral one ordered-shell recursion (one
     scalar per dimension, milliseconds at d <= 6), and serves every N at
-    every d: the small-cap term E[1/T] is ``small_cap_integral``, a plain
-    shifted monomial when N = d-1.
+    every d: the small-cap term E[1/T] is ``small_cap_integral``.
     """
     margins = _require_strict_growth(params, n_top)
     a = params.a
-    d = params.d
     s2 = params.sigma ** 2
     offset = (s2 / 8.0) * params.total_mass ** 2
     if method == "mc":
@@ -694,12 +692,7 @@ def robust_growth_rate(params: ModelParams, n_top: int, method: str = "mc",
                 shifted[k] -= 1.0
                 inv_top += a[k] ** 2 * rank_normalizer(shifted, rel_tol=rel_tol) / qa
         abar_tail = a[n_top:].sum()
-        if n_top == d - 1:
-            shifted = a.copy()
-            shifted[-1] -= 1.0
-            inv_tail = rank_normalizer(shifted, rel_tol=rel_tol) / qa
-        else:
-            inv_tail = small_cap_integral(a, n_top, rel_tol=rel_tol) / qa
+        inv_tail = small_cap_integral(a, n_top, rel_tol=rel_tol) / qa
         lam = (s2 / 8.0) * (inv_top + abar_tail ** 2 * inv_tail) - offset
         return GrowthReport(lambda_hat=lam, stderr=0.0, method="quadrature",
                             condition_margins=margins, n=0)

@@ -331,7 +331,8 @@ def small_cap_integral(exponents, n_top: int, rel_tol: float = 1e-8) -> float:
     F_a is the integrand of ``_shell_recursion`` and the junction ratio
     u_(N+1) = y_(N+1)/y_N runs over [0, inf) instead of [0, 1].  For
     B <= 1, sum y = 1 gives I(a) = Q(a) + sum_(k<=N) I(a + e_k), each term
-    raising B by one.
+    raising B by one.  With N = d-1, T = y_d and I is the monomial
+    integral of a - e_d.
     """
     a = np.asarray(exponents, dtype=float)
     d = a.size
@@ -343,23 +344,12 @@ def small_cap_integral(exponents, n_top: int, rel_tol: float = 1e-8) -> float:
             "small-cap integral diverges: need a_bar_k > 1 for k = 2..N+1 "
             "and a_bar_k > 0 beyond"
         )
+    e = np.eye(d)
+    if n_top == d - 1:
+        return monomial_integral(a - e[-1], rel_tol=rel_tol)
     if tails[0] <= 1.0:
-        # apply the split until B > 1, merging shifts that several orders
-        # reach: level s holds each multiset of s top ranks with its count
-        value, level = 0.0, {(): 1}
-        for _ in range(math.floor(1.0 - tails[0]) + 1):
-            value += sum(count * monomial_integral(a + np.bincount(ks, minlength=d),
-                                                   rel_tol=rel_tol)
-                         for ks, count in level.items())
-            grown = {}
-            for ks, count in level.items():
-                for k in range(n_top):
-                    key = tuple(sorted(ks + (k,)))
-                    grown[key] = grown.get(key, 0) + count
-            level = grown
-        return value + sum(count * small_cap_integral(a + np.bincount(ks, minlength=d),
-                                                      n_top, rel_tol)
-                           for ks, count in level.items())
+        return monomial_integral(a, rel_tol=rel_tol) + sum(
+            small_cap_integral(a + e[k], n_top, rel_tol) for k in range(n_top))
     scale = (tails[0] - 1.0) / (tails[n_top] - 1.0)
     return _settle(lambda n: _shell_recursion(tails, 0.0, n, n_top), rel_tol, scale)
 

@@ -376,7 +376,8 @@ def test_monomial_integral_positive_beta_always_finite():
 @pytest.mark.parametrize("a", [
     [1.5, 1.3, 1.2, 1.1],
     [2.0, 1.0, 0.8, 0.7, 0.6, 1.2],
-    [-0.5, 0.6, 0.6, 0.6, 0.6, 1.1],      # a_bar_1 <= 1 for the shifts below
+    [-3.5, 0.6, 0.6, 0.6, 0.6, 1.1],      # the shifts below have a_bar_1 = 1: one split
+    [-4.5, 0.6, 0.6, 0.6, 0.6, 1.1],      # the shifts below have a_bar_1 = 0: two splits
 ])
 def test_small_cap_integral_identities(a):
     # T / T = 1 gives Q(a) = sum_(k>N) I(a + e_k, N); with N = d - 1 the
