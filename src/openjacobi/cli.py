@@ -250,9 +250,10 @@ def cmd_growth(cfg, out, threads):
     seed = cfg["seed"]
     exists, detail = portfolio_mod.growth_exists(params, n_top)
     payload = {"results": {"exists": exists, "existence_report": detail}}
+    growth = None
     if exists and params.is_rank_based and np.all(detail["margins"] > 0.0):
-        report = portfolio_mod.robust_growth_rate(params, n_top, method=method, n=n, seed=seed)
-        payload["results"]["robust_growth"] = report.as_dict()
+        growth = portfolio_mod.robust_growth_rate(params, n_top, method=method, n=n, seed=seed)
+        payload["results"]["robust_growth"] = growth.as_dict()
     if exists and sim:
         strategy = portfolio_mod.GrowthOptimalStrategy(params, n_top)
         batches = _parallel_batches(
@@ -271,6 +272,8 @@ def cmd_growth(cfg, out, threads):
     backtest = payload["results"].get("backtest")
     write_json(out / "growth_report.json", payload, cfg,
                meta=_euler_meta() if backtest else None)
+    if growth is not None and growth.warnings:
+        raise DiagnosticError("; ".join(growth.warnings))
     if backtest and backtest["projection_rate"] > sde_mod.UNDER_RESOLVED_RATE:
         raise DiagnosticError("wealth backtest ran under-resolved")
     return EXIT_OK
@@ -427,7 +430,8 @@ def run(argv=None) -> int:
     except (ConfigError, InvalidModelError, SimplexError) as exc:
         return _fail("validation", exc, EXIT_CONFIG)
     except (DiagnosticError, DivergentIntegralError, QuadratureError,
-            pdlimit_mod.HeavyTiltError, pdlimit_mod.TruncationError) as exc:
+            invariant_mod.SamplerStallError, pdlimit_mod.HeavyTiltError,
+            pdlimit_mod.TruncationError) as exc:
         return _fail("diagnostic", exc, EXIT_DIAGNOSTIC)
     except Exception as exc:           # a bug: report it with its traceback
         return _fail("internal", exc, EXIT_INTERNAL)

@@ -6,7 +6,9 @@ rearrangement.  The ranked weights carry the permutation-summed density.
 Sampling routes by structure: exact Dirichlet when the rank part is absent
 (a = 0), an exact exponential-spacing rejection sampler when the name part
 is absent (gamma = 0), and random-walk Metropolis in log-gap coordinates
-for the general hybrid case.
+for the general hybrid case.  The spacing sampler's envelope is an
+exponential tilt from the weighted AM-GM inequality, at the point of the
+simplex that maximizes its acceptance.
 """
 
 from __future__ import annotations
@@ -41,7 +43,10 @@ MCMC_ADAPT_EVERY = 50     # burn-in steps between step-size updates
 MCMC_MIN_STEPS = 1_000    # first sampling block per chain; split R-hat exceeds 1
                           # by about (tau - 1) / length for autocorrelation time tau
 RHAT_CEILING = 1.01
+MIN_SEGMENT = 16          # draws per chain segment in the ESS of returned draws
 ACCEPTANCE_FLOOR = 1e-3
+ENVELOPE_MAX_ITER = 1_000  # steps toward the spacing envelope's best point
+ENVELOPE_TOL = 1e-12      # smallest gain (and step) that counts
 
 
 # ---------------------------------------------------------------------------
@@ -201,53 +206,139 @@ def _sample_dirichlet(params, n, rng, kind):
     return SampleResult(draws=draws, kind=kind, method="dirichlet")
 
 
-def _spacing_proposal(abar, n, rng):
-    """Ranked points from independent exponential log-spacings z_k ~ Exp(abar_k)."""
-    d = abar.size
-    z = rng.exponential(1.0, size=(n, d - 1)) / abar[1:]
-    rel = np.exp(-np.cumsum(z, axis=1))              # y_k / y_1 for k = 2..d
+class SamplerStallError(RuntimeError):
+    """The rejection sampler accepted nothing within its proposal budget."""
+
+
+def _envelope_rates(abar, w):
+    """Proposal rates r_j = abar_j - abar_1 W_j, W_j = w_j + ... + w_d, of
+    the tilted envelope at w (j = 2..d)."""
+    return abar[1:] - abar[0] * tail_sums(w)[1:]
+
+
+def _envelope_gain(abar, w) -> float:
+    """L(w) = log(acceptance of the envelope at w / acceptance at w = e_1).
+
+    L(w) = abar_1 H(w) + sum_j log(r_j / abar_j), with H the entropy of w;
+    -inf when some rate r_j is not positive.  L is concave in w and
+    L(e_1) = 0.
+    """
+    rates = _envelope_rates(abar, w)
+    if np.any(rates <= 0.0):
+        return -math.inf
+    return float(abar[0] * special.entr(w).sum() + np.log(rates / abar[1:]).sum())
+
+
+def _envelope_weights(abar) -> np.ndarray:
+    """The point w of the simplex that maximizes the acceptance of the
+    tilted envelope, for abar_1 > 0.
+
+    The stationary point of L satisfies w_k proportional to
+    exp(-(1/r_2 + ... + 1/r_k)).  Starting from w = e_1 (the plain y_1 <= 1
+    bound), each step moves toward that map's image, halving the step until
+    L does not fall and every rate stays positive.  The direction is an
+    ascent direction of the concave L, so the iteration stops at the
+    maximum, to within ENVELOPE_TOL of gain per step.  w depends on
+    ``abar`` alone.
+    """
+    w = np.zeros(abar.size)
+    w[0] = 1.0
+    gain = 0.0
+    for _ in range(ENVELOPE_MAX_ITER):
+        image = np.exp(-np.concatenate([[0.0], np.cumsum(1.0 / _envelope_rates(abar, w))]))
+        image /= image.sum()
+        step = 1.0
+        while step > ENVELOPE_TOL:
+            trial = w + step * (image - w)
+            trial_gain = _envelope_gain(abar, trial)
+            if trial_gain >= gain:
+                break
+            step *= 0.5
+        else:
+            break
+        if trial_gain - gain <= ENVELOPE_TOL:
+            return trial
+        w, gain = trial, trial_gain
+    return w
+
+
+def _spacing_proposal(rates, n, rng):
+    """Ranked points from independent exponential log-spacings
+    z_k ~ Exp(rates_k) (k = 2..d), with their cumulative sums
+    Z_k = z_2 + ... + z_k = log(y_1 / y_k)."""
+    d = rates.size + 1
+    z = rng.exponential(1.0, size=(n, d - 1)) / rates
+    cum = np.cumsum(z, axis=1)
+    rel = np.exp(-cum)                               # y_k / y_1 for k = 2..d
     y1 = 1.0 / (1.0 + rel.sum(axis=1))
     y = np.empty((n, d))
     y[:, 0] = y1
     y[:, 1:] = y1[:, None] * rel
-    return y
+    return y, cum
+
+
+def _spacing_envelope(abar):
+    """Proposal rates r_j = abar_j - abar_1 W_j (W_j = w_j + ... + w_d) of
+    the spacing sampler and its log acceptance ratio, a function of the
+    proposed points and their cumulative log-spacings."""
+    if abar[0] > 0.0:
+        w = _envelope_weights(abar)
+        log_bound = -abar[0] * special.entr(w).sum()
+    else:                                            # y_1 >= 1/d
+        w = np.zeros(abar.size)
+        w[0] = 1.0
+        log_bound = -abar[0] * math.log(abar.size)
+
+    def log_acceptance(y, cum):
+        return abar[0] * (np.log(y[:, 0]) - cum @ w[1:]) - log_bound
+
+    return _envelope_rates(abar, w), log_acceptance
 
 
 def _sample_spacing(params, n, rng, kind, chunk: int = 20000,
                     max_proposals: int = 200_000_000):
     """Exact rejection sampler for the rank-based stationary ranked law.
 
-    Proposes log-spacings z_k ~ Exp(abar_k) (k = 2..d), reconstructs the
-    ranked point, and accepts with probability y_1^abar_1 / B, where the
-    bound B uses 1/d <= y_1 <= 1.
+    In log-spacings z_k = log(y_(k-1) / y_k) (k = 2..d) the ranked law has
+    density proportional to y_1^abar_1 exp(-sum_k abar_k z_k).  For
+    abar_1 > 0 the weighted AM-GM inequality bounds, for any w on the
+    simplex, y_1 <= prod_k w_k^w_k exp(sum_j W_j z_j) with
+    W_j = w_j + ... + w_d; the sampler proposes z_j ~ Exp(abar_j -
+    abar_1 W_j) and accepts with probability
+    exp(abar_1 (log y_1 - sum_j W_j z_j - sum_k w_k log w_k)) <= 1.  The
+    point w maximizes the acceptance (``_envelope_weights``); w = e_1 is
+    the plain bound y_1 <= 1.  For abar_1 <= 0 it proposes z_k ~ Exp(abar_k)
+    and uses y_1 >= 1/d.  The reported acceptance rate counts every
+    accepted proposal, including those beyond the n draws returned.
     """
     if not params.is_rank_based:
         raise InvalidModelError("spacing sampler requires gamma = 0")
-    a = params.a
-    abar = tail_sums(a)
-    d = a.size
-    log_bound = 0.0 if abar[0] >= 0.0 else -abar[0] * math.log(d)
+    abar = tail_sums(params.a)
+    d = abar.size
+    rates, log_acceptance = _spacing_envelope(abar)
     out = np.empty((n, d))
     got = 0
+    accepted = 0
     proposed = 0
     while got < n:
         m = min(chunk, max(1024, n - got))
-        y = _spacing_proposal(abar, m, rng)
-        log_acc = abar[0] * np.log(y[:, 0]) - log_bound
-        keep = np.log(rng.random(m)) < log_acc
-        take = np.flatnonzero(keep)[: n - got]
+        y, cum = _spacing_proposal(rates, m, rng)
+        keep = np.flatnonzero(np.log(rng.random(m)) < log_acceptance(y, cum))
+        take = keep[: n - got]
         if take.size:
             out[got:got + take.size] = y[take]
             got += take.size
+        accepted += keep.size
         proposed += m
         if proposed > max_proposals and got == 0:
-            raise RuntimeError("rejection sampler made no progress; acceptance ~ 0")
-    rate = got / proposed
+            raise SamplerStallError(
+                f"rejection sampler accepted none of {proposed} proposals")
+    rate = accepted / proposed
     warnings = []
     if rate < ACCEPTANCE_FLOOR:
         warnings.append(f"rejection acceptance rate {rate:.2e} below floor {ACCEPTANCE_FLOOR}")
     if kind == "named":
-        out = to_names(out, np.argsort(rng.random((n, d)), axis=1))
+        out = to_names(out, rng.permuted(np.broadcast_to(np.arange(d), (n, d)), axis=1))
     return SampleResult(draws=out, kind=kind, method="spacing",
                         acceptance_rate=rate, warnings=warnings)
 
@@ -318,7 +409,10 @@ def _sample_mcmc(params, n, rng, kind, burn_in: int = MCMC_BURN_IN,
     rank-normalized R-hat is at most RHAT_CEILING; a doubling budget that
     runs out first is reported as a warning, not raised.  The n returned
     draws are spread evenly over the retained states, stored chain after
-    chain, so their order still carries the chains' autocorrelation.
+    chain, so their order still carries the chains' autocorrelation.  The
+    reported ``ess`` is that of the returned draws (``_draws_ess``), so
+    their standard deviation over its square root is the standard error of
+    their mean.
     """
     d = params.d
     target = _log_target(params)
@@ -353,11 +447,31 @@ def _sample_mcmc(params, n, rng, kind, burn_in: int = MCMC_BURN_IN,
     states = chains.reshape(-1, d - 1)
     take = np.linspace(0, states.shape[0] - 1, n).round().astype(int)
     ranked = _z_to_ranked(states[take])
+    draws_ess = _draws_ess(ranked[:, 0], take // chains.shape[1], MCMC_CHAINS, ess)
     if kind == "named":
         ranked = _assign_names(ranked, params, rng)
     return SampleResult(draws=ranked, kind=kind, method="mcmc",
                         acceptance_rate=accepted / (chains.shape[0] * chains.shape[1]),
-                        ess=float(ess), rhat=float(rhat), warnings=warnings)
+                        ess=float(draws_ess), rhat=float(rhat), warnings=warnings)
+
+
+def _draws_ess(values, chain_of, n_chains, states_ess) -> float:
+    """Multi-chain ESS of draws stored chain after chain, in that order.
+
+    ``chain_of`` gives each draw's chain.  When a chain holds fewer than
+    MIN_SEGMENT draws, consecutive chains are pooled into groups that do;
+    every group is cut to the shortest group's length.  Below 4 *
+    MIN_SEGMENT draws there is no stable estimate: the draws, spread over
+    every retained state, count as independent unless those states' ESS
+    ``states_ess`` is smaller.
+    """
+    n = values.size
+    if n < 4 * MIN_SEGMENT:
+        return min(float(n), states_ess)
+    groups = min(n_chains, n // MIN_SEGMENT)
+    counts = np.bincount(chain_of * groups // n_chains, minlength=groups)
+    starts = np.cumsum(counts) - counts
+    return _ess(values[starts[:, None] + np.arange(counts.min())])
 
 
 def _z_to_ranked(z):

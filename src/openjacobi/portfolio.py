@@ -627,15 +627,19 @@ class GrowthReport:
     method: str
     condition_margins: np.ndarray       # a_bar_k - 1 for k = 2..N+1
     n: int
+    warnings: tuple = ()                # the sampler's, on the mc route
 
     def as_dict(self):
-        return {
+        out = {
             "lambda_hat": self.lambda_hat,
             "stderr": self.stderr,
             "method": self.method,
             "condition_margins": self.condition_margins,
             "n": self.n,
         }
+        if self.method == "mc":
+            out["warnings"] = list(self.warnings)
+        return out
 
 
 def _require_strict_growth(params: ModelParams, n_top: int) -> np.ndarray:
@@ -668,7 +672,8 @@ def robust_growth_rate(params: ModelParams, n_top: int, method: str = "mc",
     (sigma^2/8) * (a_bar_1)^2.
 
     Requires the strict condition a_bar_k > 1 for k = 2..N+1.  The Monte
-    Carlo route uses the exact rejection sampler.  Quadrature is exact
+    Carlo route uses the exact rejection sampler and carries its warnings
+    (an acceptance below the floor) in the report.  Quadrature is exact
     Q-ratio algebra, each integral one ordered-shell recursion (one
     scalar per dimension, milliseconds at d <= 6), and serves every N at
     every d: the small-cap term E[1/T] is ``small_cap_integral``.
@@ -682,7 +687,8 @@ def robust_growth_rate(params: ModelParams, n_top: int, method: str = "mc",
         vals = growth_rate_integrand(sample.draws, params, n_top)
         mean, se = mean_and_se(vals)
         return GrowthReport(lambda_hat=mean - offset, stderr=se, method="mc",
-                            condition_margins=margins, n=n)
+                            condition_margins=margins, n=n,
+                            warnings=tuple(sample.warnings))
     if method == "quadrature":
         qa = rank_normalizer(a, rel_tol=rel_tol)
         inv_top = 0.0

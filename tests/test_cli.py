@@ -321,6 +321,39 @@ def test_invariant_reports_acceptance_and_rhat(tmp_path):
     assert res["rhat"] is None
 
 
+# abar_1 = -15 at d = 10: the spacing sampler's y_1 >= 1/d bound accepts
+# about 4e-5 of its proposals, below the 1e-3 floor
+LOW_ACCEPTANCE_MODEL = {"a": [-19.5] + [0.5] * 9, "gamma": [0.0] * 10, "sigma": 1.0}
+
+
+def test_growth_mc_exits_three_on_sampler_warnings(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "seed": 5, "model": LOW_ACCEPTANCE_MODEL, "open_market_size": 1,
+        "growth": {"method": "mc", "n": 20},
+    })
+    assert run(["growth", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "diagnostic"
+    assert "below floor" in err["detail"]
+    growth = read_json(tmp_path / "growth_report.json")["results"]["robust_growth"]
+    assert growth["warnings"] == [err["detail"]]
+
+
+def test_spacing_sampler_stall_exits_three(tmp_path, capsys, monkeypatch):
+    import functools
+
+    import openjacobi.invariant as invariant
+
+    monkeypatch.setattr(invariant, "_sample_spacing", functools.partial(
+        invariant._sample_spacing, max_proposals=10_000))
+    model = {"a": [-34.75] + [0.25] * 19, "gamma": [0.0] * 20, "sigma": 1.0}
+    cfg = write_config(tmp_path, {"seed": 5, "model": model, "sampler": {"n": 10}})
+    assert run(["invariant", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "diagnostic"
+    assert "accepted none" in err["detail"]
+
+
 def test_mcmc_rhat_above_ceiling_after_budget_exits_three(tmp_path, capsys, monkeypatch):
     import openjacobi.invariant as invariant
 

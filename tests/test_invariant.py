@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal, special, stats
 
 from openjacobi import (
@@ -20,7 +22,17 @@ from openjacobi import (
 )
 from openjacobi._util import z_score
 from openjacobi import invariant
-from openjacobi.invariant import MCMC_MAX_DIM, RHAT_CEILING, _ess, _rank_normalize, _rhat
+from openjacobi.invariant import (
+    MCMC_CHAINS,
+    MCMC_MAX_DIM,
+    RHAT_CEILING,
+    SamplerStallError,
+    _draws_ess,
+    _ess,
+    _rank_normalize,
+    _rhat,
+)
+from openjacobi.simplex import tail_sums
 
 from helpers import ordered_simplex_integral
 
@@ -185,6 +197,54 @@ def test_spacing_named_draws_are_exchangeable():
     assert np.allclose(res.draws.sum(axis=1), 1.0, atol=1e-12)
 
 
+# tail sums abar_1..abar_d of valid rank models with abar_1 > 0, d = 2..50
+_positive_tails = st.lists(st.floats(0.05, 20.0), min_size=2, max_size=50)
+
+
+@settings(max_examples=60, deadline=None)
+@given(abar=_positive_tails, seed=st.integers(0, 2 ** 32 - 1))
+def test_spacing_envelope_bounds_every_proposal(abar, seed):
+    abar = np.array(abar)
+    a = abar - np.append(abar[1:], 0.0)
+    assert np.allclose(tail_sums(a), abar)
+    w = invariant._envelope_weights(abar)
+    assert w.min() >= 0.0 and w.sum() == pytest.approx(1.0)
+    assert invariant._envelope_gain(abar, w) >= 0.0
+    rates, log_acceptance = invariant._spacing_envelope(abar)
+    assert np.all(rates > 0.0)
+    y, cum = invariant._spacing_proposal(rates, 2_000, np.random.default_rng(seed))
+    # the AM-GM bound holds exactly; 1e-9 absorbs rounding in the logs
+    assert log_acceptance(y, cum).max() <= 1e-9
+
+
+@pytest.mark.parametrize("a, n", [
+    ([1.5, 1.5, 1.5], 20_000),
+    ([1.5, 1.5, 1.5], 10),                 # one chunk; every acceptance counts
+    ([2.0, 1.0, 0.5, 0.5, 0.5, 0.5], 20_000),
+    ([1.5] * 6, 20_000),
+])
+def test_spacing_acceptance_is_the_y1_bound_times_exp_gain(a, n):
+    # with z_k ~ Exp(abar_k) and acceptance y_1^abar_1 the rate is
+    # Q(a) prod_(k>=2) abar_k; the tilted envelope multiplies it by exp(L(w))
+    p = rank_jacobi(a)
+    abar = tail_sums(p.a)
+    gain = invariant._envelope_gain(abar, invariant._envelope_weights(abar))
+    expected = monomial_integral(p.a) * np.prod(abar[1:]) * math.exp(gain)
+    res = sample_invariant(p, n, seed=41, kind="ranked")
+    proposed = max(1024, round(n / res.acceptance_rate))
+    se = math.sqrt(expected * (1.0 - expected) / proposed)
+    assert abs(res.acceptance_rate - expected) < 4.0 * se
+    assert res.acceptance_rate > 0.5 and not res.warnings
+
+
+def test_spacing_sampler_stall_is_typed():
+    # abar_1 = -30 at d = 20: acceptance far below 1e-20
+    p = rank_jacobi([-34.75] + [0.25] * 19)
+    with pytest.raises(SamplerStallError, match="accepted none"):
+        invariant._sample_spacing(p, 10, np.random.default_rng(0), "ranked",
+                                  max_proposals=50_000)
+
+
 def test_ranked_dirichlet_pushforward_matches_q_moments():
     # a = 0 route: sorting Dirichlet draws must reproduce ranked-density moments
     p = ModelParams(a=np.zeros(3), gamma=[1.5, 1.0, 0.8])
@@ -302,6 +362,37 @@ def test_ess_of_sticky_series_not_above_single_lag_estimate(hold):
     states = np.cumsum(rng.random(n) < 1.0 / hold)
     series = rng.standard_normal(states[-1] + 1)[states]
     assert _ess(series) <= _single_lag_ess(series)
+
+
+def _batch_means_se(values, batches=32):
+    size = values.size // batches
+    means = values[: batches * size].reshape(batches, size).mean(axis=1)
+    return means.std(ddof=1) / math.sqrt(batches)
+
+
+def test_draws_ess_of_sticky_chains_matches_batch_means():
+    # MCMC_CHAINS sticky chains (rho_t = 0.95^t), thinned the way the
+    # sampler thins them: every fourth state, chain after chain
+    rng = np.random.default_rng(71)
+    steps, n = 1_000, 16_000
+    jumps = np.cumsum(rng.random(MCMC_CHAINS * steps) < 0.05)
+    chains = rng.standard_normal(jumps[-1] + 1)[jumps].reshape(MCMC_CHAINS, steps)
+    take = np.linspace(0, chains.size - 1, n).round().astype(int)
+    draws = chains.ravel()[take]
+    ess = _draws_ess(draws, take // steps, MCMC_CHAINS, _ess(chains))
+    assert ess < 0.2 * n
+    ratio = (draws.std(ddof=1) / math.sqrt(ess)) / _batch_means_se(draws)
+    assert 1.0 / 1.5 < ratio < 1.5
+
+
+def test_mcmc_ess_describes_the_returned_draws():
+    # 2000 draws thinned from 64 000 states: the ESS of every retained
+    # state (about 8500) would make the standard error about 2x too small
+    p = ModelParams(a=[1.0, 0.5, 0.5], gamma=[0.3, 0.2, 0.1])
+    res = sample_invariant(p, 2_000, seed=19, kind="ranked")
+    y1 = res.draws[:, 0]
+    ratio = (y1.std(ddof=1) / math.sqrt(res.ess)) / _batch_means_se(y1)
+    assert 1.0 / 1.5 < ratio < 1.5
 
 
 def test_rank_normalization_uses_average_ranks_of_ties():

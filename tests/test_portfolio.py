@@ -594,6 +594,18 @@ def test_robust_growth_rate_quadrature_matches_mc_every_open_market_size(a):
         assert abs(mc.lambda_hat - quad.lambda_hat) < 4.0 * mc.stderr
 
 
+def test_robust_growth_rate_mc_matches_quadrature_at_d6_equal_weights():
+    # the plain y_1 <= 1 spacing envelope accepted 1.6e-5 of its proposals
+    # here; the tilted one about 0.6.  For N = 5 the integrand's variance is
+    # infinite (a_6 < 2), so its standard error is only indicative.
+    p = rank_jacobi([1.5] * 6)
+    for n_top in (1, 5):
+        quad = robust_growth_rate(p, n_top, method="quadrature")
+        mc = robust_growth_rate(p, n_top, method="mc", n=100_000, seed=60 + n_top)
+        assert not mc.warnings
+        assert abs(mc.lambda_hat - quad.lambda_hat) < 4.0 * mc.stderr
+
+
 def test_robust_growth_rate_quadrature_d6_small_open_market_is_fast():
     p = rank_jacobi([2.0, 1.0, 0.8, 0.7, 0.6, 0.5])
     start = time.perf_counter()
