@@ -82,14 +82,12 @@ def to_jsonable(obj):
     return obj
 
 
-def write_json(path, payload: dict, config_echo: dict | None = None,
-               meta: dict | None = None) -> None:
+def write_json(path, payload: dict, config_echo: dict, meta: dict | None = None) -> None:
     """Write a JSON report; the timestamp and the extra ``meta`` entries live
     in their own ``meta`` key so everything outside ``meta`` is byte-stable
     for a fixed config and seed."""
     doc = dict(to_jsonable(payload))
-    if config_echo is not None:
-        doc["config"] = to_jsonable(config_echo)
+    doc["config"] = to_jsonable(config_echo)
     doc["meta"] = {"created_utc": datetime.now(timezone.utc).isoformat(), **(meta or {})}
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import wilson_interval, write_csv
-from .sde import HitObserver, run_paths
+from .sde import OBSERVED_BLOCK_STEPS, HitObserver, run_paths
 from .simplex import ModelParams, ranked_weights, tail_sums
 
 
@@ -157,8 +157,7 @@ class FrequencyTable:
 
 def mc_hit_frequency(params: ModelParams, query: BoundaryQuery, *,
                      T: float = 50.0, eps=(1e-2, 1e-3, 1e-4), n_paths: int = 500,
-                     dt: float = 1e-3, seed: int = 0, x0=None,
-                     block_steps: int = 4096) -> FrequencyTable:
+                     dt: float = 1e-3, seed: int = 0, x0=None) -> FrequencyTable:
     """Fraction of paths whose queried quantity dips below each epsilon by T.
 
     When the analytic verdict says "avoids", frequencies should shrink down
@@ -168,7 +167,7 @@ def mc_hit_frequency(params: ModelParams, query: BoundaryQuery, *,
     x0 = np.full(params.d, 1.0 / params.d) if x0 is None else x0
     observer = HitObserver(query.condition(), eps)
     batch = run_paths(params, x0, T, dt, seed, n_paths=n_paths,
-                      observers=[observer], block_steps=block_steps)
+                      observers=[observer], block_steps=OBSERVED_BLOCK_STEPS)
     hits = batch.observations["hits"]["hit"]          # (E, P) booleans
     eps_sorted = batch.observations["hits"]["eps"]
     freq = hits.mean(axis=1)

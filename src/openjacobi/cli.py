@@ -251,9 +251,13 @@ def cmd_growth(cfg, out, threads):
     exists, detail = portfolio_mod.growth_exists(params, n_top)
     payload = {"results": {"exists": exists, "existence_report": detail}}
     growth = None
-    if exists and params.is_rank_based and np.all(detail["margins"] > 0.0):
-        growth = portfolio_mod.robust_growth_rate(params, n_top, method=method, n=n, seed=seed)
-        payload["results"]["robust_growth"] = growth.as_dict()
+    if exists:
+        try:
+            growth = portfolio_mod.robust_growth_rate(params, n_top, method=method, n=n,
+                                                      seed=seed)
+            payload["results"]["robust_growth"] = growth.as_dict()
+        except portfolio_mod.GrowthConditionError:
+            pass                # the robust rate needs strict margins on a rank model
     if exists and sim:
         strategy = portfolio_mod.GrowthOptimalStrategy(params, n_top)
         batches = _parallel_batches(
@@ -407,7 +411,9 @@ def build_parser():
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", type=Path, help="JSON experiment config")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
-    parser.add_argument("--threads", type=int, default=1, help="worker pool size")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker pool size of the growth backtest; "
+                             "the other commands ignore it")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     return parser
 

@@ -13,6 +13,7 @@ simplex that maximizes its acceptance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -22,7 +23,7 @@ import numpy as np
 from scipy import special
 
 from ._util import mean_and_se, substream, z_score
-from .sde import TimeAverageObserver, run_paths
+from .sde import OBSERVED_BLOCK_STEPS, TimeAverageObserver, run_paths
 from .simplex import (
     InvalidModelError,
     ModelParams,
@@ -39,12 +40,14 @@ from .simplex import (
 MCMC_MAX_DIM = 6          # permutation sums grow like d!
 MCMC_CHAINS = 64          # Metropolis chains advanced in lockstep
 MCMC_BURN_IN = 1_000      # burn-in steps per chain
+MCMC_THIN = 4             # retained states per returned draw, before doublings
 MCMC_ADAPT_EVERY = 50     # burn-in steps between step-size updates
 MCMC_MIN_STEPS = 1_000    # first sampling block per chain; split R-hat exceeds 1
                           # by about (tau - 1) / length for autocorrelation time tau
 RHAT_CEILING = 1.01
 MIN_SEGMENT = 16          # draws per chain segment in the ESS of returned draws
 ACCEPTANCE_FLOOR = 1e-3
+SPACING_CHUNK = 20_000    # spacing proposals drawn per round
 ENVELOPE_MAX_ITER = 1_000  # steps toward the spacing envelope's best point
 ENVELOPE_TOL = 1e-12      # smallest gain (and step) that counts
 
@@ -70,16 +73,12 @@ def density_p(x, params: ModelParams, normalized: bool = False,
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def _permutations_array(d: int) -> np.ndarray:
     """All name-to-rank assignments of d names as rows, in ``itertools`` order."""
     if d > MCMC_MAX_DIM:
         raise InvalidModelError(f"permutation sums are limited to d <= {MCMC_MAX_DIM}")
-    if d not in _PERM_CACHE:
-        _PERM_CACHE[d] = np.array(list(itertools.permutations(range(d))))
-    return _PERM_CACHE[d]
-
-
-_PERM_CACHE: dict = {}
+    return np.array(list(itertools.permutations(range(d))))
 
 
 def density_q(y, params: ModelParams, normalized: bool = True,
@@ -295,8 +294,7 @@ def _spacing_envelope(abar):
     return _envelope_rates(abar, w), log_acceptance
 
 
-def _sample_spacing(params, n, rng, kind, chunk: int = 20000,
-                    max_proposals: int = 200_000_000):
+def _sample_spacing(params, n, rng, kind, max_proposals: int = 200_000_000):
     """Exact rejection sampler for the rank-based stationary ranked law.
 
     In log-spacings z_k = log(y_(k-1) / y_k) (k = 2..d) the ranked law has
@@ -321,7 +319,7 @@ def _sample_spacing(params, n, rng, kind, chunk: int = 20000,
     accepted = 0
     proposed = 0
     while got < n:
-        m = min(chunk, max(1024, n - got))
+        m = min(SPACING_CHUNK, max(1024, n - got))
         y, cum = _spacing_proposal(rates, m, rng)
         keep = np.flatnonzero(np.log(rng.random(m)) < log_acceptance(y, cum))
         take = keep[: n - got]
@@ -398,13 +396,13 @@ def _log_target(params):
 
 
 def _sample_mcmc(params, n, rng, kind, burn_in: int = MCMC_BURN_IN,
-                 thin: int = 4, max_doublings: int = 3):
+                 max_doublings: int = 3):
     """Random-walk Metropolis on log-gap coordinates for the hybrid law.
 
     MCMC_CHAINS chains start from dispersed points and advance in lockstep.
     Each chain takes ``burn_in`` steps first, during which (only) the
     common step size adapts toward ~30% pooled acceptance.  The chains then
-    run n * thin states in total (at least MCMC_MIN_STEPS per chain),
+    run n * MCMC_THIN states in total (at least MCMC_MIN_STEPS per chain),
     doubling until the multi-chain ESS of the top weight reaches n and its
     rank-normalized R-hat is at most RHAT_CEILING; a doubling budget that
     runs out first is reported as a warning, not raised.  The n returned
@@ -426,7 +424,7 @@ def _sample_mcmc(params, n, rng, kind, burn_in: int = MCMC_BURN_IN,
 
     warnings = []
     blocks = []
-    steps = max(-(-n * thin // MCMC_CHAINS), MCMC_MIN_STEPS)
+    steps = max(-(-n * MCMC_THIN // MCMC_CHAINS), MCMC_MIN_STEPS)
     accepted = 0
     for _ in range(max_doublings + 1):
         block = np.empty((steps, MCMC_CHAINS, d - 1))
@@ -635,8 +633,8 @@ class ErgodicReport:
 
 def ergodic_compare(params: ModelParams, funcs: dict, *, T: float, dt: float,
                     n_paths: int, n_samples: int, seed: int, x0=None,
-                    z_threshold: float = 3.0, sampler_method: str | None = None,
-                    block_steps: int = 4096) -> ErgodicReport:
+                    z_threshold: float = 3.0,
+                    sampler_method: str | None = None) -> ErgodicReport:
     """Compare long-run path averages with stationary-sampler averages.
 
     Each named function is averaged along n_paths trajectories (pooled with
@@ -648,7 +646,7 @@ def ergodic_compare(params: ModelParams, funcs: dict, *, T: float, dt: float,
     x0 = np.full(params.d, 1.0 / params.d) if x0 is None else x0
     observer = TimeAverageObserver(funcs)
     batch = run_paths(params, x0, T, dt, seed, n_paths=n_paths,
-                      observers=[observer], block_steps=block_steps)
+                      observers=[observer], block_steps=OBSERVED_BLOCK_STEPS)
     averages = batch.observations["time_averages"]
     sample = sample_invariant(params, n_samples, seed, kind="named",
                               method=sampler_method)

@@ -9,6 +9,7 @@ growth rate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ TAIL_EXPECTATION_BOUND = 1e-6     # required expected truncation mass at length 
 ESS_FLOOR_FRACTION = 0.05
 STICK_BLOCK = 64
 HARD_TAIL_FLOOR = 1e-13
+GEOMETRIC_TAIL_RATIO = 0.97       # decay of the ``geometric`` schedule tail
 
 
 class HeavyTiltError(RuntimeError):
@@ -86,12 +88,11 @@ class PDSample:
         return self.weights.shape[0]
 
 
-def pd_sample(theta: float, M: int, n: int, seed: int,
-              tail_floor: float = HARD_TAIL_FLOOR) -> PDSample:
+def pd_sample(theta: float, M: int, n: int, seed: int) -> PDSample:
     """Draw n approximate PD(theta) points by stick breaking and sorting.
 
     Beta(1, theta) sticks are generated in blocks until every draw's
-    remaining mass is below ``tail_floor`` (``TruncationError`` is raised if
+    remaining mass is below ``HARD_TAIL_FLOOR`` (``TruncationError`` is raised if
     that would take more than M sticks, the configured truncation length).
     """
     cfg = PDConfig(theta=theta, M=M)       # reuse the validity checks
@@ -103,7 +104,7 @@ def pd_sample(theta: float, M: int, n: int, seed: int,
         width = min(STICK_BLOCK, cfg.M - ncols)
         if width <= 0:
             raise TruncationError(
-                f"truncation length M={M} too small for tail floor {tail_floor}"
+                f"truncation length M={M} too small for tail floor {HARD_TAIL_FLOOR}"
             )
         v = rng.beta(1.0, theta, size=(n, width))
         inner = np.cumsum(np.log1p(-v), axis=1)
@@ -112,7 +113,7 @@ def pd_sample(theta: float, M: int, n: int, seed: int,
         blocks.append(w)
         log_rem = log_rem + inner[:, -1]
         ncols += width
-        if np.exp(log_rem.max()) < tail_floor:
+        if np.exp(log_rem.max()) < HARD_TAIL_FLOOR:
             break
     weights = np.concatenate(blocks, axis=1)
     weights = ranked_weights(weights)
@@ -128,9 +129,6 @@ def power_sum(y, m: float) -> np.ndarray:
     return (y ** m).sum(axis=-1)
 
 
-_RECURSION_CACHE: dict = {}
-
-
 def moment_recursion(theta: float, powers) -> float:
     """Exact PD(theta) expectation of a product of power sums by recursion.
 
@@ -142,33 +140,29 @@ def moment_recursion(theta: float, powers) -> float:
     key_powers = tuple(sorted(int(m) for m in powers))
     if any(m < 2 for m in key_powers):
         raise ValueError("recursion needs integer powers >= 2")
-    theta = float(theta)
+    return _moment(float(theta), key_powers)
 
-    def rec(multiset) -> float:
-        if not multiset:
-            return 1.0
-        key = (theta, multiset)
-        if key in _RECURSION_CACHE:
-            return _RECURSION_CACHE[key]
-        total_deg = sum(multiset)
-        k = len(multiset)
-        acc = 0.0
-        for i in range(k):
-            rest = multiset[:i] + multiset[i + 1:]
-            reduced = rest if multiset[i] - 1 < 2 else tuple(sorted(rest + (multiset[i] - 1,)))
-            acc += multiset[i] * (multiset[i] - 1) * rec(reduced)
-        for i in range(k):
-            for j in range(k):
-                if i == j:
-                    continue
-                rest = tuple(multiset[l] for l in range(k) if l not in (i, j))
-                merged = tuple(sorted(rest + (multiset[i] + multiset[j] - 1,)))
-                acc += multiset[i] * multiset[j] * rec(merged)
-        value = acc / (total_deg * (total_deg + theta - 1.0))
-        _RECURSION_CACHE[key] = value
-        return value
 
-    return rec(key_powers)
+@functools.lru_cache(maxsize=None)
+def _moment(theta: float, multiset: tuple) -> float:
+    """``moment_recursion`` on a sorted multiset of integer powers >= 2."""
+    if not multiset:
+        return 1.0
+    total_deg = sum(multiset)
+    k = len(multiset)
+    acc = 0.0
+    for i in range(k):
+        rest = multiset[:i] + multiset[i + 1:]
+        reduced = rest if multiset[i] - 1 < 2 else tuple(sorted(rest + (multiset[i] - 1,)))
+        acc += multiset[i] * (multiset[i] - 1) * _moment(theta, reduced)
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                continue
+            rest = tuple(multiset[l] for l in range(k) if l not in (i, j))
+            merged = tuple(sorted(rest + (multiset[i] + multiset[j] - 1,)))
+            acc += multiset[i] * multiset[j] * _moment(theta, merged)
+    return acc / (total_deg * (total_deg + theta - 1.0))
 
 
 @dataclass(frozen=True)
@@ -233,12 +227,11 @@ class ScheduleAd:
         return ModelParams(a=a, gamma=np.zeros(d), sigma=sigma)
 
 
-def make_schedule(theta: float, tilt, d_list, tail: str = "flat",
-                  tail_ratio: float = 0.97) -> ScheduleAd:
+def make_schedule(theta: float, tilt, d_list, tail: str = "flat") -> ScheduleAd:
     """Build and validate a schedule a^d = (tilts..., small-cap tail).
 
     ``flat`` spreads theta evenly over the d - N tail slots; ``geometric``
-    decays at ``tail_ratio`` and rescales to total theta.
+    decays at ``GEOMETRIC_TAIL_RATIO`` and rescales to total theta.
     """
     cfg = PDConfig(theta=theta, tilt=tuple(tilt), M=10_000)
     n = cfg.n_tilted
@@ -250,7 +243,7 @@ def make_schedule(theta: float, tilt, d_list, tail: str = "flat",
         if tail == "flat":
             tail_vec = np.full(d - n, theta / (d - n))
         elif tail == "geometric":
-            raw = tail_ratio ** np.arange(d - n)
+            raw = GEOMETRIC_TAIL_RATIO ** np.arange(d - n)
             tail_vec = theta * raw / raw.sum()
         else:
             raise ValueError(f"unknown tail shape {tail!r}")
@@ -296,8 +289,7 @@ class ConvergenceReport:
 
 
 def convergence_experiment(schedule: ScheduleAd, cfg: PDConfig, funcs: dict,
-                           n: int, seed: int, limit_overrides: dict | None = None,
-                           n_limit: int | None = None) -> ConvergenceReport:
+                           n: int, seed: int) -> ConvergenceReport:
     """Estimate E[f] under each finite-d stationary law and compare with the
     tilted PD limit along the d-ladder.
 
@@ -306,18 +298,12 @@ def convergence_experiment(schedule: ScheduleAd, cfg: PDConfig, funcs: dict,
     substream labelled ``limit-ladder-d<d>``, so members never reuse
     another run's master seed.  Passes when every function's gap
     sequence decreases along the ladder and the final gap is within three
-    combined standard errors.  ``limit_overrides`` may supply exact limit
-    values (se 0) for functions with closed forms.
+    combined standard errors.
     """
-    limit_overrides = limit_overrides or {}
-    n_limit = n if n_limit is None else n_limit
     limits = {}
     for name, fn in funcs.items():
-        if name in limit_overrides:
-            limits[name] = (float(limit_overrides[name]), 0.0)
-        else:
-            est = tilted_expect(cfg, fn, n_limit, seed)
-            limits[name] = (est.value, est.se)
+        est = tilted_expect(cfg, fn, n, seed)
+        limits[name] = (est.value, est.se)
     rows = []
     for d in schedule.d_list:
         params = schedule.params_for(d)

@@ -63,6 +63,39 @@ def shift_self_financing(theta, x) -> np.ndarray:
     return theta + resid
 
 
+def _check_open_size(n_top: int, d: int) -> None:
+    if not 1 <= n_top < d:
+        raise ValueError("need 1 <= N < d")
+
+
+def _open_split(y, order, params: ModelParams, n_top: int):
+    """Top-N / small-cap split of the open market of size N at ranked weights.
+
+    Returns the top-N numerators a_k + gamma_{n_k}, the top-N weights y_k,
+    the small-cap numerator (a-tail + gamma of the names below rank N) and
+    the small-cap mass T = y_(N+1) + ... + y_d; the last two keep a
+    trailing axis of one.  ``order`` holds the 0-based names by rank; with
+    ``order=None`` the numerators are the a-only pieces of a rank-based
+    model, without gathering its zero gamma.
+    """
+    _check_open_size(n_top, params.d)
+    top_num = params.a[:n_top]
+    small_num = params.a[n_top:].sum()
+    if order is not None:
+        gamma_by_rank = params.gamma[order]
+        top_num = top_num + gamma_by_rank[..., :n_top]
+        small_num = small_num + gamma_by_rank[..., n_top:].sum(axis=-1, keepdims=True)
+    return top_num, y[..., :n_top], small_num, y[..., n_top:].sum(axis=-1, keepdims=True)
+
+
+def _spread(top, small, order) -> np.ndarray:
+    """Named vector holding the per-rank values ``top`` at the top N ranks
+    and the shared value ``small`` (trailing axis of one) at every rank
+    below; ``order`` holds the 0-based names by rank."""
+    below = order.shape[:-1] + (order.shape[-1] - top.shape[-1],)
+    return to_names(np.concatenate([top, np.broadcast_to(small, below)], axis=-1), order)
+
+
 def expand_open(h, x) -> np.ndarray:
     """Expand direct top-N holdings into a full named strategy vector.
 
@@ -72,18 +105,12 @@ def expand_open(h, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
-    d = x.shape[-1]
     n_top = h.shape[-1]
-    if not 1 <= n_top < d:
-        raise ValueError("need 1 <= N < d")
+    _check_open_size(n_top, x.shape[-1])
     order = ranking_order(x)
     y_top = np.take_along_axis(x, order[..., :n_top], axis=-1)
     financing = 1.0 - (h * y_top).sum(axis=-1, keepdims=True)
-    theta_by_rank = np.concatenate(
-        [h + financing, np.broadcast_to(financing, x.shape[:-1] + (d - n_top,))],
-        axis=-1,
-    )
-    return to_names(theta_by_rank, order)
+    return _spread(h + financing, financing, order)
 
 
 def optimal_rank_holdings(y, order, params: ModelParams, n_top: int) -> np.ndarray:
@@ -93,20 +120,11 @@ def optimal_rank_holdings(y, order, params: ModelParams, n_top: int) -> np.ndarr
     k is (a_k + gamma_{n_k}) / (2 y_k) minus the common small-cap term
     (a-tail + gamma of the names below rank N) / (2 * tail weight).
     """
-    y = np.asarray(y, dtype=float)
-    order = np.asarray(order)
-    d = params.d
-    if not 1 <= n_top < d:
-        raise ValueError("need 1 <= N < d")
-    tail = y[..., n_top:].sum(axis=-1, keepdims=True)
-    top = y[..., :n_top]
+    top_num, top, small_num, tail = _open_split(
+        np.asarray(y, dtype=float), np.asarray(order), params, n_top)
     if np.any(top <= 0.0) or np.any(tail <= 0.0):
         raise ValueError("optimal holdings undefined: vanishing ranked weight")
-    gamma_by_rank = params.gamma[order]
-    small_cap = (
-        params.a[n_top:].sum() + gamma_by_rank[..., n_top:].sum(axis=-1, keepdims=True)
-    ) / (2.0 * tail)
-    return (params.a[:n_top] + gamma_by_rank[..., :n_top]) / (2.0 * top) - small_cap
+    return top_num / (2.0 * top) - small_num / (2.0 * tail)
 
 
 def growth_optimal_theta(x, params: ModelParams, n_top: int) -> np.ndarray:
@@ -123,27 +141,14 @@ def growth_optimal_theta(x, params: ModelParams, n_top: int) -> np.ndarray:
     ``growth_exists`` reports the condition.
     """
     x = np.asarray(x, dtype=float)
-    d = params.d
-    if not 1 <= n_top < d:
-        raise ValueError("need 1 <= N < d")
     order = ranking_order(x)
-    y = np.take_along_axis(x, order, axis=-1)
-    tail = y[..., n_top:].sum(axis=-1, keepdims=True)
-    if x.ndim == 1 and (np.any(y[:n_top] <= 0.0) or tail.item() <= 0.0):
+    top_num, top, small_num, tail = _open_split(
+        np.take_along_axis(x, order, axis=-1), order, params, n_top)
+    if x.ndim == 1 and (np.any(top <= 0.0) or tail.item() <= 0.0):
         # batched evaluation lets the wealth-loop guard absorb bad rows
         raise ValueError("growth-optimal strategy undefined: vanishing ranked weight")
-    gamma_by_rank = params.gamma[order]
     base = 1.0 - 0.5 * params.total_mass
-    top_tilt = (params.a[:n_top] + gamma_by_rank[..., :n_top]) / (2.0 * y[..., :n_top])
-    small_tilt = (
-        params.a[n_top:].sum() + gamma_by_rank[..., n_top:].sum(axis=-1, keepdims=True)
-    ) / (2.0 * tail)
-    by_rank = np.concatenate(
-        [base + top_tilt,
-         np.broadcast_to(base + small_tilt, y[..., n_top:].shape)],
-        axis=-1,
-    )
-    return to_names(by_rank, order)
+    return _spread(base + top_num / (2.0 * top), base + small_num / (2.0 * tail), order)
 
 
 def growth_exists(params: ModelParams, n_top: int):
@@ -166,18 +171,14 @@ def local_growth_rate(y, order, params: ModelParams, n_top: int) -> np.ndarray:
     """Instantaneous optimal growth quadratic h^T kappa^N h, in closed form:
     (sigma^2/4) (sum_{k<=N} (a_k+gamma_{n_k})^2 / y_k + small-cap term - total^2).
     """
-    y = np.asarray(y, dtype=float)
-    order = np.asarray(order)
-    gamma_by_rank = params.gamma[order]
-    tail = y[..., n_top:].sum(axis=-1)
-    if np.any(y[..., :n_top] <= 0.0) or np.any(tail <= 0.0):
+    top_num, top, small_num, tail = _open_split(
+        np.asarray(y, dtype=float), np.asarray(order), params, n_top)
+    if np.any(top <= 0.0) or np.any(tail <= 0.0):
         raise ValueError("local growth undefined at the boundary")
-    top_num = params.a[:n_top] + gamma_by_rank[..., :n_top]
-    small_num = params.a[n_top:].sum() + gamma_by_rank[..., n_top:].sum(axis=-1)
     s2 = params.sigma ** 2
     return (s2 / 4.0) * (
-        (top_num ** 2 / y[..., :n_top]).sum(axis=-1)
-        + small_num ** 2 / tail
+        (top_num ** 2 / top).sum(axis=-1)
+        + (small_num ** 2 / tail)[..., 0]
         - params.total_mass ** 2
     )
 
@@ -520,18 +521,9 @@ class RankPowerGenerator(Generator):
     def grad_log(self, x):
         x = np.asarray(x, dtype=float)
         order = ranking_order(x)
-        y = np.take_along_axis(x, order, axis=-1)
-        tail = y[..., self.n_top:].sum(axis=-1, keepdims=True)
-        by_rank = np.concatenate(
-            [
-                self._a_top / (2.0 * y[..., : self.n_top]),
-                np.broadcast_to(
-                    self._a_tail / (2.0 * tail), y[..., self.n_top:].shape
-                ),
-            ],
-            axis=-1,
-        )
-        return to_names(by_rank, order)
+        top_num, top, small_num, tail = _open_split(
+            np.take_along_axis(x, order, axis=-1), None, self.params, self.n_top)
+        return _spread(top_num / (2.0 * top), small_num / (2.0 * tail), order)
 
     def quad_form(self, x_left, dx):
         """Realized quadratic form of d_kl F / F in ranked coordinates,
@@ -643,6 +635,9 @@ class GrowthReport:
 
 
 def _require_strict_growth(params: ModelParams, n_top: int) -> np.ndarray:
+    """Margins a_bar_k - 1 for k = 2..N+1; raises ``GrowthConditionError``
+    unless the model is rank-based and every margin is positive."""
+    _check_open_size(n_top, params.d)
     if not params.is_rank_based:
         raise GrowthConditionError("robust growth rate applies to rank-based models only")
     margins = tail_sums(params.a)[1: n_top + 1] - 1.0
@@ -655,13 +650,10 @@ def _require_strict_growth(params: ModelParams, n_top: int) -> np.ndarray:
 
 def growth_rate_integrand(y, params: ModelParams, n_top: int) -> np.ndarray:
     """(sigma^2/8)(sum_{k<=N} a_k^2 / y_k + a-tail^2 / tail mass) on ranked points."""
-    y = np.asarray(y, dtype=float)
-    a = params.a
-    tail = y[..., n_top:].sum(axis=-1)
+    top_num, top, small_num, tail = _open_split(
+        np.asarray(y, dtype=float), None, params, n_top)
     s2 = params.sigma ** 2
-    return (s2 / 8.0) * (
-        (a[:n_top] ** 2 / y[..., :n_top]).sum(axis=-1) + a[n_top:].sum() ** 2 / tail
-    )
+    return (s2 / 8.0) * ((top_num ** 2 / top).sum(axis=-1) + (small_num ** 2 / tail)[..., 0])
 
 
 def robust_growth_rate(params: ModelParams, n_top: int, method: str = "mc",

@@ -32,6 +32,7 @@ from ._util import path_stream, write_csv
 from .simplex import ModelParams, as_simplex, ranked_weights, ranks_of_names, require_valid
 
 UNDER_RESOLVED_RATE = 0.01
+OBSERVED_BLOCK_STEPS = 4096    # block length of runs that only observers read
 
 
 # ---------------------------------------------------------------------------

@@ -58,11 +58,11 @@ class QuadratureError(ArithmeticError):
 # validated constructors
 # ---------------------------------------------------------------------------
 
-def as_simplex(x, renorm_tol: float = RENORM_TOL) -> np.ndarray:
+def as_simplex(x) -> np.ndarray:
     """Validate (and possibly renormalize) a point of the standard simplex.
 
     Entries must lie in [0, 1] up to tiny arithmetic noise; sums within
-    ``renorm_tol`` of 1 are renormalized, anything worse is rejected.
+    ``RENORM_TOL`` of 1 are renormalized, anything worse is rejected.
     Returns a fresh float array whose sum is 1 within ``SUM_TOL``.
     """
     v = np.array(x, dtype=float)
@@ -70,11 +70,11 @@ def as_simplex(x, renorm_tol: float = RENORM_TOL) -> np.ndarray:
         raise SimplexError("simplex points are 1-d with at least two entries")
     if not np.all(np.isfinite(v)):
         raise SimplexError("simplex entries must be finite")
-    if v.min() < -SUM_TOL or v.max() > 1.0 + renorm_tol:
+    if v.min() < -SUM_TOL or v.max() > 1.0 + RENORM_TOL:
         raise SimplexError(f"entries outside [0, 1]: min={v.min()}, max={v.max()}")
     np.clip(v, 0.0, None, out=v)
     s = v.sum()
-    if abs(s - 1.0) > renorm_tol:
+    if abs(s - 1.0) > RENORM_TOL:
         raise SimplexError(f"entries sum to {s}, too far from 1 to renormalize")
     if s != 1.0:
         v /= s
@@ -83,9 +83,9 @@ def as_simplex(x, renorm_tol: float = RENORM_TOL) -> np.ndarray:
     return v
 
 
-def as_ranked(y, renorm_tol: float = RENORM_TOL) -> np.ndarray:
+def as_ranked(y) -> np.ndarray:
     """Validate a point of the ordered simplex (non-increasing entries)."""
-    v = as_simplex(y, renorm_tol)
+    v = as_simplex(y)
     if np.any(np.diff(v) > SUM_TOL):
         raise SimplexError("entries are not non-increasing")
     return v
@@ -200,17 +200,6 @@ class ParamReport:
     first_violation: int | None          # 1-based k of the first failing margin
     growth_margins: np.ndarray | None = None   # margins - 1 for k = 2..N+1
     growth_ok: bool | None = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "valid": self.valid,
-            "margins": self.margins,
-            "first_violation": self.first_violation,
-        }
-        if self.growth_margins is not None:
-            out["growth_margins"] = self.growth_margins
-            out["growth_ok"] = self.growth_ok
-        return out
 
 
 def validate_params(params: ModelParams, open_market_size: int | None = None) -> ParamReport:

@@ -627,6 +627,21 @@ def test_robust_growth_rate_quadrature_uses_no_nested_quadrature(monkeypatch):
         assert math.isfinite(quad.lambda_hat)
 
 
+@pytest.mark.parametrize("n_top", [0, 3])
+def test_open_market_size_outside_one_to_d_minus_one_is_rejected(monkeypatch, n_top):
+    p = rank_jacobi([1.5, 1.5, 1.5])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sampled before checking N")
+
+    monkeypatch.setattr("openjacobi.portfolio.sample_invariant", forbidden)
+    for method in ("mc", "quadrature"):
+        with pytest.raises(ValueError, match="1 <= N < d"):
+            robust_growth_rate(p, n_top, method=method, n=1_000)
+    with pytest.raises(ValueError, match="1 <= N < d"):
+        local_growth_rate(np.full(3, 1 / 3), np.arange(3), p, n_top)
+
+
 def test_robust_growth_rate_requires_strict_margins():
     p = rank_jacobi([1.0, 1.0, 1.0])      # tail sum at k = 3 is exactly 1
     with pytest.raises(GrowthConditionError):
