@@ -26,7 +26,7 @@ from . import invariant as invariant_mod
 from . import pdlimit as pdlimit_mod
 from . import portfolio as portfolio_mod
 from . import sde as sde_mod
-from ._util import SEED_LIMIT, write_csv, write_json
+from ._util import SEED_LIMIT, mean_and_se, write_csv, write_json
 from .simplex import (
     DivergentIntegralError,
     InvalidModelError,
@@ -327,8 +327,7 @@ def cmd_pd(cfg, out, threads):
         vals = np.ones(sample.n)
         for m in ms:
             vals = vals * sums[m]
-        mc = float(vals.mean())
-        se = float(vals.std(ddof=1) / np.sqrt(sample.n))
+        mc, se = mean_and_se(vals)
         key = "*".join(f"phi{m}" for m in ms)
         rows.append((key, exact, mc, se))
         table[key] = exact

@@ -22,6 +22,7 @@ from .invariant import rank_normalizer, sample_invariant
 from .sde import PathObserver, SimPath, drift, gap_local_time, sum_over_steps
 from .simplex import (
     ModelParams,
+    _check_open_size,
     diffusion_c,
     ranked_weights,
     ranking_order,
@@ -63,11 +64,6 @@ def shift_self_financing(theta, x) -> np.ndarray:
     return theta + resid
 
 
-def _check_open_size(n_top: int, d: int) -> None:
-    if not 1 <= n_top < d:
-        raise ValueError("need 1 <= N < d")
-
-
 def _open_split(y, order, params: ModelParams, n_top: int):
     """Top-N / small-cap split of the open market of size N at ranked weights.
 
@@ -86,6 +82,12 @@ def _open_split(y, order, params: ModelParams, n_top: int):
         top_num = top_num + gamma_by_rank[..., :n_top]
         small_num = small_num + gamma_by_rank[..., n_top:].sum(axis=-1, keepdims=True)
     return top_num, y[..., :n_top], small_num, y[..., n_top:].sum(axis=-1, keepdims=True)
+
+
+def _near_floor(top, tail) -> np.ndarray:
+    """Rows of an ``_open_split`` with a top-N ranked weight or the small-cap
+    mass under ``INTERIOR_FLOOR``, where the open-market holdings blow up."""
+    return (top < INTERIOR_FLOOR).any(axis=-1) | (tail[..., 0] < INTERIOR_FLOOR)
 
 
 def _spread(top, small, order) -> np.ndarray:
@@ -138,17 +140,21 @@ def growth_optimal_theta(x, params: ModelParams, n_top: int) -> np.ndarray:
 
     Exists (as a trading strategy) iff every tail margin for k = 2..N+1 is
     at least one; this function evaluates the closed form regardless, and
-    ``growth_exists`` reports the condition.
+    ``growth_exists`` reports the condition.  It is undefined where
+    ``_near_floor`` holds: a single point raises ``ValueError`` there, and a
+    batch gets nan rows.
     """
     x = np.asarray(x, dtype=float)
     order = ranking_order(x)
     top_num, top, small_num, tail = _open_split(
         np.take_along_axis(x, order, axis=-1), order, params, n_top)
-    if x.ndim == 1 and (np.any(top <= 0.0) or tail.item() <= 0.0):
-        # batched evaluation lets the wealth-loop guard absorb bad rows
-        raise ValueError("growth-optimal strategy undefined: vanishing ranked weight")
+    near = _near_floor(top, tail)
+    if x.ndim == 1 and near:
+        raise ValueError("growth-optimal strategy undefined: ranked weight under the floor")
     base = 1.0 - 0.5 * params.total_mass
-    return _spread(base + top_num / (2.0 * top), base + small_num / (2.0 * tail), order)
+    theta = _spread(base + top_num / (2.0 * top), base + small_num / (2.0 * tail), order)
+    theta[near] = np.nan
+    return theta
 
 
 def growth_exists(params: ModelParams, n_top: int):
@@ -199,25 +205,20 @@ def foc_residual(y, order, params: ModelParams, n_top: int) -> float:
 # strategies as objects
 # ---------------------------------------------------------------------------
 
-def _near_top_boundary(x, n_top: int) -> np.ndarray:
-    """Guard of the top-N strategies: some top-N ranked weight or the mass
-    below rank N is under ``INTERIOR_FLOOR``, where their holdings blow up."""
-    y = ranked_weights(x)
-    tail = y[..., n_top:].sum(axis=-1)
-    return (y[..., :n_top].min(axis=-1) < INTERIOR_FLOOR) | (tail < INTERIOR_FLOOR)
+def _check_self_financing(theta, x, name: str, tol: float) -> None:
+    gap = np.abs((theta * x).sum(axis=-1) - 1.0)
+    if np.any(gap > tol):
+        raise SelfFinancingError(f"strategy {name!r}: max |theta.x - 1| = {gap.max():.3e}")
 
 
 class Strategy:
-    """Feedback strategy: a vectorized map from named states to theta."""
+    """Feedback strategy: a vectorized map from named states to theta, not
+    finite at the states where it is undefined (see ``guarded_holdings``)."""
 
     name = "strategy"
 
     def theta(self, x) -> np.ndarray:
         raise NotImplementedError
-
-    def guard(self, x) -> np.ndarray | None:
-        """Boolean mask of states where evaluation is unreliable (optional)."""
-        return None
 
 
 class MarketPortfolio(Strategy):
@@ -239,11 +240,7 @@ class RawStrategy(Strategy):
     def theta(self, x):
         x = np.asarray(x, dtype=float)
         theta = np.asarray(self.fn(x), dtype=float)
-        gap = np.abs((theta * x).sum(axis=-1) - 1.0)
-        if np.any(gap > self.tol):
-            raise SelfFinancingError(
-                f"strategy {self.name!r}: max |theta.x - 1| = {gap.max():.3e}"
-            )
+        _check_self_financing(theta, x, self.name, self.tol)
         return theta
 
 
@@ -273,9 +270,6 @@ class GrowthOptimalStrategy(Strategy):
     def theta(self, x):
         return growth_optimal_theta(x, self.params, self.n_top)
 
-    def guard(self, x):
-        return _near_top_boundary(x, self.n_top)
-
 
 class GeneratedStrategy(Strategy):
     """Functionally generated strategy theta_i = g_i + 1 - x . g."""
@@ -285,12 +279,7 @@ class GeneratedStrategy(Strategy):
         self.name = f"generated_{generator.name}"
 
     def theta(self, x):
-        x = np.asarray(x, dtype=float)
-        g = self.generator.grad_log(x)
-        return g + (1.0 - (x * g).sum(axis=-1, keepdims=True))
-
-    def guard(self, x):
-        return self.generator.guard(x)
+        return shift_self_financing(self.generator.grad_log(x), x)
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +314,15 @@ class WealthLedger:
 def guarded_holdings(strategy: Strategy, states, prev):
     """Holdings at time-ordered states (T, ..., d) and the mask of guarded rows.
 
-    Rows flagged by the strategy guard, or whose holdings are not finite,
-    keep the holdings of the row before (``prev`` for the first row),
-    shifted back onto the identity theta . x = 1 at their own state.  Rows
-    are resolved in time order, so a run of guarded rows carries one set of
-    share counts forward.
+    Rows whose holdings are not finite (the states where the strategy is
+    undefined) keep the holdings of the row before (``prev`` for the first
+    row), shifted back onto the identity theta . x = 1 at their own state.
+    Rows are resolved in time order, so a run of guarded rows carries one
+    set of share counts forward.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         theta = np.array(strategy.theta(states), dtype=float)
     mask = ~np.isfinite(theta).all(axis=-1)
-    extra = strategy.guard(states)
-    if extra is not None:
-        mask |= extra
     for t, *rest in zip(*np.nonzero(mask)):
         before = theta[(t - 1, *rest)] if t > 0 else prev[tuple(rest)]
         theta[(t, *rest)] = shift_self_financing(before, states[(t, *rest)])
@@ -365,15 +351,10 @@ def wealth(path: SimPath, strategy: Strategy, tol: float = SELF_FINANCING_TOL) -
     is traded from, so the terminal state never counts.
     """
     states = path.states
-    params = path.params
     theta, mask = guarded_holdings(strategy, states, np.ones(states.shape[-1]))
-    gap = np.abs((theta * states).sum(axis=-1) - 1.0)
-    if gap.max() > tol:
-        raise SelfFinancingError(
-            f"strategy {strategy.name!r}: max |theta.x - 1| = {gap.max():.3e}"
-        )
-    dlog, drift_incr = _increments(theta[:-1], states, path.dt, params.sigma,
-                                   drift(states[:-1], params))
+    _check_self_financing(theta, states, strategy.name, tol)
+    dlog, drift_incr = _increments(theta[:-1], states, path.dt, path.params.sigma,
+                                   drift(states[:-1], path.params))
     zero = np.zeros(1)
     log_wealth = np.concatenate([zero, np.cumsum(dlog)])
     drift_part = np.concatenate([zero, np.cumsum(drift_incr)])
@@ -451,9 +432,6 @@ class Generator:
         """
         raise NotImplementedError
 
-    def guard(self, x):
-        return None
-
 
 class ConstantGenerator(Generator):
     name = "constant"
@@ -507,23 +485,22 @@ class RankPowerGenerator(Generator):
         self.params = params
         self.n_top = int(n_top)
         self.name = f"rank_power_N{n_top}"
-        self._a_top = params.a[: self.n_top]
-        self._a_tail = float(params.a[self.n_top:].sum())
+
+    def _split(self, y):
+        return _open_split(y, None, self.params, self.n_top)
 
     def log_value(self, x):
-        y = ranked_weights(x)
-        tail = y[..., self.n_top:].sum(axis=-1)
-        return 0.5 * (
-            (self._a_top * np.log(y[..., : self.n_top])).sum(axis=-1)
-            + self._a_tail * np.log(tail)
-        )
+        a, top, a_tail, tail = self._split(ranked_weights(x))
+        return 0.5 * ((a * np.log(top)).sum(axis=-1) + a_tail * np.log(tail[..., 0]))
 
     def grad_log(self, x):
+        """Named gradient of log G, with nan rows where ``_near_floor`` holds."""
         x = np.asarray(x, dtype=float)
         order = ranking_order(x)
-        top_num, top, small_num, tail = _open_split(
-            np.take_along_axis(x, order, axis=-1), None, self.params, self.n_top)
-        return _spread(top_num / (2.0 * top), small_num / (2.0 * tail), order)
+        top_num, top, small_num, tail = self._split(np.take_along_axis(x, order, axis=-1))
+        grad = _spread(top_num / (2.0 * top), small_num / (2.0 * tail), order)
+        grad[_near_floor(top, tail)] = np.nan
+        return grad
 
     def quad_form(self, x_left, dx):
         """Realized quadratic form of d_kl F / F in ranked coordinates,
@@ -535,35 +512,22 @@ class RankPowerGenerator(Generator):
         """
         y = ranked_weights(x_left)
         dy = ranked_weights(np.asarray(x_left, dtype=float) + np.asarray(dx, dtype=float)) - y
-        n = self.n_top
-        top = y[..., :n]
-        tail = y[..., n:].sum(axis=-1)
-        a = self._a_top
-        abar = self._a_tail
-        u_dy = (
-            (a / (2.0 * top) * dy[..., :n]).sum(axis=-1)
-            + abar / (2.0 * tail) * dy[..., n:].sum(axis=-1)
-        )
-        h_dy = (
-            -(a / (2.0 * top ** 2) * dy[..., :n] ** 2).sum(axis=-1)
-            - abar / (2.0 * tail ** 2) * dy[..., n:].sum(axis=-1) ** 2
-        )
+        a, top, abar, tail = self._split(y)
+        _, d_top, _, d_tail = self._split(dy)
+        u_dy = (a / (2.0 * top) * d_top).sum(axis=-1) + (abar / (2.0 * tail) * d_tail)[..., 0]
+        h_dy = (-(a / (2.0 * top ** 2) * d_top ** 2).sum(axis=-1)
+                - (abar / (2.0 * tail ** 2) * d_tail ** 2)[..., 0])
         return u_dy ** 2 + h_dy
-
-    def guard(self, x):
-        return _near_top_boundary(x, self.n_top)
 
     def local_time_drift(self, path: SimPath) -> np.ndarray:
         """Cumulative ranked-gap local-time corrections along a path."""
         n = self.n_top
-        a = self.params.a
+        a, top, a_tail, tail = self._split(path.ranked_states())
         total = np.zeros(path.times.size)
         for k in range(1, n):
             lt = gap_local_time(path, k, log_scale=True)
             total[1:] += (a[k - 1] - a[k]) / 8.0 * lt
-        y = path.ranked_states()
-        tail = y[:, n:].sum(axis=1)
-        weight = (a[n - 1] - self._a_tail * y[:, n - 1] / tail) / 8.0
+        weight = (a[n - 1] - a_tail * top[:, n - 1] / tail[:, 0]) / 8.0
         lt_n = gap_local_time(path, n, log_scale=True)
         d_lt = np.diff(np.concatenate([[0.0], lt_n]))
         total[1:] += np.cumsum(weight[:-1] * d_lt)
@@ -665,7 +629,9 @@ def robust_growth_rate(params: ModelParams, n_top: int, method: str = "mc",
 
     Requires the strict condition a_bar_k > 1 for k = 2..N+1.  The Monte
     Carlo route uses the exact rejection sampler and carries its warnings
-    (an acceptance below the floor) in the report.  Quadrature is exact
+    (an acceptance below the floor) in the report; its ``stderr`` is no
+    valid error bar when a_bar_k <= 2 for some k in 2..N+1, where the
+    integrand has infinite variance.  Quadrature is exact
     Q-ratio algebra, each integral one ordered-shell recursion (one
     scalar per dimension, milliseconds at d <= 6), and serves every N at
     every d: the small-cap term E[1/T] is ``small_cap_integral``.

@@ -202,11 +202,18 @@ class ParamReport:
     growth_ok: bool | None = None
 
 
+def _check_open_size(n_top: int, d: int) -> None:
+    """Raise ``ValueError`` unless the open market size N lies in 1..d-1."""
+    if not 1 <= n_top < d:
+        raise ValueError("need 1 <= N < d")
+
+
 def validate_params(params: ModelParams, open_market_size: int | None = None) -> ParamReport:
-    """Check the positivity of every tail margin; never raises.
+    """Check the positivity of every tail margin and report it.
 
     With ``open_market_size`` given, additionally reports whether the
-    growth-existence thresholds (margin >= 1 for k = 2..N+1) hold.
+    growth-existence thresholds (margin >= 1 for k = 2..N+1) hold; raises
+    ``ValueError`` when that N lies outside 1..d-1.
     """
     margins = params.tail_margins()
     bad = np.flatnonzero(margins <= 0.0)
@@ -215,8 +222,7 @@ def validate_params(params: ModelParams, open_market_size: int | None = None) ->
     growth_ok = None
     if open_market_size is not None:
         n = int(open_market_size)
-        if not 1 <= n <= params.d - 1:
-            raise ValueError("open market size must lie in 1..d-1")
+        _check_open_size(n, params.d)
         growth_margins = margins[: n] - 1.0
         growth_ok = bool(np.all(growth_margins >= 0.0))
     return ParamReport(
@@ -325,8 +331,7 @@ def small_cap_integral(exponents, n_top: int, rel_tol: float = 1e-8) -> float:
     """
     a = np.asarray(exponents, dtype=float)
     d = a.size
-    if not 1 <= n_top <= d - 1:
-        raise ValueError("need 1 <= N <= d-1")
+    _check_open_size(n_top, d)
     tails = tail_sums(a)
     if np.any(tails[1:n_top + 1] <= 1.0) or np.any(tails[n_top + 1:] <= 0.0):
         raise DivergentIntegralError(

@@ -412,6 +412,32 @@ def test_wealth_guard_ignores_terminal_state():
     assert ledger.log_wealth[-1] == pytest.approx(streamed["log_wealth"][0], abs=1e-14)
 
 
+# d = 3, N = 2: a rank-2 weight under INTERIOR_FLOOR (the mass below is too),
+# or only the small-cap mass under it; both are positive, so the holdings
+# there are finite but blow up.
+_FLOOR_BAND = {
+    "top": [1.0 - 2e-12, 1e-12, 1e-12],
+    "small_cap": [0.6, 0.4 - 1e-12, 1e-12],
+}
+
+
+@pytest.mark.parametrize("where", sorted(_FLOOR_BAND))
+def test_wealth_guards_states_in_the_floor_band(where):
+    p = rank_jacobi([1.5, 1.2, 1.0])
+    state = _FLOOR_BAND[where]
+    path = stored_path([[0.5, 0.3, 0.2], state, [0.4, 0.35, 0.25], [0.5, 0.3, 0.2]], p)
+    for strategy in (GrowthOptimalStrategy(p, 2),
+                     GeneratedStrategy(RankPowerGenerator(p, 2))):
+        ledger = wealth(path, strategy)
+        streamed = observe(path, strategy)
+        assert ledger.n_guarded == 1
+        assert streamed["n_guarded"][0] == 1
+        assert np.all(np.isfinite(ledger.log_wealth))
+        assert np.isfinite(streamed["log_wealth"][0])
+    with pytest.raises(ValueError, match="undefined"):
+        growth_optimal_theta(np.array(state), p, 2)
+
+
 def _strategies(d, gamma):
     params = ModelParams(a=np.linspace(1.5, 0.5, d), gamma=gamma[:d])
     rank_params = ModelParams(a=params.a, gamma=np.zeros(d))

@@ -222,6 +222,15 @@ def test_validate_params_growth_thresholds():
     assert report.growth_ok
 
 
+@pytest.mark.parametrize("n_top", [0, 4])
+def test_open_market_size_outside_one_to_d_minus_one_raises(n_top):
+    p = ModelParams(a=np.full(4, 1.5), gamma=np.zeros(4))
+    with pytest.raises(ValueError, match="1 <= N < d"):
+        validate_params(p, open_market_size=n_top)
+    with pytest.raises(ValueError, match="1 <= N < d"):
+        small_cap_integral(p.a, n_top)
+
+
 # ---------------------------------------------------------------------------
 # diffusion matrices
 # ---------------------------------------------------------------------------

@@ -1,0 +1,79 @@
+"""SHA-256 digests of the CLI outputs on fixed configs, for byte-identity checks.
+
+Runs ``openjacobi.cli.run`` in a temporary directory on the configs below and
+prints ``sha256  run/file`` per output and ``exit  run  code  stderr`` per run.
+JSON reports are hashed without ``meta`` (timestamps, Euler backend).  The
+package comes from ``PYTHONPATH``; compare two source trees by diffing runs:
+
+    PYTHONPATH=src python3 tools/output_digests.py > after.txt
+    PYTHONPATH=/path/to/other/src python3 tools/output_digests.py > before.txt
+    diff before.txt after.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from openjacobi.cli import run
+
+RANK3 = {"a": [1.5, 1.5, 1.5], "gamma": [0.0] * 3, "sigma": 1.0}
+HYBRID3 = {"a": [1.2, 0.8, 0.6], "gamma": [0.3, -0.1, -0.2], "sigma": 1.0}
+HYBRID4 = {"a": [1.5, 1.5, 1.5, 1.5], "gamma": [0.2, -0.1, 0.0, -0.1], "sigma": 1.0}
+RANK4 = {"a": [1.0, 1.0, 1.0, 1.5], "gamma": [0.0] * 4, "sigma": 1.0}
+SIM = {"T": 2.0, "dt": 1e-3, "paths": 4}
+GUARDED = {"a": [1.0, 1.0], "gamma": [0.0, 0.0], "sigma": 3.0}
+BACKTESTS = {       # growth backtests, each run at --threads 1 and 2
+    "growth-rank": {"seed": 13, "model": RANK3, "open_market_size": 1,
+                    "growth": {"n": 20000, "sim": SIM}},
+    "growth-hybrid": {"seed": 5, "model": HYBRID4, "open_market_size": 2,
+                      "growth": {"sim": SIM}},
+    "growth-guarded": {"seed": 3, "model": GUARDED, "open_market_size": 1, "growth": {
+        "n": 5000, "sim": {"T": 20.0, "dt": 0.01, "paths": 6}}},
+}
+RUNS = [  # (name, command, config, extra argv)
+    ("simulate", "simulate", {"seed": 11, "model": HYBRID3,
+                              "sim": {"T": 0.5, "dt": 1e-3, "paths": 2}}, []),
+    ("boundary", "boundary", {"seed": 7, "model": {"a": [1.5, 0.5], "gamma": [0.0, 0.0]},
+                              "boundary": {"k": 2, "T": 5.0, "paths": 40,
+                                           "eps": [1e-2, 1e-3]}}, []),
+    ("invariant-mcmc", "invariant", {"seed": 19, "model": HYBRID3,
+                                     "sampler": {"n": 1000, "method": "mcmc"}}, []),
+    ("invariant-spacing", "invariant", {
+        "seed": 21, "model": RANK3, "sampler": {"n": 2000, "method": "spacing"},
+        "ergodic": {"T": 5.0, "dt": 1e-3, "paths": 2, "functions": ["one", "y1"]}}, []),
+    ("pd", "pd", {"seed": 17, "pd": {"theta": 1.0, "n": 5000, "max_degree": 4}}, []),
+    ("limit", "limit", {"seed": 23, "pd": {"theta": 2.0, "tilt": [0.0]},
+                        "schedule": {"d_list": [10, 40]},
+                        "limit": {"n": 5000, "growth": {"sigma": 1.0, "N": 1}}}, []),
+] + [(f"growth-quad-N{n}", "growth", {"seed": 4, "model": RANK4, "open_market_size": n,
+                                      "growth": {"method": "quadrature"}}, []) for n in (1, 3)
+     ] + [(f"{name}-t{k}", "growth", cfg, ["--threads", str(k)])
+          for name, cfg in BACKTESTS.items() for k in (1, 2)]
+
+
+def digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.suffix == ".json":
+        doc = json.loads(data)
+        doc.pop("meta", None)
+        data = json.dumps(doc, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, command, cfg, extra in RUNS:
+            config, out = Path(tmp) / f"{name}.json", Path(tmp) / name
+            config.write_text(json.dumps(cfg))
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = run([command, "--config", str(config), "--out", str(out), *extra])
+            for path in sorted(out.iterdir()):
+                print(f"{digest(path)}  {name}/{path.name}")
+            print(f"exit  {name}  {code}  {err.getvalue().strip()[:120]}")
+
+
+if __name__ == "__main__":
+    main()
