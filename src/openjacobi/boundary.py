@@ -157,17 +157,18 @@ class FrequencyTable:
 
 def mc_hit_frequency(params: ModelParams, query: BoundaryQuery, *,
                      T: float = 50.0, eps=(1e-2, 1e-3, 1e-4), n_paths: int = 500,
-                     dt: float = 1e-3, seed: int = 0, x0=None) -> FrequencyTable:
-    """Fraction of paths whose queried quantity dips below each epsilon by T.
+                     dt: float = 1e-3, seed: int = 0) -> FrequencyTable:
+    """Fraction of paths from the uniform state whose queried quantity dips
+    below each epsilon by T.
 
     When the analytic verdict says "avoids", frequencies should shrink down
     the epsilon ladder; when it says "hits", they stay bounded away from
     zero as epsilon decreases at fixed horizon.
     """
-    x0 = np.full(params.d, 1.0 / params.d) if x0 is None else x0
     observer = HitObserver(query.condition(), eps)
-    batch = run_paths(params, x0, T, dt, seed, n_paths=n_paths,
-                      observers=[observer], block_steps=OBSERVED_BLOCK_STEPS)
+    batch = run_paths(params, np.full(params.d, 1.0 / params.d), T, dt, seed,
+                      n_paths=n_paths, observers=[observer],
+                      block_steps=OBSERVED_BLOCK_STEPS)
     hits = batch.observations["hits"]["hit"]          # (E, P) booleans
     eps_sorted = batch.observations["hits"]["eps"]
     freq = hits.mean(axis=1)

@@ -632,21 +632,22 @@ class ErgodicReport:
 
 
 def ergodic_compare(params: ModelParams, funcs: dict, *, T: float, dt: float,
-                    n_paths: int, n_samples: int, seed: int, x0=None,
+                    n_paths: int, n_samples: int, seed: int,
                     z_threshold: float = 3.0,
                     sampler_method: str | None = None) -> ErgodicReport:
     """Compare long-run path averages with stationary-sampler averages.
 
-    Each named function is averaged along n_paths trajectories (pooled with
-    a cross-path standard error) and over n_samples stationary draws; the
-    discrepancy is expressed in combined standard errors.
+    Each named function is averaged along n_paths trajectories from the
+    uniform state (pooled with a cross-path standard error) and over
+    n_samples stationary draws; the discrepancy is expressed in combined
+    standard errors.
     """
     funcs = {name: (make_statistic(fn) if isinstance(fn, str) else fn)
              for name, fn in funcs.items()}
-    x0 = np.full(params.d, 1.0 / params.d) if x0 is None else x0
     observer = TimeAverageObserver(funcs)
-    batch = run_paths(params, x0, T, dt, seed, n_paths=n_paths,
-                      observers=[observer], block_steps=OBSERVED_BLOCK_STEPS)
+    batch = run_paths(params, np.full(params.d, 1.0 / params.d), T, dt, seed,
+                      n_paths=n_paths, observers=[observer],
+                      block_steps=OBSERVED_BLOCK_STEPS)
     averages = batch.observations["time_averages"]
     sample = sample_invariant(params, n_samples, seed, kind="named",
                               method=sampler_method)

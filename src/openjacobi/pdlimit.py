@@ -180,6 +180,12 @@ def tilted_expect(cfg: PDConfig, fn, n: int, seed: int) -> TiltedEstimate:
     normalizes.  Raises when the effective sample size drops below 5% of n,
     which signals a tilt too heavy for the sample budget.
     """
+    return _tilted_estimator(cfg, n, seed)(fn)
+
+
+def _tilted_estimator(cfg: PDConfig, n: int, seed: int):
+    """``tilted_expect`` as a map f -> estimate over one weighted sample,
+    drawn (and checked against the effective-size floor) once."""
     sample = pd_sample(cfg.theta, cfg.M, n, seed)
     y = sample.weights
     if cfg.n_tilted:
@@ -191,7 +197,6 @@ def tilted_expect(cfg: PDConfig, fn, n: int, seed: int) -> TiltedEstimate:
         w = np.exp(logw)
     else:
         w = np.ones(n)
-    f_vals = np.asarray(fn(y), dtype=float)
     w_sum = w.sum()
     ess = w_sum ** 2 / (w * w).sum()
     if ess < ESS_FLOOR_FRACTION * n:
@@ -199,9 +204,14 @@ def tilted_expect(cfg: PDConfig, fn, n: int, seed: int) -> TiltedEstimate:
             f"effective sample size {ess:.0f} below {ESS_FLOOR_FRACTION:.0%} of n={n}; "
             "increase n or soften the tilt"
         )
-    value = float((w * f_vals).sum() / w_sum)
-    se = float(np.sqrt((w * w * (f_vals - value) ** 2).sum()) / w_sum)
-    return TiltedEstimate(value=value, se=se, ess=float(ess), n=n)
+
+    def estimate(fn) -> TiltedEstimate:
+        f_vals = np.asarray(fn(y), dtype=float)
+        value = float((w * f_vals).sum() / w_sum)
+        se = float(np.sqrt((w * w * (f_vals - value) ** 2).sum()) / w_sum)
+        return TiltedEstimate(value=value, se=se, ess=float(ess), n=n)
+
+    return estimate
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +310,10 @@ def convergence_experiment(schedule: ScheduleAd, cfg: PDConfig, funcs: dict,
     sequence decreases along the ladder and the final gap is within three
     combined standard errors.
     """
+    estimate = _tilted_estimator(cfg, n, seed)
     limits = {}
     for name, fn in funcs.items():
-        est = tilted_expect(cfg, fn, n, seed)
+        est = estimate(fn)
         limits[name] = (est.value, est.se)
     rows = []
     for d in schedule.d_list:

@@ -33,6 +33,7 @@ from .simplex import (
 )
 
 SELF_FINANCING_TOL = 1e-10
+GROWTH_REL_TOL = 1e-7           # relative tolerance of the quadrature growth rate
 INTERIOR_FLOOR = 1e-10
 
 
@@ -106,12 +107,17 @@ def expand_open(h, x) -> np.ndarray:
     financing component only.  Satisfies theta . x = 1 identically.
     """
     x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
-    n_top = h.shape[-1]
-    _check_open_size(n_top, x.shape[-1])
     order = ranking_order(x)
-    y_top = np.take_along_axis(x, order[..., :n_top], axis=-1)
-    financing = 1.0 - (h * y_top).sum(axis=-1, keepdims=True)
+    return _expand_ranked(np.asarray(h, dtype=float), np.take_along_axis(x, order, axis=-1),
+                          order)
+
+
+def _expand_ranked(h, y, order) -> np.ndarray:
+    """``expand_open`` at states already ranked: ``y`` holds the ranked
+    weights and ``order`` the 0-based names by rank."""
+    n_top = h.shape[-1]
+    _check_open_size(n_top, y.shape[-1])
+    financing = 1.0 - (h * y[..., :n_top]).sum(axis=-1, keepdims=True)
     return _spread(h + financing, financing, order)
 
 
@@ -232,15 +238,14 @@ class MarketPortfolio(Strategy):
 class RawStrategy(Strategy):
     """Wraps an arbitrary theta(x) function; validates self-financing."""
 
-    def __init__(self, fn, name="raw", tol=SELF_FINANCING_TOL):
+    def __init__(self, fn, name="raw"):
         self.fn = fn
         self.name = name
-        self.tol = tol
 
     def theta(self, x):
         x = np.asarray(x, dtype=float)
         theta = np.asarray(self.fn(x), dtype=float)
-        _check_self_financing(theta, x, self.name, self.tol)
+        _check_self_financing(theta, x, self.name, SELF_FINANCING_TOL)
         return theta
 
 
@@ -256,7 +261,7 @@ class OpenMarketStrategy(Strategy):
         x = np.asarray(x, dtype=float)
         order = ranking_order(x)
         y = np.take_along_axis(x, order, axis=-1)
-        return expand_open(self.h_fn(y, order), x)
+        return _expand_ranked(np.asarray(self.h_fn(y, order), dtype=float), y, order)
 
 
 class GrowthOptimalStrategy(Strategy):
@@ -292,6 +297,8 @@ class WealthLedger:
 
     The split uses the model drift as compensator, so
     log_wealth = drift_part + mart_part holds to accumulation roundoff.
+    ``theta`` holds the holdings at every state as traded, guarded rows
+    included (see ``guarded_holdings``); the terminal row is never traded.
     """
 
     times: np.ndarray
@@ -301,6 +308,7 @@ class WealthLedger:
     strategy: str
     path_index: int
     n_guarded: int
+    theta: np.ndarray              # (n+1, d)
 
     @property
     def terminal_rate(self) -> float:
@@ -366,6 +374,7 @@ def wealth(path: SimPath, strategy: Strategy, tol: float = SELF_FINANCING_TOL) -
         strategy=strategy.name,
         path_index=path.path_index,
         n_guarded=int(mask[:-1].sum()),
+        theta=theta,
     )
 
 
@@ -536,7 +545,8 @@ class RankPowerGenerator(Generator):
 
 @dataclass
 class MasterFormulaResult:
-    """Pathwise functional-generation decomposition for one stored path."""
+    """Pathwise functional-generation decomposition for one stored path;
+    ``theta`` holds the holdings the ledger traded."""
 
     theta: np.ndarray              # (n+1, d)
     ledger: WealthLedger
@@ -557,8 +567,7 @@ def master_formula(generator: Generator, path: SimPath) -> MasterFormulaResult:
     generator the ranked-gap local-time terms are added from their
     occupation-density estimates.
     """
-    strategy = GeneratedStrategy(generator)
-    ledger = wealth(path, strategy, tol=1e-9)
+    ledger = wealth(path, GeneratedStrategy(generator), tol=1e-9)
     dx = np.diff(path.states, axis=0)
     correction = generator.quad_form(path.states[:-1], dx)
     gamma_drift = np.concatenate([[0.0], -0.5 * np.cumsum(correction)])
@@ -566,9 +575,8 @@ def master_formula(generator: Generator, path: SimPath) -> MasterFormulaResult:
         gamma_drift = gamma_drift + generator.local_time_drift(path)
     log_g = generator.log_value(path.states)
     identity_gap = np.abs(ledger.log_wealth - (log_g - log_g[0] + gamma_drift))
-    theta = strategy.theta(path.states)
     return MasterFormulaResult(
-        theta=theta, ledger=ledger, gamma_drift=gamma_drift, identity_gap=identity_gap
+        theta=ledger.theta, ledger=ledger, gamma_drift=gamma_drift, identity_gap=identity_gap
     )
 
 
@@ -621,8 +629,7 @@ def growth_rate_integrand(y, params: ModelParams, n_top: int) -> np.ndarray:
 
 
 def robust_growth_rate(params: ModelParams, n_top: int, method: str = "mc",
-                       n: int = 10 ** 6, seed: int = 0,
-                       rel_tol: float = 1e-7) -> GrowthReport:
+                       n: int = 10 ** 6, seed: int = 0) -> GrowthReport:
     """Best growth rate achievable robustly in the open market of size N:
     the stationary expectation of the growth integrand minus
     (sigma^2/8) * (a_bar_1)^2.
@@ -632,7 +639,7 @@ def robust_growth_rate(params: ModelParams, n_top: int, method: str = "mc",
     (an acceptance below the floor) in the report; its ``stderr`` is no
     valid error bar when a_bar_k <= 2 for some k in 2..N+1, where the
     integrand has infinite variance.  Quadrature is exact
-    Q-ratio algebra, each integral one ordered-shell recursion (one
+    Q-ratio algebra, each integral one ordered-simplex recursion (one
     scalar per dimension, milliseconds at d <= 6), and serves every N at
     every d: the small-cap term E[1/T] is ``small_cap_integral``.
     """
@@ -648,15 +655,15 @@ def robust_growth_rate(params: ModelParams, n_top: int, method: str = "mc",
                             condition_margins=margins, n=n,
                             warnings=tuple(sample.warnings))
     if method == "quadrature":
-        qa = rank_normalizer(a, rel_tol=rel_tol)
+        qa = rank_normalizer(a, rel_tol=GROWTH_REL_TOL)
         inv_top = 0.0
         for k in range(n_top):
             if a[k] ** 2 != 0.0:
                 shifted = a.copy()
                 shifted[k] -= 1.0
-                inv_top += a[k] ** 2 * rank_normalizer(shifted, rel_tol=rel_tol) / qa
+                inv_top += a[k] ** 2 * rank_normalizer(shifted, rel_tol=GROWTH_REL_TOL) / qa
         abar_tail = a[n_top:].sum()
-        inv_tail = small_cap_integral(a, n_top, rel_tol=rel_tol) / qa
+        inv_tail = small_cap_integral(a, n_top, rel_tol=GROWTH_REL_TOL) / qa
         lam = (s2 / 8.0) * (inv_top + abar_tail ** 2 * inv_tail) - offset
         return GrowthReport(lambda_hat=lam, stderr=0.0, method="quadrature",
                             condition_margins=margins, n=0)

@@ -281,11 +281,9 @@ def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
     return result
 
 
-def simulate(params: ModelParams, x0, T: float, dt: float, seed: int,
-             path_index: int = 0) -> SimPath:
-    """Single stored trajectory; deterministic in (seed, path_index)."""
-    batch = run_paths(params, x0, T, dt, seed, n_paths=1, store=True,
-                      path_offset=path_index)
+def simulate(params: ModelParams, x0, T: float, dt: float, seed: int) -> SimPath:
+    """Single stored trajectory, path 0 of the seed; deterministic in the seed."""
+    batch = run_paths(params, x0, T, dt, seed, n_paths=1, store=True)
     return batch.paths[0]
 
 

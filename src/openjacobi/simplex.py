@@ -5,7 +5,7 @@ summing to one); their decreasing rearrangements live on the ordered simplex.
 This module provides validated constructors for both, rank/name bookkeeping
 with a deterministic lexicographic tie-break, tail sums, model-parameter
 validation, the Wright-Fisher-type diffusion matrix, and monomial integrals
-over ordered shells (the normalizing-constant machinery used by the
+over the ordered simplex (the normalizing-constant machinery used by the
 invariant-density code) together with the open market's small-cap
 integral.  Each integral is one backward recursion over a single scalar per
 dimension, each level a Chebyshev table filled by a Gauss rule, so its cost
@@ -51,7 +51,7 @@ class DivergentIntegralError(ArithmeticError):
 
 
 class QuadratureError(ArithmeticError):
-    """An ordered-shell recursion did not settle to the requested tolerance."""
+    """An ordered-simplex recursion did not settle to the requested tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,7 @@ def covariation_form(u, v, x, sigma: float = 1.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# monomial integrals over ordered shells
+# monomial integrals over the ordered simplex
 # ---------------------------------------------------------------------------
 
 def monomial_integral_finite(exponents) -> bool:
@@ -280,40 +280,30 @@ def monomial_integral_finite(exponents) -> bool:
 _SHELL_RULE_SIZES = (8, 16, 32, 64, 128, 256)
 
 
-def monomial_integral(exponents, alpha: float = 1.0, beta: float = 0.0,
-                      rel_tol: float = 1e-8) -> float:
-    """Integral of prod_k y_k^{b_k - 1} over the ordered shell
-    {y_1 >= ... >= y_d >= beta, sum y_k = alpha}.
+def monomial_integral(exponents, rel_tol: float = 1e-8) -> float:
+    """Integral of prod_k y_k^{b_k - 1} over the ordered simplex
+    {y_1 >= ... >= y_d >= 0, sum y_k = 1}.
 
-    The homogeneity identity Q(lam*alpha, lam*beta) = lam^(sum b - 1)
-    Q(alpha, beta) reduces every shell to alpha = 1, where
     ``_shell_recursion`` integrates one scalar variable per dimension.  The
     rule size doubles until two successive sizes agree to within
     50 * rel_tol relative; ``QuadratureError`` reports a value that does
-    not settle by the largest size.  With beta = 0 divergence is decided
-    analytically up front, never by watching the quadrature fail.
+    not settle by the largest size.  Divergence is decided analytically up
+    front, never by watching the quadrature fail.
     """
     b = np.asarray(exponents, dtype=float)
     if b.ndim != 1 or b.size < 1:
         raise ValueError("exponent vector must be 1-d and nonempty")
-    if not alpha > 0 or beta < 0:
-        raise ValueError("need alpha > 0 and beta >= 0")
-    d = b.size
-    if beta == 0.0 and d > 1 and not monomial_integral_finite(b):
+    if not monomial_integral_finite(b):
         bad = np.flatnonzero(tail_sums(b)[1:] <= 0.0)[0] + 2
         raise DivergentIntegralError(
             f"tail sum of exponents from position {bad} is nonpositive; integral diverges"
         )
-    rel_beta = beta / alpha
-    if d == 1:
-        # degenerate one-point shell {y_1 = alpha}; pushforward of Lebesgue
+    if b.size == 1:
+        # degenerate one-point simplex {y_1 = 1}; pushforward of Lebesgue
         # on R^0 is a unit point mass
-        return alpha ** (b[0] - 1.0) if rel_beta <= 1.0 else 0.0
-    if rel_beta > 0.0 and 1.0 / rel_beta <= d:
-        return 0.0
-    scale = alpha ** (b.sum() - 1.0)
+        return 1.0
     tails = tail_sums(b)
-    return _settle(lambda n: _shell_recursion(tails, rel_beta, n), rel_tol, scale)
+    return _settle(lambda n: _shell_recursion(tails, n), rel_tol, 1.0)
 
 
 def small_cap_integral(exponents, n_top: int, rel_tol: float = 1e-8) -> float:
@@ -345,81 +335,64 @@ def small_cap_integral(exponents, n_top: int, rel_tol: float = 1e-8) -> float:
         return monomial_integral(a, rel_tol=rel_tol) + sum(
             small_cap_integral(a + e[k], n_top, rel_tol) for k in range(n_top))
     scale = (tails[0] - 1.0) / (tails[n_top] - 1.0)
-    return _settle(lambda n: _shell_recursion(tails, 0.0, n, n_top), rel_tol, scale)
+    return _settle(lambda n: _shell_recursion(tails, n, n_top), rel_tol, scale)
 
 
 def _settle(recursion, rel_tol: float, scale: float) -> float:
     """``scale * recursion(n)`` once two successive rule sizes n agree to
     within 50 * rel_tol relative; ``QuadratureError`` if they never do."""
-    previous = None
+    value = math.nan                 # no comparison with nan holds
     for n in _SHELL_RULE_SIZES:
+        previous = value
         with np.errstate(over="ignore", invalid="ignore"):
             value = recursion(n)
         if not math.isfinite(value):
-            raise QuadratureError("ordered-shell recursion returned a non-finite value")
-        if previous is not None and abs(value - previous) <= 50 * rel_tol * abs(value):
+            raise QuadratureError("ordered-simplex recursion returned a non-finite value")
+        if abs(value - previous) <= 50 * rel_tol * abs(value):
             return scale * value
-        previous = value
     raise QuadratureError(
         f"quadrature stalled: estimated error {scale * abs(value - previous):.3g} "
         f"on value {scale * value:.6g}"
     )
 
 
-def _shell_recursion(tails, beta: float, n: int, junction: int = 0) -> float:
-    """Q(b; 1, beta) from the tail sums of b, with rules of size n.
+def _shell_recursion(tails, n: int, junction: int = 0) -> float:
+    """Q(b), the monomial integral over the ordered simplex, from the tail
+    sums of b, with rules of size n.
 
     With u_k = y_k / y_{k-1} and sigma_k = y_k / (y_1 + ... + y_k), so that
     sigma_1 = 1 and sigma_k = u_k s / (1 + u_k s) for s = sigma_{k-1},
 
         Q = int_[0,1]^(d-1) prod_(k>=2) u_k^(bbar_k - 1)
-            (1 + u_k sigma_(k-1))^(-bbar_1) 1[sigma_d >= beta] du.
+            (1 + u_k sigma_(k-1))^(-bbar_1) du.
 
     Integrating u_d, ..., u_2 in turn leaves one function of one scalar
-    per level: H_d(s) = 1[s >= beta], H_(k-1)(s) = int_0^1 u^(bbar_k - 1)
+    per level: H_d = 1, H_(k-1)(s) = int_0^1 u^(bbar_k - 1)
     (1 + u s)^(-bbar_1) H_k(u s / (1 + u s)) du, and Q = H_1(1).  H_k lives
-    on [beta_k, 1/k] with 1/beta_k = 1/beta - (d - k), where it is analytic,
-    so it is tabulated at n Chebyshev points after division by the envelope
-    (1 + (d - k) s)^(-bbar_1), which carries its steep decay for large
-    exponents.  For beta = 0 the table is in s and the u-rule is
+    on [0, 1/k], where it is analytic, so it is tabulated at n Chebyshev
+    points after division by the envelope (1 + (d - k) s)^(-bbar_1), which
+    carries its steep decay for large exponents.  The u-rule is
     Gauss-Jacobi for the weight u^(bbar_k - 1), integrable exactly when
-    ``monomial_integral_finite`` holds.  For beta > 0 the lower limit is
-    u >= beta_(k-1) / s, and both the table and the u-rule work in log s and
-    log u, which resolves the boundary layer at the lower end of each
-    support.
+    ``monomial_integral_finite`` holds.
 
-    A junction N >= 1 (beta = 0 only) instead integrates F_b(u)
-    max(1, u_(N+1))^(1 - bbar_(N+1)) with u_(N+1) over [0, inf), as
-    ``small_cap_integral`` needs.  H_j for j > N is unchanged but lives on
-    [0, 1/(j - N)].  On u_(N+1) >= 1 the weight is 1, and x = u s / (1 + u s)
-    over [s / (1 + s), 1) takes a Gauss-Jacobi rule for (1 - x)^(bbar_1 - 2).
-    H_N(s) grows like 1/s as s -> 0, so the levels j <= N tabulate
-    G_j = s H_j, which obeys the same recursion with bbar_(j+1) and bbar_1
-    each lowered by one.
+    A junction N >= 1 instead integrates F_b(u) max(1, u_(N+1))^(1 - bbar_(N+1))
+    with u_(N+1) over [0, inf), as ``small_cap_integral`` needs.  H_j for
+    j > N is unchanged but lives on [0, 1/(j - N)].  On u_(N+1) >= 1 the
+    weight is 1, and x = u s / (1 + u s) over [s / (1 + s), 1) takes a
+    Gauss-Jacobi rule for (1 - x)^(bbar_1 - 2).  H_N(s) grows like 1/s as
+    s -> 0, so the levels j <= N tabulate G_j = s H_j, which obeys the same
+    recursion with bbar_(j+1) and bbar_1 each lowered by one.
     """
     d = tails.size
-    graded = beta > 0.0
-    table = None                     # H_k / envelope as (coefficients, lo, hi)
+    table = None                     # H_k / envelope on [0, hi] as (coefficients, hi)
     for j in range(d - 1, 0, -1):    # integrate u_(j+1) out, giving H_j
         total = tails[0] - (j < junction)
-        floor = 1.0 / (1.0 / beta - (d - j)) if graded else 0.0
         if j == 1:
             s = np.ones(1)
         else:
-            lo, hi = (math.log(floor), -math.log(j)) if graded else (
-                0.0, 1.0 / (j - junction if j > junction else j))
-            s = lo + (hi - lo) * (_chebyshev(n)[0] + 1.0) / 2.0
-            if graded:
-                s = np.exp(s)
-        c = tails[j] - (j < junction)
-        if graded:
-            t, w = _legendre(n)
-            log_low = np.log(floor / s)[:, None]
-            log_u = log_low * t
-            u = np.exp(log_u)
-            weights = -log_low * w * np.exp(c * log_u)
-        else:
-            u, weights = _jacobi(n, c)
+            hi = 1.0 / (j - junction if j > junction else j)
+            s = hi * (_chebyshev(n)[0] + 1.0) / 2.0
+        u, weights = _jacobi(n, tails[j] - (j < junction))
         us = u * s[:, None]
         # (1 + u s)^(-bbar_1) times the envelope of H_(j+1) at u s / (1 + u s)
         # is (1 + m u s)^(-bbar_1); dividing by H_j's envelope at s leaves
@@ -438,15 +411,13 @@ def _shell_recursion(tails, beta: float, n: int, junction: int = 0) -> float:
             x_next = np.concatenate([x_next, (s_col + t) / (1.0 + s_col)], axis=1)
             total -= 1.0
         if table is not None:
-            coef, t_lo, t_hi = table
-            if graded:
-                x_next = np.log(x_next)
-            z = np.clip((2.0 * x_next - t_lo - t_hi) / (t_hi - t_lo), -1.0, 1.0)
+            coef, t_hi = table
+            z = np.clip((2.0 * x_next - t_hi) / t_hi, -1.0, 1.0)
             vals *= chebyshev.chebval(z, coef)
         h = vals.sum(axis=1)
         if j == 1:
             return float(h[0]) * float(d) ** -total
-        table = (_chebyshev(n)[1] @ h, lo, hi)
+        table = (_chebyshev(n)[1] @ h, hi)
 
 
 @functools.lru_cache(maxsize=None)
@@ -459,15 +430,6 @@ def _chebyshev(n: int):
     points = np.cos(theta)
     points.flags.writeable = to_coef.flags.writeable = False
     return points, to_coef
-
-
-@functools.lru_cache(maxsize=None)
-def _legendre(n: int):
-    """Gauss-Legendre rule on [0, 1]."""
-    x, w = special.roots_legendre(n)
-    t, w = (1.0 - x) / 2.0, w / 2.0
-    t.flags.writeable = w.flags.writeable = False
-    return t, w
 
 
 @functools.lru_cache(maxsize=1024)

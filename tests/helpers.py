@@ -1,7 +1,7 @@
 """Helpers that only the tests use: scalar rank/name lookups, tail and
 index-set sums, direct-algebra references for closed forms, and a nested
 scipy quadrature over the ordered simplex (d <= 3) that serves as an
-oracle independent of the ordered-shell recursion."""
+oracle independent of the ordered-simplex recursion."""
 
 import numpy as np
 from scipy import integrate

@@ -283,7 +283,7 @@ def test_mcmc_hybrid_matches_quadrature_oracle():
 
 
 def test_mcmc_hybrid_named_mean_matches_monomial_ratio():
-    # exact oracle: E[X_1] as a ratio of ordered-shell monomial integrals
+    # exact oracle: E[X_1] as a ratio of ordered-simplex monomial integrals
     a = np.array([0.5, 0.5])
     gamma = np.array([1.0, 0.5])
     p = ModelParams(a=a, gamma=gamma)

@@ -438,6 +438,19 @@ def test_wealth_guards_states_in_the_floor_band(where):
         growth_optimal_theta(np.array(state), p, 2)
 
 
+@pytest.mark.parametrize("where", sorted(_FLOOR_BAND))
+def test_master_formula_returns_the_holdings_it_traded(where):
+    p = rank_jacobi([1.5, 1.2, 1.0])
+    path = stored_path([[0.5, 0.3, 0.2], _FLOOR_BAND[where], [0.4, 0.35, 0.25]], p)
+    generator = RankPowerGenerator(p, 2)
+    result = master_formula(generator, path)
+    traded, mask = guarded_holdings(GeneratedStrategy(generator), path.states, np.ones(3))
+    assert mask.tolist() == [False, True, False]
+    assert np.all(np.isfinite(result.theta))
+    assert np.array_equal(result.theta, traded)
+    assert np.array_equal(result.theta, result.ledger.theta)
+
+
 def _strategies(d, gamma):
     params = ModelParams(a=np.linspace(1.5, 0.5, d), gamma=gamma[:d])
     rank_params = ModelParams(a=params.a, gamma=np.zeros(d))

@@ -275,7 +275,7 @@ def test_covariation_form_matches_matrix():
 
 
 # ---------------------------------------------------------------------------
-# monomial integrals over ordered shells
+# monomial integrals over the ordered simplex
 # ---------------------------------------------------------------------------
 
 def test_monomial_integral_finite_examples():
@@ -306,13 +306,6 @@ def test_monomial_integral_asymmetric_d2_oracle():
     assert monomial_integral([b1, b2]) == pytest.approx(oracle, rel=1e-8)
 
 
-def test_monomial_integral_homogeneity():
-    b = np.array([1.2, 0.8, 1.5])
-    lam = 2.7
-    ratio = monomial_integral(b, lam, lam * 0.05) / monomial_integral(b, 1.0, 0.05)
-    assert ratio == pytest.approx(lam ** (b.sum() - 1.0), rel=1e-8)
-
-
 @pytest.mark.parametrize("b", [
     [0.5, 0.6], [2.0, 0.1], [1.0, 0.5, 0.7], [3.0, -1.0, 2.0],
     [0.4, 0.4, 0.4, 0.4], [2.0, -0.5, 1.0, 0.6],
@@ -334,52 +327,40 @@ def test_monomial_integral_divergence_detected_analytically(b):
         monomial_integral(b)
 
 
-# Q(b; 1, beta) for beta in BETA_GRID, frozen from the nested adaptive
-# Gauss-Kronrod quadrature that preceded the shell recursion, run at
-# rel_tol=1e-10.  The one exception is (2, -0.5, 1, 0.6) at beta = 0, where
-# that quadrature stalled at 1e-10; its value is frozen at rel_tol=1e-9.
-BETA_GRID = (0.0, 1e-6, 1e-3, 0.05, 0.1)
-FROZEN_SHELLS = {
-    (2.3, 0.6): (0.8452037653267399, 0.8447851177922522, 0.8188017548540463,
-                 0.5757004093258734, 0.446773427231113),
-    (-0.5, 1.5): (0.4292036732051034, 0.4292036725383356, 0.4291825723634134,
-                  0.4213990172602423, 0.40603811533172113),
-    (1.2, 0.8, 1.5): (0.02996693775636799, 0.029966937302613593, 0.029952665499477407,
-                      0.025593310770033892, 0.019144873275660383),
-    (3.0, -1.0, 2.0): (0.0963264454454267, 0.09632544546256859, 0.09533490452181423,
-                       0.05734399875457591, 0.032484673034614),
-    (0.4, 0.4, 0.4, 0.4): (1.1289062076905816, 1.109293530560521, 0.8420650725464167,
-                           0.17011675986086433, 0.05428483202397674),
-    (2.0, -0.5, 1.0, 0.6): (0.2050748202886197, 0.20464847199805286, 0.17991115588830442,
-                            0.04081919732583373, 0.011749207662223973),
+# Q(b), frozen from the nested adaptive Gauss-Kronrod quadrature that
+# preceded the shell recursion, run at rel_tol=1e-10.  The one exception is
+# (2, -0.5, 1, 0.6), where that quadrature stalled at 1e-10; its value is
+# frozen at rel_tol=1e-9.
+FROZEN_INTEGRALS = {
+    (2.3, 0.6): 0.8452037653267399,
+    (-0.5, 1.5): 0.4292036732051034,
+    (1.2, 0.8, 1.5): 0.02996693775636799,
+    (3.0, -1.0, 2.0): 0.0963264454454267,
+    (0.4, 0.4, 0.4, 0.4): 1.1289062076905816,
+    (2.0, -0.5, 1.0, 0.6): 0.2050748202886197,
 }
 
 
-@pytest.mark.parametrize("b", sorted(FROZEN_SHELLS))
+@pytest.mark.parametrize("b", sorted(FROZEN_INTEGRALS))
 def test_monomial_integral_beta_grid_frozen(b):
-    values = [monomial_integral(b, beta=beta, rel_tol=1e-10) for beta in BETA_GRID]
-    assert values == pytest.approx(FROZEN_SHELLS[b], rel=1e-9)
-    assert all(later <= earlier for earlier, later in zip(values, values[1:]))
+    assert monomial_integral(b, rel_tol=1e-10) == pytest.approx(FROZEN_INTEGRALS[b], rel=1e-9)
 
 
-@pytest.mark.parametrize("beta", [0.0, 1e-3])
-def test_monomial_integral_d6_takes_under_a_second(beta):
+def test_monomial_integral_d6_takes_under_a_second():
     start = time.perf_counter()
-    monomial_integral([0.4, 1.3, 0.7, 2.0, 0.9, 1.1], beta=beta, rel_tol=1e-12)
+    monomial_integral([0.4, 1.3, 0.7, 2.0, 0.9, 1.1], rel_tol=1e-12)
     assert time.perf_counter() - start < 1.0
 
 
 def test_monomial_integral_raises_when_rel_tol_cannot_be_met():
-    # at beta = 1e-300 the largest rules still differ by about 2e-7
-    assert monomial_integral([1.2, 0.8, 1.5], beta=1e-300) == pytest.approx(
-        monomial_integral([1.2, 0.8, 1.5]), rel=1e-8)
-    with pytest.raises(QuadratureError):
-        monomial_integral([1.2, 0.8, 1.5], beta=1e-300, rel_tol=1e-10)
-
-
-def test_monomial_integral_positive_beta_always_finite():
-    value = monomial_integral([1.0, -2.0], beta=0.05)
-    assert math.isfinite(value) and value > 0.0
+    # settles at 1e-10, but its 128- and 256-point rules still differ by
+    # about 1.45e-7 on a value near 140.8, too much for 1e-15
+    b = [20.0, 0.05, 0.05]
+    assert monomial_integral(b, rel_tol=1e-10) > 0.0
+    with pytest.raises(QuadratureError, match="stalled") as info:
+        monomial_integral(b, rel_tol=1e-15)
+    error = float(str(info.value).split("estimated error ")[1].split()[0])
+    assert error > 0.0
 
 
 @pytest.mark.parametrize("a", [

@@ -48,6 +48,9 @@ RUNS = [  # (name, command, config, extra argv)
     ("limit", "limit", {"seed": 23, "pd": {"theta": 2.0, "tilt": [0.0]},
                         "schedule": {"d_list": [10, 40]},
                         "limit": {"n": 5000, "growth": {"sigma": 1.0, "N": 1}}}, []),
+    ("limit-functions", "limit", {"seed": 29, "pd": {"theta": 2.0, "tilt": [0.5]},
+                                  "schedule": {"d_list": [10, 40]},
+                                  "limit": {"n": 5000, "functions": ["phi2", "phi3"]}}, []),
 ] + [(f"growth-quad-N{n}", "growth", {"seed": 4, "model": RANK4, "open_market_size": n,
                                       "growth": {"method": "quadrature"}}, []) for n in (1, 3)
      ] + [(f"{name}-t{k}", "growth", cfg, ["--threads", str(k)])
