@@ -44,6 +44,16 @@ RUNS = [  # (name, command, config, extra argv)
     ("invariant-spacing", "invariant", {
         "seed": 21, "model": RANK3, "sampler": {"n": 2000, "method": "spacing"},
         "ergodic": {"T": 5.0, "dt": 1e-3, "paths": 2, "functions": ["one", "y1"]}}, []),
+    ("invariant-mcmc-ergodic", "invariant", {       # dt = 1e-3 under-resolves HYBRID3
+        "seed": 19, "model": HYBRID3, "sampler": {"n": 1000, "method": "mcmc"},
+        "ergodic": {"T": 2.0, "dt": 2e-4, "paths": 2, "functions": ["one", "y1", "x1"]}}, []),
+    ("invariant-dirichlet-ergodic", "invariant", {
+        "seed": 31, "model": {"a": [0.0] * 3, "gamma": [1.0, 2.0, 0.5]},
+        "sampler": {"n": 2000, "method": "dirichlet"},
+        "ergodic": {"T": 2.0, "dt": 1e-3, "paths": 2, "functions": ["x1", "y1"]}}, []),
+    ("invariant-spacing-named", "invariant", {
+        "seed": 37, "model": RANK3, "sampler": {"n": 2000, "kind": "named", "method": "spacing"},
+        "ergodic": {"T": 10.0, "dt": 1e-3, "paths": 4, "functions": ["x1", "y1"]}}, []),
     ("pd", "pd", {"seed": 17, "pd": {"theta": 1.0, "n": 5000, "max_degree": 4}}, []),
     ("limit", "limit", {"seed": 23, "pd": {"theta": 2.0, "tilt": [0.0]},
                         "schedule": {"d_list": [10, 40]},
