@@ -34,6 +34,7 @@ from .simplex import (
     QuadratureError,
     SimplexError,
     as_simplex,
+    ranked_weights,
     require_valid,
 )
 
@@ -198,12 +199,15 @@ def cmd_invariant(cfg, out, threads):
                      for name in ergodic_cfg.get("functions", ["y1"])}
             T, dt = _positive(ergodic_cfg["T"]), _positive(ergodic_cfg["dt"])
             n_paths = int(_positive(ergodic_cfg.get("paths", 8)))
-            n_samples = int(_positive(ergodic_cfg.get("n", n)))
             z_threshold = float(cfg.get("tolerances", {}).get("ergodic_z", 3.0))
     seed = cfg["seed"]
-    sample = invariant_mod.sample_invariant(params, n, seed, kind=kind, method=method)
+    # the ergodic check needs named draws; ranking them gives back the
+    # sampler's ranked rows, so one draw serves both
+    sample = invariant_mod.sample_invariant(params, n, seed, method=method,
+                                            kind="named" if ergodic_cfg else kind)
+    draws = ranked_weights(sample.draws) if kind != sample.kind else sample.draws
     write_csv(out / "invariant_samples.csv",
-              [f"x_{i}" for i in range(1, params.d + 1)], sample.draws)
+              [f"x_{i}" for i in range(1, params.d + 1)], draws)
     payload = {
         "results": {
             "method": sample.method,
@@ -216,8 +220,8 @@ def cmd_invariant(cfg, out, threads):
     report = None
     if ergodic_cfg:
         report = invariant_mod.ergodic_compare(
-            params, funcs, T=T, dt=dt, n_paths=n_paths, n_samples=n_samples,
-            seed=seed, sampler_method=method, z_threshold=z_threshold,
+            params, funcs, sample, T=T, dt=dt, n_paths=n_paths, seed=seed,
+            z_threshold=z_threshold,
         )
         payload["results"]["ergodic"] = report.rows()
         payload["results"]["ergodic_pass"] = report.passed
@@ -376,14 +380,15 @@ def cmd_limit(cfg, out, threads):
         growth_block = limit_block.get("growth")
         if growth_block:
             sigma = _positive(growth_block.get("sigma", 1.0))
-            n_top = int(growth_block.get("N", pd_cfg.n_tilted))
-            pdlimit_mod.require_limit_growth(pd_cfg, n_top)
-    report = pdlimit_mod.convergence_experiment(schedule, pd_cfg, funcs, n, cfg["seed"])
+            if int(growth_block.get("N", pd_cfg.n_tilted)) != pd_cfg.n_tilted:
+                raise ConfigError("limit.growth.N must equal the number of tilts")
+            pdlimit_mod.require_limit_growth(pd_cfg)
+    estimate = pdlimit_mod.tilted_estimator(pd_cfg, n, cfg["seed"])
+    report = pdlimit_mod.convergence_experiment(schedule, estimate, funcs, n, cfg["seed"])
     report.to_csv(out / "limit_convergence.csv")
     payload = {"results": {"passed": report.passed, "final_gap_z": report.final_gap_z}}
     if growth_block:
-        est = pdlimit_mod.limit_growth_rate(pd_cfg, sigma=sigma, n_top=n_top, n=n,
-                                            seed=cfg["seed"])
+        est = pdlimit_mod.limit_growth_rate(pd_cfg, sigma, estimate)
         payload["results"]["limit_growth"] = {
             "value": est.value, "se": est.se, "ess": est.ess,
         }

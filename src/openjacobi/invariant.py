@@ -608,11 +608,6 @@ class ErgodicEntry:
 class ErgodicReport:
     entries: list
     under_resolved: bool
-    n_paths: int
-    horizon: float
-    dt: float
-    n_samples: int
-    sampler_method: str
 
     @property
     def passed(self) -> bool:
@@ -631,17 +626,18 @@ class ErgodicReport:
         ]
 
 
-def ergodic_compare(params: ModelParams, funcs: dict, *, T: float, dt: float,
-                    n_paths: int, n_samples: int, seed: int,
-                    z_threshold: float = 3.0,
-                    sampler_method: str | None = None) -> ErgodicReport:
-    """Compare long-run path averages with stationary-sampler averages.
+def ergodic_compare(params: ModelParams, funcs: dict, sample: SampleResult, *,
+                    T: float, dt: float, n_paths: int, seed: int,
+                    z_threshold: float = 3.0) -> ErgodicReport:
+    """Compare long-run path averages with averages over stationary draws.
 
     Each named function is averaged along n_paths trajectories from the
-    uniform state (pooled with a cross-path standard error) and over
-    n_samples stationary draws; the discrepancy is expressed in combined
-    standard errors.
+    uniform state (pooled with a cross-path standard error) and over the
+    named draws of ``sample`` (``sample_invariant(..., kind="named")``);
+    the discrepancy is expressed in combined standard errors.
     """
+    if sample.kind != "named":
+        raise ValueError("ergodic_compare needs named stationary draws")
     funcs = {name: (make_statistic(fn) if isinstance(fn, str) else fn)
              for name, fn in funcs.items()}
     observer = TimeAverageObserver(funcs)
@@ -649,8 +645,6 @@ def ergodic_compare(params: ModelParams, funcs: dict, *, T: float, dt: float,
                       n_paths=n_paths, observers=[observer],
                       block_steps=OBSERVED_BLOCK_STEPS)
     averages = batch.observations["time_averages"]
-    sample = sample_invariant(params, n_samples, seed, kind="named",
-                              method=sampler_method)
     entries = []
     for name, fn in funcs.items():
         t_avg, t_se = mean_and_se(averages[name])
@@ -662,8 +656,4 @@ def ergodic_compare(params: ModelParams, funcs: dict, *, T: float, dt: float,
             invariant_avg=i_avg, invariant_se=i_se, z_score=z,
             passed=bool(abs(z) < z_threshold),
         ))
-    return ErgodicReport(
-        entries=entries, under_resolved=batch.under_resolved,
-        n_paths=n_paths, horizon=batch.horizon, dt=dt,
-        n_samples=n_samples, sampler_method=sample.method,
-    )
+    return ErgodicReport(entries=entries, under_resolved=batch.under_resolved)

@@ -174,18 +174,20 @@ class TiltedEstimate:
 
 
 def tilted_expect(cfg: PDConfig, fn, n: int, seed: int) -> TiltedEstimate:
-    """Self-normalized importance estimate of E[f] under the tilted limit law.
+    """Self-normalized importance estimate of E[f] under the tilted limit law:
+    ``tilted_estimator(cfg, n, seed)(fn)``."""
+    return tilted_estimator(cfg, n, seed)(fn)
 
-    Draws PD(theta) points, weights them by prod_{k<=N} Y_k^{a_k}, and
-    normalizes.  Raises when the effective sample size drops below 5% of n,
-    which signals a tilt too heavy for the sample budget.
+
+def tilted_estimator(cfg: PDConfig, n: int, seed: int):
+    """Map f -> self-normalized importance estimate of E[f] under the tilted
+    limit law, over one weighted sample drawn once.
+
+    Draws n PD(theta) points and weights them by prod_{k<=N} Y_k^{a_k}.
+    Raises ``HeavyTiltError`` here, before any f is evaluated, when the
+    effective sample size is below 5% of n, which signals a tilt too heavy
+    for the sample budget.
     """
-    return _tilted_estimator(cfg, n, seed)(fn)
-
-
-def _tilted_estimator(cfg: PDConfig, n: int, seed: int):
-    """``tilted_expect`` as a map f -> estimate over one weighted sample,
-    drawn (and checked against the effective-size floor) once."""
     sample = pd_sample(cfg.theta, cfg.M, n, seed)
     y = sample.weights
     if cfg.n_tilted:
@@ -277,7 +279,6 @@ class ConvergenceRow:
     estimate: float
     se: float
     tilted_limit: float
-    limit_se: float
     gap: float
 
 
@@ -298,23 +299,21 @@ class ConvergenceReport:
                   self.csv_rows())
 
 
-def convergence_experiment(schedule: ScheduleAd, cfg: PDConfig, funcs: dict,
+def convergence_experiment(schedule: ScheduleAd, estimate, funcs: dict,
                            n: int, seed: int) -> ConvergenceReport:
     """Estimate E[f] under each finite-d stationary law and compare with the
     tilted PD limit along the d-ladder.
 
-    Finite-d draws come from the exact rank-based sampler, zero-padded into
-    the infinite ordered simplex; ladder member d takes its seed from the
-    substream labelled ``limit-ladder-d<d>``, so members never reuse
-    another run's master seed.  Passes when every function's gap
+    ``estimate`` is a ``tilted_estimator`` of the limit law; each function's
+    limit comes from its one weighted sample.  Finite-d draws (n per ladder
+    member) come from the exact rank-based sampler, zero-padded into the
+    infinite ordered simplex; ladder member d takes its seed from the
+    substream of ``seed`` labelled ``limit-ladder-d<d>``, so members never
+    reuse another run's master seed.  Passes when every function's gap
     sequence decreases along the ladder and the final gap is within three
     combined standard errors.
     """
-    estimate = _tilted_estimator(cfg, n, seed)
-    limits = {}
-    for name, fn in funcs.items():
-        est = estimate(fn)
-        limits[name] = (est.value, est.se)
+    limits = {name: estimate(fn) for name, fn in funcs.items()}
     rows = []
     for d in schedule.d_list:
         params = schedule.params_for(d)
@@ -325,10 +324,10 @@ def convergence_experiment(schedule: ScheduleAd, cfg: PDConfig, funcs: dict,
         for name, fn in funcs.items():
             vals = np.asarray(fn(sample.draws), dtype=float)
             est, se = mean_and_se(vals)
-            lim, lim_se = limits[name]
+            lim = limits[name].value
             rows.append(ConvergenceRow(
                 d=d, function_id=name, estimate=est, se=se,
-                tilted_limit=lim, limit_se=lim_se, gap=abs(est - lim),
+                tilted_limit=lim, gap=abs(est - lim),
             ))
     passed = True
     final_gap_z = {}
@@ -337,16 +336,14 @@ def convergence_experiment(schedule: ScheduleAd, cfg: PDConfig, funcs: dict,
         gaps.sort(key=lambda r: r.d)
         decreasing = all(gaps[i].gap >= gaps[i + 1].gap for i in range(len(gaps) - 1))
         last = gaps[-1]
-        z = z_score(last.estimate, last.se, last.tilted_limit, limits[name][1])
+        z = z_score(last.estimate, last.se, last.tilted_limit, limits[name].se)
         final_gap_z[name] = z
         passed = passed and decreasing and abs(z) < 3.0
     return ConvergenceReport(rows=rows, passed=passed, final_gap_z=final_gap_z)
 
 
-def require_limit_growth(cfg: PDConfig, n_top: int) -> None:
-    """Raise ``ValueError`` unless ``limit_growth_rate`` applies to (cfg, n_top)."""
-    if n_top != cfg.n_tilted:
-        raise ValueError("n_top must match the number of tilted ranks")
+def require_limit_growth(cfg: PDConfig) -> None:
+    """Raise ``ValueError`` unless ``limit_growth_rate`` applies to cfg."""
     if not cfg.theta > 1.0:
         raise ValueError("limit growth rate requires theta > 1")
     for k in range(2, cfg.n_tilted + 1):
@@ -354,16 +351,19 @@ def require_limit_growth(cfg: PDConfig, n_top: int) -> None:
             raise ValueError("limit growth rate requires theta + tilt tails > 1")
 
 
-def limit_growth_rate(cfg: PDConfig, sigma: float, n_top: int, n: int,
-                      seed: int) -> TiltedEstimate:
-    """Large-d limit of the robust optimal growth rate:
+def limit_growth_rate(cfg: PDConfig, sigma: float, estimate) -> TiltedEstimate:
+    """Large-d limit of the robust optimal growth rate with an open market
+    of the N = ``cfg.n_tilted`` tilted ranks:
     (sigma^2/8) E_tilted[sum_{k<=N} a_k^2 / Y_k + theta^2 / tail] minus
     (sigma^2/8)(sum a_k + theta)^2.
 
-    Requires theta > 1 and theta + (tilt tail sums) > 1 for k = 2..N.
+    ``estimate`` is a ``tilted_estimator`` of cfg's limit law, so the
+    expectation reuses its weighted sample.  Requires theta > 1 and
+    theta + (tilt tail sums) > 1 for k = 2..N.
     """
-    require_limit_growth(cfg, n_top)
+    require_limit_growth(cfg)
     a = np.asarray(cfg.tilt)
+    n_top = cfg.n_tilted
     s2 = sigma * sigma
 
     def integrand(y):
@@ -372,11 +372,11 @@ def limit_growth_rate(cfg: PDConfig, sigma: float, n_top: int, n: int,
         val = (a ** 2 / top).sum(axis=1) if n_top else np.zeros(y.shape[0])
         return val + cfg.theta ** 2 / tail
 
-    est = tilted_expect(cfg, integrand, n, seed)
+    est = estimate(integrand)
     offset = (s2 / 8.0) * (sum(cfg.tilt) + cfg.theta) ** 2
     return TiltedEstimate(
         value=(s2 / 8.0) * est.value - offset,
         se=(s2 / 8.0) * est.se,
         ess=est.ess,
-        n=n,
+        n=est.n,
     )

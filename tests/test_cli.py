@@ -129,6 +129,8 @@ def test_invalid_params_exit_two_with_violated_index(tmp_path, capsys):
      "SimplexError"),
     ("invariant", {"model": {"a": [1.0, 1.0], "gamma": [0.5, 0.0]},
                    "sampler": {"method": "spacing"}}, "InvalidModelError"),
+    ("limit", {"pd": {"theta": 2.0, "tilt": [0.0]}, "schedule": {"d_list": [10, 40]},
+               "limit": {"growth": {"sigma": 1.0, "N": 2}}}, "ConfigError"),
 ])
 def test_typed_config_and_model_errors_exit_two(tmp_path, capsys, monkeypatch,
                                                 command, payload, error_class):
@@ -216,6 +218,43 @@ def test_invariant_samples_and_ergodic_report(tmp_path):
     assert ids == {"one", "y1"}
 
 
+def test_invariant_with_ergodic_block_draws_once(tmp_path, monkeypatch):
+    import openjacobi.cli as cli
+
+    calls = []
+    sample_invariant = cli.invariant_mod.sample_invariant
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return sample_invariant(*args, **kwargs)
+
+    monkeypatch.setattr(cli.invariant_mod, "sample_invariant", counting)
+    cfg = write_config(tmp_path, {
+        "seed": 21, "model": BASE_MODEL, "sampler": {"n": 500},
+        "ergodic": {"T": 1.0, "dt": 1e-3, "paths": 2, "functions": ["y1"]},
+    })
+    assert run(["invariant", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("method, model", [
+    ("dirichlet", {"a": [0.0] * 3, "gamma": [1.0, 2.0, 0.5]}),
+    ("spacing", BASE_MODEL),
+    ("mcmc", {"a": [1.0, 0.5, 0.5], "gamma": [0.3, 0.2, 0.1]}),
+])
+def test_ergodic_block_leaves_ranked_samples_unchanged(tmp_path, method, model):
+    # the ergodic check draws named samples; ranking them must reproduce
+    # the sampler's ranked rows bit for bit
+    base = {"seed": 27, "model": model, "sampler": {"n": 500, "method": method}}
+    ergodic = {"ergodic": {"T": 0.5, "dt": 2e-4, "paths": 2, "functions": ["x1"]}}
+    written = []
+    for name, payload in (("plain", base), ("ergodic", {**base, **ergodic})):
+        cfg = write_config(tmp_path, payload, name=f"{name}.json")
+        assert run(["invariant", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        written.append((tmp_path / name / "invariant_samples.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_boundary_command_outputs(tmp_path):
     cfg = write_config(tmp_path, {
         "seed": 7,
@@ -279,6 +318,25 @@ def test_limit_command_convergence_and_growth(tmp_path):
     assert len(rows) == 3
     report = read_json(out / "limit_report.json")
     assert "limit_growth" in report["results"]
+
+
+def test_limit_with_growth_draws_one_pd_sample(tmp_path, monkeypatch):
+    import openjacobi.cli as cli
+
+    calls = []
+    pd_sample = cli.pdlimit_mod.pd_sample
+
+    def counting(*args):
+        calls.append(args)
+        return pd_sample(*args)
+
+    monkeypatch.setattr(cli.pdlimit_mod, "pd_sample", counting)
+    cfg = write_config(tmp_path, {
+        "seed": 23, "pd": {"theta": 2.0, "tilt": [0.0]}, "schedule": {"d_list": [10, 40]},
+        "limit": {"n": 2_000, "growth": {"sigma": 1.0, "N": 1}},
+    })
+    assert run(["limit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_heavy_tilt_exits_three(tmp_path, capsys):

@@ -446,8 +446,8 @@ def test_make_statistic_forms():
 
 def test_ergodic_compare_constant_function_is_exact():
     p = rank_jacobi([1.0, 1.0, 1.0])
-    report = ergodic_compare(p, {"one": "one"}, T=1.0, dt=1e-3, n_paths=3,
-                             n_samples=100, seed=41)
+    report = ergodic_compare(p, {"one": "one"}, sample_invariant(p, 100, 41, kind="named"),
+                             T=1.0, dt=1e-3, n_paths=3, seed=41)
     entry = report.entries[0]
     assert entry.time_avg == 1.0
     assert entry.invariant_avg == 1.0
@@ -455,11 +455,18 @@ def test_ergodic_compare_constant_function_is_exact():
     assert entry.passed
 
 
+def test_ergodic_compare_rejects_ranked_draws():
+    p = rank_jacobi([1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="named"):
+        ergodic_compare(p, {"x1": "x1"}, sample_invariant(p, 100, 41), T=1.0, dt=1e-3,
+                        n_paths=1, seed=41)
+
+
 def test_ergodic_compare_rank_jacobi_top_weight():
     p = rank_jacobi([1.0, 1.0, 1.0])
     report = ergodic_compare(
-        p, {"y1": "y1", "x1": "x1"}, T=60.0, dt=1e-3, n_paths=6,
-        n_samples=50_000, seed=43,
+        p, {"y1": "y1", "x1": "x1"}, sample_invariant(p, 50_000, 43, kind="named"),
+        T=60.0, dt=1e-3, n_paths=6, seed=43,
     )
     assert not report.under_resolved
     assert report.passed, [e.z_score for e in report.entries]
@@ -473,7 +480,8 @@ def test_rank_occupancy_is_uniform_for_symmetric_name_model():
     p = ModelParams(a=np.zeros(3), gamma=np.full(3, 2.0))
     report = ergodic_compare(
         p, {f"rank1_is_{i}": f"rank1_is_{i}" for i in (1, 2, 3)},
-        T=80.0, dt=1e-3, n_paths=4, n_samples=30_000, seed=47,
+        sample_invariant(p, 30_000, 47, kind="named"),
+        T=80.0, dt=1e-3, n_paths=4, seed=47,
     )
     for entry in report.entries:
         assert abs(entry.time_avg - 1.0 / 3.0) < 0.03

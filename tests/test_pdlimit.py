@@ -15,6 +15,7 @@ from openjacobi import (
     power_sum,
     robust_growth_rate,
     sample_invariant,
+    tilted_estimator,
     tilted_expect,
 )
 from openjacobi._util import z_score
@@ -200,7 +201,8 @@ def test_convergence_experiment_plain_pd():
     sched = make_schedule(theta, (), d_list=[10, 40, 320])
     cfg = PDConfig(theta=theta, tilt=())
     report = convergence_experiment(
-        sched, cfg, {"phi2": lambda y: power_sum(y, 2)}, n=40_000, seed=8,
+        sched, tilted_estimator(cfg, 40_000, 8), {"phi2": lambda y: power_sum(y, 2)},
+        n=40_000, seed=8,
     )
     rows = sorted(report.rows, key=lambda r: r.d)
     assert rows[0].tilted_limit == pytest.approx(1.0 / (1.0 + theta), abs=3e-3)
@@ -231,18 +233,15 @@ def test_degenerate_tilt_concentrates_on_single_atom():
 # ---------------------------------------------------------------------------
 
 def test_limit_growth_rate_preconditions():
+    cfg = PDConfig(theta=1.0, tilt=(0.0,))
     with pytest.raises(ValueError):
-        limit_growth_rate(PDConfig(theta=1.0, tilt=(0.0,)), sigma=1.0,
-                          n_top=1, n=1000, seed=9)
-    with pytest.raises(ValueError):
-        limit_growth_rate(PDConfig(theta=3.0, tilt=(0.0, 0.0)), sigma=1.0,
-                          n_top=1, n=1000, seed=9)   # n_top mismatch
+        limit_growth_rate(cfg, 1.0, tilted_estimator(cfg, 1000, 9))
 
 
 def test_limit_growth_rate_untilted_form():
     theta, sigma = 3.0, 1.2
     cfg = PDConfig(theta=theta, tilt=(0.0,))
-    est = limit_growth_rate(cfg, sigma=sigma, n_top=1, n=60_000, seed=10)
+    est = limit_growth_rate(cfg, sigma, tilted_estimator(cfg, 60_000, 10))
     # direct reduction: (sigma^2/8) theta^2 (E[1/(1 - Y_1)] - 1)
     plain = tilted_expect(cfg, lambda y: 1.0 / (1.0 - y[:, 0]), 60_000, seed=10)
     expected = sigma ** 2 / 8.0 * theta ** 2 * (plain.value - 1.0)
@@ -255,7 +254,7 @@ def test_finite_d_growth_rates_approach_limit():
     # schedule approaches the tilted-limit value as d grows
     theta, n_top = 3.0, 1
     cfg = PDConfig(theta=theta, tilt=(0.0,))
-    limit = limit_growth_rate(cfg, sigma=1.0, n_top=n_top, n=200_000, seed=11)
+    limit = limit_growth_rate(cfg, 1.0, tilted_estimator(cfg, 200_000, 11))
     sched = make_schedule(theta, (0.0,), d_list=[12, 48, 192])
     gaps = []
     for d in sched.d_list:
