@@ -25,6 +25,7 @@ HYBRID4 = {"a": [1.5, 1.5, 1.5, 1.5], "gamma": [0.2, -0.1, 0.0, -0.1], "sigma": 
 RANK4 = {"a": [1.0, 1.0, 1.0, 1.5], "gamma": [0.0] * 4, "sigma": 1.0}
 SIM = {"T": 2.0, "dt": 1e-3, "paths": 4}
 GUARDED = {"a": [1.0, 1.0], "gamma": [0.0, 0.0], "sigma": 3.0}
+EDGE3 = {"a": [1.0, 0.8, 0.7], "gamma": [0.2, 0.0, -0.1], "sigma": 1.0}
 BACKTESTS = {       # growth backtests, each run at --threads 1 and 2
     "growth-rank": {"seed": 13, "model": RANK3, "open_market_size": 1,
                     "growth": {"n": 20000, "sim": SIM}},
@@ -32,7 +33,14 @@ BACKTESTS = {       # growth backtests, each run at --threads 1 and 2
                       "growth": {"sim": SIM}},
     "growth-guarded": {"seed": 3, "model": GUARDED, "open_market_size": 1, "growth": {
         "n": 5000, "sim": {"T": 20.0, "dt": 0.01, "paths": 6}}},
+    "growth-rank-long": {"seed": 43, "model": RANK3, "open_market_size": 1,     # 4 blocks
+                         "growth": {"n": 2000, "sim": {"T": 7.0, "dt": 1e-3, "paths": 4}}},
 }
+BOUNDARY = [  # (name, query) on EDGE3, 5000 steps in two observed blocks
+    ("rank-pushed", {"kind": "rank_pushed_only", "k": 2}),
+    ("nameset", {"kind": "nameset_hits", "names": [2, 3]}),
+    ("nameset-pushed", {"kind": "nameset_pushed_only", "names": [3]}),
+]
 RUNS = [  # (name, command, config, extra argv)
     ("simulate", "simulate", {"seed": 11, "model": HYBRID3,
                               "sim": {"T": 0.5, "dt": 1e-3, "paths": 2}}, []),
@@ -64,7 +72,10 @@ RUNS = [  # (name, command, config, extra argv)
 ] + [(f"growth-quad-N{n}", "growth", {"seed": 4, "model": RANK4, "open_market_size": n,
                                       "growth": {"method": "quadrature"}}, []) for n in (1, 3)
      ] + [(f"{name}-t{k}", "growth", cfg, ["--threads", str(k)])
-          for name, cfg in BACKTESTS.items() for k in (1, 2)]
+          for name, cfg in BACKTESTS.items() for k in (1, 2)
+     ] + [(f"boundary-{name}", "boundary", {"seed": 41, "model": EDGE3, "boundary": {
+         **query, "T": 5.0, "paths": 40, "eps": [1e-2, 1e-3, 1e-4]}}, [])
+          for name, query in BOUNDARY]
 
 
 def digest(path: Path) -> str:
