@@ -90,33 +90,20 @@ class BoundaryQuery:
             return rank_pushed_only(params, self.k)
         return nameset_avoids_zero(params, self.names)
 
-    def condition(self):
-        """Vectorized dip test over states (..., P, d) for a whole epsilon
-        ladder at once (the sort is shared across the ladder)."""
+    def band(self, states):
+        """Bounds (lo, hi) of the dip test lo < eps <= hi at states (..., P, d):
+        lo is the watched ranked weight or name-set sum; hi, for the
+        pushed-only kinds, is the rank above or the sum plus the smallest
+        other weight, and None otherwise."""
         if self.kind.startswith("rank"):
-            k = self.k
-
-            def rank_cond(states, eps_ladder):
-                y = ranked_weights(states)
-                shaped = eps_ladder.reshape((-1,) + (1,) * (states.ndim - 1))
-                dip = y[None, ..., k - 1] < shaped
-                if self.kind == "rank_pushed_only":
-                    dip &= y[None, ..., k - 2] >= shaped
-                return dip
-
-            return rank_cond
+            y = ranked_weights(states)
+            hi = y[..., self.k - 2] if self.kind == "rank_pushed_only" else None
+            return y[..., self.k - 1], hi
         idx = np.asarray(sorted(self.names)) - 1
-
-        def nameset_cond(states, eps_ladder):
-            lam = states[..., idx].sum(axis=-1)
-            shaped = eps_ladder.reshape((-1,) + (1,) * lam.ndim)
-            dip = lam[None, ...] < shaped
-            if self.kind == "nameset_pushed_only":
-                others = np.delete(states, idx, axis=-1)
-                dip &= (lam + others.min(axis=-1))[None, ...] >= shaped
-            return dip
-
-        return nameset_cond
+        lam = states[..., idx].sum(axis=-1)
+        if self.kind == "nameset_hits":
+            return lam, None
+        return lam, lam + np.delete(states, idx, axis=-1).min(axis=-1)
 
 
 @dataclass
@@ -165,19 +152,14 @@ def mc_hit_frequency(params: ModelParams, query: BoundaryQuery, *,
     the epsilon ladder; when it says "hits", they stay bounded away from
     zero as epsilon decreases at fixed horizon.
     """
-    observer = HitObserver(query.condition(), eps)
+    observer = HitObserver(query.band, eps)
     batch = run_paths(params, np.full(params.d, 1.0 / params.d), T, dt, seed,
                       n_paths=n_paths, observers=[observer],
                       block_steps=OBSERVED_BLOCK_STEPS)
-    hits = batch.observations["hits"]["hit"]          # (E, P) booleans
-    eps_sorted = batch.observations["hits"]["eps"]
-    freq = hits.mean(axis=1)
-    lo = np.empty_like(freq)
-    hi = np.empty_like(freq)
-    for e in range(eps_sorted.size):
-        lo[e], hi[e] = wilson_interval(int(hits[e].sum()), n_paths)
+    hits = batch.observations["hits"]                 # eps (E,), hit (E, P) booleans
+    lo, hi = np.array([wilson_interval(int(h.sum()), n_paths) for h in hits["hit"]]).T
     return FrequencyTable(
         query=query, analytic_avoids=query.analytic_avoids(params),
-        eps=eps_sorted, frequency=freq, ci_lo=lo, ci_hi=hi,
+        eps=hits["eps"], frequency=hits["hit"].mean(axis=1), ci_lo=lo, ci_hi=hi,
         n_paths=n_paths, horizon=batch.horizon, under_resolved=batch.under_resolved,
     )

@@ -48,6 +48,7 @@ RHAT_CEILING = 1.01
 MIN_SEGMENT = 16          # draws per chain segment in the ESS of returned draws
 ACCEPTANCE_FLOOR = 1e-3
 SPACING_CHUNK = 20_000    # spacing proposals drawn per round
+NAMING_CHUNK = 2_048      # ranked draws named at once, each with d! weights
 ENVELOPE_MAX_ITER = 1_000  # steps toward the spacing envelope's best point
 ENVELOPE_TOL = 1e-12      # smallest gain (and step) that counts
 
@@ -548,18 +549,22 @@ def _assign_names(ranked, params, rng):
     """Scatter ranked draws to names with the stationary conditional law.
 
     Given the ranked point, the name assignment sigma has probability
-    proportional to prod_k y_k^{gamma_{sigma(k)}}.
+    proportional to prod_k y_k^{gamma_{sigma(k)}}.  The (rows, d!) weights
+    are formed NAMING_CHUNK rows at a time, by ``einsum``: unlike a BLAS
+    product its rows do not depend on the chunk, so neither do the names.
     """
     perms = _permutations_array(params.d)
+    u = rng.random((ranked.shape[0], 1))
     with np.errstate(divide="ignore"):
         logy = np.log(ranked)                       # (n, d)
-    logw = logy @ params.gamma[perms].T             # (n, n_perms)
-    logw -= logw.max(axis=1, keepdims=True)
-    w = np.exp(logw)
-    w /= w.sum(axis=1, keepdims=True)
-    cum = np.cumsum(w, axis=1)
-    u = rng.random((ranked.shape[0], 1))
-    choice = (u > cum).sum(axis=1)
+    choice = np.empty(ranked.shape[0], dtype=np.int64)
+    for lo in range(0, ranked.shape[0], NAMING_CHUNK):
+        rows = slice(lo, lo + NAMING_CHUNK)
+        logw = np.einsum("nk,pk->np", logy[rows], params.gamma[perms])   # (rows, d!)
+        logw -= logw.max(axis=1, keepdims=True)
+        w = np.exp(logw)
+        w /= w.sum(axis=1, keepdims=True)
+        choice[rows] = (u[rows] > np.cumsum(w, axis=1)).sum(axis=1)
     return to_names(ranked, perms[choice])
 
 

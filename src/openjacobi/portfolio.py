@@ -384,23 +384,19 @@ class WealthObserver(PathObserver):
     def __init__(self, strategy: Strategy, params: ModelParams):
         self.strategy = strategy
         self.params = params
-        self._prev_theta = None
-        self._logv = None
-        self._drift = None
-        self._guarded = None
 
-    def start(self, t0, states):
+    def start(self, states, dt):
         P = states.shape[0]
+        self._dt = dt
         self._logv = np.zeros(P)
         self._drift = np.zeros(P)
         self._guarded = np.zeros(P, dtype=np.int64)
         self._prev_theta = np.ones_like(states)
 
-    def update(self, times, states):
-        dt = float(times[1] - times[0])
+    def update(self, states):
         left = states[:-1]                                  # (B, P, d)
         theta, mask = guarded_holdings(self.strategy, left, self._prev_theta)
-        dlog, drift_incr = _increments(theta, states, dt, self.params.sigma,
+        dlog, drift_incr = _increments(theta, states, self._dt, self.params.sigma,
                                        drift(left, self.params))
         self._guarded += mask.sum(axis=0)
         self._logv += sum_over_steps(dlog)
@@ -440,6 +436,10 @@ class Generator:
         discrete stand-in for the quadratic-covariation integral.
         """
         raise NotImplementedError
+
+    def local_time_drift(self, path: SimPath) -> np.ndarray:
+        """Cumulative local-time terms of log G along a path: none for smooth G."""
+        return np.zeros(path.states.shape[0])
 
 
 class ConstantGenerator(Generator):
@@ -570,9 +570,8 @@ def master_formula(generator: Generator, path: SimPath) -> MasterFormulaResult:
     ledger = wealth(path, GeneratedStrategy(generator), tol=1e-9)
     dx = np.diff(path.states, axis=0)
     correction = generator.quad_form(path.states[:-1], dx)
-    gamma_drift = np.concatenate([[0.0], -0.5 * np.cumsum(correction)])
-    if isinstance(generator, RankPowerGenerator):
-        gamma_drift = gamma_drift + generator.local_time_drift(path)
+    gamma_drift = (np.concatenate([[0.0], -0.5 * np.cumsum(correction)])
+                   + generator.local_time_drift(path))
     log_g = generator.log_value(path.states)
     identity_gap = np.abs(ledger.log_wealth - (log_g - log_g[0] + gamma_drift))
     return MasterFormulaResult(

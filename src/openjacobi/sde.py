@@ -10,7 +10,8 @@ Paths are driven by counter-based Philox streams keyed by
 (master seed, path index), so batches are bit-reproducible regardless of
 block size, worker count, or dispatch order.  Long-horizon experiments
 avoid storing full trajectories by attaching observers that consume the
-simulation block by block.
+simulation block by block; they get the run's dt once and then see states
+only.  ``_dips`` is the one epsilon-ladder test, lo < eps <= hi.
 
 Steps run in a compiled C kernel (``_kernel.c``, built on first use and
 cached; see ``_kernel``) that releases the GIL, so worker threads simulate
@@ -210,17 +211,17 @@ def sum_over_steps(arr) -> np.ndarray:
 class PathObserver:
     """Block-wise consumer of a simulation.
 
-    ``start`` sees the initial states (P, d); every ``update`` sees times
-    (B+1,) and states (B+1, P, d) whose first row repeats the last row of
-    the previous call, so increments can be formed across block borders.
+    ``start`` sees the initial states (P, d) and the run's dt; every
+    ``update`` sees states (B+1, P, d) whose first row repeats the last row
+    of the previous call, so increments can be formed across block borders.
     Implementations must count each grid point exactly once: the initial
     state in ``start`` and rows 1..B in ``update``.
     """
 
-    def start(self, t0: float, states: np.ndarray) -> None:  # pragma: no cover
+    def start(self, states: np.ndarray, dt: float) -> None:  # pragma: no cover
         pass
 
-    def update(self, times: np.ndarray, states: np.ndarray) -> None:
+    def update(self, states: np.ndarray) -> None:
         raise NotImplementedError
 
     def result(self) -> dict:
@@ -246,7 +247,7 @@ def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
     states = np.tile(x0, (n_paths, 1))
     streams = [path_stream(seed, path_offset + i) for i in range(n_paths)]
     for ob in observers:
-        ob.start(0.0, states)
+        ob.start(states, dt)
     stored = [states[:, None, :].copy()] if store else None
     n_projected = np.zeros(n_paths, dtype=np.int64)
     done = 0
@@ -256,9 +257,8 @@ def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
         block = np.empty((b + 1, n_paths, d))
         block[0] = states
         n_projected += _advance_block(block, params, dt, z)
-        times = (done + np.arange(b + 1)) * dt
         for ob in observers:
-            ob.update(times, block)
+            ob.update(block)
         if store:
             stored.append(block[1:].transpose(1, 0, 2).copy())
         states = block[-1].copy()
@@ -315,6 +315,20 @@ def simulate_given_noise(params: ModelParams, x0, dt: float, gaussians) -> SimPa
 # observers
 # ---------------------------------------------------------------------------
 
+def _ladder(eps_ladder) -> np.ndarray:
+    return np.asarray(sorted(eps_ladder, reverse=True), dtype=float)
+
+
+def _dips(lo, hi, eps) -> np.ndarray:
+    """Booleans (E,) + lo.shape of lo < eps <= hi for each epsilon of the
+    ladder ``eps`` (E,); ``hi=None`` leaves the interval open above."""
+    shaped = eps.reshape((-1,) + (1,) * np.ndim(lo))
+    dip = lo < shaped
+    if hi is not None:
+        dip &= hi >= shaped
+    return dip
+
+
 class TimeAverageObserver(PathObserver):
     """Per-path time averages (1/T) * integral f(X_t) dt for named functions.
 
@@ -325,18 +339,17 @@ class TimeAverageObserver(PathObserver):
 
     def __init__(self, funcs: dict):
         self.funcs = dict(funcs)
-        self._acc = None
+
+    def start(self, states, dt):
+        self._acc = {name: np.zeros(states.shape[0]) for name in self.funcs}
+        self._dt = dt
         self._elapsed = 0.0
 
-    def start(self, t0, states):
-        self._acc = {name: np.zeros(states.shape[0]) for name in self.funcs}
-
-    def update(self, times, states):
-        dt = float(times[1] - times[0])
+    def update(self, states):
         left = states[:-1]
         for name, fn in self.funcs.items():
-            self._acc[name] += sum_over_steps(fn(left)) * dt
-        self._elapsed += dt * (times.size - 1)
+            self._acc[name] += sum_over_steps(fn(left)) * self._dt
+        self._elapsed += self._dt * left.shape[0]
 
     def result(self):
         return {
@@ -355,73 +368,57 @@ class OccupationObserver(PathObserver):
     """
 
     def __init__(self, eps_ladder=(1e-2, 1e-3, 1e-4)):
-        self.eps = np.asarray(sorted(eps_ladder, reverse=True), dtype=float)
+        self.eps = _ladder(eps_ladder)
+
+    def start(self, states, dt):
+        P, d = states.shape                       # counts of d-1 gaps, the minimum, the window
+        self._counts = np.zeros((self.eps.size, P, d + 1), dtype=np.int64)
         self._n = 0
-        self._gap = None
-        self._min = None
-        self._triple = None
-
-    def start(self, t0, states):
-        P, d = states.shape
-        E = self.eps.size
-        self._gap = np.zeros((E, d - 1, P), dtype=np.int64)
-        self._min = np.zeros((E, P), dtype=np.int64)
-        self._triple = np.zeros((E, P), dtype=np.int64)
         self._count(states[None, :, :])
-        self._n = 1
 
-    def update(self, times, states):
+    def update(self, states):
         self._count(states[1:])
-        self._n += states.shape[0] - 1
 
     def _count(self, states):
         y = ranked_weights(states)                # (B, P, d)
-        gaps = y[..., :-1] - y[..., 1:]           # (B, P, d-1)
-        smallest = y[..., -1]                     # (B, P)
-        if y.shape[-1] >= 3:
-            window = (y[..., :-2] - y[..., 2:]).min(axis=-1)
-        else:
-            window = np.full(smallest.shape, np.inf)
-        for e, eps in enumerate(self.eps):
-            self._gap[e] += (gaps < eps).sum(axis=0).T
-            self._min[e] += (smallest < eps).sum(axis=0)
-            self._triple[e] += (window < eps).sum(axis=0)
+        window = (y[..., :-2] - y[..., 2:]).min(axis=-1, keepdims=True, initial=np.inf)
+        columns = np.concatenate([y[..., :-1] - y[..., 1:], y[..., -1:], window], axis=-1)
+        self._counts += _dips(columns, None, self.eps).sum(axis=1)
+        self._n += states.shape[0]
 
     def result(self):
         n = float(self._n)
         return {
             "occupation": {
                 "eps": self.eps,
-                "gap_fraction": self._gap / n,       # (E, d-1, P)
-                "min_weight_fraction": self._min / n,
-                "triple_fraction": self._triple / n,
+                "gap_fraction": self._counts[..., :-2].transpose(0, 2, 1) / n,   # (E, d-1, P)
+                "min_weight_fraction": self._counts[..., -2] / n,
+                "triple_fraction": self._counts[..., -1] / n,
             }
         }
 
 
 class HitObserver(PathObserver):
-    """Whether a path-wise condition is met at any grid time, per epsilon.
+    """Whether a path-wise quantity dips below each epsilon at any grid time.
 
-    ``condition(states, eps_ladder)`` must return a boolean array of shape
-    (n_eps,) + leading axes of the (..., P, d) states; it is evaluated once
-    per block so any sorting can be shared across the ladder.
+    ``band(states)`` maps states (..., P, d) to the bounds (lo, hi) of the
+    dip test lo < eps <= hi (``hi=None``: no upper bound); it runs once per
+    block, so any sorting is shared across the ladder.
     """
 
-    def __init__(self, condition, eps_ladder):
-        self.condition = condition
-        self.eps = np.asarray(sorted(eps_ladder, reverse=True), dtype=float)
-        self._hit = None
+    def __init__(self, band, eps_ladder):
+        self.band = band
+        self.eps = _ladder(eps_ladder)
 
-    def start(self, t0, states):
+    def start(self, states, dt):
         self._hit = np.zeros((self.eps.size, states.shape[0]), dtype=bool)
         self._scan(states[None, :, :])
 
-    def update(self, times, states):
+    def update(self, states):
         self._scan(states[1:])
 
     def _scan(self, states):
-        hits = np.asarray(self.condition(states, self.eps))
-        self._hit |= hits.any(axis=1)
+        self._hit |= _dips(*self.band(states), self.eps).any(axis=1)
 
     def result(self):
         return {"hits": {"eps": self.eps, "hit": self._hit}}
@@ -467,8 +464,8 @@ def occupation_stats(path: SimPath, eps: float) -> OccupationReport:
     if eps <= 0:
         raise ValueError("eps must be positive")
     counter = OccupationObserver((eps,))
-    counter.start(path.times[0], path.states[:1])
-    counter.update(path.times, path.states[:, None, :])
+    counter.start(path.states[:1], path.dt)
+    counter.update(path.states[:, None, :])
     occ = counter.result()["occupation"]
     return OccupationReport(
         eps=eps,

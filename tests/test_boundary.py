@@ -13,7 +13,7 @@ from openjacobi import (
     rank_pushed_only,
     run_paths,
 )
-from openjacobi.sde import PathObserver
+from openjacobi.sde import HitObserver, PathObserver
 
 
 def rank_jacobi(a, sigma=1.0):
@@ -172,6 +172,39 @@ def test_pushed_only_query_counts_separated_dips_only():
     assert np.allclose(pushed.frequency, plain.frequency)
 
 
+def _dips_at(query, x, eps):
+    """The dip test of ``query`` at one state x, written out per kind."""
+    y = sorted(x, reverse=True)
+    names = [i - 1 for i in query.names]
+    lam = sum(x[i] for i in names)
+    if query.kind == "rank_hits":
+        return y[query.k - 1] < eps
+    if query.kind == "rank_pushed_only":
+        return y[query.k - 1] < eps <= y[query.k - 2]
+    if query.kind == "nameset_hits":
+        return lam < eps
+    return lam < eps <= lam + min(x[j] for j in range(len(x)) if j not in names)
+
+
+@pytest.mark.parametrize("query", [
+    BoundaryQuery("rank_hits", k=3),
+    BoundaryQuery("rank_pushed_only", k=3),
+    BoundaryQuery("nameset_hits", names=(2, 3)),
+    BoundaryQuery("nameset_pushed_only", names=(3,)),
+], ids=lambda q: q.kind)
+def test_hit_observer_matches_a_stepwise_check(query):
+    p = ModelParams(a=np.array([1.0, 0.8, 0.7]), gamma=np.array([0.2, 0.0, -0.1]))
+    eps = (0.1, 3e-2, 1e-2)
+    observer = HitObserver(query.band, eps)
+    batch = run_paths(p, np.full(3, 1 / 3), T=1.0, dt=1e-3, seed=11, n_paths=12,
+                      observers=[observer], store=True, block_steps=300)
+    hits = batch.observations["hits"]
+    expected = np.array([[any(_dips_at(query, x.tolist(), e) for x in path.states)
+                          for path in batch.paths] for e in hits["eps"]])
+    assert np.array_equal(hits["hit"], expected)
+    assert expected.any() and not expected.all()
+
+
 class _LambdaQV(PathObserver):
     """Terminal realized and model quadratic variation of a name-set sum."""
 
@@ -181,12 +214,13 @@ class _LambdaQV(PathObserver):
         self.realized = None
         self.model = None
 
-    def start(self, t0, states):
+    def start(self, states, dt):
         self.realized = np.zeros(states.shape[0])
         self.model = np.zeros(states.shape[0])
+        self.dt = dt
 
-    def update(self, times, states):
-        dt = float(times[1] - times[0])
+    def update(self, states):
+        dt = self.dt
         lam = states[..., self.idx].sum(axis=-1)
         dlam = np.diff(lam, axis=0)
         self.realized += (dlam * dlam).sum(axis=0)

@@ -309,6 +309,15 @@ def test_mcmc_reports_pooled_acceptance_and_rhat():
     assert np.array_equal(res.draws, again.draws)
 
 
+def test_named_mcmc_draws_do_not_depend_on_the_naming_chunk(monkeypatch):
+    p = ModelParams(a=[1.2, 0.8, 0.6], gamma=[0.3, -0.1, -0.2])
+    whole = sample_invariant(p, 50, 19, kind="named", method="mcmc")
+    monkeypatch.setattr(invariant, "NAMING_CHUNK", 7)
+    chunked = sample_invariant(p, 50, 19, kind="named", method="mcmc")
+    assert (np.diff(whole.draws, axis=1) > 0).any()          # some rows left rank order
+    assert np.array_equal(chunked.draws, whole.draws)
+
+
 def test_mcmc_exhausted_budget_warns_instead_of_raising(monkeypatch):
     p = ModelParams(a=[0.5, 0.5], gamma=[1.0, 0.5])
     monkeypatch.setattr(invariant, "_rhat", lambda chains: 1.5)
@@ -453,6 +462,17 @@ def test_ergodic_compare_constant_function_is_exact():
     assert entry.invariant_avg == 1.0
     assert entry.z_score == 0.0
     assert entry.passed
+
+
+def test_ergodic_compare_constant_function_is_exact_over_several_blocks():
+    # 10000 steps make three observed blocks; each adds dt * B to the elapsed time
+    p = rank_jacobi([1.0, 1.0, 1.0])
+    T, dt = 10.0, 1e-3
+    assert -(-round(T / dt) // invariant.OBSERVED_BLOCK_STEPS) >= 3
+    report = ergodic_compare(p, {"one": "one"}, sample_invariant(p, 100, 43, kind="named"),
+                             T=T, dt=dt, n_paths=2, seed=43)
+    assert report.entries[0].time_avg == 1.0
+    assert report.entries[0].z_score == 0.0
 
 
 def test_ergodic_compare_rejects_ranked_draws():

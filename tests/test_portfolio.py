@@ -393,11 +393,11 @@ def stored_path(states, params, dt=0.01):
 def observe(path, strategy, blocks=1):
     """Feed a stored path through a WealthObserver in ``blocks`` pieces."""
     obs = WealthObserver(strategy, path.params)
-    obs.start(0.0, path.states[:1])
+    obs.start(path.states[:1], path.dt)
     edges = np.linspace(0, path.n_steps, blocks + 1).round().astype(int)
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi > lo:
-            obs.update(path.times[lo:hi + 1], path.states[lo:hi + 1, None, :])
+            obs.update(path.states[lo:hi + 1, None, :])
     return obs.result()["wealth"]
 
 

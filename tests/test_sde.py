@@ -186,6 +186,36 @@ def test_long_run_mean_matches_symmetric_dirichlet():
     assert abs(avg.mean() - 1.0 / d) < 0.02
 
 
+class _Recorder(PathObserver):
+    """Records what each protocol call receives."""
+
+    def __init__(self):
+        self.calls = []
+
+    def start(self, *args):
+        self.calls.append(("start", args))
+
+    def update(self, *args):
+        self.calls.append(("update", args))
+
+    def result(self):
+        return {}
+
+
+def test_observers_get_the_run_dt_once_and_states_only():
+    p = rank_jacobi([1.0, 1.0, 1.0])
+    dt = 0.1 / 3                  # a block time grid would reproduce this dt only to an ulp
+    rec = _Recorder()
+    batch = run_paths(p, [0.5, 0.3, 0.2], T=3.0, dt=dt, seed=5, n_paths=2,
+                      observers=[rec], block_steps=7)
+    (kind, (states, got_dt)), *updates = rec.calls
+    assert kind == "start" and states.shape == (2, 3)
+    assert got_dt == dt
+    assert [kind for kind, _ in updates] == ["update"] * -(-batch.n_steps // 7)
+    assert all(len(args) == 1 and args[0].shape[1:] == (2, 3) for _, args in updates)
+    assert sum(args[0].shape[0] - 1 for _, args in updates) == batch.n_steps
+
+
 # ---------------------------------------------------------------------------
 # covariation diagnostics
 # ---------------------------------------------------------------------------
@@ -198,13 +228,14 @@ class _CovariationTerminal(PathObserver):
         self.realized = None
         self.model = None
 
-    def start(self, t0, states):
+    def start(self, states, dt):
         P = states.shape[0]
         self.realized = np.zeros(P)
         self.model = np.zeros(P)
+        self.dt = dt
 
-    def update(self, times, states):
-        dt = float(times[1] - times[0])
+    def update(self, states):
+        dt = self.dt
         dx = np.diff(states, axis=0)
         self.realized += (dx[..., self.i] * dx[..., self.j]).sum(axis=0)
         left = states[:-1]
@@ -520,7 +551,7 @@ def test_observers_independent_of_block_steps(params, n_paths, n_steps, block_st
         observers = [
             TimeAverageObserver({"y1": lambda s: s.max(axis=-1), "x1": lambda s: s[..., 0]}),
             OccupationObserver(eps),
-            HitObserver(BoundaryQuery("rank_hits", k=params.d).condition(), eps),
+            HitObserver(BoundaryQuery("rank_hits", k=params.d).band, eps),
             WealthObserver(GrowthOptimalStrategy(params, 1), params),
         ]
         return run_paths(params, x0, n_steps * dt, dt, seed, n_paths=n_paths,
