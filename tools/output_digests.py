@@ -69,6 +69,12 @@ RUNS = [  # (name, command, config, extra argv)
     ("limit-functions", "limit", {"seed": 29, "pd": {"theta": 2.0, "tilt": [0.5]},
                                   "schedule": {"d_list": [10, 40]},
                                   "limit": {"n": 5000, "functions": ["phi2", "phi3"]}}, []),
+    ("limit-tilt2", "limit", {"seed": 47, "pd": {"theta": 2.0, "tilt": [0.5, 0.3]},
+                              "schedule": {"d_list": [10, 40]},
+                              "limit": {"n": 5000, "growth": {"sigma": 1.0, "N": 2}}}, []),
+    ("limit-untilted", "limit", {"seed": 53, "pd": {"theta": 2.0},
+                                 "schedule": {"d_list": [10, 40]},
+                                 "limit": {"n": 5000, "growth": {"sigma": 1.0, "N": 0}}}, []),
 ] + [(f"growth-quad-N{n}", "growth", {"seed": 4, "model": RANK4, "open_market_size": n,
                                       "growth": {"method": "quadrature"}}, []) for n in (1, 3)
      ] + [(f"{name}-t{k}", "growth", cfg, ["--threads", str(k)])
