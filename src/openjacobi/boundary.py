@@ -9,6 +9,7 @@ versus positive), so experiments check trends rather than target numbers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +104,8 @@ class BoundaryQuery:
         lam = states[..., idx].sum(axis=-1)
         if self.kind == "nameset_hits":
             return lam, None
-        return lam, lam + np.delete(states, idx, axis=-1).min(axis=-1)
+        others = np.setdiff1d(np.arange(states.shape[-1]), idx)
+        return lam, lam + functools.reduce(np.minimum, (states[..., i] for i in others))
 
 
 @dataclass

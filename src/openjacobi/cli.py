@@ -236,11 +236,9 @@ def cmd_invariant(cfg, out, threads):
 
 def cmd_growth(cfg, out, threads):
     params = model_from_config(cfg)
-    d = params.d
     with _config_block("growth"):
         n_top = int(_require(cfg, "open_market_size"))
-        if not 1 <= n_top <= d - 1:
-            raise ConfigError(f"open_market_size must lie in 1..{d - 1}")
+        exists, detail = portfolio_mod.growth_exists(params, n_top)     # checks 1 <= N < d
         growth_cfg = cfg.get("growth", {})
         method = growth_cfg.get("method", "mc")
         if method not in ("mc", "quadrature"):
@@ -250,9 +248,8 @@ def cmd_growth(cfg, out, threads):
         if sim:
             T, dt = _positive(sim["T"]), _positive(sim["dt"])
             n_paths = int(_positive(sim.get("paths", 4)))
-            x0 = _x0(sim, d)
+            x0 = _x0(sim, params.d)
     seed = cfg["seed"]
-    exists, detail = portfolio_mod.growth_exists(params, n_top)
     payload = {"results": {"exists": exists, "existence_report": detail}}
     growth = None
     if exists:
@@ -368,11 +365,10 @@ def cmd_limit(cfg, out, threads):
             M=int(block.get("M", 10_000)),
         )
         sched_block = _require(cfg, "schedule")
-        schedule = pdlimit_mod.make_schedule(
-            pd_cfg.theta, pd_cfg.tilt,
-            d_list=sched_block["d_list"],
-            tail=sched_block.get("tail", "flat"),
-        )
+        if sched_block.get("tail", "flat") != "flat":
+            raise ConfigError("schedule.tail must be 'flat', the schedule that reaches PD(theta)")
+        schedule = pdlimit_mod.make_schedule(pd_cfg.theta, pd_cfg.tilt,
+                                             d_list=sched_block["d_list"])
         limit_block = cfg.get("limit", {})
         n = int(_positive(limit_block.get("n", 100_000)))
         func_names = limit_block.get("functions", ["phi2"])

@@ -57,9 +57,8 @@ ENVELOPE_TOL = 1e-12      # smallest gain (and step) that counts
 # densities and normalizing constants
 # ---------------------------------------------------------------------------
 
-def density_p(x, params: ModelParams, normalized: bool = False,
-              z: float | None = None) -> float:
-    """Stationary density of the named weights at a single point.
+def density_p(x, params: ModelParams) -> float:
+    """Unnormalized stationary density of the named weights at a single point.
 
     Interior points with negative exponents at vanishing coordinates give
     +inf, which is reported as such rather than raised: the density is
@@ -67,11 +66,7 @@ def density_p(x, params: ModelParams, normalized: bool = False,
     """
     x = as_simplex(x)
     order = ranking_order(x)
-    value = _monomial_at(x[order], params.a + params.gamma[order])
-    if normalized:
-        z = normalizer(params) if z is None else z
-        value = value / z
-    return value
+    return float(_monomial_at(x[order], params.a + params.gamma[order]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -94,35 +89,28 @@ def density_q(y, params: ModelParams, normalized: bool = True,
     y = as_ranked(y)
     d = params.d
     if params.is_rank_based:
-        total = math.factorial(d) * _monomial_at(y, params.a)
-    elif np.all(y > 0.0):
-        expo = params.a[None, :] + params.gamma[_permutations_array(d)] - 1.0
-        total = float(np.exp(expo @ np.log(y)).sum())
+        total = math.factorial(d) * float(_monomial_at(y, params.a))
     else:
-        total = 0.0
-        for perm in _permutations_array(d):
-            total += _monomial_at(y, params.a + params.gamma[perm])
+        exponents = params.a[None, :] + params.gamma[_permutations_array(d)]
+        total = float(_monomial_at(y, exponents).sum())
     if not normalized:
         return total
     z = normalizer(params) if z is None else z
     return total / z
 
 
-def _monomial_at(y, b) -> float:
-    """prod_k y_k^(b_k - 1), with 0^0 = 1 and +inf at singular zeros."""
-    with np.errstate(divide="ignore"):
-        logs = (np.asarray(b) - 1.0) * np.log(y)
-    if np.any(np.isnan(logs)):
-        logs = np.where((y == 0.0) & (np.asarray(b) == 1.0), 0.0, logs)
-    return math.exp(logs.sum()) if np.all(np.isfinite(logs)) else math.inf
+def _monomial_at(y, b) -> np.ndarray:
+    """prod_k y_k^(b_k - 1) for each row of exponents b (..., d), with
+    0^0 = 1, 0 to a positive power = 0 and 0 to a negative power = +inf
+    (which wins over a zero factor in the same row)."""
+    expo = np.asarray(b, dtype=float) - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(expo == 0.0, 0.0, expo * np.log(y))
+    singular = np.any(logs == math.inf, axis=-1)
+    return np.where(singular, math.inf, np.exp(logs.sum(axis=-1)))
 
 
-def rank_normalizer(a, rel_tol: float = 1e-8) -> float:
-    """Normalizer Q_a of the ranked density prod y_k^(a_k - 1)."""
-    return monomial_integral(a, rel_tol=rel_tol)
-
-
-def normalizer(params: ModelParams, rel_tol: float = 1e-8) -> float:
+def normalizer(params: ModelParams) -> float:
     """Normalizer Z of the named density, as a sum of ordered-simplex
     monomial integrals over name-to-rank assignments.
 
@@ -132,10 +120,10 @@ def normalizer(params: ModelParams, rel_tol: float = 1e-8) -> float:
     require_valid(params)
     d = params.d
     if params.is_rank_based:
-        return math.factorial(d) * monomial_integral(params.a, rel_tol=rel_tol)
+        return math.factorial(d) * monomial_integral(params.a)
     total = 0.0
     for perm in _permutations_array(d):
-        total += monomial_integral(params.a + params.gamma[perm], rel_tol=rel_tol)
+        total += monomial_integral(params.a + params.gamma[perm])
     return total
 
 

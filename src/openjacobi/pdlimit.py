@@ -2,9 +2,9 @@
 
 Covers: stick-breaking sampling of the Poisson-Dirichlet law PD(theta),
 symmetric power sums and their exact moment recursion, importance-sampled
-expectations under the power-tilted limit law, d-indexed parameter schedules
-whose stationary laws converge to that limit, and the limiting robust
-growth rate.
+expectations under the power-tilted limit law, the flat d-indexed parameter
+schedule whose stationary laws converge to that limit, and the limiting
+robust growth rate.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ TAIL_EXPECTATION_BOUND = 1e-6     # required expected truncation mass at length 
 ESS_FLOOR_FRACTION = 0.05
 STICK_BLOCK = 64
 HARD_TAIL_FLOOR = 1e-13
-GEOMETRIC_TAIL_RATIO = 0.97       # decay of the ``geometric`` schedule tail
 
 
 class HeavyTiltError(RuntimeError):
@@ -173,32 +172,23 @@ class TiltedEstimate:
     n: int
 
 
-def tilted_expect(cfg: PDConfig, fn, n: int, seed: int) -> TiltedEstimate:
-    """Self-normalized importance estimate of E[f] under the tilted limit law:
-    ``tilted_estimator(cfg, n, seed)(fn)``."""
-    return tilted_estimator(cfg, n, seed)(fn)
-
-
 def tilted_estimator(cfg: PDConfig, n: int, seed: int):
     """Map f -> self-normalized importance estimate of E[f] under the tilted
     limit law, over one weighted sample drawn once.
 
-    Draws n PD(theta) points and weights them by prod_{k<=N} Y_k^{a_k}.
+    Draws n PD(theta) points and weights them by prod_{k<=N} Y_k^{a_k}
+    (exactly 1 when there are no tilts).
     Raises ``HeavyTiltError`` here, before any f is evaluated, when the
     effective sample size is below 5% of n, which signals a tilt too heavy
     for the sample budget.
     """
     sample = pd_sample(cfg.theta, cfg.M, n, seed)
     y = sample.weights
-    if cfg.n_tilted:
-        logw = np.zeros(n)
-        for k, a_k in enumerate(cfg.tilt):
-            if a_k != 0.0:
-                logw = logw + a_k * np.log(y[:, k])
-        logw -= logw.max()
-        w = np.exp(logw)
-    else:
-        w = np.ones(n)
+    logw = np.zeros(n)
+    for k, a_k in enumerate(cfg.tilt):
+        if a_k != 0.0:
+            logw = logw + a_k * np.log(y[:, k])
+    w = np.exp(logw - logw.max())
     w_sum = w.sum()
     ess = w_sum ** 2 / (w * w).sum()
     if ess < ESS_FLOOR_FRACTION * n:
@@ -222,54 +212,33 @@ def tilted_estimator(cfg: PDConfig, n: int, seed: int):
 
 @dataclass
 class ScheduleAd:
-    """A d-indexed family of rank-drift vectors approaching the PD limit.
-
-    Every member must have positive tail sums; the leading entries converge
-    to the tilts, the small-cap tail sum to theta, and the largest tail
-    entry to zero along the d-ladder.
+    """A d-indexed family of rank-drift vectors approaching the PD limit:
+    the leading entries are the tilts and the d - N small-cap entries are
+    theta / (d - N) each, so the small-cap tail sums to theta and its
+    largest entry tends to zero along the d-ladder.
     """
 
-    theta: float
-    tilt: tuple
     d_list: tuple
     vectors: dict                 # d -> np.ndarray
 
-    def params_for(self, d: int, sigma: float = 1.0) -> ModelParams:
-        a = self.vectors[d]
-        return ModelParams(a=a, gamma=np.zeros(d), sigma=sigma)
+    def params_for(self, d: int) -> ModelParams:
+        return ModelParams(a=self.vectors[d], gamma=np.zeros(d))
 
 
-def make_schedule(theta: float, tilt, d_list, tail: str = "flat") -> ScheduleAd:
-    """Build and validate a schedule a^d = (tilts..., small-cap tail).
-
-    ``flat`` spreads theta evenly over the d - N tail slots; ``geometric``
-    decays at ``GEOMETRIC_TAIL_RATIO`` and rescales to total theta.
-    """
+def make_schedule(theta: float, tilt, d_list) -> ScheduleAd:
+    """Build and validate the flat schedule a^d = (tilts..., theta / (d - N),
+    ..., theta / (d - N)); every member must have positive tail sums."""
     cfg = PDConfig(theta=theta, tilt=tuple(tilt), M=10_000)
     n = cfg.n_tilted
     vectors = {}
-    prev_max_tail = None
     for d in sorted(int(v) for v in d_list):
         if d <= n + 1:
             raise ValueError(f"d={d} too small for {n} tilted ranks")
-        if tail == "flat":
-            tail_vec = np.full(d - n, theta / (d - n))
-        elif tail == "geometric":
-            raw = GEOMETRIC_TAIL_RATIO ** np.arange(d - n)
-            tail_vec = theta * raw / raw.sum()
-        else:
-            raise ValueError(f"unknown tail shape {tail!r}")
-        a = np.concatenate([np.asarray(cfg.tilt), tail_vec])
-        abar = tail_sums(a)
-        if np.any(abar[1:] <= 0.0):
+        a = np.concatenate([np.asarray(cfg.tilt), np.full(d - n, theta / (d - n))])
+        if np.any(tail_sums(a)[1:] <= 0.0):
             raise ValueError(f"schedule member d={d} violates positive tail sums")
-        max_tail = float(np.abs(tail_vec).max())
-        if prev_max_tail is not None and max_tail > prev_max_tail + 1e-15:
-            raise ValueError("largest tail entry must decrease along the d-ladder")
-        prev_max_tail = max_tail
         vectors[d] = a
-    return ScheduleAd(theta=theta, tilt=tuple(cfg.tilt),
-                      d_list=tuple(sorted(vectors)), vectors=vectors)
+    return ScheduleAd(d_list=tuple(sorted(vectors)), vectors=vectors)
 
 
 @dataclass
@@ -368,9 +337,7 @@ def limit_growth_rate(cfg: PDConfig, sigma: float, estimate) -> TiltedEstimate:
 
     def integrand(y):
         top = y[:, :n_top]
-        tail = 1.0 - top.sum(axis=1)
-        val = (a ** 2 / top).sum(axis=1) if n_top else np.zeros(y.shape[0])
-        return val + cfg.theta ** 2 / tail
+        return (a ** 2 / top).sum(axis=1) + cfg.theta ** 2 / (1.0 - top.sum(axis=1))
 
     est = estimate(integrand)
     offset = (s2 / 8.0) * (sum(cfg.tilt) + cfg.theta) ** 2

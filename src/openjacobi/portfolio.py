@@ -18,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import mean_and_se, write_csv
-from .invariant import rank_normalizer, sample_invariant
+from .invariant import sample_invariant
 from .sde import PathObserver, SimPath, drift, gap_local_time, sum_over_steps
 from .simplex import (
     ModelParams,
     _check_open_size,
     diffusion_c,
+    monomial_integral,
     ranked_weights,
     ranking_order,
     small_cap_integral,
@@ -654,13 +655,13 @@ def robust_growth_rate(params: ModelParams, n_top: int, method: str = "mc",
                             condition_margins=margins, n=n,
                             warnings=tuple(sample.warnings))
     if method == "quadrature":
-        qa = rank_normalizer(a, rel_tol=GROWTH_REL_TOL)
+        qa = monomial_integral(a, rel_tol=GROWTH_REL_TOL)
         inv_top = 0.0
         for k in range(n_top):
             if a[k] ** 2 != 0.0:
                 shifted = a.copy()
                 shifted[k] -= 1.0
-                inv_top += a[k] ** 2 * rank_normalizer(shifted, rel_tol=GROWTH_REL_TOL) / qa
+                inv_top += a[k] ** 2 * monomial_integral(shifted, rel_tol=GROWTH_REL_TOL) / qa
         abar_tail = a[n_top:].sum()
         inv_tail = small_cap_integral(a, n_top, rel_tol=GROWTH_REL_TOL) / qa
         lam = (s2 / 8.0) * (inv_top + abar_tail ** 2 * inv_tail) - offset

@@ -39,7 +39,7 @@ from openjacobi import (
     sample_invariant,
     simulate,
     simulate_given_noise,
-    tilted_expect,
+    tilted_estimator,
     wealth,
 )
 from openjacobi._util import path_stream, substream, z_score
@@ -262,7 +262,7 @@ def test_criterion_10_large_d_convergence():
     theta = 2.0
     cfg = PDConfig(theta=theta, tilt=(0.0,))
     schedule = make_schedule(theta, (0.0,), d_list=[20, 100, 500])
-    limit = tilted_expect(cfg, lambda y: power_sum(y, 2), 100_000, seed=100010)
+    limit = tilted_estimator(cfg, 100_000, 100010)(lambda y: power_sum(y, 2))
     gaps = []
     zs = []
     for d in schedule.d_list:

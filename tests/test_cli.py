@@ -131,6 +131,9 @@ def test_invalid_params_exit_two_with_violated_index(tmp_path, capsys):
                    "sampler": {"method": "spacing"}}, "InvalidModelError"),
     ("limit", {"pd": {"theta": 2.0, "tilt": [0.0]}, "schedule": {"d_list": [10, 40]},
                "limit": {"growth": {"sigma": 1.0, "N": 2}}}, "ConfigError"),
+    ("growth", {"model": {"a": [2.0, 2.0, 2.0, 2.0]}, "open_market_size": 4}, "ConfigError"),
+    ("limit", {"pd": {"theta": 2.0}, "schedule": {"d_list": [10, 40], "tail": "geometric"}},
+     "ConfigError"),
 ])
 def test_typed_config_and_model_errors_exit_two(tmp_path, capsys, monkeypatch,
                                                 command, payload, error_class):

@@ -17,7 +17,6 @@ from openjacobi import (
     make_statistic,
     monomial_integral,
     normalizer,
-    rank_normalizer,
     sample_invariant,
 )
 from openjacobi._util import z_score
@@ -83,10 +82,17 @@ def test_density_p_boundary_singularity_reported_as_inf():
     assert density_p([1.0, 0.0], p) == math.inf
 
 
+def test_densities_vanish_at_a_zero_coordinate_with_positive_exponent():
+    # 0 to the power b_k - 1 > 0 is 0, not a singularity
+    dirichlet = ModelParams(a=np.zeros(3), gamma=[2.0, 2.0, 2.0])
+    assert density_p([0.5, 0.5, 0.0], dirichlet) == 0.0
+    assert density_q([0.5, 0.5, 0.0], rank_jacobi([1.5, 1.5, 1.5]), normalized=False) == 0.0
+
+
 def test_density_q_rank_based_closed_form():
     a = np.array([1.5, 1.0, 0.8])
     p = rank_jacobi(a)
-    qa = rank_normalizer(a)
+    qa = monomial_integral(a)
     rng = np.random.default_rng(2)
     for _ in range(10):
         y = -np.sort(-rng.dirichlet(np.ones(3)))
@@ -97,7 +103,7 @@ def test_density_q_rank_based_closed_form():
 def test_density_q_flat_d2_value():
     # a = (1, 1): ranked density is the constant 1 / Q_a = 2
     p = rank_jacobi([1.0, 1.0])
-    assert rank_normalizer(p.a) == pytest.approx(0.5, rel=1e-10)
+    assert monomial_integral(p.a) == pytest.approx(0.5, rel=1e-10)
     assert density_q([0.7, 0.3], p) == pytest.approx(2.0, rel=1e-9)
 
 

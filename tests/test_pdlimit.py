@@ -16,7 +16,6 @@ from openjacobi import (
     robust_growth_rate,
     sample_invariant,
     tilted_estimator,
-    tilted_expect,
 )
 from openjacobi._util import z_score
 from openjacobi.pdlimit import HeavyTiltError, TruncationError
@@ -142,29 +141,29 @@ def test_moment_recursion_rejects_low_powers():
 
 def test_tilted_expect_without_tilt_is_plain_mean():
     cfg = PDConfig(theta=1.0, tilt=())
-    est = tilted_expect(cfg, lambda y: power_sum(y, 2), 30_000, seed=3)
+    est = tilted_estimator(cfg, 30_000, 3)(lambda y: power_sum(y, 2))
     assert est.ess == pytest.approx(30_000)
     assert abs(z_score(est.value, est.se, 0.5, 0.0)) < 3.0
 
 
 def test_tilted_expect_constant_function_is_exact():
     cfg = PDConfig(theta=1.0, tilt=(1.0,))
-    est = tilted_expect(cfg, lambda y: np.ones(y.shape[0]), 5_000, seed=4)
+    est = tilted_estimator(cfg, 5_000, 4)(lambda y: np.ones(y.shape[0]))
     assert est.value == pytest.approx(1.0, abs=1e-14)
     assert est.se == pytest.approx(0.0, abs=1e-14)
 
 
 def test_tilted_expect_split_seed_self_consistency():
     cfg = PDConfig(theta=1.0, tilt=(1.0,))
-    a = tilted_expect(cfg, lambda y: power_sum(y, 2), 40_000, seed=5)
-    b = tilted_expect(cfg, lambda y: power_sum(y, 2), 40_000, seed=6)
+    a = tilted_estimator(cfg, 40_000, 5)(lambda y: power_sum(y, 2))
+    b = tilted_estimator(cfg, 40_000, 6)(lambda y: power_sum(y, 2))
     assert abs(z_score(a.value, a.se, b.value, b.se)) < 3.0
 
 
 def test_tilted_expect_heavy_tilt_raises():
     cfg = PDConfig(theta=1.0, tilt=(-30.0,))
     with pytest.raises(HeavyTiltError):
-        tilted_expect(cfg, lambda y: power_sum(y, 2), 2_000, seed=7)
+        tilted_estimator(cfg, 2_000, 7)(lambda y: power_sum(y, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +182,6 @@ def test_make_schedule_flat_members_are_valid():
     # largest tail entry shrinks along the ladder
     tails = [np.abs(sched.vectors[d][1:]).max() for d in sched.d_list]
     assert np.all(np.diff(tails) < 0.0)
-
-
-def test_make_schedule_geometric_tail():
-    sched = make_schedule(1.5, (), d_list=[8, 32], tail="geometric")
-    for d in sched.d_list:
-        assert sched.vectors[d].sum() == pytest.approx(1.5)
 
 
 def test_make_schedule_rejects_boundary_tilt():
@@ -243,10 +236,17 @@ def test_limit_growth_rate_untilted_form():
     cfg = PDConfig(theta=theta, tilt=(0.0,))
     est = limit_growth_rate(cfg, sigma, tilted_estimator(cfg, 60_000, 10))
     # direct reduction: (sigma^2/8) theta^2 (E[1/(1 - Y_1)] - 1)
-    plain = tilted_expect(cfg, lambda y: 1.0 / (1.0 - y[:, 0]), 60_000, seed=10)
+    plain = tilted_estimator(cfg, 60_000, 10)(lambda y: 1.0 / (1.0 - y[:, 0]))
     expected = sigma ** 2 / 8.0 * theta ** 2 * (plain.value - 1.0)
     assert est.value == pytest.approx(expected, rel=1e-12)
     assert est.se > 0.0
+
+
+def test_limit_growth_rate_without_tilts_is_zero():
+    # no open market: unit weights and an empty top-N sum leave theta^2 exactly
+    cfg = PDConfig(theta=2.0, tilt=())
+    est = limit_growth_rate(cfg, 1.0, tilted_estimator(cfg, 5_000, 12))
+    assert est.value == 0.0
 
 
 def test_finite_d_growth_rates_approach_limit():
