@@ -40,6 +40,7 @@ BOUNDARY = [  # (name, query) on EDGE3, 5000 steps in two observed blocks
     ("rank-pushed", {"kind": "rank_pushed_only", "k": 2}),
     ("nameset", {"kind": "nameset_hits", "names": [2, 3]}),
     ("nameset-pushed", {"kind": "nameset_pushed_only", "names": [3]}),
+    ("rank-hits-k2", {"kind": "rank_hits", "k": 2}),
 ]
 RUNS = [  # (name, command, config, extra argv)
     ("simulate", "simulate", {"seed": 11, "model": HYBRID3,
