@@ -4,6 +4,8 @@
  * called through ctypes.  It reproduces sde._advance_block_numpy bit for
  * bit: every arithmetic operation happens in the same order as in the numpy
  * expression, and the two row sums follow numpy's pairwise summation.
+ * The block minima of the ranked weights come from the same rank order the
+ * drift uses, so they cost one comparison per weight and step.
  */
 
 #include <math.h>
@@ -60,44 +62,71 @@ static int ahead(double xi, int64_t i, double xj, int64_t j)
     return 1;
 }
 
-/* Fill block[1..B] from block[0].  block is (B+1, P, d) and z is (B, P, d),
- * both C-contiguous; clips[p] counts the steps of path p that clipped.
- * Steps advance all paths in lockstep, so memory is swept row by row.  Each
- * path keeps its rank order from the previous step, so the insertion sort
- * usually does d - 1 comparisons.  Returns 0, or -1 when out of memory. */
+/* Insertion-sort order[0..d) so that x[order[k]] is the (k+1)-th largest
+ * weight, ties broken as ``ahead`` does.  Started from the previous state's
+ * order, the sort usually does d - 1 comparisons. */
+static void rank(const double *x, int64_t *order, int64_t d)
+{
+    for (int64_t k = 1; k < d; k++) {
+        int64_t name = order[k];
+        int64_t m = k;
+        while (m > 0 && ahead(x[name], name, x[order[m - 1]], order[m - 1])) {
+            order[m] = order[m - 1];
+            m--;
+        }
+        order[m] = name;
+    }
+}
+
+/* Fold the ranked weights of x into the running minima low, propagating
+ * NaN as numpy's min does. */
+static void fold_min(const double *x, const int64_t *order, double *low, int64_t d)
+{
+    for (int64_t k = 0; k < d; k++) {
+        double v = x[order[k]];
+        if (v < low[k] || isnan(v))
+            low[k] = v;
+    }
+}
+
+/* Fill block[1..B] from block[0].  block is (B+1, P, d), step-major, and z
+ * is (P, B, d), path-major: z[p, b] drives step b of path p.  Both are
+ * C-contiguous.  clips[p] counts the steps of path p that clipped, and
+ * low[p*d + k] is the minimum of path p's (k+1)-th ranked weight over rows
+ * 1..B.  Paths run through the block one after another, so a path's normals
+ * are read in order and ``order`` holds one path's rank order, carried from
+ * step to step.  Step b ranks row b for its drift; the minima fold that
+ * order in for rows 1..B-1, and row B is ranked once more at the end.
+ * Returns 0, or -1 when out of memory. */
 int oj_advance_block(int64_t B, int64_t P, int64_t d, double *block,
                      const double *z, const double *a, const double *gamma,
                      double half, double total, double dt, double vol,
-                     int64_t *clips)
+                     int64_t *clips, double *low)
 {
-    int64_t *orders = malloc((size_t)(P * d) * sizeof *orders);
+    int64_t *order = malloc((size_t)d * sizeof *order);
     double *sz = malloc((size_t)d * sizeof *sz);
     double *drift = malloc((size_t)d * sizeof *drift);
-    if (!orders || !sz || !drift) {
-        free(orders);
+    if (!order || !sz || !drift) {
+        free(order);
         free(sz);
         free(drift);
         return -1;
     }
     const int64_t row = P * d;
-    for (int64_t j = 0; j < row; j++)
-        orders[j] = j % d;
-    for (int64_t b = 0; b < B; b++) {
-        for (int64_t p = 0; p < P; p++) {
-            int64_t *order = orders + p * d;
+    for (int64_t p = 0; p < P; p++) {
+        double *lowp = low + p * d;
+        for (int64_t k = 0; k < d; k++) {
+            order[k] = k;
+            lowp[k] = INFINITY;
+        }
+        for (int64_t b = 0; b < B; b++) {
             const double *x = block + b * row + p * d;
-            const double *zb = z + b * row + p * d;
+            const double *zb = z + (p * B + b) * d;
             double *xn = block + (b + 1) * row + p * d;
 
-            for (int64_t k = 1; k < d; k++) {
-                int64_t name = order[k];
-                int64_t m = k;
-                while (m > 0 && ahead(x[name], name, x[order[m - 1]], order[m - 1])) {
-                    order[m] = order[m - 1];
-                    m--;
-                }
-                order[m] = name;
-            }
+            rank(x, order, d);
+            if (b > 0)
+                fold_min(x, order, lowp, d);
             for (int64_t k = 0; k < d; k++) {
                 int64_t i = order[k];
                 drift[i] = half * ((gamma[i] + a[k]) - total * x[i]);
@@ -122,8 +151,13 @@ int oj_advance_block(int64_t B, int64_t P, int64_t d, double *block,
             for (int64_t i = 0; i < d; i++)
                 xn[i] /= s;
         }
+        if (B > 0) {
+            const double *last = block + B * row + p * d;
+            rank(last, order, d);
+            fold_min(last, order, lowp, d);
+        }
     }
-    free(orders);
+    free(order);
     free(sz);
     free(drift);
     return 0;

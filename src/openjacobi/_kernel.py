@@ -29,7 +29,7 @@ _ARGTYPES = (
     [ctypes.c_int64] * 3              # B, P, d
     + [ctypes.c_void_p] * 4           # block, z, a, gamma
     + [ctypes.c_double] * 4           # half, total, dt, vol
-    + [ctypes.c_void_p]               # clips
+    + [ctypes.c_void_p] * 2           # clips, low
 )
 
 _lock = threading.Lock()

@@ -91,15 +91,19 @@ class BoundaryQuery:
             return rank_pushed_only(params, self.k)
         return nameset_avoids_zero(params, self.names)
 
-    def band(self, states):
-        """Bounds (lo, hi) of the dip test lo < eps <= hi at states (..., P, d):
-        lo is the watched ranked weight or name-set sum; hi, for the
-        pushed-only kinds, is the rank above or the sum plus the smallest
-        other weight, and None otherwise."""
-        if self.kind.startswith("rank"):
+    def band(self, states, low):
+        """Bounds (lo, hi) of the dip test lo < eps <= hi at states (R, P, d)
+        whose per-path ranked minima are ``low`` (P, d): lo is the watched
+        ranked weight or name-set sum; hi, for the pushed-only kinds, is the
+        rank above or the sum plus the smallest other weight, and None
+        otherwise.  With no upper bound, some row has y_(k) < eps exactly
+        when the minimum of y_(k) does, so ``rank_hits`` reads one row of
+        minima instead of ranking the states."""
+        if self.kind == "rank_hits":
+            return low[None, :, self.k - 1], None
+        if self.kind == "rank_pushed_only":
             y = ranked_weights(states)
-            hi = y[..., self.k - 2] if self.kind == "rank_pushed_only" else None
-            return y[..., self.k - 1], hi
+            return y[..., self.k - 1], y[..., self.k - 2]
         idx = np.asarray(sorted(self.names)) - 1
         lam = states[..., idx].sum(axis=-1)
         if self.kind == "nameset_hits":

@@ -96,6 +96,14 @@ def _positive(value) -> float:
     return value
 
 
+def _count(value) -> int:
+    """A number of paths or draws: a whole number >= 1 (``1e5`` is one)."""
+    number = float(value)
+    if not (number >= 1 and number.is_integer()):
+        raise ValueError(f"expected a whole number >= 1, got {value}")
+    return int(number)
+
+
 def model_from_config(cfg: dict) -> ModelParams:
     block = _require(cfg, "model")
     with _config_block("model"):
@@ -167,7 +175,7 @@ def cmd_simulate(cfg, out, threads):
     with _config_block("sim"):
         sim = _require(cfg, "sim")
         T, dt = _positive(sim["T"]), _positive(sim["dt"])
-        n_paths = int(_positive(sim.get("paths", 1)))
+        n_paths = _count(sim.get("paths", 1))
         x0 = _x0(sim, params.d)
     seed = cfg["seed"]
     batch = sde_mod.run_paths(params, x0, T, dt, seed, n_paths=n_paths, store=True)
@@ -186,7 +194,7 @@ def cmd_invariant(cfg, out, threads):
     params = model_from_config(cfg)
     with _config_block("sampler"):
         sampler = cfg.get("sampler", {})
-        n = int(_positive(sampler.get("n", 10_000)))
+        n = _count(sampler.get("n", 10_000))
         kind = sampler.get("kind", "ranked")
         method = sampler.get("method")
         if kind not in ("ranked", "named"):
@@ -198,7 +206,7 @@ def cmd_invariant(cfg, out, threads):
             funcs = {name: invariant_mod.make_statistic(name)
                      for name in ergodic_cfg.get("functions", ["y1"])}
             T, dt = _positive(ergodic_cfg["T"]), _positive(ergodic_cfg["dt"])
-            n_paths = int(_positive(ergodic_cfg.get("paths", 8)))
+            n_paths = _count(ergodic_cfg.get("paths", 8))
             z_threshold = float(cfg.get("tolerances", {}).get("ergodic_z", 3.0))
     seed = cfg["seed"]
     # the ergodic check needs named draws; ranking them gives back the
@@ -243,11 +251,11 @@ def cmd_growth(cfg, out, threads):
         method = growth_cfg.get("method", "mc")
         if method not in ("mc", "quadrature"):
             raise ConfigError(f"unknown growth method {method!r}")
-        n = int(_positive(growth_cfg.get("n", 100_000)))
+        n = _count(growth_cfg.get("n", 100_000))
         sim = growth_cfg.get("sim")
         if sim:
             T, dt = _positive(sim["T"]), _positive(sim["dt"])
-            n_paths = int(_positive(sim.get("paths", 4)))
+            n_paths = _count(sim.get("paths", 4))
             x0 = _x0(sim, params.d)
     seed = cfg["seed"]
     payload = {"results": {"exists": exists, "existence_report": detail}}
@@ -296,7 +304,7 @@ def cmd_boundary(cfg, out, threads):
         query.analytic_avoids(params)       # checks k or the names against d
         T, dt = _positive(block.get("T", 50.0)), _positive(block.get("dt", 1e-3))
         eps = tuple(_positive(e) for e in block.get("eps", (1e-2, 1e-3, 1e-4)))
-        n_paths = int(_positive(block.get("paths", 500)))
+        n_paths = _count(block.get("paths", 500))
     table = boundary_mod.mc_hit_frequency(
         params, query, T=T, eps=eps, n_paths=n_paths, dt=dt, seed=cfg["seed"],
     )
@@ -312,7 +320,7 @@ def cmd_pd(cfg, out, threads):
     with _config_block("pd"):
         block = _require(cfg, "pd")
         theta = float(_require(block, "theta"))
-        n = int(_positive(block.get("n", 100_000)))
+        n = _count(block.get("n", 100_000))
         M = int(block.get("M", 10_000))
         pdlimit_mod.PDConfig(theta=theta, M=M)
         max_degree = int(block.get("max_degree", 6))
@@ -370,7 +378,7 @@ def cmd_limit(cfg, out, threads):
         schedule = pdlimit_mod.make_schedule(pd_cfg.theta, pd_cfg.tilt,
                                              d_list=sched_block["d_list"])
         limit_block = cfg.get("limit", {})
-        n = int(_positive(limit_block.get("n", 100_000)))
+        n = _count(limit_block.get("n", 100_000))
         func_names = limit_block.get("functions", ["phi2"])
         funcs = {name: invariant_mod.make_statistic(name) for name in func_names}
         growth_block = limit_block.get("growth")

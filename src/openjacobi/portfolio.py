@@ -394,7 +394,7 @@ class WealthObserver(PathObserver):
         self._guarded = np.zeros(P, dtype=np.int64)
         self._prev_theta = np.ones_like(states)
 
-    def update(self, states):
+    def update(self, states, low):
         left = states[:-1]                                  # (B, P, d)
         theta, mask = guarded_holdings(self.strategy, left, self._prev_theta)
         dlog, drift_incr = _increments(theta, states, self._dt, self.params.sigma,

@@ -10,15 +10,17 @@ Paths are driven by counter-based Philox streams keyed by
 (master seed, path index), so batches are bit-reproducible regardless of
 block size, worker count, or dispatch order.  Long-horizon experiments
 avoid storing full trajectories by attaching observers that consume the
-simulation block by block; they get the run's dt once and then see states
-only.  ``_dips`` is the one epsilon-ladder test, lo < eps <= hi.
+simulation block by block; they get the run's dt once and then see each
+block's states with the per-path minima of its ranked weights
+(``ranked_minima``).  ``_dips`` is the one epsilon-ladder test,
+lo < eps <= hi.
 
 Steps run in a compiled C kernel (``_kernel.c``, built on first use and
 cached; see ``_kernel``) that releases the GIL, so worker threads simulate
 in parallel.  ``_advance_block_numpy`` is its reference: the C kernel
 repeats its arithmetic operation by operation, so both give bit-identical
-states and clip counts, and it runs instead whenever the C kernel cannot be
-built.  ``euler_backend()`` names the kernel in use.
+states, clip counts and ranked minima, and it runs instead whenever the C
+kernel cannot be built.  ``euler_backend()`` names the kernel in use.
 """
 
 from __future__ import annotations
@@ -57,10 +59,18 @@ def euler_backend() -> str:
     return "numpy" if _kernel.load() is None else "c"
 
 
-def _advance_block(block, params: ModelParams, dt: float, z) -> np.ndarray:
-    """Fill block[1:] from block[0] using the normals z (B, P, d).
+def ranked_minima(states) -> np.ndarray:
+    """Per-path minimum of each ranked weight over the rows of states
+    (R, P, d), as (P, d); +inf where there are no rows."""
+    return ranked_weights(states).min(axis=0, initial=np.inf)
 
-    Returns the per-path count of steps where clipping occurred.
+
+def _advance_block(block, params: ModelParams, dt: float, z):
+    """Fill block (B+1, P, d) rows 1..B from row 0 using the path-major
+    normals z (P, B, d): path p's step b uses z[p, b].
+
+    Returns ``(clips, low)``: the per-path count of steps where clipping
+    occurred (P,), and ``ranked_minima(block[1:])`` (P, d).
     """
     kernel = _kernel.load()
     if kernel is None:
@@ -68,9 +78,9 @@ def _advance_block(block, params: ModelParams, dt: float, z) -> np.ndarray:
     return _advance_block_c(kernel, block, params, dt, z)
 
 
-def _advance_block_c(kernel, block, params: ModelParams, dt: float, z) -> np.ndarray:
+def _advance_block_c(kernel, block, params: ModelParams, dt: float, z):
     """The compiled kernel behind ``_advance_block``'s contract."""
-    B, P, d = z.shape
+    P, B, d = z.shape
     z = np.ascontiguousarray(z, dtype=float)
     work = np.ascontiguousarray(block, dtype=float)
     a = np.ascontiguousarray(params.a, dtype=float)
@@ -80,20 +90,21 @@ def _advance_block_c(kernel, block, params: ModelParams, dt: float, z) -> np.nda
                          f"dimension {a.shape} do not match")
     sigma = params.sigma
     clips = np.zeros(P, dtype=np.int64)
+    low = np.empty((P, d))
     status = kernel(B, P, d, work.ctypes.data, z.ctypes.data, a.ctypes.data,
                     gamma.ctypes.data, float(0.5 * sigma * sigma),
                     float(params.total_mass), float(dt), float(sigma * math.sqrt(dt)),
-                    clips.ctypes.data)
+                    clips.ctypes.data, low.ctypes.data)
     if status != 0:
         raise MemoryError("the Euler kernel could not allocate its work rows")
     if work is not block:
         block[...] = work
-    return clips
+    return clips, low
 
 
-def _advance_block_numpy(block, params: ModelParams, dt: float, z) -> np.ndarray:
+def _advance_block_numpy(block, params: ModelParams, dt: float, z):
     """Reference kernel; same contract as ``_advance_block``."""
-    B, P, _ = z.shape
+    P, B, _ = z.shape
     sigma = params.sigma
     sqdt = math.sqrt(dt)
     clips = np.zeros(P, dtype=np.int64)
@@ -101,7 +112,7 @@ def _advance_block_numpy(block, params: ModelParams, dt: float, z) -> np.ndarray
     for b in range(B):
         drift_b = drift(x, params)
         sq = np.sqrt(x)
-        zb = z[b]
+        zb = z[:, b]
         mix = (sq * zb).sum(axis=1, keepdims=True)
         xn = x + drift_b * dt + (sigma * sqdt) * (sq * zb - x * mix)
         bad = (xn < 0.0) | (xn > 1.0)
@@ -111,7 +122,7 @@ def _advance_block_numpy(block, params: ModelParams, dt: float, z) -> np.ndarray
         xn /= xn.sum(axis=1, keepdims=True)
         block[b + 1] = xn
         x = block[b + 1]
-    return clips
+    return clips, ranked_minima(block[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +224,10 @@ class PathObserver:
 
     ``start`` sees the initial states (P, d) and the run's dt; every
     ``update`` sees states (B+1, P, d) whose first row repeats the last row
-    of the previous call, so increments can be formed across block borders.
+    of the previous call, so increments can be formed across block borders,
+    and ``low`` (P, d) = ``ranked_minima(states[1:])``, which the Euler
+    kernel computes from the rank order its drift already sorts.  The
+    states array is reused for the next block, so keep copies, not views.
     Implementations must count each grid point exactly once: the initial
     state in ``start`` and rows 1..B in ``update``.
     """
@@ -221,7 +235,7 @@ class PathObserver:
     def start(self, states: np.ndarray, dt: float) -> None:  # pragma: no cover
         pass
 
-    def update(self, states: np.ndarray) -> None:
+    def update(self, states: np.ndarray, low: np.ndarray) -> None:
         raise NotImplementedError
 
     def result(self) -> dict:
@@ -239,6 +253,8 @@ def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
     require_valid(params)
     if dt <= 0 or T <= 0:
         raise ValueError("need T > 0 and dt > 0")
+    if n_paths < 1:
+        raise ValueError("need n_paths >= 1")
     x0 = as_simplex(x0)
     d = params.d
     if x0.size != d:
@@ -250,15 +266,21 @@ def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
         ob.start(states, dt)
     stored = [states[:, None, :].copy()] if store else None
     n_projected = np.zeros(n_paths, dtype=np.int64)
+    z = np.empty((n_paths, min(block_steps, n_steps), d))
+    rows = np.empty((z.shape[1] + 1, n_paths, d))
     done = 0
     while done < n_steps:
         b = min(block_steps, n_steps - done)
-        z = np.stack([st.standard_normal((b, d)) for st in streams], axis=1)
-        block = np.empty((b + 1, n_paths, d))
+        if z.shape[1] != b:
+            z = np.empty((n_paths, b, d))
+        for st, zp in zip(streams, z):
+            st.standard_normal(out=zp)
+        block = rows[:b + 1]
         block[0] = states
-        n_projected += _advance_block(block, params, dt, z)
+        clips, low = _advance_block(block, params, dt, z)
+        n_projected += clips
         for ob in observers:
-            ob.update(block)
+            ob.update(block, low)
         if store:
             stored.append(block[1:].transpose(1, 0, 2).copy())
         states = block[-1].copy()
@@ -294,12 +316,12 @@ def simulate_given_noise(params: ModelParams, x0, dt: float, gaussians) -> SimPa
     fine increments.
     """
     require_valid(params)
-    z = np.asarray(gaussians, dtype=float)[:, None, :]
+    z = np.asarray(gaussians, dtype=float)[None, :, :]
     x0 = as_simplex(x0)
-    n_steps = z.shape[0]
+    n_steps = z.shape[1]
     block = np.empty((n_steps + 1, 1, x0.size))
     block[0, 0] = x0
-    clips = _advance_block(block, params, dt, z)
+    clips, _ = _advance_block(block, params, dt, z)
     return SimPath(
         times=np.arange(n_steps + 1) * dt,
         states=block[:, 0, :].copy(),
@@ -345,7 +367,7 @@ class TimeAverageObserver(PathObserver):
         self._dt = dt
         self._elapsed = 0.0
 
-    def update(self, states):
+    def update(self, states, low):
         left = states[:-1]
         for name, fn in self.funcs.items():
             self._acc[name] += sum_over_steps(fn(left)) * self._dt
@@ -376,7 +398,7 @@ class OccupationObserver(PathObserver):
         self._n = 0
         self._count(states[None, :, :])
 
-    def update(self, states):
+    def update(self, states, low):
         self._count(states[1:])
 
     def _count(self, states):
@@ -401,9 +423,10 @@ class OccupationObserver(PathObserver):
 class HitObserver(PathObserver):
     """Whether a path-wise quantity dips below each epsilon at any grid time.
 
-    ``band(states)`` maps states (..., P, d) to the bounds (lo, hi) of the
-    dip test lo < eps <= hi (``hi=None``: no upper bound); it runs once per
-    block, so any sorting is shared across the ladder.
+    ``band(rows, low)`` maps the grid rows (R, P, d) of a block and their
+    ``ranked_minima`` (P, d) to the bounds (lo, hi) of the dip test
+    lo < eps <= hi, each (R', P) (``hi=None``: no upper bound); it runs
+    once per block, so any sorting is shared across the ladder.
     """
 
     def __init__(self, band, eps_ladder):
@@ -412,13 +435,14 @@ class HitObserver(PathObserver):
 
     def start(self, states, dt):
         self._hit = np.zeros((self.eps.size, states.shape[0]), dtype=bool)
-        self._scan(states[None, :, :])
+        rows = states[None, :, :]
+        self._scan(rows, ranked_minima(rows))
 
-    def update(self, states):
-        self._scan(states[1:])
+    def update(self, states, low):
+        self._scan(states[1:], low)
 
-    def _scan(self, states):
-        self._hit |= _dips(*self.band(states), self.eps).any(axis=1)
+    def _scan(self, rows, low):
+        self._hit |= _dips(*self.band(rows, low), self.eps).any(axis=1)
 
     def result(self):
         return {"hits": {"eps": self.eps, "hit": self._hit}}
@@ -465,7 +489,8 @@ def occupation_stats(path: SimPath, eps: float) -> OccupationReport:
         raise ValueError("eps must be positive")
     counter = OccupationObserver((eps,))
     counter.start(path.states[:1], path.dt)
-    counter.update(path.states[:, None, :])
+    states = path.states[:, None, :]
+    counter.update(states, ranked_minima(states[1:]))
     occ = counter.result()["occupation"]
     return OccupationReport(
         eps=eps,

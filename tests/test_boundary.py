@@ -13,6 +13,7 @@ from openjacobi import (
     rank_pushed_only,
     run_paths,
 )
+from openjacobi import _kernel
 from openjacobi.sde import HitObserver, PathObserver
 
 
@@ -186,13 +187,25 @@ def _dips_at(query, x, eps):
     return lam < eps <= lam + min(x[j] for j in range(len(x)) if j not in names)
 
 
-@pytest.mark.parametrize("query", [
-    BoundaryQuery("rank_hits", k=3),
-    BoundaryQuery("rank_pushed_only", k=3),
-    BoundaryQuery("nameset_hits", names=(2, 3)),
-    BoundaryQuery("nameset_pushed_only", names=(3,)),
-], ids=lambda q: q.kind)
-def test_hit_observer_matches_a_stepwise_check(query):
+_STEPWISE_QUERIES = {
+    "rank_hits": BoundaryQuery("rank_hits", k=3),
+    "rank_pushed_only": BoundaryQuery("rank_pushed_only", k=3),
+    "nameset_hits": BoundaryQuery("nameset_hits", names=(2, 3)),
+    "nameset_pushed_only": BoundaryQuery("nameset_pushed_only", names=(3,)),
+    "rank_hits-k2": BoundaryQuery("rank_hits", k=2),
+}
+
+
+@pytest.mark.parametrize("backend, query", [
+    pytest.param(backend, query, id=name if backend == "c" else f"numpy-{name}")
+    for backend in ("c", "numpy") for name, query in _STEPWISE_QUERIES.items()
+])
+def test_hit_observer_matches_a_stepwise_check(backend, query, monkeypatch):
+    # rank_hits reads the kernel's block minima, so both kernels are checked
+    if backend == "numpy":
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    elif _kernel.load() is None:
+        pytest.skip(f"the compiled Euler kernel is unavailable: {_kernel.failure}")
     p = ModelParams(a=np.array([1.0, 0.8, 0.7]), gamma=np.array([0.2, 0.0, -0.1]))
     eps = (0.1, 3e-2, 1e-2)
     observer = HitObserver(query.band, eps)
@@ -219,7 +232,7 @@ class _LambdaQV(PathObserver):
         self.model = np.zeros(states.shape[0])
         self.dt = dt
 
-    def update(self, states):
+    def update(self, states, low):
         dt = self.dt
         lam = states[..., self.idx].sum(axis=-1)
         dlam = np.diff(lam, axis=0)

@@ -134,6 +134,11 @@ def test_invalid_params_exit_two_with_violated_index(tmp_path, capsys):
     ("growth", {"model": {"a": [2.0, 2.0, 2.0, 2.0]}, "open_market_size": 4}, "ConfigError"),
     ("limit", {"pd": {"theta": 2.0}, "schedule": {"d_list": [10, 40], "tail": "geometric"}},
      "ConfigError"),
+    ("boundary", {"model": BASE_MODEL, "boundary": {"kind": "rank_hits", "k": 2, "paths": 0.5}},
+     "ConfigError"),
+    ("pd", {"pd": {"theta": 1.0, "n": 0.5}}, "ConfigError"),
+    ("simulate", {"model": BASE_MODEL, "sim": {"T": 1.0, "dt": 1e-3, "paths": 2.7}},
+     "ConfigError"),
 ])
 def test_typed_config_and_model_errors_exit_two(tmp_path, capsys, monkeypatch,
                                                 command, payload, error_class):

@@ -42,7 +42,7 @@ from openjacobi.portfolio import (
     guarded_holdings,
 )
 from openjacobi._util import path_stream
-from openjacobi.sde import SimPath
+from openjacobi.sde import SimPath, ranked_minima
 
 from helpers import (
     local_growth_direct,
@@ -397,7 +397,8 @@ def observe(path, strategy, blocks=1):
     edges = np.linspace(0, path.n_steps, blocks + 1).round().astype(int)
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi > lo:
-            obs.update(path.states[lo:hi + 1, None, :])
+            states = path.states[lo:hi + 1, None, :]
+            obs.update(states, ranked_minima(states[1:]))
     return obs.result()["wealth"]
 
 

@@ -49,7 +49,7 @@ def euler_step(x, params, dt, gaussians):
     z = np.asarray(gaussians, dtype=float)[None, None, :]
     block = np.empty((2,) + x.shape)
     block[0] = x
-    clips = sde._advance_block(block, params, dt, z)
+    clips, _ = sde._advance_block(block, params, dt, z)
     return block[1, 0], bool(clips[0])
 
 
@@ -119,7 +119,7 @@ def test_one_step_increment_moments_match_model():
     dt = 1e-3
     n = 100_000
     rng = np.random.default_rng(42)
-    z = rng.standard_normal((1, n, 3))
+    z = rng.standard_normal((n, 1, 3))
     block = np.empty((2, n, 3))
     block[0] = x
     from openjacobi.sde import _advance_block
@@ -196,13 +196,13 @@ class _Recorder(PathObserver):
         self.calls.append(("start", args))
 
     def update(self, *args):
-        self.calls.append(("update", args))
+        self.calls.append(("update", tuple(arg.copy() for arg in args)))
 
     def result(self):
         return {}
 
 
-def test_observers_get_the_run_dt_once_and_states_only():
+def test_observers_get_the_run_dt_once_then_states_and_ranked_minima():
     p = rank_jacobi([1.0, 1.0, 1.0])
     dt = 0.1 / 3                  # a block time grid would reproduce this dt only to an ulp
     rec = _Recorder()
@@ -212,7 +212,9 @@ def test_observers_get_the_run_dt_once_and_states_only():
     assert kind == "start" and states.shape == (2, 3)
     assert got_dt == dt
     assert [kind for kind, _ in updates] == ["update"] * -(-batch.n_steps // 7)
-    assert all(len(args) == 1 and args[0].shape[1:] == (2, 3) for _, args in updates)
+    assert all(len(args) == 2 and args[0].shape[1:] == (2, 3) for _, args in updates)
+    for _, (states, low) in updates:
+        assert np.array_equal(low, sde.ranked_minima(states[1:]))
     assert sum(args[0].shape[0] - 1 for _, args in updates) == batch.n_steps
 
 
@@ -234,7 +236,7 @@ class _CovariationTerminal(PathObserver):
         self.model = np.zeros(P)
         self.dt = dt
 
-    def update(self, states):
+    def update(self, states, low):
         dt = self.dt
         dx = np.diff(states, axis=0)
         self.realized += (dx[..., self.i] * dx[..., self.j]).sum(axis=0)
@@ -417,7 +419,7 @@ def _kernel_case(d, P, steps, seed):
     start[2::3, 2:] = 0.0
     block = np.empty((steps + 1, P, d))
     block[0] = start
-    return params, block, rng.standard_normal((steps, P, d))
+    return params, block, rng.standard_normal((P, steps, d))
 
 
 @requires_cc
@@ -427,10 +429,11 @@ def test_compiled_kernel_bit_identical_to_numpy(d, P, dt):
     kernel = compiled_kernel()
     params, block_np, z = _kernel_case(d, P, steps=8 if P == 500 else 30, seed=d * P)
     block_c = block_np.copy()
-    clips_np = sde._advance_block_numpy(block_np, params, dt, z)
-    clips_c = sde._advance_block_c(kernel, block_c, params, dt, z)
+    clips_np, low_np = sde._advance_block_numpy(block_np, params, dt, z)
+    clips_c, low_c = sde._advance_block_c(kernel, block_c, params, dt, z)
     assert np.array_equal(block_c, block_np)
     assert np.array_equal(clips_c, clips_np)
+    assert np.array_equal(low_c, low_np)
     if dt == 1e-1 and P > 1:
         assert clips_np.sum() > 0                     # the clip branch ran
 
@@ -491,9 +494,9 @@ def test_concurrent_first_loads_build_and_load_once(monkeypatch):
 def test_compiled_kernel_rejects_mismatched_shapes():
     p = rank_jacobi([1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
-        sde._advance_block_c(None, np.empty((3, 2, 3)), p, 1e-3, np.zeros((3, 2, 3)))
+        sde._advance_block_c(None, np.empty((3, 2, 3)), p, 1e-3, np.zeros((2, 3, 3)))
     with pytest.raises(ValueError):
-        sde._advance_block_c(None, np.empty((4, 2, 2)), p, 1e-3, np.zeros((3, 2, 2)))
+        sde._advance_block_c(None, np.empty((4, 2, 2)), p, 1e-3, np.zeros((2, 3, 2)))
 
 
 def test_load_reports_an_unwritable_cache(tmp_path, monkeypatch):
