@@ -64,6 +64,8 @@ RUNS = [  # (name, command, config, extra argv)
         "seed": 37, "model": RANK3, "sampler": {"n": 2000, "kind": "named", "method": "spacing"},
         "ergodic": {"T": 10.0, "dt": 1e-3, "paths": 4, "functions": ["x1", "y1"]}}, []),
     ("pd", "pd", {"seed": 17, "pd": {"theta": 1.0, "n": 5000, "max_degree": 4}}, []),
+    ("pd-with-M", "pd", {"seed": 17, "pd": {"theta": 1.0, "n": 5000, "max_degree": 4,
+                                            "M": 20000}}, []),
     ("limit", "limit", {"seed": 23, "pd": {"theta": 2.0, "tilt": [0.0]},
                         "schedule": {"d_list": [10, 40]},
                         "limit": {"n": 5000, "growth": {"sigma": 1.0, "N": 1}}}, []),
@@ -78,6 +80,9 @@ RUNS = [  # (name, command, config, extra argv)
                                  "limit": {"n": 5000, "growth": {"sigma": 1.0, "N": 0}}}, []),
 ] + [(f"growth-quad-N{n}", "growth", {"seed": 4, "model": RANK4, "open_market_size": n,
                                       "growth": {"method": "quadrature"}}, []) for n in (1, 3)
+     ] + [("growth-no-optimum", "growth", {           # a_bar_2 = 0.8 < 1: exists is false
+         "seed": 4, "model": {"a": [1.0, 0.5, 0.3], "gamma": [0.0] * 3},
+         "open_market_size": 2, "growth": {"method": "quadrature"}}, [])
      ] + [(f"{name}-t{k}", "growth", cfg, ["--threads", str(k)])
           for name, cfg in BACKTESTS.items() for k in (1, 2)
      ] + [(f"boundary-{name}", "boundary", {"seed": 41, "model": EDGE3, "boundary": {
