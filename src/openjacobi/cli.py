@@ -97,7 +97,8 @@ def _positive(value) -> float:
 
 
 def _count(value) -> int:
-    """A number of paths or draws: a whole number >= 1 (``1e5`` is one)."""
+    """A count (paths, draws, a size or a degree): a whole number >= 1
+    (``1e5`` is one)."""
     number = float(value)
     if not (number >= 1 and number.is_integer()):
         raise ValueError(f"expected a whole number >= 1, got {value}")
@@ -245,7 +246,7 @@ def cmd_invariant(cfg, out, threads):
 def cmd_growth(cfg, out, threads):
     params = model_from_config(cfg)
     with _config_block("growth"):
-        n_top = int(_require(cfg, "open_market_size"))
+        n_top = _count(_require(cfg, "open_market_size"))
         exists, detail = portfolio_mod.growth_exists(params, n_top)     # checks 1 <= N < d
         growth_cfg = cfg.get("growth", {})
         method = growth_cfg.get("method", "mc")
@@ -321,11 +322,10 @@ def cmd_pd(cfg, out, threads):
         block = _require(cfg, "pd")
         theta = float(_require(block, "theta"))
         n = _count(block.get("n", 100_000))
-        M = int(block.get("M", 10_000))
-        pdlimit_mod.PDConfig(theta=theta, M=M)
-        max_degree = int(block.get("max_degree", 6))
+        pdlimit_mod.PDConfig(theta=theta)
+        max_degree = _count(block.get("max_degree", 6))
     seed = cfg["seed"]
-    sample = pdlimit_mod.pd_sample(theta, M, n, seed)
+    sample = pdlimit_mod.pd_sample(theta, n, seed)
     multisets = _multisets_up_to(max_degree)
     rows = []
     table = {}
@@ -370,7 +370,6 @@ def cmd_limit(cfg, out, threads):
         pd_cfg = pdlimit_mod.PDConfig(
             theta=float(_require(block, "theta")),
             tilt=tuple(block.get("tilt", ())),
-            M=int(block.get("M", 10_000)),
         )
         sched_block = _require(cfg, "schedule")
         if sched_block.get("tail", "flat") != "flat":
@@ -384,7 +383,7 @@ def cmd_limit(cfg, out, threads):
         growth_block = limit_block.get("growth")
         if growth_block:
             sigma = _positive(growth_block.get("sigma", 1.0))
-            if int(growth_block.get("N", pd_cfg.n_tilted)) != pd_cfg.n_tilted:
+            if float(growth_block.get("N", pd_cfg.n_tilted)) != pd_cfg.n_tilted:
                 raise ConfigError("limit.growth.N must equal the number of tilts")
             pdlimit_mod.require_limit_growth(pd_cfg)
     estimate = pdlimit_mod.tilted_estimator(pd_cfg, n, cfg["seed"])

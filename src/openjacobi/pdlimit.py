@@ -10,6 +10,7 @@ robust growth rate.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +19,10 @@ from ._util import SEED_LIMIT, mean_and_se, substream, write_csv, z_score
 from .invariant import sample_invariant
 from .simplex import ModelParams, ranked_weights, tail_sums
 
-TAIL_EXPECTATION_BOUND = 1e-6     # required expected truncation mass at length M
 ESS_FLOOR_FRACTION = 0.05
 STICK_BLOCK = 64
-HARD_TAIL_FLOOR = 1e-13
+HARD_TAIL_FLOOR = 1e-13           # stick breaking stops once every leftover is below this
+MAX_STICKS = 10_000               # most sticks one draw may take to get there
 
 
 class HeavyTiltError(RuntimeError):
@@ -29,7 +30,7 @@ class HeavyTiltError(RuntimeError):
 
 
 class TruncationError(RuntimeError):
-    """Stick breaking needed more than M sticks to reach the tail floor."""
+    """Stick breaking needed more than ``MAX_STICKS`` sticks to reach the tail floor."""
 
 
 @dataclass(frozen=True)
@@ -38,13 +39,14 @@ class PDConfig:
     tilts a_1..a_N applied to the top N ranked entries.
 
     Valid iff theta > 0, every partial tilt tail sum_{l=k..N} a_l exceeds
-    -theta (k = 2..N), and the truncation length M keeps the expected
-    leftover stick mass (theta/(1+theta))^M below 1e-6.
+    -theta (k = 2..N), and the expected number of sticks before the leftover
+    mass falls below ``HARD_TAIL_FLOOR``, theta * ln(1 / HARD_TAIL_FLOOR)
+    (each stick takes Exp(theta) off the log leftover), is at most
+    ``MAX_STICKS``: theta up to about 334.
     """
 
     theta: float
     tilt: tuple = ()
-    M: int = 10_000
 
     def __post_init__(self):
         object.__setattr__(self, "tilt", tuple(float(a) for a in self.tilt))
@@ -56,10 +58,11 @@ class PDConfig:
                 raise ValueError(
                     f"tilt tail sum from position {k} must exceed -theta"
                 )
-        if self.M < 10:
-            raise ValueError("M must be at least 10")
-        if (self.theta / (1.0 + self.theta)) ** self.M > TAIL_EXPECTATION_BOUND:
-            raise ValueError("M too small: expected truncated tail mass above 1e-6")
+        if self.theta * math.log(1.0 / HARD_TAIL_FLOOR) > MAX_STICKS:
+            raise ValueError(
+                f"theta={self.theta} expects more than {MAX_STICKS} sticks per draw "
+                f"to reach the tail floor {HARD_TAIL_FLOOR}"
+            )
 
     @property
     def n_tilted(self) -> int:
@@ -72,38 +75,39 @@ class PDSample:
 
     ``weights`` holds the leading entries of each draw in decreasing order;
     columns beyond the stored width are implicitly zero (the generator stops
-    once every draw's leftover stick mass is negligible, well before M).
+    once every draw's leftover stick mass is below ``HARD_TAIL_FLOOR``).
     ``tail_mass`` is the per-draw leftover, so each row sums to
     1 - tail_mass within roundoff.
     """
 
-    weights: np.ndarray          # (n, K) with K <= M
+    weights: np.ndarray          # (n, K) with K <= MAX_STICKS
     tail_mass: np.ndarray        # (n,)
     theta: float
-    M: int
 
     @property
     def n(self) -> int:
         return self.weights.shape[0]
 
 
-def pd_sample(theta: float, M: int, n: int, seed: int) -> PDSample:
+def pd_sample(theta: float, n: int, seed: int) -> PDSample:
     """Draw n approximate PD(theta) points by stick breaking and sorting.
 
     Beta(1, theta) sticks are generated in blocks until every draw's
-    remaining mass is below ``HARD_TAIL_FLOOR`` (``TruncationError`` is raised if
-    that would take more than M sticks, the configured truncation length).
+    remaining mass is below ``HARD_TAIL_FLOOR``.  ``PDConfig`` rejects a
+    theta whose expected stick count exceeds ``MAX_STICKS``;
+    ``TruncationError`` is raised when the realised count of some draw
+    does.
     """
-    cfg = PDConfig(theta=theta, M=M)       # reuse the validity checks
+    PDConfig(theta=theta)                  # reuse the validity checks
     rng = substream(seed, "pd-sticks")
     blocks = []
     log_rem = np.zeros(n)                  # log of remaining stick mass
     ncols = 0
     while True:
-        width = min(STICK_BLOCK, cfg.M - ncols)
+        width = min(STICK_BLOCK, MAX_STICKS - ncols)
         if width <= 0:
             raise TruncationError(
-                f"truncation length M={M} too small for tail floor {HARD_TAIL_FLOOR}"
+                f"more than {MAX_STICKS} sticks needed to reach tail floor {HARD_TAIL_FLOOR}"
             )
         v = rng.beta(1.0, theta, size=(n, width))
         inner = np.cumsum(np.log1p(-v), axis=1)
@@ -116,7 +120,7 @@ def pd_sample(theta: float, M: int, n: int, seed: int) -> PDSample:
             break
     weights = np.concatenate(blocks, axis=1)
     weights = ranked_weights(weights)
-    return PDSample(weights=weights, tail_mass=np.exp(log_rem), theta=theta, M=M)
+    return PDSample(weights=weights, tail_mass=np.exp(log_rem), theta=theta)
 
 
 def power_sum(y, m: float) -> np.ndarray:
@@ -182,7 +186,7 @@ def tilted_estimator(cfg: PDConfig, n: int, seed: int):
     effective sample size is below 5% of n, which signals a tilt too heavy
     for the sample budget.
     """
-    sample = pd_sample(cfg.theta, cfg.M, n, seed)
+    sample = pd_sample(cfg.theta, n, seed)
     y = sample.weights
     logw = np.zeros(n)
     for k, a_k in enumerate(cfg.tilt):
@@ -228,7 +232,7 @@ class ScheduleAd:
 def make_schedule(theta: float, tilt, d_list) -> ScheduleAd:
     """Build and validate the flat schedule a^d = (tilts..., theta / (d - N),
     ..., theta / (d - N)); every member must have positive tail sums."""
-    cfg = PDConfig(theta=theta, tilt=tuple(tilt), M=10_000)
+    cfg = PDConfig(theta=theta, tilt=tuple(tilt))
     n = cfg.n_tilted
     vectors = {}
     for d in sorted(int(v) for v in d_list):

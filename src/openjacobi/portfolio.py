@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import mean_and_se, write_csv
+from .boundary import rank_avoids_zero
 from .invariant import sample_invariant
 from .sde import PathObserver, SimPath, drift, gap_local_time, sum_over_steps
 from .simplex import (
@@ -28,7 +29,6 @@ from .simplex import (
     ranked_weights,
     ranking_order,
     small_cap_integral,
-    tail_sums,
     to_names,
     validate_params,
 )
@@ -44,10 +44,6 @@ class SelfFinancingError(ValueError):
 
 class GrowthConditionError(ValueError):
     """Growth-optimality existence condition fails for the requested market."""
-
-    def __init__(self, message, margins=None):
-        super().__init__(message)
-        self.margins = margins
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +163,21 @@ def growth_optimal_theta(x, params: ModelParams, n_top: int) -> np.ndarray:
 def growth_exists(params: ModelParams, n_top: int):
     """Existence verdict for the growth-optimal open-market strategy.
 
-    Returns (exists, report) where the report lists the margin
-    a_bar_k + gamma_bar_(k) - 1 for each k = 2..N+1.
+    The strategy exists iff the model is well posed and rank N+1 never
+    reaches zero (``rank_avoids_zero``): every margin a_bar_k + gamma_bar_(k)
+    for k = 2..N+1 is at least one.  Returns (exists, report) where the
+    report lists those margins minus one.  Raises ``ValueError`` unless
+    1 <= N < d.
     """
-    report = validate_params(params, open_market_size=n_top)
+    _check_open_size(n_top, params.d)
+    report = validate_params(params)
     detail = {
         "open_market_size": n_top,
-        "margins": report.growth_margins,
+        "margins": report.margins[:n_top] - 1.0,
         "ks": list(range(2, n_top + 2)),
         "valid_params": report.valid,
     }
-    return bool(report.growth_ok and report.valid), detail
+    return report.valid and rank_avoids_zero(params, n_top + 1), detail
 
 
 def local_growth_rate(y, order, params: ModelParams, n_top: int) -> np.ndarray:
@@ -612,11 +612,9 @@ def _require_strict_growth(params: ModelParams, n_top: int) -> np.ndarray:
     _check_open_size(n_top, params.d)
     if not params.is_rank_based:
         raise GrowthConditionError("robust growth rate applies to rank-based models only")
-    margins = tail_sums(params.a)[1: n_top + 1] - 1.0
+    margins = params.tail_margins()[:n_top] - 1.0
     if np.any(margins <= 0.0):
-        raise GrowthConditionError(
-            "strict growth condition fails: some tail sum <= 1", margins=margins
-        )
+        raise GrowthConditionError("strict growth condition fails: some tail sum <= 1")
     return margins
 
 

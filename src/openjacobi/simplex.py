@@ -198,8 +198,6 @@ class ParamReport:
     valid: bool
     margins: np.ndarray
     first_violation: int | None          # 1-based k of the first failing margin
-    growth_margins: np.ndarray | None = None   # margins - 1 for k = 2..N+1
-    growth_ok: bool | None = None
 
 
 def _check_open_size(n_top: int, d: int) -> None:
@@ -208,29 +206,18 @@ def _check_open_size(n_top: int, d: int) -> None:
         raise ValueError("need 1 <= N < d")
 
 
-def validate_params(params: ModelParams, open_market_size: int | None = None) -> ParamReport:
+def validate_params(params: ModelParams) -> ParamReport:
     """Check the positivity of every tail margin and report it.
 
-    With ``open_market_size`` given, additionally reports whether the
-    growth-existence thresholds (margin >= 1 for k = 2..N+1) hold; raises
-    ``ValueError`` when that N lies outside 1..d-1.
+    Growth existence for an open market of size N is a separate question,
+    answered by ``portfolio.growth_exists``.
     """
     margins = params.tail_margins()
     bad = np.flatnonzero(margins <= 0.0)
-    first = int(bad[0]) + 2 if bad.size else None
-    growth_margins = None
-    growth_ok = None
-    if open_market_size is not None:
-        n = int(open_market_size)
-        _check_open_size(n, params.d)
-        growth_margins = margins[: n] - 1.0
-        growth_ok = bool(np.all(growth_margins >= 0.0))
     return ParamReport(
         valid=bool(bad.size == 0),
         margins=margins,
-        first_violation=first,
-        growth_margins=growth_margins,
-        growth_ok=growth_ok,
+        first_violation=int(bad[0]) + 2 if bad.size else None,
     )
 
 

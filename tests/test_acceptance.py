@@ -240,7 +240,7 @@ def test_criterion_9_poisson_dirichlet_moments():
     worst = 0.0
     closed_ok = True
     for theta in (0.5, 1.0, 2.0):
-        sample = pd_sample(theta, M=10_000, n=100_000, seed=int(90009 + 10 * theta))
+        sample = pd_sample(theta, n=100_000, seed=int(90009 + 10 * theta))
         w = sample.weights
         phi2 = power_sum(w, 2)
         z2 = z_score(phi2.mean(), phi2.std(ddof=1) / math.sqrt(phi2.size),

@@ -139,6 +139,12 @@ def test_invalid_params_exit_two_with_violated_index(tmp_path, capsys):
     ("pd", {"pd": {"theta": 1.0, "n": 0.5}}, "ConfigError"),
     ("simulate", {"model": BASE_MODEL, "sim": {"T": 1.0, "dt": 1e-3, "paths": 2.7}},
      "ConfigError"),
+    ("growth", {"model": {"a": [1.5, 1.5, 1.5]}, "open_market_size": 1.5,
+                "growth": {"method": "quadrature"}}, "ConfigError"),
+    ("pd", {"pd": {"theta": 1.0, "n": 100, "max_degree": 2.7}}, "ConfigError"),
+    ("limit", {"pd": {"theta": 2.0, "tilt": [0.5]}, "schedule": {"d_list": [10, 40]},
+               "limit": {"n": 500, "growth": {"sigma": 1.0, "N": 1.5}}}, "ConfigError"),
+    ("pd", {"pd": {"theta": 400.0, "n": 100}}, "ConfigError"),
 ])
 def test_typed_config_and_model_errors_exit_two(tmp_path, capsys, monkeypatch,
                                                 command, payload, error_class):
@@ -359,12 +365,14 @@ def test_heavy_tilt_exits_three(tmp_path, capsys):
     assert err["error"] == "diagnostic"
 
 
-def test_pd_truncation_too_short_exits_three(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"seed": 3, "pd": {"theta": 1.0, "M": 20, "n": 100}})
+def test_pd_truncation_too_short_exits_three(tmp_path, capsys, monkeypatch):
+    # theta = 0.5 expects 15 sticks, within a cap of 20; some of 100 draws need more
+    monkeypatch.setattr("openjacobi.pdlimit.MAX_STICKS", 20)
+    cfg = write_config(tmp_path, {"seed": 3, "pd": {"theta": 0.5, "n": 100}})
     assert run(["pd", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "diagnostic"
-    assert "truncation length M=20 too small" in err["detail"]
+    assert "more than 20 sticks" in err["detail"]
 
 
 HYBRID_MODEL = {"a": [1.0, 0.5, 0.5], "gamma": [0.3, 0.2, 0.1], "sigma": 1.0}

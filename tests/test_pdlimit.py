@@ -44,10 +44,12 @@ def test_pdconfig_tilt_tail_condition_is_strict():
     PDConfig(theta=1.0, tilt=(-25.0,))
 
 
-def test_pdconfig_truncation_mass_bound():
-    with pytest.raises(ValueError):
-        PDConfig(theta=2.0, M=10)     # (2/3)^10 is nowhere near 1e-6
-    PDConfig(theta=2.0, M=60)
+def test_pdconfig_expected_stick_count_bound():
+    # theta * ln(1e13) sticks are expected before the leftover falls below the
+    # floor: about 8980 at theta = 300, above the 10 000 cap at theta = 400
+    with pytest.raises(ValueError, match="sticks per draw"):
+        PDConfig(theta=400.0)
+    PDConfig(theta=300.0)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +57,7 @@ def test_pdconfig_truncation_mass_bound():
 # ---------------------------------------------------------------------------
 
 def test_pd_sample_draws_are_ordered_and_account_for_mass():
-    sample = pd_sample(theta=1.0, M=10_000, n=2_000, seed=0)
+    sample = pd_sample(theta=1.0, n=2_000, seed=0)
     w = sample.weights
     assert np.all(w >= 0.0)
     assert np.all(np.diff(w, axis=1) <= 0.0)
@@ -65,20 +67,21 @@ def test_pd_sample_draws_are_ordered_and_account_for_mass():
 
 
 def test_pd_sample_deterministic_in_seed():
-    a = pd_sample(theta=0.5, M=10_000, n=100, seed=9)
-    b = pd_sample(theta=0.5, M=10_000, n=100, seed=9)
+    a = pd_sample(theta=0.5, n=100, seed=9)
+    b = pd_sample(theta=0.5, n=100, seed=9)
     assert np.array_equal(a.weights, b.weights)
 
 
-def test_pd_sample_truncation_too_short_for_tail_floor_is_typed():
-    # M = 20 passes PDConfig's expected-tail bound, (1/2)^20 < 1e-6, but the
-    # sticks cannot reach the 1e-13 tail floor within 20 columns
-    with pytest.raises(TruncationError, match="M=20 too small"):
-        pd_sample(theta=1.0, M=20, n=100, seed=3)
+def test_pd_sample_truncation_too_short_for_tail_floor_is_typed(monkeypatch):
+    # under a cap of 20 sticks, theta = 0.5 expects 0.5 * ln(1e13) = 15 and
+    # passes PDConfig, but some of 100 draws need more than 20 to reach the floor
+    monkeypatch.setattr("openjacobi.pdlimit.MAX_STICKS", 20)
+    with pytest.raises(TruncationError, match="more than 20 sticks"):
+        pd_sample(theta=0.5, n=100, seed=3)
 
 
 def test_pd_sample_top_share_moment():
-    sample = pd_sample(theta=1.0, M=10_000, n=50_000, seed=1)
+    sample = pd_sample(theta=1.0, n=50_000, seed=1)
     # E[phi_2] = 1/(1+theta)
     assert abs(mc_z(power_sum(sample.weights, 2), 0.5)) < 3.0
 
@@ -121,7 +124,7 @@ def test_moment_recursion_strictly_decreasing_in_power():
 
 
 def test_moment_recursion_products_match_monte_carlo():
-    sample = pd_sample(theta=2.0, M=10_000, n=50_000, seed=2)
+    sample = pd_sample(theta=2.0, n=50_000, seed=2)
     w = sample.weights
     for ms in [(2, 2), (2, 3), (2, 2, 2)]:
         vals = np.ones(w.shape[0])

@@ -25,11 +25,13 @@ from openjacobi import (
     master_formula,
     monomial_integral,
     optimal_rank_holdings,
+    rank_avoids_zero,
     ranking_order,
     robust_growth_rate,
     shift_self_financing,
     simulate,
     simulate_given_noise,
+    validate_params,
     wealth,
 )
 from openjacobi.portfolio import (
@@ -267,6 +269,31 @@ def test_growth_exists_thresholds():
             p = ModelParams(a=np.zeros(d), gamma=np.full(d, threshold + bump))
             exists, _ = growth_exists(p, n_top)
             assert exists is expected
+
+
+def test_growth_exists_reports_margins_minus_one():
+    p = ModelParams(a=np.zeros(5), gamma=np.full(5, 0.5))
+    exists, report = growth_exists(p, 2)
+    # margins for k = 2, 3 are 4*0.5 - 1 and 3*0.5 - 1
+    assert np.allclose(report["margins"], [1.0, 0.5])
+    assert exists
+
+
+_quarters = st.integers(-6, 8).map(lambda q: q / 4.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), d=st.integers(2, 8))
+def test_growth_exists_is_rank_non_attainment(data, d):
+    # quarter-grid entries make tail margins of exactly 1 (and 0) common
+    a = data.draw(hnp.arrays(float, d, elements=_quarters))
+    gamma = data.draw(hnp.arrays(float, d, elements=_quarters))
+    p = ModelParams(a=a, gamma=gamma)
+    report = validate_params(p)
+    for n_top in range(1, d):
+        exists, detail = growth_exists(p, n_top)
+        assert exists == (report.valid and rank_avoids_zero(p, n_top + 1))
+        assert np.array_equal(detail["margins"], report.margins[:n_top] - 1.0)
 
 
 def test_growth_exists_atlas_tail_specifications():

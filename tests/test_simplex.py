@@ -17,6 +17,7 @@ from openjacobi import (
     as_simplex,
     covariation_form,
     diffusion_c,
+    growth_exists,
     monomial_integral,
     monomial_integral_finite,
     ranking_order,
@@ -214,19 +215,11 @@ def test_validate_params_symmetric_gamma():
         assert validate_params(p).valid is valid
 
 
-def test_validate_params_growth_thresholds():
-    p = ModelParams(a=np.zeros(5), gamma=np.full(5, 0.5))
-    report = validate_params(p, open_market_size=2)
-    # margins for k = 2, 3 are 4*0.5 - 1 and 3*0.5 - 1
-    assert np.allclose(report.growth_margins, [1.0, 0.5])
-    assert report.growth_ok
-
-
 @pytest.mark.parametrize("n_top", [0, 4])
 def test_open_market_size_outside_one_to_d_minus_one_raises(n_top):
     p = ModelParams(a=np.full(4, 1.5), gamma=np.zeros(4))
     with pytest.raises(ValueError, match="1 <= N < d"):
-        validate_params(p, open_market_size=n_top)
+        growth_exists(p, n_top)
     with pytest.raises(ValueError, match="1 <= N < d"):
         small_cap_integral(p.a, n_top)
 
