@@ -66,6 +66,7 @@ RUNS = [  # (name, command, config, extra argv)
     ("pd", "pd", {"seed": 17, "pd": {"theta": 1.0, "n": 5000, "max_degree": 4}}, []),
     ("pd-with-M", "pd", {"seed": 17, "pd": {"theta": 1.0, "n": 5000, "max_degree": 4,
                                             "M": 20000}}, []),
+    ("pd-theta20", "pd", {"seed": 59, "pd": {"theta": 20.0, "n": 2000}}, []),
     ("limit", "limit", {"seed": 23, "pd": {"theta": 2.0, "tilt": [0.0]},
                         "schedule": {"d_list": [10, 40]},
                         "limit": {"n": 5000, "growth": {"sigma": 1.0, "N": 1}}}, []),
