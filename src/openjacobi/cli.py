@@ -323,6 +323,7 @@ def cmd_pd(cfg, out, threads):
         theta = float(_require(block, "theta"))
         n = _count(block.get("n", 100_000))
         pdlimit_mod.PDConfig(theta=theta)
+        pdlimit_mod.require_stick_cap(theta, n)
         max_degree = _count(block.get("max_degree", 6))
     seed = cfg["seed"]
     sample = pdlimit_mod.pd_sample(theta, n, seed)
@@ -378,6 +379,7 @@ def cmd_limit(cfg, out, threads):
                                              d_list=sched_block["d_list"])
         limit_block = cfg.get("limit", {})
         n = _count(limit_block.get("n", 100_000))
+        pdlimit_mod.require_stick_cap(pd_cfg.theta, n)
         func_names = limit_block.get("functions", ["phi2"])
         funcs = {name: invariant_mod.make_statistic(name) for name in func_names}
         growth_block = limit_block.get("growth")

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from ._util import SEED_LIMIT, mean_and_se, substream, write_csv, z_score
 from .invariant import sample_invariant
@@ -23,6 +24,7 @@ ESS_FLOOR_FRACTION = 0.05
 STICK_BLOCK = 64
 HARD_TAIL_FLOOR = 1e-13           # stick breaking stops once every leftover is below this
 MAX_STICKS = 10_000               # most sticks one draw may take to get there
+STICK_CAP_RISK = 1e-9             # largest accepted chance that some draw needs more
 
 
 class HeavyTiltError(RuntimeError):
@@ -39,10 +41,8 @@ class PDConfig:
     tilts a_1..a_N applied to the top N ranked entries.
 
     Valid iff theta > 0, every partial tilt tail sum_{l=k..N} a_l exceeds
-    -theta (k = 2..N), and the expected number of sticks before the leftover
-    mass falls below ``HARD_TAIL_FLOOR``, theta * ln(1 / HARD_TAIL_FLOOR)
-    (each stick takes Exp(theta) off the log leftover), is at most
-    ``MAX_STICKS``: theta up to about 334.
+    -theta (k = 2..N), and one draw passes ``require_stick_cap``: theta up
+    to about 314.
     """
 
     theta: float
@@ -58,11 +58,7 @@ class PDConfig:
                 raise ValueError(
                     f"tilt tail sum from position {k} must exceed -theta"
                 )
-        if self.theta * math.log(1.0 / HARD_TAIL_FLOOR) > MAX_STICKS:
-            raise ValueError(
-                f"theta={self.theta} expects more than {MAX_STICKS} sticks per draw "
-                f"to reach the tail floor {HARD_TAIL_FLOOR}"
-            )
+        require_stick_cap(self.theta, 1)
 
     @property
     def n_tilted(self) -> int:
@@ -89,19 +85,45 @@ class PDSample:
         return self.weights.shape[0]
 
 
+def require_stick_cap(theta: float, n: int) -> None:
+    """Raise ``ValueError`` when n draws at theta may need more than
+    ``MAX_STICKS`` sticks each to bring their leftover below
+    ``HARD_TAIL_FLOOR``.
+
+    A draw stops at the first stick whose Exp(1) gap sum Gamma_j exceeds
+    c = theta * ln(1 / HARD_TAIL_FLOOR), so it needs 1 + Poisson(c) sticks;
+    the union bound n * P(Poisson(c) >= MAX_STICKS) must not exceed
+    ``STICK_CAP_RISK``.
+    """
+    c = theta * math.log(1.0 / HARD_TAIL_FLOOR)
+    risk = n * special.pdtrc(MAX_STICKS - 1, c)
+    if risk > STICK_CAP_RISK:
+        raise ValueError(
+            f"theta={theta} needs more than {MAX_STICKS} sticks per draw to reach "
+            f"the tail floor {HARD_TAIL_FLOOR} with probability up to {risk:.3g} "
+            f"over n={n} draws (accepted: {STICK_CAP_RISK:g})"
+        )
+
+
 def pd_sample(theta: float, n: int, seed: int) -> PDSample:
     """Draw n approximate PD(theta) points by stick breaking and sorting.
 
-    Beta(1, theta) sticks are generated in blocks until every draw's
-    remaining mass is below ``HARD_TAIL_FLOOR``.  ``PDConfig`` rejects a
-    theta whose expected stick count exceeds ``MAX_STICKS``;
-    ``TruncationError`` is raised when the realised count of some draw
-    does.
+    GEM(theta) sticks come from exponential gaps: 1 - V_j = exp(-E_j/theta)
+    with E_j ~ Exp(1), so with Gamma_j = E_1 + ... + E_j stick j is
+    exp(-Gamma_{j-1}/theta) * (1 - exp(-E_j/theta)), exact in law, and the
+    leftover after it is exp(-Gamma_j/theta).  Gaps are drawn in blocks until
+    every draw's leftover is below ``HARD_TAIL_FLOOR``.  ``require_stick_cap``
+    rejects (theta, n) before any stick is drawn when some draw may need more
+    than ``MAX_STICKS`` sticks; ``TruncationError`` is raised when the
+    realised count of some draw still does.
     """
     PDConfig(theta=theta)                  # reuse the validity checks
+    require_stick_cap(theta, n)
     rng = substream(seed, "pd-sticks")
+    stop = theta * math.log(1.0 / HARD_TAIL_FLOOR)
     blocks = []
-    log_rem = np.zeros(n)                  # log of remaining stick mass
+    gamma = np.zeros(n)                    # Gamma: the gap sum so far
+    tail = np.ones(n)                      # exp(-Gamma/theta): the leftover
     ncols = 0
     while True:
         width = min(STICK_BLOCK, MAX_STICKS - ncols)
@@ -109,18 +131,27 @@ def pd_sample(theta: float, n: int, seed: int) -> PDSample:
             raise TruncationError(
                 f"more than {MAX_STICKS} sticks needed to reach tail floor {HARD_TAIL_FLOOR}"
             )
-        v = rng.beta(1.0, theta, size=(n, width))
-        inner = np.cumsum(np.log1p(-v), axis=1)
-        w = v * np.exp(log_rem[:, None] + np.concatenate(
-            [np.zeros((n, 1)), inner[:, :-1]], axis=1))
-        blocks.append(w)
-        log_rem = log_rem + inner[:, -1]
+        e = rng.standard_exponential((n, width))
+        left = np.cumsum(e, axis=1)
+        left += gamma[:, None]
+        gamma = left[:, -1].copy()
+        left *= -1.0 / theta
+        np.exp(left, out=left)             # leftover after each stick
+        e *= -1.0 / theta
+        np.expm1(e, out=e)                 # minus each stick's share of the leftover before it
+        # scale by the stored leftover before each stick, so that rows sum to
+        # 1 - tail within roundoff at any theta; Gamma_j - E_j in its place
+        # loses digits to cancellation once E_j / theta is large
+        e[:, 0] *= tail
+        e[:, 1:] *= left[:, :-1]
+        np.negative(e, out=e)
+        blocks.append(e)
+        tail = left[:, -1].copy()
         ncols += width
-        if np.exp(log_rem.max()) < HARD_TAIL_FLOOR:
+        if gamma.min() > stop:
             break
-    weights = np.concatenate(blocks, axis=1)
-    weights = ranked_weights(weights)
-    return PDSample(weights=weights, tail_mass=np.exp(log_rem), theta=theta)
+    weights = ranked_weights(np.concatenate(blocks, axis=1))
+    return PDSample(weights=weights, tail_mass=tail, theta=theta)
 
 
 def power_sum(y, m: float) -> np.ndarray:

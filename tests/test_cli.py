@@ -365,9 +365,43 @@ def test_heavy_tilt_exits_three(tmp_path, capsys):
     assert err["error"] == "diagnostic"
 
 
-def test_pd_truncation_too_short_exits_three(tmp_path, capsys, monkeypatch):
-    # theta = 0.5 expects 15 sticks, within a cap of 20; some of 100 draws need more
+def no_sticks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("drew sticks")
+
+    monkeypatch.setattr("openjacobi.pdlimit.substream", refuse)
+
+
+@pytest.mark.parametrize("payload", [
+    {"pd": {"theta": 330.0, "n": 20}},            # n * P(more than 10 000 sticks) = 2.2
+    {"pd": {"theta": 312.0, "n": 100_000}},       # 7e-12 for one draw, 7e-7 for all
+    {"pd": {"theta": 312.0}, "schedule": {"d_list": [400]}, "limit": {"n": 100_000}},
+])
+def test_pd_stick_cap_exits_two_before_drawing(tmp_path, capsys, monkeypatch, payload):
+    no_sticks(monkeypatch)
+    command = "limit" if "limit" in payload else "pd"
+    cfg = write_config(tmp_path, {"seed": 3, **payload})
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "validation"
+    assert "sticks per draw" in err["detail"]
+
+
+def test_pd_truncation_risk_exits_two_before_drawing(tmp_path, capsys, monkeypatch):
+    # under a cap of 20 sticks theta = 0.5 needs more with chance 0.12 per draw
     monkeypatch.setattr("openjacobi.pdlimit.MAX_STICKS", 20)
+    no_sticks(monkeypatch)
+    cfg = write_config(tmp_path, {"seed": 3, "pd": {"theta": 0.5, "n": 100}})
+    assert run(["pd", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "validation"
+    assert "more than 20 sticks per draw" in err["detail"]
+
+
+def test_pd_truncation_too_short_exits_three(tmp_path, capsys, monkeypatch):
+    # with the up-front risk check switched off, some of 100 draws need more than 20
+    monkeypatch.setattr("openjacobi.pdlimit.MAX_STICKS", 20)
+    monkeypatch.setattr("openjacobi.pdlimit.STICK_CAP_RISK", float("inf"))
     cfg = write_config(tmp_path, {"seed": 3, "pd": {"theta": 0.5, "n": 100}})
     assert run(["pd", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     err = json.loads(capsys.readouterr().err.strip())

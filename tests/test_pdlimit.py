@@ -18,13 +18,21 @@ from openjacobi import (
     tilted_estimator,
 )
 from openjacobi._util import z_score
-from openjacobi.pdlimit import HeavyTiltError, TruncationError
+from openjacobi.pdlimit import HeavyTiltError, TruncationError, require_stick_cap
 
 
 def mc_z(values, target):
     m = values.mean()
     se = values.std(ddof=1) / math.sqrt(values.size)
     return z_score(m, se, target, 0.0)
+
+
+def no_sticks(monkeypatch):
+    """Make any stick draw fail the test."""
+    def refuse(*args):
+        raise AssertionError("drew sticks")
+
+    monkeypatch.setattr("openjacobi.pdlimit.substream", refuse)
 
 
 # ---------------------------------------------------------------------------
@@ -45,11 +53,24 @@ def test_pdconfig_tilt_tail_condition_is_strict():
 
 
 def test_pdconfig_expected_stick_count_bound():
-    # theta * ln(1e13) sticks are expected before the leftover falls below the
-    # floor: about 8980 at theta = 300, above the 10 000 cap at theta = 400
+    # one draw needs 1 + Poisson(theta * ln 1e13) sticks: at theta = 300 (mean
+    # 8980) more than the 10 000 cap has chance 2e-26, at theta = 400 (mean
+    # 11 974) it is near certain
     with pytest.raises(ValueError, match="sticks per draw"):
         PDConfig(theta=400.0)
     PDConfig(theta=300.0)
+
+
+def test_stick_cap_counts_every_draw(monkeypatch):
+    # theta = 312 passes for one draw (n * tail 7e-12) but not for 1e5 draws
+    # (7e-7 against the 1e-9 accepted), and is refused before any stick is drawn
+    no_sticks(monkeypatch)
+    PDConfig(theta=312.0)
+    require_stick_cap(312.0, 1)
+    with pytest.raises(ValueError, match="sticks per draw"):
+        require_stick_cap(312.0, 100_000)
+    with pytest.raises(ValueError, match="n=100000"):
+        pd_sample(theta=312.0, n=100_000, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -72,16 +93,42 @@ def test_pd_sample_deterministic_in_seed():
     assert np.array_equal(a.weights, b.weights)
 
 
-def test_pd_sample_truncation_too_short_for_tail_floor_is_typed(monkeypatch):
-    # under a cap of 20 sticks, theta = 0.5 expects 0.5 * ln(1e13) = 15 and
-    # passes PDConfig, but some of 100 draws need more than 20 to reach the floor
+def test_pd_sample_mass_accounting_at_extreme_theta():
+    # theta = 1e-3: the first stick takes nearly everything and the leftovers
+    # underflow; theta = 300: about 9000 sticks per draw
+    for theta, n in ((1e-3, 2_000), (300.0, 20)):
+        sample = pd_sample(theta=theta, n=n, seed=5)
+        w = sample.weights
+        assert not np.isnan(w).any() and not np.isnan(sample.tail_mass).any()
+        assert np.all(w >= 0.0)
+        assert np.all(np.diff(w, axis=1) <= 0.0)
+        total = w.sum(axis=1) + sample.tail_mass
+        assert np.abs(total - 1.0).max() < 1e-12, theta
+        assert sample.tail_mass.max() < 1e-13
+
+
+def test_pd_sample_stick_cap_refuses_before_drawing(monkeypatch):
+    # under a cap of 20 sticks theta = 0.5 needs 1 + Poisson(15) sticks, more
+    # than 20 with chance 0.12 per draw: 100 draws are refused up front
     monkeypatch.setattr("openjacobi.pdlimit.MAX_STICKS", 20)
+    no_sticks(monkeypatch)
+    with pytest.raises(ValueError, match="more than 20 sticks per draw"):
+        pd_sample(theta=0.5, n=100, seed=3)
+
+
+def test_pd_sample_truncation_too_short_for_tail_floor_is_typed(monkeypatch):
+    # with the up-front risk check switched off, some of the 100 draws above
+    # still need more than 20 sticks to reach the floor
+    monkeypatch.setattr("openjacobi.pdlimit.MAX_STICKS", 20)
+    monkeypatch.setattr("openjacobi.pdlimit.STICK_CAP_RISK", math.inf)
     with pytest.raises(TruncationError, match="more than 20 sticks"):
         pd_sample(theta=0.5, n=100, seed=3)
 
 
 def test_pd_sample_top_share_moment():
     sample = pd_sample(theta=1.0, n=50_000, seed=1)
+    # E[Y_1] under PD(1) is the Golomb-Dickman constant
+    assert abs(mc_z(sample.weights[:, 0], 0.6243299885435508)) < 3.0
     # E[phi_2] = 1/(1+theta)
     assert abs(mc_z(power_sum(sample.weights, 2), 0.5)) < 3.0
 
