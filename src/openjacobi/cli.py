@@ -130,8 +130,7 @@ def _x0(cfg_block, d):
 
 
 def _chunks(n_paths, threads):
-    threads = max(1, int(threads))
-    size = max(1, -(-n_paths // threads))
+    size = -(-n_paths // threads)
     offset = 0
     while offset < n_paths:
         take = min(size, n_paths - offset)
@@ -438,6 +437,8 @@ def run(argv=None) -> int:
         cfg["seed"] = int(cfg["seed"])
         if not 0 <= cfg["seed"] < SEED_LIMIT:
             raise ConfigError("seed must be an integer in [0, 2**64)")
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be a whole number >= 1, got {args.threads}")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         handler = COMMANDS[args.command]

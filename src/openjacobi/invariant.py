@@ -159,7 +159,8 @@ def sample_invariant(params: ModelParams, n: int, seed: int, kind: str = "ranked
 
     ``kind`` selects ranked or named coordinates; ``method`` overrides the
     automatic routing (exact Dirichlet for a = 0, exponential-spacing
-    rejection for gamma = 0, Metropolis otherwise).
+    rejection for gamma = 0, Metropolis otherwise).  ``options`` go to the
+    routed sampler, so one it does not take raises ``TypeError``.
     """
     require_valid(params)
     if n < 1:
@@ -175,9 +176,9 @@ def sample_invariant(params: ModelParams, n: int, seed: int, kind: str = "ranked
             method = "mcmc"
     rng = substream(seed, f"invariant-{method}")
     if method == "dirichlet":
-        return _sample_dirichlet(params, n, rng, kind)
+        return _sample_dirichlet(params, n, rng, kind, **options)
     if method == "spacing":
-        return _sample_spacing(params, n, rng, kind)
+        return _sample_spacing(params, n, rng, kind, **options)
     if method == "mcmc":
         return _sample_mcmc(params, n, rng, kind, **options)
     raise ValueError(f"unknown sampler method {method!r}")

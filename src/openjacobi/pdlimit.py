@@ -363,7 +363,11 @@ def limit_growth_rate(cfg: PDConfig, sigma: float, estimate) -> TiltedEstimate:
 
     ``estimate`` is a ``tilted_estimator`` of cfg's limit law, so the
     expectation reuses its weighted sample.  Requires theta > 1 and
-    theta + (tilt tail sums) > 1 for k = 2..N.
+    theta + (tilt tail sums) > 1 for k = 2..N.  Its ``se`` is no valid
+    error bar for 1 < theta <= 2: the term theta^2 / tail, with tail at
+    most 1 - Y_1, then has infinite variance, because Y_1's PD(theta)
+    density near 1 falls like (1 - y)^(theta - 1), so E[(1 - Y_1)^-2]
+    diverges and the sample standard error understates the error.
     """
     require_limit_growth(cfg)
     a = np.asarray(cfg.tilt)

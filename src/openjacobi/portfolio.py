@@ -338,18 +338,16 @@ def guarded_holdings(strategy: Strategy, states, prev):
     return theta, mask
 
 
-def _increments(theta_left, states, dt, sigma, model_drift):
-    """Per-step d log V and its drift part along states (T+1, ..., d).
-
-    ``theta_left`` holds the holdings at the left endpoints and
-    ``model_drift`` the model drift there, the compensator of the split.
-    """
+def _increments(theta_left, states, dt, sigma):
+    """Per-step d log V along states (T+1, ..., d) and the quadratic
+    variation rate theta^T c theta; ``theta_left`` holds the holdings at
+    the left endpoints."""
     left = states[:-1]
     qv = sigma ** 2 * (
         (theta_left ** 2 * left).sum(axis=-1) - (theta_left * left).sum(axis=-1) ** 2
     )
     dlog = (theta_left * np.diff(states, axis=0)).sum(axis=-1) - 0.5 * qv * dt
-    return dlog, ((theta_left * model_drift).sum(axis=-1) - 0.5 * qv) * dt
+    return dlog, qv
 
 
 def wealth(path: SimPath, strategy: Strategy, tol: float = SELF_FINANCING_TOL) -> WealthLedger:
@@ -362,11 +360,12 @@ def wealth(path: SimPath, strategy: Strategy, tol: float = SELF_FINANCING_TOL) -
     states = path.states
     theta, mask = guarded_holdings(strategy, states, np.ones(states.shape[-1]))
     _check_self_financing(theta, states, strategy.name, tol)
-    dlog, drift_incr = _increments(theta[:-1], states, path.dt, path.params.sigma,
-                                   drift(states[:-1], path.params))
+    theta_left = theta[:-1]
+    dlog, qv = _increments(theta_left, states, path.dt, path.params.sigma)
+    model_drift = (theta_left * drift(states[:-1], path.params)).sum(axis=-1)
     zero = np.zeros(1)
     log_wealth = np.concatenate([zero, np.cumsum(dlog)])
-    drift_part = np.concatenate([zero, np.cumsum(drift_incr)])
+    drift_part = np.concatenate([zero, np.cumsum((model_drift - 0.5 * qv) * path.dt)])
     return WealthLedger(
         times=path.times.copy(),
         log_wealth=log_wealth,
@@ -380,7 +379,9 @@ def wealth(path: SimPath, strategy: Strategy, tol: float = SELF_FINANCING_TOL) -
 
 
 class WealthObserver(PathObserver):
-    """Streaming per-path wealth accumulation for long-horizon batches."""
+    """Streaming per-path log wealth and guarded-step counts for
+    long-horizon batches; the drift/martingale split is the stored-path
+    ledger's (``wealth``)."""
 
     def __init__(self, strategy: Strategy, params: ModelParams):
         self.strategy = strategy
@@ -390,29 +391,18 @@ class WealthObserver(PathObserver):
         P = states.shape[0]
         self._dt = dt
         self._logv = np.zeros(P)
-        self._drift = np.zeros(P)
         self._guarded = np.zeros(P, dtype=np.int64)
         self._prev_theta = np.ones_like(states)
 
     def update(self, states, low):
-        left = states[:-1]                                  # (B, P, d)
-        theta, mask = guarded_holdings(self.strategy, left, self._prev_theta)
-        dlog, drift_incr = _increments(theta, states, self._dt, self.params.sigma,
-                                       drift(left, self.params))
+        theta, mask = guarded_holdings(self.strategy, states[:-1], self._prev_theta)
+        dlog, _ = _increments(theta, states, self._dt, self.params.sigma)
         self._guarded += mask.sum(axis=0)
         self._logv += sum_over_steps(dlog)
-        self._drift += sum_over_steps(drift_incr)
         self._prev_theta = theta[-1].copy()
 
     def result(self):
-        return {
-            "wealth": {
-                "log_wealth": self._logv.copy(),
-                "drift_part": self._drift.copy(),
-                "mart_part": self._logv - self._drift,
-                "n_guarded": self._guarded.copy(),
-            }
-        }
+        return {"wealth": {"log_wealth": self._logv.copy(), "n_guarded": self._guarded.copy()}}
 
 
 # ---------------------------------------------------------------------------

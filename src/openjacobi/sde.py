@@ -145,18 +145,6 @@ class SimPath:
     def n_steps(self) -> int:
         return self.times.size - 1
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    @property
-    def projection_rate(self) -> float:
-        return self.n_projected / max(self.n_steps, 1)
-
-    @property
-    def under_resolved(self) -> bool:
-        return self.projection_rate > UNDER_RESOLVED_RATE
-
     def ranked_states(self) -> np.ndarray:
         return ranked_weights(self.states)
 

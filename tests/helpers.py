@@ -102,4 +102,4 @@ def local_growth_direct(y, order, params: ModelParams, n_top: int) -> float:
 
 def wealth_increments(theta_left, states, dt, sigma):
     """d log V per step from left-evaluated holdings along stored states."""
-    return _increments(theta_left, states, dt, sigma, 0.0)[0]
+    return _increments(theta_left, states, dt, sigma)[0]

@@ -87,6 +87,20 @@ def test_growth_reports_nonexistence_with_exit_zero(tmp_path):
     assert "robust_growth" not in report["results"]
 
 
+def test_growth_on_hybrid_model_exists_without_robust_rate(tmp_path):
+    # the optimum exists, but the robust rate applies to rank-based models only
+    cfg = write_config(tmp_path, {
+        "seed": 5,
+        "model": {"a": [1.5, 1.5, 1.5, 1.5], "gamma": [0.2, -0.1, 0.0, -0.1], "sigma": 1.0},
+        "open_market_size": 2,
+    })
+    out = tmp_path / "out"
+    assert run(["growth", "--config", str(cfg), "--out", str(out)]) == 0
+    report = read_json(out / "growth_report.json")
+    assert report["results"]["exists"] is True
+    assert "robust_growth" not in report["results"]
+
+
 def test_malformed_config_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -200,18 +214,53 @@ def test_unexpected_error_exits_four(tmp_path, capsys, monkeypatch):
     assert "broken" in err["traceback"]
 
 
-def test_under_resolved_simulation_exits_three(tmp_path, capsys):
-    cfg = write_config(tmp_path, {
-        "seed": 2,
-        "model": BASE_MODEL,
-        "sim": {"T": 10.0, "dt": 0.5, "paths": 4},
-    })
+COARSE = {"a": [1.0, 1.0], "gamma": [0.0, 0.0], "sigma": 3.0}   # dt = 0.01 under-resolves it
+
+
+@pytest.mark.parametrize("command, payload, report", [
+    pytest.param("simulate", {"seed": 2, "model": BASE_MODEL,
+                              "sim": {"T": 10.0, "dt": 0.5, "paths": 4}},
+                 "simulate_summary.json", id="simulate"),
+    pytest.param("invariant", {"seed": 2, "model": COARSE, "sampler": {"n": 200},
+                               "ergodic": {"T": 5.0, "dt": 0.01, "paths": 2}},
+                 "invariant_report.json", id="invariant"),
+    pytest.param("boundary", {"seed": 2, "model": COARSE, "boundary": {
+        "kind": "rank_hits", "k": 2, "T": 5.0, "dt": 0.01, "paths": 20}},
+                 "boundary_verdict.json", id="boundary"),
+    pytest.param("growth", {"seed": 3, "model": COARSE, "open_market_size": 1, "growth": {
+        "n": 5000, "sim": {"T": 20.0, "dt": 0.01, "paths": 6}}},
+                 "growth_report.json", id="growth"),
+])
+def test_under_resolved_simulation_exits_three(tmp_path, capsys, command, payload, report):
+    cfg = write_config(tmp_path, payload)
     out = tmp_path / "out"
-    assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 3
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "diagnostic"
+    assert "under-resolved" in err["detail"]
     # artifacts are still written for post-mortem inspection
-    assert (out / "simulate_summary.json").exists()
+    assert (out / report).exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exits_two(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path, {"seed": 2, "model": BASE_MODEL,
+                                  "sim": {"T": 0.01, "dt": 1e-3}})
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "validation"
+    assert "--threads" in err["detail"]
+    assert not out.exists()
+
+
+def test_simulate_starts_at_custom_x0(tmp_path):
+    cfg = write_config(tmp_path, {"seed": 11, "model": BASE_MODEL,
+                                  "sim": {"T": 0.01, "dt": 1e-3, "x0": [0.5, 0.3, 0.2]}})
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "path_0000.csv", delimiter=",", skiprows=1)
+    assert rows[0].tolist() == [0.0, 0.5, 0.3, 0.2]
 
 
 def test_invariant_samples_and_ergodic_report(tmp_path):

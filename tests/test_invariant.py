@@ -442,6 +442,24 @@ def test_sampler_input_validation():
         sample_invariant(p, 10, seed=1, method="dirichlet")   # a != 0 required
 
 
+@pytest.mark.parametrize("params", [
+    ModelParams(a=[0.0, 0.0, 0.0], gamma=[1.0, 2.0, 0.5]),
+    rank_jacobi([1.0, 1.0, 1.0]),
+], ids=["dirichlet", "spacing"])
+def test_sampler_options_reach_every_route(params):
+    with pytest.raises(TypeError, match="burn_in"):
+        sample_invariant(params, 10, seed=1, burn_in=5)
+
+
+def test_spacing_route_takes_its_proposal_budget():
+    p = rank_jacobi([1.0, 1.0, 1.0])
+    budgeted = sample_invariant(p, 200, seed=3, max_proposals=10 ** 6)
+    assert np.array_equal(budgeted.draws, sample_invariant(p, 200, seed=3).draws)
+    stalled = rank_jacobi([-34.75] + [0.25] * 19)
+    with pytest.raises(SamplerStallError, match="accepted none"):
+        sample_invariant(stalled, 10, seed=0, max_proposals=50_000)
+
+
 # ---------------------------------------------------------------------------
 # statistics registry and the ergodic experiment
 # ---------------------------------------------------------------------------
