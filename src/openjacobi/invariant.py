@@ -20,7 +20,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from ._util import mean_and_se, substream, z_score
 from .sde import OBSERVED_BLOCK_STEPS, TimeAverageObserver, run_paths
@@ -205,6 +204,13 @@ def _envelope_rates(abar, w):
     return abar[1:] - abar[0] * tail_sums(w)[1:]
 
 
+def _entropy(w):
+    """sum_k -w_k log w_k with 0 log 0 = 0, equal bit for bit to
+    ``scipy.special.entr(w).sum()`` (``np.log`` is not: it may differ in
+    the last bit)."""
+    return np.array([-x * math.log(x) if x > 0.0 else 0.0 for x in w.tolist()]).sum()
+
+
 def _envelope_gain(abar, w) -> float:
     """L(w) = log(acceptance of the envelope at w / acceptance at w = e_1).
 
@@ -215,7 +221,7 @@ def _envelope_gain(abar, w) -> float:
     rates = _envelope_rates(abar, w)
     if np.any(rates <= 0.0):
         return -math.inf
-    return float(abar[0] * special.entr(w).sum() + np.log(rates / abar[1:]).sum())
+    return float(abar[0] * _entropy(w) + np.log(rates / abar[1:]).sum())
 
 
 def _envelope_weights(abar) -> np.ndarray:
@@ -272,7 +278,7 @@ def _spacing_envelope(abar):
     proposed points and their cumulative log-spacings."""
     if abar[0] > 0.0:
         w = _envelope_weights(abar)
-        log_bound = -abar[0] * special.entr(w).sum()
+        log_bound = -abar[0] * _entropy(w)
     else:                                            # y_1 >= 1/d
         w = np.zeros(abar.size)
         w[0] = 1.0
@@ -523,6 +529,8 @@ def _rank_normalize(x):
     ends = np.append(starts[1:], flat.size)          # a tie group holds ranks starts+1..ends
     ranks = np.empty(flat.size)
     ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    from scipy import special
+
     return special.ndtri((ranks - 0.375) / (flat.size + 0.25)).reshape(x.shape)
 
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from ._util import SEED_LIMIT, mean_and_se, substream, write_csv, z_score
 from .invariant import sample_invariant
@@ -95,6 +94,8 @@ def require_stick_cap(theta: float, n: int) -> None:
     the union bound n * P(Poisson(c) >= MAX_STICKS) must not exceed
     ``STICK_CAP_RISK``.
     """
+    from scipy import special
+
     c = theta * math.log(1.0 / HARD_TAIL_FLOOR)
     risk = n * special.pdtrc(MAX_STICKS - 1, c)
     if risk > STICK_CAP_RISK:

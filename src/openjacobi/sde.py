@@ -243,6 +243,8 @@ def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
         raise ValueError("need T > 0 and dt > 0")
     if n_paths < 1:
         raise ValueError("need n_paths >= 1")
+    if not isinstance(block_steps, (int, np.integer)) or block_steps < 1:
+        raise ValueError(f"block_steps must be a whole number >= 1, got {block_steps!r}")
     x0 = as_simplex(x0)
     d = params.d
     if x0.size != d:

@@ -22,12 +22,30 @@ references must rescale accordingly.
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy import integrate, special  # integrate unused; bench/tracing.py patches it
+
+
+class _OnFirstUse:
+    """A module bound by name and imported on its first attribute access."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+# scipy is imported only inside the functions that call it, so commands
+# that never do start without it.  No code here calls scipy.integrate;
+# ``integrate`` stays bound, unloaded, because bench/tracing.py wraps
+# ``simplex.integrate`` to count quad calls.  It goes when bench/ drops
+# CountingIntegrate.
+integrate = _OnFirstUse("scipy.integrate")
 
 SUM_TOL = 1e-12          # accepted deviation of sum(x) from 1 after construction
 RENORM_TOL = 1e-9        # inputs whose sum is off by at most this get renormalized
@@ -422,6 +440,8 @@ def _chebyshev(n: int):
 @functools.lru_cache(maxsize=1024)
 def _jacobi(n: int, c: float):
     """Gauss-Jacobi rule on [0, 1] for the weight u^(c - 1), c > 0."""
+    from scipy import special
+
     x, w = special.roots_jacobi(n, 0.0, c - 1.0)
     u, w = (1.0 + x) / 2.0, w * 2.0 ** -c
     u.flags.writeable = w.flags.writeable = False

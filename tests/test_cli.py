@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -627,3 +631,37 @@ def test_euler_backend_only_in_reports_that_took_euler_steps(tmp_path):
     assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
     meta = read_json(tmp_path / "sim" / "simulate_summary.json")["meta"]
     assert meta["euler_backend"] in ("c", "numpy")
+
+
+IMPORT_WEIGHT_SCRIPT = """
+import json, sys, tempfile
+from pathlib import Path
+
+from openjacobi import cli, simplex
+
+configs = {
+    "boundary": {"seed": 7, "model": {"a": [1.5, 0.5], "gamma": [0.0, 0.0], "sigma": 1.0},
+                 "boundary": {"kind": "rank_hits", "k": 2, "T": 0.5, "paths": 4,
+                              "eps": [1e-2]}},
+    "growth": {"seed": 13, "open_market_size": 1,
+               "model": {"a": [1.5, 1.5, 1.5], "gamma": [0.0, 0.0, 0.0], "sigma": 1.0},
+               "growth": {"n": 500, "sim": {"T": 0.1, "dt": 1e-3, "paths": 2}}},
+}
+with tempfile.TemporaryDirectory() as tmp:
+    for command, payload in configs.items():
+        cfg = Path(tmp) / f"{command}.json"
+        cfg.write_text(json.dumps(payload))
+        code = cli.run([command, "--config", str(cfg), "--out", str(Path(tmp) / command)])
+        assert code == 0, (command, code)
+loaded = [m for m in ("scipy.special._ufuncs", "scipy.integrate._quadpack") if m in sys.modules]
+assert not loaded, loaded
+assert callable(simplex.integrate.quad)        # the benchmark tracer wraps it
+"""
+
+
+def test_boundary_and_mc_growth_run_without_loading_scipy():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_WEIGHT_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

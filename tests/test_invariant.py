@@ -223,6 +223,19 @@ def test_spacing_envelope_bounds_every_proposal(abar, seed):
     assert log_acceptance(y, cum).max() <= 1e-9
 
 
+def test_entropy_equals_scipy_entr_bit_for_bit():
+    rng = np.random.default_rng(23)
+    vectors = [rng.dirichlet(np.full(d, alpha))
+               for d in range(2, 21) for alpha in (0.05, 0.5, 1.0, 5.0) for _ in range(25)]
+    for w in vectors[:200]:                    # exact zeros mixed in
+        w = w.copy()
+        w[rng.random(w.size) < 0.3] = 0.0
+        vectors.append(w)
+    vectors += [np.array([1.0, 0.0]), np.array([0.0, 0.0, 1.0]), np.zeros(4)]
+    for w in vectors:
+        assert invariant._entropy(w) == special.entr(w).sum(), w
+
+
 @pytest.mark.parametrize("a, n", [
     ([1.5, 1.5, 1.5], 20_000),
     ([1.5, 1.5, 1.5], 10),                 # one chunk; every acceptance counts

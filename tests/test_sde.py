@@ -571,6 +571,14 @@ def test_observers_independent_of_block_steps(params, n_paths, n_steps, block_st
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("block_steps", [0, -3, 2.5])
+def test_run_paths_rejects_block_steps_below_one(block_steps):
+    # with 0 each block would advance no step, so the loop would never end
+    p = rank_jacobi([1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="block_steps"):
+        run_paths(p, np.full(3, 1.0 / 3.0), 0.01, 1e-3, 1, block_steps=block_steps)
+
+
 @requires_cc
 @settings(max_examples=15, deadline=None)
 @given(params=_models, n_paths=st.integers(1, 6), threads=st.integers(2, 4),
