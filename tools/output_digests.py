@@ -88,7 +88,18 @@ RUNS = [  # (name, command, config, extra argv)
           for name, cfg in BACKTESTS.items() for k in (1, 2)
      ] + [(f"boundary-{name}", "boundary", {"seed": 41, "model": EDGE3, "boundary": {
          **query, "T": 5.0, "paths": 40, "eps": [1e-2, 1e-3, 1e-4]}}, [])
-          for name, query in BOUNDARY]
+          for name, query in BOUNDARY
+     ] + [  # malformed counts: each must run as its integer or exit 2
+    ("boundary-float-names", "boundary", {"seed": 41, "model": EDGE3, "boundary": {
+        "kind": "nameset_hits", "names": [2.0], "T": 5.0, "paths": 40}}, []),
+    ("limit-fractional-d", "limit", {"seed": 23, "pd": {"theta": 2.0, "tilt": [0.0]},
+                                     "schedule": {"d_list": [10.5, 40]},
+                                     "limit": {"n": 5000}}, []),
+    ("limit-empty-d", "limit", {"seed": 23, "pd": {"theta": 2.0, "tilt": [0.0]},
+                                "schedule": {"d_list": []}, "limit": {"n": 5000}}, []),
+    ("pd-fractional-seed", "pd", {"seed": 1.5, "pd": {"theta": 1.0, "n": 5000}}, []),
+    ("pd-text-seed", "pd", {"seed": "abc", "pd": {"theta": 1.0, "n": 5000}}, []),
+]
 
 
 def digest(path: Path) -> str:
@@ -107,7 +118,7 @@ def main() -> None:
             config.write_text(json.dumps(cfg))
             with contextlib.redirect_stderr(io.StringIO()) as err:
                 code = run([command, "--config", str(config), "--out", str(out), *extra])
-            for path in sorted(out.iterdir()):
+            for path in sorted(out.iterdir()) if out.exists() else ():
                 print(f"{digest(path)}  {name}/{path.name}")
             print(f"exit  {name}  {code}  {err.getvalue().strip()[:120]}")
 
