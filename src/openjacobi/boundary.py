@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import wilson_interval, write_csv
-from .sde import OBSERVED_BLOCK_STEPS, HitObserver, run_paths
+from .sde import HitObserver, run_paths
 from .simplex import ModelParams, ranked_weights, tail_sums
 
 
@@ -160,8 +160,7 @@ def mc_hit_frequency(params: ModelParams, query: BoundaryQuery, *,
     """
     observer = HitObserver(query.band, eps)
     batch = run_paths(params, np.full(params.d, 1.0 / params.d), T, dt, seed,
-                      n_paths=n_paths, observers=[observer],
-                      block_steps=OBSERVED_BLOCK_STEPS)
+                      n_paths=n_paths, observers=[observer])
     hits = batch.observations["hits"]                 # eps (E,), hit (E, P) booleans
     lo, hi = np.array([wilson_interval(int(h.sum()), n_paths) for h in hits["hit"]]).T
     return FrequencyTable(

@@ -96,13 +96,28 @@ def _positive(value) -> float:
     return value
 
 
-def _count(value) -> int:
-    """A count (paths, draws, a size or a degree): a whole number >= 1
-    (``1e5`` is one)."""
-    number = float(value)
-    if not (number >= 1 and number.is_integer()):
-        raise ValueError(f"expected a whole number >= 1, got {value}")
-    return int(number)
+def _count(value, minimum: int = 1) -> int:
+    """A count (paths, draws, a size, a degree, a name, a rank or a seed): a
+    whole number >= ``minimum``.  Integers are taken exactly, never through
+    float, so 64-bit seeds keep every bit; a whole float (``1e5``) or an
+    integer string ("7") is its integer; a bool is no count."""
+    if isinstance(value, bool):
+        number = None
+    elif isinstance(value, (int, str)):
+        number = int(value)
+    else:
+        number = float(value)
+        number = int(number) if number.is_integer() else None
+    if number is None or number < minimum:
+        raise ValueError(f"expected a whole number >= {minimum}, got {value!r}")
+    return number
+
+
+def _counts(values) -> list:
+    """A JSON list of counts (names or dimensions), each read by ``_count``."""
+    if not isinstance(values, list):
+        raise ValueError(f"expected a list of whole numbers, got {values!r}")
+    return [_count(v) for v in values]
 
 
 def model_from_config(cfg: dict) -> ModelParams:
@@ -129,25 +144,15 @@ def _x0(cfg_block, d):
     return x0
 
 
-def _chunks(n_paths, threads):
-    size = -(-n_paths // threads)
-    offset = 0
-    while offset < n_paths:
-        take = min(size, n_paths - offset)
-        yield offset, take
-        offset += take
-
-
 def _parallel_batches(params, x0, T, dt, seed, n_paths, threads, observer_factory):
     """Simulate path chunks on a worker pool; results merge by path index,
     so the outcome does not depend on the number of workers."""
-    jobs = list(_chunks(n_paths, threads))
+    jobs = [c for c in np.array_split(np.arange(n_paths), threads) if c.size]
 
     def run(job):
-        offset, count = job
-        return sde_mod.run_paths(params, x0, T, dt, seed, n_paths=count,
+        return sde_mod.run_paths(params, x0, T, dt, seed, n_paths=job.size,
                                  observers=[observer_factory()],
-                                 path_offset=offset)
+                                 path_offset=int(job[0]))
 
     if threads <= 1 or len(jobs) == 1:
         return [run(job) for job in jobs]
@@ -298,8 +303,8 @@ def cmd_boundary(cfg, out, threads):
         block = _require(cfg, "boundary")
         query = boundary_mod.BoundaryQuery(
             kind=block.get("kind", "rank_hits"),
-            k=block.get("k"),
-            names=tuple(block.get("names", ())),
+            k=None if block.get("k") is None else _count(block["k"]),
+            names=tuple(_counts(block.get("names", []))),
         )
         query.analytic_avoids(params)       # checks k or the names against d
         T, dt = _positive(block.get("T", 50.0)), _positive(block.get("dt", 1e-3))
@@ -375,7 +380,7 @@ def cmd_limit(cfg, out, threads):
         if sched_block.get("tail", "flat") != "flat":
             raise ConfigError("schedule.tail must be 'flat', the schedule that reaches PD(theta)")
         schedule = pdlimit_mod.make_schedule(pd_cfg.theta, pd_cfg.tilt,
-                                             d_list=sched_block["d_list"])
+                                             d_list=_counts(sched_block["d_list"]))
         limit_block = cfg.get("limit", {})
         n = _count(limit_block.get("n", 100_000))
         pdlimit_mod.require_stick_cap(pd_cfg.theta, n)
@@ -431,11 +436,12 @@ def run(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else {}
         if args.seed is not None:
-            cfg["seed"] = int(args.seed)
+            cfg["seed"] = args.seed
         if "seed" not in cfg:
             raise ConfigError("a master seed is required (config 'seed' or --seed)")
-        cfg["seed"] = int(cfg["seed"])
-        if not 0 <= cfg["seed"] < SEED_LIMIT:
+        with _config_block("seed"):
+            cfg["seed"] = _count(cfg["seed"], minimum=0)
+        if cfg["seed"] >= SEED_LIMIT:
             raise ConfigError("seed must be an integer in [0, 2**64)")
         if args.threads < 1:
             raise ConfigError(f"--threads must be a whole number >= 1, got {args.threads}")

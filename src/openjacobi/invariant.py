@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import mean_and_se, substream, z_score
-from .sde import OBSERVED_BLOCK_STEPS, TimeAverageObserver, run_paths
+from .sde import TimeAverageObserver, run_paths
 from .simplex import (
     InvalidModelError,
     ModelParams,
@@ -644,8 +644,7 @@ def ergodic_compare(params: ModelParams, funcs: dict, sample: SampleResult, *,
              for name, fn in funcs.items()}
     observer = TimeAverageObserver(funcs)
     batch = run_paths(params, np.full(params.d, 1.0 / params.d), T, dt, seed,
-                      n_paths=n_paths, observers=[observer],
-                      block_steps=OBSERVED_BLOCK_STEPS)
+                      n_paths=n_paths, observers=[observer])
     averages = batch.observations["time_averages"]
     entries = []
     for name, fn in funcs.items():

@@ -266,6 +266,8 @@ def make_schedule(theta: float, tilt, d_list) -> ScheduleAd:
     ..., theta / (d - N)); every member must have positive tail sums."""
     cfg = PDConfig(theta=theta, tilt=tuple(tilt))
     n = cfg.n_tilted
+    if len(d_list) == 0:
+        raise ValueError("d_list must name at least one dimension")
     vectors = {}
     for d in sorted(int(v) for v in d_list):
         if d <= n + 1:

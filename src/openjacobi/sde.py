@@ -35,7 +35,7 @@ from ._util import path_stream, write_csv
 from .simplex import ModelParams, as_simplex, ranked_weights, ranks_of_names, require_valid
 
 UNDER_RESOLVED_RATE = 0.01
-OBSERVED_BLOCK_STEPS = 4096    # block length of runs that only observers read
+BLOCK_STEPS = 2048             # steps per streamed block of every Euler run
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ class PathObserver:
 
 def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
               n_paths: int = 1, observers=(), store: bool = False,
-              block_steps: int = 2048, path_offset: int = 0) -> BatchResult:
+              block_steps: int = BLOCK_STEPS, path_offset: int = 0) -> BatchResult:
     """Simulate ``n_paths`` trajectories to horizon T in lockstep blocks.
 
     The trajectory of path i depends only on (seed, path_offset + i), so a

@@ -163,6 +163,21 @@ def test_invalid_params_exit_two_with_violated_index(tmp_path, capsys):
     ("limit", {"pd": {"theta": 2.0, "tilt": [0.5]}, "schedule": {"d_list": [10, 40]},
                "limit": {"n": 500, "growth": {"sigma": 1.0, "N": 1.5}}}, "ConfigError"),
     ("pd", {"pd": {"theta": 400.0, "n": 100}}, "ConfigError"),
+    ("pd", {"seed": 1.5, "pd": {"theta": 1.0, "n": 100}}, "ConfigError"),
+    ("pd", {"seed": True, "pd": {"theta": 1.0, "n": 100}}, "ConfigError"),
+    ("pd", {"seed": "abc", "pd": {"theta": 1.0, "n": 100}}, "ConfigError"),
+    ("pd", {"seed": [3], "pd": {"theta": 1.0, "n": 100}}, "ConfigError"),
+    ("boundary", {"model": BASE_MODEL, "boundary": {"kind": "rank_hits", "k": 2, "paths": True}},
+     "ConfigError"),
+    ("boundary", {"model": BASE_MODEL, "boundary": {"kind": "rank_hits", "k": 2.5}}, "ConfigError"),
+    ("boundary", {"model": BASE_MODEL, "boundary": {"kind": "nameset_hits", "names": [2.5]}},
+     "ConfigError"),
+    ("boundary", {"model": BASE_MODEL, "boundary": {"kind": "nameset_hits", "names": "23"}},
+     "ConfigError"),
+    ("limit", {"pd": {"theta": 2.0, "tilt": [0.0]}, "schedule": {"d_list": [10.5, 40]},
+               "limit": {"n": 500}}, "ConfigError"),
+    ("limit", {"pd": {"theta": 2.0, "tilt": [0.0]}, "schedule": {"d_list": []},
+               "limit": {"n": 500}}, "ConfigError"),
 ])
 def test_typed_config_and_model_errors_exit_two(tmp_path, capsys, monkeypatch,
                                                 command, payload, error_class):
@@ -576,6 +591,43 @@ def test_largest_seed_runs(tmp_path):
     cfg = write_config(tmp_path, {"seed": 2 ** 64 - 1, "model": BASE_MODEL,
                                   "sim": {"T": 0.01, "dt": 1e-3}})
     assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+SHORT_BOUNDARY = {"T": 0.5, "paths": 10}
+
+
+@pytest.mark.parametrize("command, payload, whole", [
+    ("pd", {"seed": 7.0}, {"seed": 7}),
+    ("pd", {"seed": "7"}, {"seed": 7}),
+    ("boundary", {"boundary": {"kind": "rank_hits", "k": 2.0, **SHORT_BOUNDARY}},
+     {"boundary": {"kind": "rank_hits", "k": 2, **SHORT_BOUNDARY}}),
+    ("boundary", {"boundary": {"kind": "nameset_hits", "names": [2.0], **SHORT_BOUNDARY}},
+     {"boundary": {"kind": "nameset_hits", "names": [2], **SHORT_BOUNDARY}}),
+    ("limit", {"schedule": {"d_list": [10.0, 40]}}, {"schedule": {"d_list": [10, 40]}}),
+])
+def test_whole_number_counts_run_as_their_integer(tmp_path, command, payload, whole):
+    base = {
+        "pd": {"seed": 7, "pd": {"theta": 1.0, "n": 500, "max_degree": 3}},
+        "boundary": {"seed": 7, "model": BASE_MODEL},
+        "limit": {"seed": 7, "pd": {"theta": 2.0, "tilt": [0.0]}, "limit": {"n": 500}},
+    }[command]
+    results = []
+    for name, part in (("float", payload), ("int", whole)):
+        cfg = {**base, **part}
+        out = tmp_path / name
+        assert run([command, "--config", str(write_config(tmp_path, cfg, f"{name}.json")),
+                    "--out", str(out)]) == 0
+        files, _ = _outputs(out)
+        results.append({key: json.loads(value)["results"] if key.endswith(".json") else value
+                        for key, value in files.items()})
+    assert results[0] == results[1]
+
+
+def test_largest_seed_is_echoed_exactly(tmp_path):
+    cfg = write_config(tmp_path, {"seed": 2 ** 64 - 1, "pd": {"theta": 1.0, "n": 100}})
+    out = tmp_path / "o"
+    assert run(["pd", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_json(out / "pd_report.json")["config"]["seed"] == 2 ** 64 - 1
 
 
 def _outputs(out):

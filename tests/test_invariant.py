@@ -20,7 +20,7 @@ from openjacobi import (
     sample_invariant,
 )
 from openjacobi._util import z_score
-from openjacobi import invariant
+from openjacobi import invariant, sde
 from openjacobi.invariant import (
     MCMC_CHAINS,
     MCMC_MAX_DIM,
@@ -502,10 +502,10 @@ def test_ergodic_compare_constant_function_is_exact():
 
 
 def test_ergodic_compare_constant_function_is_exact_over_several_blocks():
-    # 10000 steps make three observed blocks; each adds dt * B to the elapsed time
+    # 10000 steps make five blocks; each adds dt * B to the elapsed time
     p = rank_jacobi([1.0, 1.0, 1.0])
     T, dt = 10.0, 1e-3
-    assert -(-round(T / dt) // invariant.OBSERVED_BLOCK_STEPS) >= 3
+    assert -(-round(T / dt) // sde.BLOCK_STEPS) >= 3
     report = ergodic_compare(p, {"one": "one"}, sample_invariant(p, 100, 43, kind="named"),
                              T=T, dt=dt, n_paths=2, seed=43)
     assert report.entries[0].time_avg == 1.0

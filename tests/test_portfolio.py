@@ -369,6 +369,27 @@ def test_wealth_ledger_drift_mart_split_consistent():
     assert ledger.log_wealth[0] == 0.0
 
 
+@pytest.mark.parametrize("a, gamma, n_top", [
+    ((1.5, 1.5, 1.5), (0.0, 0.0, 0.0), 1),
+    ((1.2, 0.8, 0.6), (0.3, -0.1, -0.2), 2),
+])
+def test_wealth_ledger_martingale_part_is_the_noise_term(a, gamma, n_top):
+    # on an unclipped path each step moves by b dt + sigma sqrt(dt) (sqrt(x) z - x <sqrt(x), z>),
+    # so the martingale part must pick up exactly theta . (the noise term); a wrong
+    # drift compensator misses it by about |theta . b| dt, here 1e-4
+    p = ModelParams(a=np.array(a), gamma=np.array(gamma), sigma=1.0)
+    dt = 1e-4
+    z = np.random.default_rng(27).standard_normal((5000, 3))
+    path = simulate_given_noise(p, np.full(3, 1.0 / 3.0), dt, z)
+    assert path.n_projected == 0
+    x = path.states[:-1]
+    noise = p.sigma * math.sqrt(dt) * (np.sqrt(x) * z - x * (np.sqrt(x) * z).sum(-1, keepdims=True))
+    for strategy in (GrowthOptimalStrategy(p, n_top), MarketPortfolio()):
+        ledger = wealth(path, strategy)
+        expected = (ledger.theta[:-1] * noise).sum(-1)
+        assert np.abs(np.diff(ledger.mart_part) - expected).max() < 1e-12
+
+
 def test_wealth_rejects_non_self_financing():
     p = rank_jacobi([1.0, 1.0])
     path = simulate(p, [0.5, 0.5], T=0.05, dt=1e-3, seed=23)

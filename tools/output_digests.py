@@ -36,7 +36,7 @@ BACKTESTS = {       # growth backtests, each run at --threads 1 and 2
     "growth-rank-long": {"seed": 43, "model": RANK3, "open_market_size": 1,     # 4 blocks
                          "growth": {"n": 2000, "sim": {"T": 7.0, "dt": 1e-3, "paths": 4}}},
 }
-BOUNDARY = [  # (name, query) on EDGE3, 5000 steps in two observed blocks
+BOUNDARY = [  # (name, query) on EDGE3, 5000 steps in three blocks
     ("rank-pushed", {"kind": "rank_pushed_only", "k": 2}),
     ("nameset", {"kind": "nameset_hits", "names": [2, 3]}),
     ("nameset-pushed", {"kind": "nameset_pushed_only", "names": [3]}),
