@@ -99,6 +99,19 @@ RUNS = [  # (name, command, config, extra argv)
                                 "schedule": {"d_list": []}, "limit": {"n": 5000}}, []),
     ("pd-fractional-seed", "pd", {"seed": 1.5, "pd": {"theta": 1.0, "n": 5000}}, []),
     ("pd-text-seed", "pd", {"seed": "abc", "pd": {"theta": 1.0, "n": 5000}}, []),
+] + [  # the benchmark's pd size, and a d_list given out of order
+    ("pd-bench-size", "pd", {"seed": 17, "pd": {"theta": 1.0, "n": 50000, "max_degree": 6}}, []),
+    ("limit-d-unsorted", "limit", {"seed": 23, "pd": {"theta": 2.0, "tilt": [0.0]},
+                                   "schedule": {"d_list": [40, 10]},
+                                   "limit": {"n": 5000}}, []),
+] + [  # JSON booleans in real-valued settings: each must exit 2
+    ("pd-bool-theta", "pd", {"seed": 17, "pd": {"theta": True, "n": 5000}}, []),
+    ("boundary-bool-eps", "boundary", {"seed": 7, "model": {"a": [1.5, 0.5], "gamma": [0.0, 0.0]},
+                                       "boundary": {"k": 2, "T": 5.0, "paths": 40,
+                                                    "eps": [True, 1e-3]}}, []),
+    ("limit-bool-N", "limit", {"seed": 23, "pd": {"theta": 2.0, "tilt": [0.0]},
+                               "schedule": {"d_list": [10, 40]},
+                               "limit": {"n": 5000, "growth": {"sigma": 1.0, "N": True}}}, []),
 ]
 
 
