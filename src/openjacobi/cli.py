@@ -89,8 +89,22 @@ def _config_block(name: str):
         raise ConfigError(f"bad {name} block: {exc}") from exc
 
 
+def _real(value) -> float:
+    """A real number, read by ``float``; a bool is no number."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _reals(values) -> list:
+    """A JSON list of real numbers, each read by ``_real``."""
+    if not isinstance(values, list):
+        raise ValueError(f"expected a list of numbers, got {values!r}")
+    return [_real(v) for v in values]
+
+
 def _positive(value) -> float:
-    value = float(value)
+    value = _real(value)
     if not value > 0:
         raise ValueError(f"expected a positive number, got {value}")
     return value
@@ -123,10 +137,11 @@ def _counts(values) -> list:
 def model_from_config(cfg: dict) -> ModelParams:
     block = _require(cfg, "model")
     with _config_block("model"):
+        a = _reals(block["a"])
         params = ModelParams(
-            a=np.asarray(block["a"], dtype=float),
-            gamma=np.asarray(block.get("gamma", np.zeros(len(block["a"]))), dtype=float),
-            sigma=float(block.get("sigma", 1.0)),
+            a=a,
+            gamma=_reals(block.get("gamma", [0.0] * len(a))),
+            sigma=_real(block.get("sigma", 1.0)),
         )
     require_valid(params)
     return params
@@ -138,7 +153,7 @@ def _x0(cfg_block, d):
         if x0 != "uniform":
             raise ConfigError(f"unknown x0 spec {x0!r}")
         return np.full(d, 1.0 / d)
-    x0 = as_simplex(x0)
+    x0 = as_simplex(_reals(x0))
     if x0.size != d:
         raise ConfigError(f"x0 has {x0.size} entries for a model with d={d}")
     return x0
@@ -212,7 +227,7 @@ def cmd_invariant(cfg, out, threads):
                      for name in ergodic_cfg.get("functions", ["y1"])}
             T, dt = _positive(ergodic_cfg["T"]), _positive(ergodic_cfg["dt"])
             n_paths = _count(ergodic_cfg.get("paths", 8))
-            z_threshold = float(cfg.get("tolerances", {}).get("ergodic_z", 3.0))
+            z_threshold = _real(cfg.get("tolerances", {}).get("ergodic_z", 3.0))
     seed = cfg["seed"]
     # the ergodic check needs named draws; ranking them gives back the
     # sampler's ranked rows, so one draw serves both
@@ -308,7 +323,7 @@ def cmd_boundary(cfg, out, threads):
         )
         query.analytic_avoids(params)       # checks k or the names against d
         T, dt = _positive(block.get("T", 50.0)), _positive(block.get("dt", 1e-3))
-        eps = tuple(_positive(e) for e in block.get("eps", (1e-2, 1e-3, 1e-4)))
+        eps = tuple(_positive(e) for e in _reals(block.get("eps", [1e-2, 1e-3, 1e-4])))
         n_paths = _count(block.get("paths", 500))
     table = boundary_mod.mc_hit_frequency(
         params, query, T=T, eps=eps, n_paths=n_paths, dt=dt, seed=cfg["seed"],
@@ -324,7 +339,7 @@ def cmd_boundary(cfg, out, threads):
 def cmd_pd(cfg, out, threads):
     with _config_block("pd"):
         block = _require(cfg, "pd")
-        theta = float(_require(block, "theta"))
+        theta = _real(_require(block, "theta"))
         n = _count(block.get("n", 100_000))
         pdlimit_mod.PDConfig(theta=theta)
         pdlimit_mod.require_stick_cap(theta, n)
@@ -373,8 +388,8 @@ def cmd_limit(cfg, out, threads):
     with _config_block("limit"):
         block = _require(cfg, "pd")
         pd_cfg = pdlimit_mod.PDConfig(
-            theta=float(_require(block, "theta")),
-            tilt=tuple(block.get("tilt", ())),
+            theta=_real(_require(block, "theta")),
+            tilt=tuple(_reals(block.get("tilt", []))),
         )
         sched_block = _require(cfg, "schedule")
         if sched_block.get("tail", "flat") != "flat":
@@ -389,7 +404,7 @@ def cmd_limit(cfg, out, threads):
         growth_block = limit_block.get("growth")
         if growth_block:
             sigma = _positive(growth_block.get("sigma", 1.0))
-            if float(growth_block.get("N", pd_cfg.n_tilted)) != pd_cfg.n_tilted:
+            if _real(growth_block.get("N", pd_cfg.n_tilted)) != pd_cfg.n_tilted:
                 raise ConfigError("limit.growth.N must equal the number of tilts")
             pdlimit_mod.require_limit_growth(pd_cfg)
     estimate = pdlimit_mod.tilted_estimator(pd_cfg, n, cfg["seed"])

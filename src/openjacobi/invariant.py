@@ -43,10 +43,13 @@ MCMC_THIN = 4             # retained states per returned draw, before doublings
 MCMC_ADAPT_EVERY = 50     # burn-in steps between step-size updates
 MCMC_MIN_STEPS = 1_000    # first sampling block per chain; split R-hat exceeds 1
                           # by about (tau - 1) / length for autocorrelation time tau
+MCMC_MAX_DOUBLINGS = 3    # times the sampling run may double before it warns
 RHAT_CEILING = 1.01
 MIN_SEGMENT = 16          # draws per chain segment in the ESS of returned draws
 ACCEPTANCE_FLOOR = 1e-3
 SPACING_CHUNK = 20_000    # spacing proposals drawn per round
+SPACING_MAX_PROPOSALS = 10 ** 6   # with none accepted, acceptance is below 3e-6
+                                  # at 95% confidence, far under ACCEPTANCE_FLOOR
 NAMING_CHUNK = 2_048      # ranked draws named at once, each with d! weights
 ENVELOPE_MAX_ITER = 1_000  # steps toward the spacing envelope's best point
 ENVELOPE_TOL = 1e-12      # smallest gain (and step) that counts
@@ -76,26 +79,21 @@ def _permutations_array(d: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(d))))
 
 
-def density_q(y, params: ModelParams, normalized: bool = True,
-              z: float | None = None) -> float:
-    """Stationary density of the ranked weights at a single ranked point.
+def density_q(y, params: ModelParams) -> float:
+    """Unnormalized stationary density of the ranked weights at a single
+    ranked point.
 
-    Sums the named density over all name-to-rank assignments, so that the
-    normalized version integrates to one over the ordered simplex.  In the
-    rank-based case (gamma = 0) this collapses to
-    prod y_k^(a_k - 1) / Q_a with Q_a the rank normalizer.
+    Sums the named density over all name-to-rank assignments, so that
+    divided by ``normalizer(params)`` it integrates to one over the ordered
+    simplex.  In the rank-based case (gamma = 0) this is
+    d! prod y_k^(a_k - 1).
     """
     y = as_ranked(y)
     d = params.d
     if params.is_rank_based:
-        total = math.factorial(d) * float(_monomial_at(y, params.a))
-    else:
-        exponents = params.a[None, :] + params.gamma[_permutations_array(d)]
-        total = float(_monomial_at(y, exponents).sum())
-    if not normalized:
-        return total
-    z = normalizer(params) if z is None else z
-    return total / z
+        return math.factorial(d) * float(_monomial_at(y, params.a))
+    exponents = params.a[None, :] + params.gamma[_permutations_array(d)]
+    return float(_monomial_at(y, exponents).sum())
 
 
 def _monomial_at(y, b) -> np.ndarray:
@@ -290,7 +288,7 @@ def _spacing_envelope(abar):
     return _envelope_rates(abar, w), log_acceptance
 
 
-def _sample_spacing(params, n, rng, kind, max_proposals: int = 200_000_000):
+def _sample_spacing(params, n, rng, kind):
     """Exact rejection sampler for the rank-based stationary ranked law.
 
     In log-spacings z_k = log(y_(k-1) / y_k) (k = 2..d) the ranked law has
@@ -303,7 +301,9 @@ def _sample_spacing(params, n, rng, kind, max_proposals: int = 200_000_000):
     point w maximizes the acceptance (``_envelope_weights``); w = e_1 is
     the plain bound y_1 <= 1.  For abar_1 <= 0 it proposes z_k ~ Exp(abar_k)
     and uses y_1 >= 1/d.  The reported acceptance rate counts every
-    accepted proposal, including those beyond the n draws returned.
+    accepted proposal, including those beyond the n draws returned; more
+    than SPACING_MAX_PROPOSALS proposals with none accepted raise
+    ``SamplerStallError``.
     """
     if not params.is_rank_based:
         raise InvalidModelError("spacing sampler requires gamma = 0")
@@ -324,7 +324,7 @@ def _sample_spacing(params, n, rng, kind, max_proposals: int = 200_000_000):
             got += take.size
         accepted += keep.size
         proposed += m
-        if proposed > max_proposals and got == 0:
+        if proposed > SPACING_MAX_PROPOSALS and got == 0:
             raise SamplerStallError(
                 f"rejection sampler accepted none of {proposed} proposals")
     rate = accepted / proposed
@@ -391,8 +391,7 @@ def _log_target(params):
     return target
 
 
-def _sample_mcmc(params, n, rng, kind, burn_in: int = MCMC_BURN_IN,
-                 max_doublings: int = 3):
+def _sample_mcmc(params, n, rng, kind, burn_in: int = MCMC_BURN_IN):
     """Random-walk Metropolis on log-gap coordinates for the hybrid law.
 
     MCMC_CHAINS chains start from dispersed points and advance in lockstep.
@@ -400,8 +399,8 @@ def _sample_mcmc(params, n, rng, kind, burn_in: int = MCMC_BURN_IN,
     common step size adapts toward ~30% pooled acceptance.  The chains then
     run n * MCMC_THIN states in total (at least MCMC_MIN_STEPS per chain),
     doubling until the multi-chain ESS of the top weight reaches n and its
-    rank-normalized R-hat is at most RHAT_CEILING; a doubling budget that
-    runs out first is reported as a warning, not raised.  The n returned
+    rank-normalized R-hat is at most RHAT_CEILING; when MCMC_MAX_DOUBLINGS
+    doublings run out first, that is reported as a warning, not raised.  The n returned
     draws are spread evenly over the retained states, stored chain after
     chain, so their order still carries the chains' autocorrelation.  The
     reported ``ess`` is that of the returned draws (``_draws_ess``), so
@@ -422,7 +421,7 @@ def _sample_mcmc(params, n, rng, kind, burn_in: int = MCMC_BURN_IN,
     blocks = []
     steps = max(-(-n * MCMC_THIN // MCMC_CHAINS), MCMC_MIN_STEPS)
     accepted = 0
-    for _ in range(max_doublings + 1):
+    for _ in range(MCMC_MAX_DOUBLINGS + 1):
         block = np.empty((steps, MCMC_CHAINS, d - 1))
         z, logp, moves = _lockstep(z, logp, step, steps, rng, target, out=block)
         accepted += moves

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._util import SEED_LIMIT, mean_and_se, substream, write_csv, z_score
 from .invariant import sample_invariant
-from .simplex import ModelParams, ranked_weights, tail_sums
+from .simplex import ModelParams, tail_sums
 
 ESS_FLOOR_FRACTION = 0.05
 STICK_BLOCK = 64
@@ -145,13 +145,15 @@ def pd_sample(theta: float, n: int, seed: int) -> PDSample:
         # loses digits to cancellation once E_j / theta is large
         e[:, 0] *= tail
         e[:, 1:] *= left[:, :-1]
-        np.negative(e, out=e)
-        blocks.append(e)
+        blocks.append(e)                   # minus each stick
         tail = left[:, -1].copy()
         ncols += width
         if gamma.min() > stop:
             break
-    weights = ranked_weights(np.concatenate(blocks, axis=1))
+    weights = e if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    del e, left, blocks                    # only the table is left to sort
+    weights.sort(axis=1)                   # ranked_weights, in place
+    np.negative(weights, out=weights)
     return PDSample(weights=weights, tail_mass=tail, theta=theta)
 
 
@@ -246,37 +248,28 @@ def tilted_estimator(cfg: PDConfig, n: int, seed: int):
 # parameter schedules and the convergence experiment
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ScheduleAd:
-    """A d-indexed family of rank-drift vectors approaching the PD limit:
-    the leading entries are the tilts and the d - N small-cap entries are
-    theta / (d - N) each, so the small-cap tail sums to theta and its
-    largest entry tends to zero along the d-ladder.
-    """
-
-    d_list: tuple
-    vectors: dict                 # d -> np.ndarray
-
-    def params_for(self, d: int) -> ModelParams:
-        return ModelParams(a=self.vectors[d], gamma=np.zeros(d))
-
-
-def make_schedule(theta: float, tilt, d_list) -> ScheduleAd:
-    """Build and validate the flat schedule a^d = (tilts..., theta / (d - N),
-    ..., theta / (d - N)); every member must have positive tail sums."""
+def make_schedule(theta: float, tilt, d_list) -> dict:
+    """The flat schedule as {d: rank-based ModelParams} in increasing d,
+    with a^d = (tilts..., theta / (d - N), ..., theta / (d - N)): the d - N
+    small-cap entries sum to theta and their largest tends to zero along
+    the d-ladder.  Every d must be a whole number and every member must
+    have positive tail sums."""
     cfg = PDConfig(theta=theta, tilt=tuple(tilt))
     n = cfg.n_tilted
     if len(d_list) == 0:
         raise ValueError("d_list must name at least one dimension")
-    vectors = {}
-    for d in sorted(int(v) for v in d_list):
+    schedule = {}
+    for d in sorted(d_list):
+        if d != int(d):
+            raise ValueError(f"d={d} is not a whole number")
+        d = int(d)
         if d <= n + 1:
             raise ValueError(f"d={d} too small for {n} tilted ranks")
         a = np.concatenate([np.asarray(cfg.tilt), np.full(d - n, theta / (d - n))])
         if np.any(tail_sums(a)[1:] <= 0.0):
             raise ValueError(f"schedule member d={d} violates positive tail sums")
-        vectors[d] = a
-    return ScheduleAd(d_list=tuple(sorted(vectors)), vectors=vectors)
+        schedule[d] = ModelParams(a=a, gamma=np.zeros(d))
+    return schedule
 
 
 @dataclass
@@ -306,7 +299,7 @@ class ConvergenceReport:
                   self.csv_rows())
 
 
-def convergence_experiment(schedule: ScheduleAd, estimate, funcs: dict,
+def convergence_experiment(schedule: dict, estimate, funcs: dict,
                            n: int, seed: int) -> ConvergenceReport:
     """Estimate E[f] under each finite-d stationary law and compare with the
     tilted PD limit along the d-ladder.
@@ -322,8 +315,7 @@ def convergence_experiment(schedule: ScheduleAd, estimate, funcs: dict,
     """
     limits = {name: estimate(fn) for name, fn in funcs.items()}
     rows = []
-    for d in schedule.d_list:
-        params = schedule.params_for(d)
+    for d, params in schedule.items():
         member = substream(seed, f"limit-ladder-d{d}")
         member_seed = member.integers(SEED_LIMIT, dtype=np.uint64)
         sample = sample_invariant(params, n, int(member_seed), kind="ranked",

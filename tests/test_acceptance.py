@@ -265,8 +265,8 @@ def test_criterion_10_large_d_convergence():
     limit = tilted_estimator(cfg, 100_000, 100010)(lambda y: power_sum(y, 2))
     gaps = []
     zs = []
-    for d in schedule.d_list:
-        draws = sample_invariant(schedule.params_for(d), 100_000,
+    for d, params in schedule.items():
+        draws = sample_invariant(params, 100_000,
                                  seed=100010 + d, kind="ranked").draws
         phi2 = power_sum(draws, 2)
         est = phi2.mean()

@@ -178,6 +178,23 @@ def test_invalid_params_exit_two_with_violated_index(tmp_path, capsys):
                "limit": {"n": 500}}, "ConfigError"),
     ("limit", {"pd": {"theta": 2.0, "tilt": [0.0]}, "schedule": {"d_list": []},
                "limit": {"n": 500}}, "ConfigError"),
+    # a JSON boolean is no real number
+    ("pd", {"pd": {"theta": True, "n": 100}}, "ConfigError"),
+    ("simulate", {"model": {**BASE_MODEL, "sigma": True}, "sim": {"T": 1.0, "dt": 1e-3}},
+     "ConfigError"),
+    ("simulate", {"model": {"a": [True, True, True]}, "sim": {"T": 1.0, "dt": 1e-3}},
+     "ConfigError"),
+    ("simulate", {"model": BASE_MODEL, "sim": {"T": True, "dt": 1e-3}}, "ConfigError"),
+    ("boundary", {"model": BASE_MODEL, "boundary": {"kind": "rank_hits", "k": 2,
+                                                    "eps": [True, 1e-3]}}, "ConfigError"),
+    ("limit", {"pd": {"theta": 2.0, "tilt": [0.5]}, "schedule": {"d_list": [10, 40]},
+               "limit": {"n": 500, "growth": {"sigma": 1.0, "N": True}}}, "ConfigError"),
+    ("invariant", {"model": BASE_MODEL, "sampler": {"n": 10}, "tolerances": {"ergodic_z": True},
+                   "ergodic": {"T": 1.0, "dt": 1e-3}}, "ConfigError"),
+    ("limit", {"pd": {"theta": 2.0, "tilt": [True]}, "schedule": {"d_list": [10, 40]},
+               "limit": {"n": 500}}, "ConfigError"),
+    ("limit", {"pd": {"theta": True}, "schedule": {"d_list": [10, 40]}, "limit": {"n": 500}},
+     "ConfigError"),
 ])
 def test_typed_config_and_model_errors_exit_two(tmp_path, capsys, monkeypatch,
                                                 command, payload, error_class):
@@ -515,13 +532,7 @@ def test_growth_mc_exits_three_on_sampler_warnings(tmp_path, capsys):
     assert growth["warnings"] == [err["detail"]]
 
 
-def test_spacing_sampler_stall_exits_three(tmp_path, capsys, monkeypatch):
-    import functools
-
-    import openjacobi.invariant as invariant
-
-    monkeypatch.setattr(invariant, "_sample_spacing", functools.partial(
-        invariant._sample_spacing, max_proposals=10_000))
+def test_spacing_sampler_stall_exits_three(tmp_path, capsys):
     model = {"a": [-34.75] + [0.25] * 19, "gamma": [0.0] * 20, "sigma": 1.0}
     cfg = write_config(tmp_path, {"seed": 5, "model": model, "sampler": {"n": 10}})
     assert run(["invariant", "--config", str(cfg), "--out", str(tmp_path)]) == 3

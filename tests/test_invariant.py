@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 
 import numpy as np
@@ -86,7 +87,7 @@ def test_densities_vanish_at_a_zero_coordinate_with_positive_exponent():
     # 0 to the power b_k - 1 > 0 is 0, not a singularity
     dirichlet = ModelParams(a=np.zeros(3), gamma=[2.0, 2.0, 2.0])
     assert density_p([0.5, 0.5, 0.0], dirichlet) == 0.0
-    assert density_q([0.5, 0.5, 0.0], rank_jacobi([1.5, 1.5, 1.5]), normalized=False) == 0.0
+    assert density_q([0.5, 0.5, 0.0], rank_jacobi([1.5, 1.5, 1.5])) == 0.0
 
 
 def test_density_q_rank_based_closed_form():
@@ -97,14 +98,14 @@ def test_density_q_rank_based_closed_form():
     for _ in range(10):
         y = -np.sort(-rng.dirichlet(np.ones(3)))
         expected = np.prod(y ** (a - 1.0)) / qa
-        assert density_q(y, p) == pytest.approx(expected, rel=1e-8)
+        assert density_q(y, p) / normalizer(p) == pytest.approx(expected, rel=1e-8)
 
 
 def test_density_q_flat_d2_value():
     # a = (1, 1): ranked density is the constant 1 / Q_a = 2
     p = rank_jacobi([1.0, 1.0])
     assert monomial_integral(p.a) == pytest.approx(0.5, rel=1e-10)
-    assert density_q([0.7, 0.3], p) == pytest.approx(2.0, rel=1e-9)
+    assert density_q([0.7, 0.3], p) / normalizer(p) == pytest.approx(2.0, rel=1e-9)
 
 
 def test_density_q_name_based_matches_permutation_sum():
@@ -115,7 +116,7 @@ def test_density_q_name_based_matches_permutation_sum():
         np.prod(y ** (p.gamma[list(perm)] - 1.0))
         for perm in itertools.permutations(range(3))
     )
-    assert density_q(y, p, normalized=False) == pytest.approx(brute, rel=1e-12)
+    assert density_q(y, p) == pytest.approx(brute, rel=1e-12)
 
 
 @pytest.mark.parametrize("params", [
@@ -125,7 +126,7 @@ def test_density_q_name_based_matches_permutation_sum():
 def test_density_q_integrates_to_one(params):
     z = normalizer(params)
     total = ordered_simplex_integral(
-        lambda y: density_q(y, params, normalized=True, z=z), params.d, rel_tol=1e-7
+        lambda y: density_q(y, params) / z, params.d, rel_tol=1e-7
     )
     assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -161,7 +162,7 @@ def test_hybrid_normalizer_and_density_q_finish_up_to_max_dim(d):
     assert time.perf_counter() - start < 5.0
     assert math.isfinite(z) and z > 0.0
     y = np.linspace(2.0, 1.0, d)
-    q = density_q(y / y.sum(), p, z=z)
+    q = density_q(y / y.sum(), p) / z
     assert math.isfinite(q) and q > 0.0
 
 
@@ -260,8 +261,7 @@ def test_spacing_sampler_stall_is_typed():
     # abar_1 = -30 at d = 20: acceptance far below 1e-20
     p = rank_jacobi([-34.75] + [0.25] * 19)
     with pytest.raises(SamplerStallError, match="accepted none"):
-        invariant._sample_spacing(p, 10, np.random.default_rng(0), "ranked",
-                                  max_proposals=50_000)
+        invariant._sample_spacing(p, 10, np.random.default_rng(0), "ranked")
 
 
 def test_ranked_dirichlet_pushforward_matches_q_moments():
@@ -270,7 +270,7 @@ def test_ranked_dirichlet_pushforward_matches_q_moments():
     res = sample_invariant(p, 50_000, seed=19, kind="ranked")
     z = normalizer(p)
     target = ordered_simplex_integral(
-        lambda y: y[0] * density_q(y, p, normalized=True, z=z), 3, rel_tol=1e-6
+        lambda y: y[0] * density_q(y, p) / z, 3, rel_tol=1e-6
     )
     assert abs(moment_z(res.draws[:, 0], target)) < 3.0
 
@@ -295,7 +295,7 @@ def test_mcmc_hybrid_matches_quadrature_oracle():
     assert res.method == "mcmc"
     z = normalizer(p)
     target = ordered_simplex_integral(
-        lambda y: y[0] * density_q(y, p, normalized=True, z=z), 2, rel_tol=1e-8
+        lambda y: y[0] * density_q(y, p) / z, 2, rel_tol=1e-8
     )
     se = res.draws[:, 0].std(ddof=1) / math.sqrt(res.ess)
     assert abs(z_score(res.draws[:, 0].mean(), se, target, 0.0)) < 4.0
@@ -341,7 +341,8 @@ def test_mcmc_exhausted_budget_warns_instead_of_raising(monkeypatch):
     p = ModelParams(a=[0.5, 0.5], gamma=[1.0, 0.5])
     monkeypatch.setattr(invariant, "_rhat", lambda chains: 1.5)
     monkeypatch.setattr(invariant, "_ess", lambda chains: 10.0)
-    res = sample_invariant(p, 100, seed=59, kind="ranked", burn_in=100, max_doublings=1)
+    monkeypatch.setattr(invariant, "MCMC_MAX_DOUBLINGS", 1)
+    res = sample_invariant(p, 100, seed=59, kind="ranked", burn_in=100)
     assert res.n == 100
     assert res.rhat == 1.5 and res.ess == 10.0
     assert len(res.warnings) == 2
@@ -464,13 +465,13 @@ def test_sampler_options_reach_every_route(params):
         sample_invariant(params, 10, seed=1, burn_in=5)
 
 
-def test_spacing_route_takes_its_proposal_budget():
-    p = rank_jacobi([1.0, 1.0, 1.0])
-    budgeted = sample_invariant(p, 200, seed=3, max_proposals=10 ** 6)
-    assert np.array_equal(budgeted.draws, sample_invariant(p, 200, seed=3).draws)
+def test_spacing_stall_comes_within_its_budget():
+    budget = invariant.SPACING_MAX_PROPOSALS
     stalled = rank_jacobi([-34.75] + [0.25] * 19)
-    with pytest.raises(SamplerStallError, match="accepted none"):
-        sample_invariant(stalled, 10, seed=0, max_proposals=50_000)
+    with pytest.raises(SamplerStallError, match="accepted none") as err:
+        sample_invariant(stalled, 10, seed=0)
+    proposed = int(re.search(r"none of (\d+) proposals", str(err.value)).group(1))
+    assert budget < proposed <= budget + invariant.SPACING_CHUNK
 
 
 # ---------------------------------------------------------------------------

@@ -222,21 +222,26 @@ def test_tilted_expect_heavy_tilt_raises():
 
 def test_make_schedule_flat_members_are_valid():
     sched = make_schedule(2.0, (0.5,), d_list=[10, 40, 160])
-    assert sched.d_list == (10, 40, 160)
-    for d in sched.d_list:
-        a = sched.vectors[d]
+    assert list(sched) == [10, 40, 160]
+    for d, params in sched.items():
+        a = params.a
         assert a.size == d
         assert a[0] == 0.5
         assert a[1:].sum() == pytest.approx(2.0)
         assert np.all(np.cumsum(a[::-1])[::-1][1:] > 0.0)
     # largest tail entry shrinks along the ladder
-    tails = [np.abs(sched.vectors[d][1:]).max() for d in sched.d_list]
+    tails = [np.abs(params.a[1:]).max() for params in sched.values()]
     assert np.all(np.diff(tails) < 0.0)
 
 
 def test_make_schedule_rejects_boundary_tilt():
     with pytest.raises(ValueError):
         make_schedule(1.0, (0.3, -1.0), d_list=[10])   # tail sum equals -theta
+
+
+def test_make_schedule_rejects_a_fractional_dimension():
+    with pytest.raises(ValueError, match="whole number"):
+        make_schedule(2.0, (0.0,), [10.5, 40])
 
 
 def test_convergence_experiment_plain_pd():
@@ -307,8 +312,8 @@ def test_finite_d_growth_rates_approach_limit():
     limit = limit_growth_rate(cfg, 1.0, tilted_estimator(cfg, 200_000, 11))
     sched = make_schedule(theta, (0.0,), d_list=[12, 48, 192])
     gaps = []
-    for d in sched.d_list:
-        report = robust_growth_rate(sched.params_for(d), n_top, method="mc",
+    for params in sched.values():
+        report = robust_growth_rate(params, n_top, method="mc",
                                     n=200_000, seed=11)
         gaps.append(abs(report.lambda_hat - limit.value))
     assert gaps[-1] < gaps[0]
