@@ -112,6 +112,21 @@ RUNS = [  # (name, command, config, extra argv)
     ("limit-bool-N", "limit", {"seed": 23, "pd": {"theta": 2.0, "tilt": [0.0]},
                                "schedule": {"d_list": [10, 40]},
                                "limit": {"n": 5000, "growth": {"sigma": 1.0, "N": True}}}, []),
+] + [  # batches wider than a path chunk: 70 paths in two blocks, 40 clipping paths
+    ("boundary-70-paths", "boundary", {"seed": 61, "model": {"a": [1.5, 0.5], "gamma": [0.0, 0.0]},
+                                       "boundary": {"k": 2, "T": 3.0, "paths": 70,
+                                                    "eps": [1e-2, 1e-3]}}, []),
+    ("simulate-40-clipping", "simulate", {"seed": 67, "model": HYBRID3,
+                                          "sim": {"T": 1.0, "dt": 0.05, "paths": 40}}, []),
+    ("invariant-ergodic-40", "invariant", {
+        "seed": 71, "model": RANK3, "sampler": {"n": 2000, "method": "spacing"},
+        "ergodic": {"T": 3.0, "dt": 1e-3, "paths": 40, "functions": ["one", "y1"]}}, []),
+] + [  # non-finite real settings: each must exit 2
+    ("boundary-infinite-T", "boundary", {"seed": 7, "model": {"a": [1.5, 0.5], "gamma": [0.0, 0.0]},
+                                         "boundary": {"k": 2, "T": float("inf"), "paths": 4}}, []),
+    ("simulate-infinite-dt", "simulate", {"seed": 11, "model": HYBRID3,
+                                          "sim": {"T": 0.5, "dt": float("inf"), "paths": 2}}, []),
+    ("pd-nan-theta", "pd", {"seed": 17, "pd": {"theta": float("nan"), "n": 5000}}, []),
 ]
 
 
