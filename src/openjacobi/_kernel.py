@@ -26,7 +26,7 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 BUILD_TIMEOUT_S = 300
 
 _ARGTYPES = (
-    [ctypes.c_int64] * 3              # B, P, d
+    [ctypes.c_int64] * 4              # B, P, d, row
     + [ctypes.c_void_p] * 4           # block, z, a, gamma
     + [ctypes.c_double] * 4           # half, total, dt, vol
     + [ctypes.c_void_p] * 2           # clips, low

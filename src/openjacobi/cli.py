@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -90,10 +91,14 @@ def _config_block(name: str):
 
 
 def _real(value) -> float:
-    """A real number, read by ``float``; a bool is no number."""
+    """A finite real number, read by ``float``; a bool is no number, and
+    neither are the ``NaN`` and ``Infinity`` that JSON readers accept."""
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _reals(values) -> list:

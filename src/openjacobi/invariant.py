@@ -488,7 +488,9 @@ def _ess(chains) -> float:
     Follows Vehtari et al. (2021, Bayesian Analysis 16:667) on split
     chains: the combined autocorrelation rho_t = 1 - (W - mean_m acov_t) /
     var_plus is summed over Geyer's (1992) initial monotone sequence of
-    pair sums rho_2k + rho_2k+1, truncated before the first negative pair.
+    pair sums rho_2k + rho_2k+1, truncated before the first negative pair
+    after rho_0 + rho_1.  As in Stan, tau is at least 1 / log10(m n), so
+    the ESS is positive and at most m n log10(m n) even on a few draws.
     """
     x = _split_chains(chains)
     m, n = x.shape
@@ -502,8 +504,8 @@ def _ess(chains) -> float:
     rho[0] = 1.0
     pairs = rho[: n - n % 2].reshape(-1, 2).sum(axis=1)
     negative = np.flatnonzero(pairs < 0.0)
-    pairs = pairs[: negative[0] if negative.size else pairs.size]
-    tau = 2.0 * np.minimum.accumulate(pairs).sum() - 1.0
+    pairs = pairs[: max(negative[0], 1) if negative.size else pairs.size]
+    tau = max(2.0 * np.minimum.accumulate(pairs).sum() - 1.0, 1.0 / math.log10(m * n))
     return m * n / tau
 
 

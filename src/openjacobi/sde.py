@@ -17,10 +17,13 @@ lo < eps <= hi.
 
 Steps run in a compiled C kernel (``_kernel.c``, built on first use and
 cached; see ``_kernel``) that releases the GIL, so worker threads simulate
-in parallel.  ``_advance_block_numpy`` is its reference: the C kernel
-repeats its arithmetic operation by operation, so both give bit-identical
-states, clip counts and ranked minima, and it runs instead whenever the C
-kernel cannot be built.  ``euler_backend()`` names the kernel in use.
+in parallel.  ``run_paths`` hands it each block in chunks of ``PATH_CHUNK``
+paths, whose normals and rows stay in cache; the kernel steps a chunk's
+paths in lockstep and writes their slice of the block in place.
+``_advance_block_numpy`` is its reference: the C kernel repeats its
+arithmetic operation by operation, so both give bit-identical states, clip
+counts and ranked minima, and it runs instead, on whole batches, whenever
+the C kernel cannot be built.  ``euler_backend()`` names the kernel in use.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .simplex import ModelParams, as_simplex, ranked_weights, ranks_of_names, re
 
 UNDER_RESOLVED_RATE = 0.01
 BLOCK_STEPS = 2048             # steps per streamed block of every Euler run
+PATH_CHUNK = 32                # paths per compiled-kernel call within a block
 
 
 # ---------------------------------------------------------------------------
@@ -79,26 +83,30 @@ def _advance_block(block, params: ModelParams, dt: float, z):
 
 
 def _advance_block_c(kernel, block, params: ModelParams, dt: float, z):
-    """The compiled kernel behind ``_advance_block``'s contract."""
+    """The compiled kernel behind ``_advance_block``'s contract.  ``block``
+    may be a path slice ``wide[:, i:j]`` of a step-major float64 array: the
+    kernel writes its rows in place, through the row stride."""
     P, B, d = z.shape
     z = np.ascontiguousarray(z, dtype=float)
-    work = np.ascontiguousarray(block, dtype=float)
     a = np.ascontiguousarray(params.a, dtype=float)
     gamma = np.ascontiguousarray(params.gamma, dtype=float)
-    if work.shape != (B + 1, P, d) or a.shape != (d,) or gamma.shape != (d,):
-        raise ValueError(f"block {work.shape}, normals {z.shape} and model "
+    if block.shape != (B + 1, P, d) or a.shape != (d,) or gamma.shape != (d,):
+        raise ValueError(f"block {block.shape}, normals {z.shape} and model "
                          f"dimension {a.shape} do not match")
+    row, path, weight = block.strides
+    if (block.dtype != np.float64 or not block.flags.writeable or weight != 8
+            or (P > 1 and path != 8 * d) or row % 8):
+        raise ValueError("block must be a writeable float64 array whose rows hold "
+                         "each path's d weights contiguously, path after path")
     sigma = params.sigma
     clips = np.zeros(P, dtype=np.int64)
     low = np.empty((P, d))
-    status = kernel(B, P, d, work.ctypes.data, z.ctypes.data, a.ctypes.data,
+    status = kernel(B, P, d, row // 8, block.ctypes.data, z.ctypes.data, a.ctypes.data,
                     gamma.ctypes.data, float(0.5 * sigma * sigma),
                     float(params.total_mass), float(dt), float(sigma * math.sqrt(dt)),
                     clips.ctypes.data, low.ctypes.data)
     if status != 0:
         raise MemoryError("the Euler kernel could not allocate its work rows")
-    if work is not block:
-        block[...] = work
     return clips, low
 
 
@@ -230,6 +238,17 @@ class PathObserver:
         raise NotImplementedError
 
 
+def _checked_start(params: ModelParams, x0, dt: float) -> np.ndarray:
+    """Validate the model and step of an Euler run; x0 as a simplex point."""
+    require_valid(params)
+    if not 0 < dt < math.inf:
+        raise ValueError(f"need a finite dt > 0, got dt={dt!r}")
+    x0 = as_simplex(x0)
+    if x0.size != params.d:
+        raise ValueError("x0 dimension does not match the model")
+    return x0
+
+
 def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
               n_paths: int = 1, observers=(), store: bool = False,
               block_steps: int = BLOCK_STEPS, path_offset: int = 0) -> BatchResult:
@@ -237,38 +256,42 @@ def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
 
     The trajectory of path i depends only on (seed, path_offset + i), so a
     batch may be split across workers in any way without changing results.
+    The compiled kernel advances each block ``PATH_CHUNK`` paths at a time,
+    drawing only that chunk's normals; the numpy kernel, whose cost is per
+    numpy call, advances the whole batch at once.
     """
-    require_valid(params)
-    if dt <= 0 or T <= 0:
-        raise ValueError("need T > 0 and dt > 0")
+    x0 = _checked_start(params, x0, dt)
+    if not 0 < T < math.inf:
+        raise ValueError(f"need a finite T > 0, got T={T!r}")
     if n_paths < 1:
         raise ValueError("need n_paths >= 1")
     if not isinstance(block_steps, (int, np.integer)) or block_steps < 1:
         raise ValueError(f"block_steps must be a whole number >= 1, got {block_steps!r}")
-    x0 = as_simplex(x0)
     d = params.d
-    if x0.size != d:
-        raise ValueError("x0 dimension does not match the model")
     n_steps = int(math.ceil(T / dt - 1e-12))
+    chunk = n_paths if _kernel.load() is None else min(PATH_CHUNK, n_paths)
     states = np.tile(x0, (n_paths, 1))
     streams = [path_stream(seed, path_offset + i) for i in range(n_paths)]
     for ob in observers:
         ob.start(states, dt)
     stored = [states[:, None, :].copy()] if store else None
     n_projected = np.zeros(n_paths, dtype=np.int64)
-    z = np.empty((n_paths, min(block_steps, n_steps), d))
-    rows = np.empty((z.shape[1] + 1, n_paths, d))
+    width = min(block_steps, n_steps)
+    normals = np.empty(chunk * width * d)
+    rows = np.empty((width + 1, n_paths, d))
+    low = np.empty((n_paths, d))
     done = 0
     while done < n_steps:
         b = min(block_steps, n_steps - done)
-        if z.shape[1] != b:
-            z = np.empty((n_paths, b, d))
-        for st, zp in zip(streams, z):
-            st.standard_normal(out=zp)
         block = rows[:b + 1]
         block[0] = states
-        clips, low = _advance_block(block, params, dt, z)
-        n_projected += clips
+        for start in range(0, n_paths, chunk):
+            paths = slice(start, min(start + chunk, n_paths))
+            z = normals[:(paths.stop - start) * b * d].reshape(-1, b, d)
+            for st, zp in zip(streams[paths], z):
+                st.standard_normal(out=zp)
+            clips, low[paths] = _advance_block(block[:, paths], params, dt, z)
+            n_projected[paths] += clips
         for ob in observers:
             ob.update(block, low)
         if store:
@@ -305,13 +328,15 @@ def simulate_given_noise(params: ModelParams, x0, dt: float, gaussians) -> SimPa
     same Brownian path can be replayed at a coarser grid by aggregating
     fine increments.
     """
-    require_valid(params)
-    z = np.asarray(gaussians, dtype=float)[None, :, :]
-    x0 = as_simplex(x0)
-    n_steps = z.shape[1]
+    x0 = _checked_start(params, x0, dt)
+    z = np.asarray(gaussians, dtype=float)
+    if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] != x0.size:
+        raise ValueError(f"gaussians must be an (n_steps, d) = (n_steps, {x0.size}) array "
+                         f"with n_steps >= 1, got shape {z.shape}")
+    n_steps = z.shape[0]
     block = np.empty((n_steps + 1, 1, x0.size))
     block[0, 0] = x0
-    clips, _ = _advance_block(block, params, dt, z)
+    clips, _ = _advance_block(block, params, dt, z[None])
     return SimPath(
         times=np.arange(n_steps + 1) * dt,
         states=block[:, 0, :].copy(),

@@ -195,6 +195,15 @@ def test_invalid_params_exit_two_with_violated_index(tmp_path, capsys):
                "limit": {"n": 500}}, "ConfigError"),
     ("limit", {"pd": {"theta": True}, "schedule": {"d_list": [10, 40]}, "limit": {"n": 500}},
      "ConfigError"),
+    # nor are the NaN and Infinity that JSON readers accept
+    ("boundary", {"model": BASE_MODEL, "boundary": {"kind": "rank_hits", "k": 2,
+                                                    "T": float("inf"), "paths": 4}}, "ConfigError"),
+    ("simulate", {"model": BASE_MODEL, "sim": {"T": 0.5, "dt": float("inf")}}, "ConfigError"),
+    ("simulate", {"model": BASE_MODEL, "sim": {"T": float("nan"), "dt": 1e-3}}, "ConfigError"),
+    ("simulate", {"model": {**BASE_MODEL, "sigma": float("inf")}, "sim": {"T": 0.5, "dt": 1e-3}},
+     "ConfigError"),
+    ("boundary", {"model": BASE_MODEL, "boundary": {"kind": "rank_hits", "k": 2,
+                                                    "eps": [float("-inf")]}}, "ConfigError"),
 ])
 def test_typed_config_and_model_errors_exit_two(tmp_path, capsys, monkeypatch,
                                                 command, payload, error_class):

@@ -366,6 +366,16 @@ def test_ess_of_ar1_series_matches_theory(rho):
     assert _ess(series.reshape(4, -1)) == pytest.approx(expected, rel=0.1)
 
 
+@pytest.mark.parametrize("draws", [
+    [0.1, 0.5, 0.2, 0.9], [0.3, 0.1, 0.3, 0.1], [1.0, 2.0, 3.0, 4.0],
+    [0.1, 0.5, 0.2, 0.9, 0.3], [1.0, 2.0, 3.0, 4.0, 5.0],
+])
+def test_ess_of_a_few_draws_is_positive_and_capped(draws):
+    # split into two halves of two draws, so m n = 4 and tau >= 1 / log10(4)
+    ess = _ess(np.array([draws]))
+    assert 0.0 < ess <= 4 * math.log10(4) + 1e-12
+
+
 def _single_lag_ess(series):
     """The former estimator: sum of single-lag autocorrelations up to the
     first non-positive one, at most 2000 lags."""

@@ -377,6 +377,29 @@ def test_simulate_given_noise_matches_stream_draws():
     assert np.allclose(replay.states, direct.states)
 
 
+@pytest.mark.parametrize("dt, gaussians, match", [
+    (0.0, np.zeros((5, 3)), "dt"),
+    (-1e-3, np.zeros((5, 3)), "dt"),
+    (float("inf"), np.zeros((5, 3)), "dt"),
+    (1e-3, np.zeros(15), r"\(n_steps, d\)"),
+    (1e-3, np.zeros((5, 2)), r"\(n_steps, d\)"),
+    (1e-3, np.zeros((0, 3)), r"\(n_steps, d\)"),
+])
+def test_simulate_given_noise_rejects_bad_dt_and_normals(dt, gaussians, match):
+    p = rank_jacobi([1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match=match):
+        simulate_given_noise(p, [0.5, 0.3, 0.2], dt, gaussians)
+
+
+@pytest.mark.parametrize("T, dt", [
+    (float("inf"), 1e-3), (float("nan"), 1e-3), (1.0, float("inf")), (1.0, float("nan")),
+])
+def test_run_paths_rejects_non_finite_horizon_and_step(T, dt):
+    p = rank_jacobi([1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        run_paths(p, [0.5, 0.3, 0.2], T, dt, 1)
+
+
 def test_under_resolved_flag_for_coarse_dt():
     p = rank_jacobi([1.0, 1.0, 1.0])
     batch = run_paths(p, [0.6, 0.3, 0.1], T=10.0, dt=0.5, seed=2, n_paths=4)
@@ -429,6 +452,8 @@ def test_compiled_kernel_bit_identical_to_numpy(d, P, dt):
     kernel = compiled_kernel()
     params, block_np, z = _kernel_case(d, P, steps=8 if P == 500 else 30, seed=d * P)
     block_c = block_np.copy()
+    wide = np.full((block_np.shape[0], P + 3, d), -1.0)  # the same paths as a strided slice
+    wide[0, 1:P + 1] = block_np[0]
     clips_np, low_np = sde._advance_block_numpy(block_np, params, dt, z)
     clips_c, low_c = sde._advance_block_c(kernel, block_c, params, dt, z)
     assert np.array_equal(block_c, block_np)
@@ -436,6 +461,11 @@ def test_compiled_kernel_bit_identical_to_numpy(d, P, dt):
     assert np.array_equal(low_c, low_np)
     if dt == 1e-1 and P > 1:
         assert clips_np.sum() > 0                     # the clip branch ran
+    clips_s, low_s = sde._advance_block_c(kernel, wide[:, 1:P + 1], params, dt, z)
+    assert np.array_equal(wide[:, 1:P + 1], block_np)    # written in place, no copy
+    assert (wide[:, 0] == -1.0).all() and (wide[:, P + 1:] == -1.0).all()
+    assert np.array_equal(clips_s, clips_np)
+    assert np.array_equal(low_s, low_np)
 
 
 @requires_cc
@@ -497,6 +527,17 @@ def test_compiled_kernel_rejects_mismatched_shapes():
         sde._advance_block_c(None, np.empty((3, 2, 3)), p, 1e-3, np.zeros((2, 3, 3)))
     with pytest.raises(ValueError):
         sde._advance_block_c(None, np.empty((4, 2, 2)), p, 1e-3, np.zeros((2, 3, 2)))
+
+
+def test_compiled_kernel_rejects_blocks_it_cannot_write_in_place():
+    p = rank_jacobi([1.0, 1.0, 1.0])
+    z = np.zeros((2, 3, 3))
+    paths_apart = np.empty((4, 3, 2)).transpose(0, 2, 1)        # weights not contiguous
+    read_only = np.empty((4, 2, 3))
+    read_only.flags.writeable = False
+    for block in (paths_apart, read_only, np.empty((4, 2, 3), dtype=np.float32)):
+        with pytest.raises(ValueError, match="block"):
+            sde._advance_block_c(None, block, p, 1e-3, z)
 
 
 def test_load_reports_an_unwritable_cache(tmp_path, monkeypatch):
@@ -569,6 +610,47 @@ def test_observers_independent_of_block_steps(params, n_paths, n_steps, block_st
     floats += [(got["wealth"][k], ref["wealth"][k]) for k in ("log_wealth",)]
     for a, b in floats:
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+_C = sde.PATH_CHUNK
+
+
+@requires_cc
+@settings(max_examples=15, deadline=None)
+@given(params=_models, n_paths=st.sampled_from([1, _C - 1, _C, _C + 1, 2 * _C + 3]),
+       n_steps=st.integers(5, 60), block_steps=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_paths_independent_of_chunks_and_kernel(params, n_paths, n_steps, block_steps, seed):
+    # dt = 0.2 clips: the compiled kernel in PATH_CHUNK chunks, the numpy
+    # kernel on the whole batch, and one run per path agree exactly
+    compiled_kernel()
+    x0 = np.full(params.d, 1.0 / params.d)
+    dt, eps = 0.2, (0.2, 1e-2, 1e-4)
+
+    def run(count, offset=0):
+        observers = [
+            TimeAverageObserver({"y1": lambda s: s.max(axis=-1)}),
+            OccupationObserver(eps),
+            HitObserver(BoundaryQuery("rank_hits", k=params.d).band, eps),
+        ]
+        batch = run_paths(params, x0, n_steps * dt, dt, seed, n_paths=count, store=True,
+                          observers=observers, block_steps=block_steps, path_offset=offset)
+        obs = batch.observations
+        return [np.stack([path.states for path in batch.paths]), batch.n_projected,
+                obs["time_averages"]["y1"], obs["hits"]["hit"].T,
+                obs["occupation"]["gap_fraction"].transpose(2, 0, 1),
+                obs["occupation"]["min_weight_fraction"].T]
+
+    compiled = run(n_paths)
+    if n_paths >= _C:
+        assert compiled[1].sum() > 0                 # the clip branch ran
+    per_path = [np.concatenate(parts) for parts in zip(*(run(1, i) for i in range(n_paths)))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "load", lambda: None)
+        numpy_run = run(n_paths)
+    for got, ref, whole in zip(compiled, per_path, numpy_run):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(got, whole)
 
 
 @pytest.mark.parametrize("block_steps", [0, -3, 2.5])
