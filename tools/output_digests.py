@@ -127,6 +127,13 @@ RUNS = [  # (name, command, config, extra argv)
     ("simulate-infinite-dt", "simulate", {"seed": 11, "model": HYBRID3,
                                           "sim": {"T": 0.5, "dt": float("inf"), "paths": 2}}, []),
     ("pd-nan-theta", "pd", {"seed": 17, "pd": {"theta": float("nan"), "n": 5000}}, []),
+] + [  # hybrid d = 4 with negative gamma on the default route, and the mixture route by name
+    (f"invariant-hybrid4-{kind}", "invariant", {
+        "seed": 73, "model": HYBRID4, "sampler": {"n": 1000, "kind": kind}}, [])
+    for kind in ("named", "ranked")
+] + [
+    ("invariant-mixture", "invariant", {"seed": 79, "model": HYBRID3,
+                                        "sampler": {"n": 1000, "method": "mixture"}}, []),
 ]
 
 
