@@ -77,7 +77,6 @@ from .simplex import (
     SimplexError,
     as_ranked,
     as_simplex,
-    covariation_form,
     diffusion_c,
     monomial_integral,
     monomial_integral_finite,

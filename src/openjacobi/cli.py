@@ -224,7 +224,7 @@ def cmd_invariant(cfg, out, threads):
         method = sampler.get("method")
         if kind not in ("ranked", "named"):
             raise ConfigError(f"sampler kind must be 'ranked' or 'named', not {kind!r}")
-        if method not in (None, "dirichlet", "spacing", "mcmc"):
+        if method not in (None, *invariant_mod.SAMPLER_METHODS):
             raise ConfigError(f"unknown sampler method {method!r}")
         ergodic_cfg = cfg.get("ergodic")
         if ergodic_cfg:

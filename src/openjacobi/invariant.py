@@ -3,12 +3,15 @@
 The stationary density of the named weights is, up to the normalizer Z,
 prod_k y_k^(a_k + gamma_{name at rank k} - 1) evaluated at the ranked
 rearrangement.  The ranked weights carry the permutation-summed density.
-Sampling routes by structure: exact Dirichlet when the rank part is absent
-(a = 0), an exact exponential-spacing rejection sampler when the name part
-is absent (gamma = 0), and random-walk Metropolis in log-gap coordinates
-for the general hybrid case.  The spacing sampler's envelope is an
-exponential tilt from the weighted AM-GM inequality, at the point of the
-simplex that maximizes its acceptance.
+Every sampler is exact and returns independent draws.  Sampling routes by
+structure: Dirichlet when the rank part is absent (a = 0), an
+exponential-spacing rejection sampler when the name part is absent
+(gamma = 0), and for the general hybrid case a mixture over name-to-rank
+assignments sigma, weighted by the ordered-simplex integrals
+Q(a + gamma_sigma) whose sum is Z, of spacing laws with exponents
+a + gamma_sigma.  The spacing sampler's envelope is an exponential tilt
+from the weighted AM-GM inequality, at the point of the simplex that
+maximizes its acceptance.
 """
 
 from __future__ import annotations
@@ -36,21 +39,12 @@ from .simplex import (
     to_names,
 )
 
-MCMC_MAX_DIM = 6          # permutation sums grow like d!
-MCMC_CHAINS = 64          # Metropolis chains advanced in lockstep
-MCMC_BURN_IN = 1_000      # burn-in steps per chain
-MCMC_THIN = 4             # retained states per returned draw, before doublings
-MCMC_ADAPT_EVERY = 50     # burn-in steps between step-size updates
-MCMC_MIN_STEPS = 1_000    # first sampling block per chain; split R-hat exceeds 1
-                          # by about (tau - 1) / length for autocorrelation time tau
-MCMC_MAX_DOUBLINGS = 3    # times the sampling run may double before it warns
-RHAT_CEILING = 1.01
-MIN_SEGMENT = 16          # draws per chain segment in the ESS of returned draws
+MAX_PERMUTATION_DIM = 6   # permutation sums grow like d!
 ACCEPTANCE_FLOOR = 1e-3
 SPACING_CHUNK = 20_000    # spacing proposals drawn per round
 SPACING_MAX_PROPOSALS = 10 ** 6   # with none accepted, acceptance is below 3e-6
                                   # at 95% confidence, far under ACCEPTANCE_FLOOR
-NAMING_CHUNK = 2_048      # ranked draws named at once, each with d! weights
+SAMPLER_METHODS = ("dirichlet", "spacing", "mixture", "mcmc")   # "mcmc": alias of "mixture"
 ENVELOPE_MAX_ITER = 1_000  # steps toward the spacing envelope's best point
 ENVELOPE_TOL = 1e-12      # smallest gain (and step) that counts
 
@@ -74,8 +68,8 @@ def density_p(x, params: ModelParams) -> float:
 @functools.lru_cache(maxsize=None)
 def _permutations_array(d: int) -> np.ndarray:
     """All name-to-rank assignments of d names as rows, in ``itertools`` order."""
-    if d > MCMC_MAX_DIM:
-        raise InvalidModelError(f"permutation sums are limited to d <= {MCMC_MAX_DIM}")
+    if d > MAX_PERMUTATION_DIM:
+        raise InvalidModelError(f"permutation sums are limited to d <= {MAX_PERMUTATION_DIM}")
     return np.array(list(itertools.permutations(range(d))))
 
 
@@ -119,9 +113,16 @@ def normalizer(params: ModelParams) -> float:
     if params.is_rank_based:
         return math.factorial(d) * monomial_integral(params.a)
     total = 0.0
-    for perm in _permutations_array(d):
-        total += monomial_integral(params.a + params.gamma[perm])
+    for q in _assignment_integrals(params):
+        total += q
     return total
+
+
+def _assignment_integrals(params: ModelParams) -> list:
+    """Q(a + gamma_sigma) for every name-to-rank assignment sigma, in the
+    order of ``_permutations_array``: the terms of Z."""
+    return [monomial_integral(params.a + params.gamma[perm])
+            for perm in _permutations_array(params.d)]
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +133,15 @@ def normalizer(params: ModelParams) -> float:
 class SampleResult:
     """Draws from the stationary law plus sampler diagnostics.
 
-    ``acceptance_rate`` is the rejection sampler's rate, or for MCMC the
-    pooled Metropolis acceptance after burn-in; ``ess`` and ``rhat`` (the
-    rank-normalized split R-hat) describe the top weight of the MCMC chains.
+    ``acceptance_rate`` is the spacing rejection sampler's rate, pooled over
+    the assignments of a mixture.  Every route returns independent draws;
+    the mixture reports ``ess`` = n for them and no ``rhat``, since no
+    chain needs a convergence check.
     """
 
     draws: np.ndarray                # (n, d); ranked or named per ``kind``
     kind: str                        # "ranked" | "named"
-    method: str                      # "dirichlet" | "spacing" | "mcmc"
+    method: str                      # "dirichlet" | "spacing" | "mixture"
     acceptance_rate: float | None = None
     ess: float | None = None
     rhat: float | None = None
@@ -155,8 +157,8 @@ def sample_invariant(params: ModelParams, n: int, seed: int, kind: str = "ranked
     """Draw n samples from the stationary law.
 
     ``kind`` selects ranked or named coordinates; ``method`` overrides the
-    automatic routing (exact Dirichlet for a = 0, exponential-spacing
-    rejection for gamma = 0, Metropolis otherwise).  ``options`` go to the
+    automatic routing (Dirichlet for a = 0, spacing rejection for
+    gamma = 0, the assignment mixture otherwise).  ``options`` go to the
     routed sampler, so one it does not take raises ``TypeError``.
     """
     require_valid(params)
@@ -170,15 +172,17 @@ def sample_invariant(params: ModelParams, n: int, seed: int, kind: str = "ranked
         elif params.is_rank_based:
             method = "spacing"
         else:
-            method = "mcmc"
-    rng = substream(seed, f"invariant-{method}")
-    if method == "dirichlet":
-        return _sample_dirichlet(params, n, rng, kind, **options)
-    if method == "spacing":
-        return _sample_spacing(params, n, rng, kind, **options)
+            method = "mixture"
+    if method not in SAMPLER_METHODS:
+        raise ValueError(f"unknown sampler method {method!r}")
     if method == "mcmc":
-        return _sample_mcmc(params, n, rng, kind, **options)
-    raise ValueError(f"unknown sampler method {method!r}")
+        # Alias left for the stationary-laws benchmark config, which still
+        # names the former Metropolis route and passes its burn_in; it goes
+        # once a benchmark change renames that config to "mixture".
+        method = "mixture"
+        options.pop("burn_in", None)
+    rng = substream(seed, f"invariant-{method}")
+    return _SAMPLERS[method](params, n, rng, kind, **options)
 
 
 def _sample_dirichlet(params, n, rng, kind):
@@ -288,29 +292,26 @@ def _spacing_envelope(abar):
     return _envelope_rates(abar, w), log_acceptance
 
 
-def _sample_spacing(params, n, rng, kind):
-    """Exact rejection sampler for the rank-based stationary ranked law.
+def _spacing_draws(exponents, n, rng):
+    """n ranked draws of the rank-based law with exponents b, by exact
+    rejection, with the numbers of accepted and proposed points.
 
     In log-spacings z_k = log(y_(k-1) / y_k) (k = 2..d) the ranked law has
-    density proportional to y_1^abar_1 exp(-sum_k abar_k z_k).  For
-    abar_1 > 0 the weighted AM-GM inequality bounds, for any w on the
-    simplex, y_1 <= prod_k w_k^w_k exp(sum_j W_j z_j) with
+    density proportional to y_1^abar_1 exp(-sum_k abar_k z_k), abar the
+    tail sums of b.  For abar_1 > 0 the weighted AM-GM inequality bounds,
+    for any w on the simplex, y_1 <= prod_k w_k^w_k exp(sum_j W_j z_j) with
     W_j = w_j + ... + w_d; the sampler proposes z_j ~ Exp(abar_j -
     abar_1 W_j) and accepts with probability
     exp(abar_1 (log y_1 - sum_j W_j z_j - sum_k w_k log w_k)) <= 1.  The
     point w maximizes the acceptance (``_envelope_weights``); w = e_1 is
     the plain bound y_1 <= 1.  For abar_1 <= 0 it proposes z_k ~ Exp(abar_k)
-    and uses y_1 >= 1/d.  The reported acceptance rate counts every
-    accepted proposal, including those beyond the n draws returned; more
-    than SPACING_MAX_PROPOSALS proposals with none accepted raise
-    ``SamplerStallError``.
+    and uses y_1 >= 1/d.  The accepted count includes proposals beyond the
+    n draws returned; more than SPACING_MAX_PROPOSALS proposals with none
+    accepted raise ``SamplerStallError``.
     """
-    if not params.is_rank_based:
-        raise InvalidModelError("spacing sampler requires gamma = 0")
-    abar = tail_sums(params.a)
-    d = abar.size
+    abar = tail_sums(exponents)
     rates, log_acceptance = _spacing_envelope(abar)
-    out = np.empty((n, d))
+    out = np.empty((n, abar.size))
     got = 0
     accepted = 0
     proposed = 0
@@ -327,243 +328,66 @@ def _sample_spacing(params, n, rng, kind):
         if proposed > SPACING_MAX_PROPOSALS and got == 0:
             raise SamplerStallError(
                 f"rejection sampler accepted none of {proposed} proposals")
-    rate = accepted / proposed
-    warnings = []
+    return out, accepted, proposed
+
+
+def _acceptance_warnings(rate) -> list:
     if rate < ACCEPTANCE_FLOOR:
-        warnings.append(f"rejection acceptance rate {rate:.2e} below floor {ACCEPTANCE_FLOOR}")
+        return [f"rejection acceptance rate {rate:.2e} below floor {ACCEPTANCE_FLOOR}"]
+    return []
+
+
+def _sample_spacing(params, n, rng, kind):
+    """Exact rejection sampler for the rank-based stationary law
+    (``_spacing_draws``); named draws give the ranks to names uniformly."""
+    if not params.is_rank_based:
+        raise InvalidModelError("spacing sampler requires gamma = 0")
+    out, accepted, proposed = _spacing_draws(params.a, n, rng)
+    rate = accepted / proposed
     if kind == "named":
+        d = params.d
         out = to_names(out, rng.permuted(np.broadcast_to(np.arange(d), (n, d)), axis=1))
     return SampleResult(draws=out, kind=kind, method="spacing",
-                        acceptance_rate=rate, warnings=warnings)
+                        acceptance_rate=rate, warnings=_acceptance_warnings(rate))
 
 
-def _lockstep(z, logp, step, n_steps, rng, target, out=None):
-    """Advance every chain of ``z`` (K, d-1) by n_steps Metropolis steps.
+def _sample_mixture(params, n, rng, kind):
+    """Exact sampler for the hybrid stationary law, by composition.
 
-    One step draws the K Gaussian increments and the K uniforms in one call
-    each.  Proposals are reflected at z = 0, which keeps the random walk
-    symmetric on the positive orthant.  Returns the new states, their log
-    targets and the number of accepted proposals; ``out`` (n_steps, K, d-1),
-    when given, receives the states after every step.
-    """
-    moves = np.zeros(z.shape[0], dtype=np.int64)
-    for i in range(n_steps):
-        prop = np.abs(z + step * rng.standard_normal(z.shape))
-        log_u = np.log(rng.random(z.shape[0]))
-        logp_prop = target(prop)
-        move = log_u < logp_prop - logp
-        np.copyto(z, prop, where=move[:, None])
-        np.copyto(logp, logp_prop, where=move)
-        moves += move
-        if out is not None:
-            out[i] = z
-    return z, logp, int(moves.sum())
-
-
-def _log_target(params):
-    """Vectorized log stationary density of log-gap coordinates z >= 0,
-    up to a constant, for rows of chain states.
-
-    With the ranked log weights log_y = log y_1 - (0, z_1, z_1+z_2, ...),
-    the target is the row-wise logsumexp of log_y @ perm_matrix.T, where
-    perm_matrix rows hold a_k + gamma_{sigma(k)} over all assignments sigma
-    (the +1 Jacobian of the coordinate change cancels the -1 in the
-    exponent).  Every row of perm_matrix sums to s = sum(a) + sum(gamma), so
-    that equals logsumexp(-z @ tails) - s log(1/y_1), with tails[j, sigma]
-    the tail sum of row sigma from rank j + 2 on and
-    1/y_1 = 1 + sum_k exp(-(z_1+...+z_k)).  Every tail sum of a valid model
-    is positive, so each exponential lies in (0, 1] and the logsumexp needs
-    no shift.  Both sums come from one product with an indicator matrix.
-    """
-    perm_matrix = params.a[None, :] + params.gamma[_permutations_array(params.d)]
-    n_perms, d = perm_matrix.shape
-    upper = np.triu(np.ones((d - 1, d - 1)))                # z @ upper = cumsum(z)
-    tails = upper @ perm_matrix[:, 1:].T
-    exponents = np.concatenate([-tails, -upper, np.zeros((d - 1, 1))], axis=1)
-    sums = np.zeros((n_perms + d, 2))
-    sums[:n_perms, 0] = 1.0
-    sums[n_perms:, 1] = 1.0
-    weights = np.array([1.0, -perm_matrix[0].sum()])
-
-    def target(z):
-        return np.log(np.exp(z @ exponents) @ sums) @ weights
-
-    return target
-
-
-def _sample_mcmc(params, n, rng, kind, burn_in: int = MCMC_BURN_IN):
-    """Random-walk Metropolis on log-gap coordinates for the hybrid law.
-
-    MCMC_CHAINS chains start from dispersed points and advance in lockstep.
-    Each chain takes ``burn_in`` steps first, during which (only) the
-    common step size adapts toward ~30% pooled acceptance.  The chains then
-    run n * MCMC_THIN states in total (at least MCMC_MIN_STEPS per chain),
-    doubling until the multi-chain ESS of the top weight reaches n and its
-    rank-normalized R-hat is at most RHAT_CEILING; when MCMC_MAX_DOUBLINGS
-    doublings run out first, that is reported as a warning, not raised.  The n returned
-    draws are spread evenly over the retained states, stored chain after
-    chain, so their order still carries the chains' autocorrelation.  The
-    reported ``ess`` is that of the returned draws (``_draws_ess``), so
-    their standard deviation over its square root is the standard error of
-    their mean.
-    """
-    d = params.d
-    target = _log_target(params)
-    z = rng.exponential(1.0, size=(MCMC_CHAINS, d - 1))
-    logp = target(z)
-    step = 0.5
-    for start in range(0, burn_in, MCMC_ADAPT_EVERY):
-        steps = min(MCMC_ADAPT_EVERY, burn_in - start)
-        z, logp, moves = _lockstep(z, logp, step, steps, rng, target)
-        step *= math.exp(0.5 * (moves / (steps * MCMC_CHAINS) - 0.3))
-
-    warnings = []
-    blocks = []
-    steps = max(-(-n * MCMC_THIN // MCMC_CHAINS), MCMC_MIN_STEPS)
-    accepted = 0
-    for _ in range(MCMC_MAX_DOUBLINGS + 1):
-        block = np.empty((steps, MCMC_CHAINS, d - 1))
-        z, logp, moves = _lockstep(z, logp, step, steps, rng, target, out=block)
-        accepted += moves
-        blocks.append(block)
-        chains = np.concatenate(blocks).transpose(1, 0, 2)     # (K, steps, d-1)
-        y1 = _z_to_ranked(chains)[..., 0]
-        ess, rhat = _ess(y1), _rhat(y1)
-        if ess >= n and rhat <= RHAT_CEILING:
-            break
-        steps = chains.shape[1]
-    else:
-        if ess < n:
-            warnings.append(f"MCMC effective sample size {ess:.0f} below requested {n}")
-        if rhat > RHAT_CEILING:
-            warnings.append(f"MCMC R-hat {rhat:.4f} above {RHAT_CEILING}")
-    states = chains.reshape(-1, d - 1)
-    take = np.linspace(0, states.shape[0] - 1, n).round().astype(int)
-    ranked = _z_to_ranked(states[take])
-    draws_ess = _draws_ess(ranked[:, 0], take // chains.shape[1], MCMC_CHAINS, ess)
-    if kind == "named":
-        ranked = _assign_names(ranked, params, rng)
-    return SampleResult(draws=ranked, kind=kind, method="mcmc",
-                        acceptance_rate=accepted / (chains.shape[0] * chains.shape[1]),
-                        ess=float(draws_ess), rhat=float(rhat), warnings=warnings)
-
-
-def _draws_ess(values, chain_of, n_chains, states_ess) -> float:
-    """Multi-chain ESS of draws stored chain after chain, in that order.
-
-    ``chain_of`` gives each draw's chain.  When a chain holds fewer than
-    MIN_SEGMENT draws, consecutive chains are pooled into groups that do;
-    every group is cut to the shortest group's length.  Below 4 *
-    MIN_SEGMENT draws there is no stable estimate: the draws, spread over
-    every retained state, count as independent unless those states' ESS
-    ``states_ess`` is smaller.
-    """
-    n = values.size
-    if n < 4 * MIN_SEGMENT:
-        return min(float(n), states_ess)
-    groups = min(n_chains, n // MIN_SEGMENT)
-    counts = np.bincount(chain_of * groups // n_chains, minlength=groups)
-    starts = np.cumsum(counts) - counts
-    return _ess(values[starts[:, None] + np.arange(counts.min())])
-
-
-def _z_to_ranked(z):
-    """Ranked weights from log-gap coordinates along the last axis."""
-    cum = np.concatenate([np.zeros(z.shape[:-1] + (1,)), np.cumsum(z, axis=-1)], axis=-1)
-    rel = np.exp(-cum)
-    return rel / rel.sum(axis=-1, keepdims=True)
-
-
-def _split_chains(chains):
-    """Each chain's two halves as separate chains (a middle draw of an odd
-    length is dropped), so a trend within a chain shows as disagreement."""
-    chains = np.atleast_2d(np.asarray(chains, dtype=float))
-    half = chains.shape[1] // 2
-    return np.concatenate([chains[:, :half], chains[:, chains.shape[1] - half:]])
-
-
-def _ess(chains) -> float:
-    """Multi-chain effective sample size of the mean of ``chains`` (m, n).
-
-    Follows Vehtari et al. (2021, Bayesian Analysis 16:667) on split
-    chains: the combined autocorrelation rho_t = 1 - (W - mean_m acov_t) /
-    var_plus is summed over Geyer's (1992) initial monotone sequence of
-    pair sums rho_2k + rho_2k+1, truncated before the first negative pair
-    after rho_0 + rho_1.  As in Stan, tau is at least 1 / log10(m n), so
-    the ESS is positive and at most m n log10(m n) even on a few draws.
-    """
-    x = _split_chains(chains)
-    m, n = x.shape
-    within, var_plus = _variances(x)
-    if var_plus == 0.0:
-        return float(m * n)
-    centred = x - x.mean(axis=1, keepdims=True)
-    spectrum = np.fft.rfft(centred, 2 * n)
-    acov = np.fft.irfft(spectrum * spectrum.conj(), 2 * n)[:, :n] / n
-    rho = 1.0 - (within - acov.mean(axis=0)) / var_plus
-    rho[0] = 1.0
-    pairs = rho[: n - n % 2].reshape(-1, 2).sum(axis=1)
-    negative = np.flatnonzero(pairs < 0.0)
-    pairs = pairs[: max(negative[0], 1) if negative.size else pairs.size]
-    tau = max(2.0 * np.minimum.accumulate(pairs).sum() - 1.0, 1.0 / math.log10(m * n))
-    return m * n / tau
-
-
-def _rhat(chains) -> float:
-    """Rank-normalized split R-hat of ``chains`` (m, n): the larger of the
-    bulk value and the value for the folded draws |x - median| (Vehtari et
-    al. 2021)."""
-    x = _split_chains(chains)
-    values = []
-    for draws in (x, np.abs(x - np.median(x))):
-        within, var_plus = _variances(_rank_normalize(draws))
-        values.append(math.sqrt(var_plus / within))
-    return max(values)
-
-
-def _rank_normalize(x):
-    """Normal scores of the pooled ranks (ties share their average rank)."""
-    flat = x.ravel()
-    order = np.argsort(flat)
-    ordered = flat[order]
-    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
-    ends = np.append(starts[1:], flat.size)          # a tie group holds ranks starts+1..ends
-    ranks = np.empty(flat.size)
-    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
-    from scipy import special
-
-    return special.ndtri((ranks - 0.375) / (flat.size + 0.25)).reshape(x.shape)
-
-
-def _variances(x):
-    """Mean within-chain variance W of ``x`` (m, n) and the pooled estimate
-    var_plus = (n - 1) / n * W + (variance of the chain means)."""
-    n = x.shape[1]
-    within = x.var(axis=1, ddof=1).mean()
-    return within, within * (n - 1) / n + x.mean(axis=1).var(ddof=1)
-
-
-def _assign_names(ranked, params, rng):
-    """Scatter ranked draws to names with the stationary conditional law.
-
-    Given the ranked point, the name assignment sigma has probability
-    proportional to prod_k y_k^{gamma_{sigma(k)}}.  The (rows, d!) weights
-    are formed NAMING_CHUNK rows at a time, by ``einsum``: unlike a BLAS
-    product its rows do not depend on the chunk, so neither do the names.
+    The name-to-rank assignment sigma has probability Q(a + gamma_sigma)/Z,
+    and given sigma the ranked weights follow the rank-based law with
+    exponents a + gamma_sigma, whose tail sums are at least the model's
+    positive tail margins.  So the sampler draws how many rows each
+    assignment gets from a multinomial over the d! integrals, draws those
+    rows with ``_spacing_draws`` and names them by their assignment, then
+    shuffles all rows with one permutation so that the draws are
+    independent in their returned order.  The random stream does not depend
+    on ``kind``: ranking the named draws gives back the ranked ones bit for
+    bit.  The acceptance rate pools the proposals of every assignment.
     """
     perms = _permutations_array(params.d)
-    u = rng.random((ranked.shape[0], 1))
-    with np.errstate(divide="ignore"):
-        logy = np.log(ranked)                       # (n, d)
-    choice = np.empty(ranked.shape[0], dtype=np.int64)
-    for lo in range(0, ranked.shape[0], NAMING_CHUNK):
-        rows = slice(lo, lo + NAMING_CHUNK)
-        logw = np.einsum("nk,pk->np", logy[rows], params.gamma[perms])   # (rows, d!)
-        logw -= logw.max(axis=1, keepdims=True)
-        w = np.exp(logw)
-        w /= w.sum(axis=1, keepdims=True)
-        choice[rows] = (u[rows] > np.cumsum(w, axis=1)).sum(axis=1)
-    return to_names(ranked, perms[choice])
+    q = np.array(_assignment_integrals(params))
+    counts = rng.multinomial(n, q / q.sum())
+    draws = np.empty((n, params.d))
+    accepted = proposed = start = 0
+    for perm, count in zip(perms, counts):
+        if count == 0:
+            continue
+        y, acc, prop = _spacing_draws(params.a + params.gamma[perm], count, rng)
+        if kind == "named":
+            y = to_names(y, np.broadcast_to(perm, y.shape))
+        draws[start:start + count] = y
+        start += count
+        accepted += acc
+        proposed += prop
+    rate = accepted / proposed
+    return SampleResult(draws=draws[rng.permutation(n)], kind=kind, method="mixture",
+                        acceptance_rate=rate, ess=float(n),
+                        warnings=_acceptance_warnings(rate))
+
+
+_SAMPLERS = {"dirichlet": _sample_dirichlet, "spacing": _sample_spacing,
+             "mixture": _sample_mixture}
 
 
 # ---------------------------------------------------------------------------

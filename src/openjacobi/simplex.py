@@ -259,18 +259,6 @@ def diffusion_c(x, sigma: float = 1.0) -> np.ndarray:
     return sigma * sigma * (np.diag(x) - np.outer(x, x))
 
 
-def covariation_form(u, v, x, sigma: float = 1.0) -> float:
-    """Quadratic covariation shortcut u^T c(x) v without building c.
-
-    Equals sigma^2 * ((u*v) . x - (u . x)(v . x)) where * is the Hadamard
-    product; valid whenever x sums to one.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return float(sigma * sigma * ((u * v * x).sum(-1) - (u * x).sum(-1) * (v * x).sum(-1)))
-
-
 # ---------------------------------------------------------------------------
 # monomial integrals over the ordered simplex
 # ---------------------------------------------------------------------------

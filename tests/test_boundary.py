@@ -6,7 +6,6 @@ import pytest
 from openjacobi import (
     BoundaryQuery,
     ModelParams,
-    covariation_form,
     mc_hit_frequency,
     nameset_avoids_zero,
     rank_avoids_zero,
@@ -253,11 +252,3 @@ def test_nameset_sum_quadratic_variation_matches_model():
     realized = batch.observations["lambda_qv"]["realized"].mean()
     model = batch.observations["lambda_qv"]["model"].mean()
     assert abs(realized - model) / model < 0.05
-
-
-def test_covariation_form_special_case_for_indicator_vectors():
-    # u = v = indicator of I: the generic form reduces to Lambda(1 - Lambda)
-    x = np.array([0.2, 0.5, 0.3])
-    u = np.array([1.0, 0.0, 1.0])
-    lam = 0.5
-    assert covariation_form(u, u, x, 1.0) == pytest.approx(lam * (1 - lam))

@@ -515,7 +515,7 @@ def test_invariant_reports_acceptance_and_rhat(tmp_path):
     res = read_json(tmp_path / "mcmc" / "invariant_report.json")["results"]
     assert 0.0 < res["acceptance_rate"] < 1.0
     assert res["ess"] >= 1_000
-    assert res["rhat"] <= 1.01
+    assert res["rhat"] is None
     cfg = write_config(tmp_path, {"seed": 19, "model": BASE_MODEL, "sampler": {"n": 100}})
     assert run(["invariant", "--config", str(cfg), "--out", str(tmp_path / "spacing")]) == 0
     res = read_json(tmp_path / "spacing" / "invariant_report.json")["results"]
@@ -548,33 +548,6 @@ def test_spacing_sampler_stall_exits_three(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "diagnostic"
     assert "accepted none" in err["detail"]
-
-
-def test_mcmc_rhat_above_ceiling_after_budget_exits_three(tmp_path, capsys, monkeypatch):
-    import openjacobi.invariant as invariant
-
-    rhat = invariant._rhat
-    seen = []
-
-    def inflated(chains):
-        seen.append(rhat(chains) + 0.05)
-        return seen[-1]
-
-    monkeypatch.setattr(invariant, "_rhat", inflated)
-    cfg = write_config(tmp_path, {
-        "seed": 23, "model": HYBRID_MODEL,
-        "sampler": {"n": 500, "kind": "named", "method": "mcmc"},
-    })
-    out = tmp_path / "out"
-    assert run(["invariant", "--config", str(cfg), "--out", str(out)]) == 3
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "diagnostic"
-    assert "R-hat" in err["detail"] and "above 1.01" in err["detail"]
-    assert len(seen) == 4                     # the first block and three doublings
-    res = read_json(out / "invariant_report.json")["results"]
-    assert res["rhat"] == pytest.approx(seen[-1])
-    assert res["rhat"] > 1.01
-    assert len(np.loadtxt(out / "invariant_samples.csv", delimiter=",", skiprows=1)) == 500
 
 
 def test_seed_flag_overrides_config(tmp_path):

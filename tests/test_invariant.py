@@ -5,9 +5,9 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import signal, special, stats
+from scipy import special
 
 from openjacobi import (
     InvalidModelError,
@@ -22,17 +22,8 @@ from openjacobi import (
 )
 from openjacobi._util import z_score
 from openjacobi import invariant, sde
-from openjacobi.invariant import (
-    MCMC_CHAINS,
-    MCMC_MAX_DIM,
-    RHAT_CEILING,
-    SamplerStallError,
-    _draws_ess,
-    _ess,
-    _rank_normalize,
-    _rhat,
-)
-from openjacobi.simplex import tail_sums
+from openjacobi.invariant import MAX_PERMUTATION_DIM, SamplerStallError
+from openjacobi.simplex import ranked_weights, ranking_order, tail_sums
 
 from helpers import ordered_simplex_integral
 
@@ -154,7 +145,7 @@ def test_hybrid_normalizer_with_constant_a_is_a_dirichlet_integral(d):
     assert normalizer(p) == pytest.approx(oracle, rel=1e-9)
 
 
-@pytest.mark.parametrize("d", range(5, MCMC_MAX_DIM + 1))
+@pytest.mark.parametrize("d", range(5, MAX_PERMUTATION_DIM + 1))
 def test_hybrid_normalizer_and_density_q_finish_up_to_max_dim(d):
     p = ModelParams(a=np.linspace(1.5, 0.5, d), gamma=np.linspace(0.4, -0.2, d)[::-1])
     start = time.perf_counter()
@@ -292,7 +283,7 @@ def test_mcmc_agrees_with_spacing_on_rank_models():
 def test_mcmc_hybrid_matches_quadrature_oracle():
     p = ModelParams(a=[0.5, 0.5], gamma=[1.0, 0.5])
     res = sample_invariant(p, 4_000, seed=31, kind="ranked")
-    assert res.method == "mcmc"
+    assert res.method == "mixture"
     z = normalizer(p)
     target = ordered_simplex_integral(
         lambda y: y[0] * density_q(y, p) / z, 2, rel_tol=1e-8
@@ -317,143 +308,75 @@ def test_mcmc_hybrid_named_mean_matches_monomial_ratio():
     assert abs(z_score(res.draws[:, 0].mean(), se, target, 0.0)) < 4.0
 
 
-def test_mcmc_reports_pooled_acceptance_and_rhat():
+def test_mixture_reports_pooled_acceptance_and_no_rhat():
     p = ModelParams(a=[1.0, 0.5, 0.5], gamma=[0.3, 0.2, 0.1])
     res = sample_invariant(p, 2_000, seed=53, kind="named")
-    assert res.method == "mcmc" and res.n == 2_000 and not res.warnings
-    assert 0.1 < res.acceptance_rate < 0.6
-    assert res.ess >= 2_000
-    assert 1.0 - 0.01 < res.rhat <= RHAT_CEILING
+    assert res.method == "mixture" and res.n == 2_000 and not res.warnings
+    assert 0.0 < res.acceptance_rate <= 1.0
+    assert res.ess == 2_000 and res.rhat is None
     again = sample_invariant(p, 2_000, seed=53, kind="named")
     assert np.array_equal(res.draws, again.draws)
 
 
-def test_named_mcmc_draws_do_not_depend_on_the_naming_chunk(monkeypatch):
+@pytest.mark.parametrize("a, gamma, seed", [
+    ([1.2, 0.8, 0.6], [0.3, -0.1, -0.2], 83),
+    ([1.0, 0.8, 0.6, 0.5], [0.4, -0.2, 0.1, -0.3], 89),
+], ids=["d3", "d4"])
+def test_mixture_name_at_rank_frequencies_match_assignment_weights(a, gamma, seed):
+    # exact oracle: sigma has probability Q(a + gamma_sigma) / Z, so name i
+    # sits at rank k with the summed weight of the assignments that put it there
+    p = ModelParams(a=a, gamma=gamma)
+    n = 20_000
+    res = sample_invariant(p, n, seed=seed, kind="named")
+    perms = np.array(list(itertools.permutations(range(p.d))))
+    q = np.array([monomial_integral(p.a + p.gamma[perm]) for perm in perms])
+    q /= q.sum()
+    order = ranking_order(res.draws)
+    for k in range(p.d):
+        for i in range(p.d):
+            exact = q[perms[:, k] == i].sum()
+            freq = (order[:, k] == i).mean()
+            assert abs(freq - exact) < 3.0 * math.sqrt(exact * (1.0 - exact) / n), (k, i)
+    exact_y1 = sum(w * monomial_integral(p.a + p.gamma[perm] + np.eye(p.d)[0])
+                   / monomial_integral(p.a + p.gamma[perm]) for w, perm in zip(q, perms))
+    assert abs(moment_z(res.draws.max(axis=1), exact_y1)) < 3.0
+    # independent in file order: neighbours share their assignment with
+    # probability sum q^2; the indicators are 1-dependent, hence the variance
+    same = np.all(order[1:] == order[:-1], axis=1)
+    p2, p3 = (q ** 2).sum(), (q ** 3).sum()
+    var = (n - 1) * p2 * (1.0 - p2) + 2.0 * (n - 2) * (p3 - p2 * p2)
+    assert abs(same.sum() - (n - 1) * p2) < 3.0 * math.sqrt(var)
+
+
+def test_mcmc_is_an_alias_of_the_mixture_route():
     p = ModelParams(a=[1.2, 0.8, 0.6], gamma=[0.3, -0.1, -0.2])
-    whole = sample_invariant(p, 50, 19, kind="named", method="mcmc")
-    monkeypatch.setattr(invariant, "NAMING_CHUNK", 7)
-    chunked = sample_invariant(p, 50, 19, kind="named", method="mcmc")
-    assert (np.diff(whole.draws, axis=1) > 0).any()          # some rows left rank order
-    assert np.array_equal(chunked.draws, whole.draws)
+    mixture = sample_invariant(p, 500, seed=19, kind="named", method="mixture")
+    alias = sample_invariant(p, 500, seed=19, kind="named", method="mcmc", burn_in=200)
+    assert alias.method == "mixture"
+    assert np.array_equal(alias.draws, mixture.draws)
+    with pytest.raises(TypeError, match="thin"):
+        sample_invariant(p, 10, seed=1, method="mcmc", thin=5)
 
 
-def test_mcmc_exhausted_budget_warns_instead_of_raising(monkeypatch):
-    p = ModelParams(a=[0.5, 0.5], gamma=[1.0, 0.5])
-    monkeypatch.setattr(invariant, "_rhat", lambda chains: 1.5)
-    monkeypatch.setattr(invariant, "_ess", lambda chains: 10.0)
-    monkeypatch.setattr(invariant, "MCMC_MAX_DOUBLINGS", 1)
-    res = sample_invariant(p, 100, seed=59, kind="ranked", burn_in=100)
-    assert res.n == 100
-    assert res.rhat == 1.5 and res.ess == 10.0
-    assert len(res.warnings) == 2
-    assert "effective sample size 10 below requested 100" in res.warnings[0]
-    assert "R-hat 1.5000 above 1.01" in res.warnings[1]
+@st.composite
+def _hybrid_models(draw):
+    d = draw(st.integers(2, 4))
+    a = draw(st.lists(st.floats(-0.5, 2.0), min_size=d, max_size=d))
+    gamma = draw(st.lists(st.floats(-0.5, 1.0), min_size=d, max_size=d))
+    p = ModelParams(a=a, gamma=gamma)
+    assume(not p.is_rank_based and np.any(p.a != 0.0) and np.all(p.tail_margins() > 0.1))
+    return p
 
 
-def _ar1(rho, n, rng):
-    noise = rng.standard_normal(n)
-    series = signal.lfilter([math.sqrt(1.0 - rho * rho)], [1.0, -rho], noise)
-    series[0] = noise[0]
-    return series
-
-
-@pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, -0.3])
-def test_ess_of_ar1_series_matches_theory(rho):
-    n = 100_000
-    series = _ar1(rho, n, np.random.default_rng(61))
-    expected = n * (1.0 - rho) / (1.0 + rho)
-    assert _ess(series) == pytest.approx(expected, rel=0.1)
-    assert _ess(series.reshape(4, -1)) == pytest.approx(expected, rel=0.1)
-
-
-@pytest.mark.parametrize("draws", [
-    [0.1, 0.5, 0.2, 0.9], [0.3, 0.1, 0.3, 0.1], [1.0, 2.0, 3.0, 4.0],
-    [0.1, 0.5, 0.2, 0.9, 0.3], [1.0, 2.0, 3.0, 4.0, 5.0],
-])
-def test_ess_of_a_few_draws_is_positive_and_capped(draws):
-    # split into two halves of two draws, so m n = 4 and tau >= 1 / log10(4)
-    ess = _ess(np.array([draws]))
-    assert 0.0 < ess <= 4 * math.log10(4) + 1e-12
-
-
-def _single_lag_ess(series):
-    """The former estimator: sum of single-lag autocorrelations up to the
-    first non-positive one, at most 2000 lags."""
-    x = np.asarray(series, dtype=float)
-    n = x.size
-    x = x - x.mean()
-    var = float(np.dot(x, x)) / n
-    tau = 1.0
-    for lag in range(1, min(n // 2, 2000)):
-        rho = float(np.dot(x[:-lag], x[lag:])) / ((n - lag) * var)
-        if rho <= 0.0:
-            break
-        tau += 2.0 * rho
-    return n / tau
-
-
-@pytest.mark.parametrize("hold", [100, 1000])
-def test_ess_of_sticky_series_not_above_single_lag_estimate(hold):
-    # a chain that keeps its value for geometric times of mean ``hold`` and
-    # then jumps to a fresh normal: rho_t = (1 - 1/hold)^t
-    rng = np.random.default_rng(67)
-    n = 200_000
-    states = np.cumsum(rng.random(n) < 1.0 / hold)
-    series = rng.standard_normal(states[-1] + 1)[states]
-    assert _ess(series) <= _single_lag_ess(series)
-
-
-def _batch_means_se(values, batches=32):
-    size = values.size // batches
-    means = values[: batches * size].reshape(batches, size).mean(axis=1)
-    return means.std(ddof=1) / math.sqrt(batches)
-
-
-def test_draws_ess_of_sticky_chains_matches_batch_means():
-    # MCMC_CHAINS sticky chains (rho_t = 0.95^t), thinned the way the
-    # sampler thins them: every fourth state, chain after chain
-    rng = np.random.default_rng(71)
-    steps, n = 1_000, 16_000
-    jumps = np.cumsum(rng.random(MCMC_CHAINS * steps) < 0.05)
-    chains = rng.standard_normal(jumps[-1] + 1)[jumps].reshape(MCMC_CHAINS, steps)
-    take = np.linspace(0, chains.size - 1, n).round().astype(int)
-    draws = chains.ravel()[take]
-    ess = _draws_ess(draws, take // steps, MCMC_CHAINS, _ess(chains))
-    assert ess < 0.2 * n
-    ratio = (draws.std(ddof=1) / math.sqrt(ess)) / _batch_means_se(draws)
-    assert 1.0 / 1.5 < ratio < 1.5
-
-
-def test_mcmc_ess_describes_the_returned_draws():
-    # 2000 draws thinned from 64 000 states: the ESS of every retained
-    # state (about 8500) would make the standard error about 2x too small
-    p = ModelParams(a=[1.0, 0.5, 0.5], gamma=[0.3, 0.2, 0.1])
-    res = sample_invariant(p, 2_000, seed=19, kind="ranked")
-    y1 = res.draws[:, 0]
-    ratio = (y1.std(ddof=1) / math.sqrt(res.ess)) / _batch_means_se(y1)
-    assert 1.0 / 1.5 < ratio < 1.5
-
-
-def test_rank_normalization_uses_average_ranks_of_ties():
-    # repeated values, as a chain produces when it rejects proposals
-    x = np.round(np.random.default_rng(73).random((8, 50)), 1)
-    ranks = stats.rankdata(x, method="average").reshape(x.shape)
-    expected = special.ndtri((ranks - 0.375) / (x.size + 0.25))
-    np.testing.assert_allclose(_rank_normalize(x), expected, rtol=1e-14)
-
-
-def test_rhat_is_one_for_iid_chains_and_flags_disagreeing_chains():
-    rng = np.random.default_rng(71)
-    iid = rng.standard_normal((64, 1_000))
-    assert abs(_rhat(iid) - 1.0) < 0.002
-    shifted = iid + np.repeat([0.0, 0.5], 32)[:, None]
-    assert _rhat(shifted) > RHAT_CEILING
-    # equal means, unequal spreads: only the folded (tail) part notices
-    scaled = iid * np.repeat([1.0, 2.0], 32)[:, None]
-    assert _rhat(scaled) > RHAT_CEILING
-    # a trend within every chain shows through the split halves
-    trending = iid + np.linspace(0.0, 1.0, 1_000)[None, :]
-    assert _rhat(trending) > RHAT_CEILING
+@settings(max_examples=30, deadline=None)
+@given(p=_hybrid_models(), seed=st.integers(0, 2 ** 32 - 1))
+def test_mixture_draws_lie_on_the_simplex_and_rank_to_the_ranked_draws(p, seed):
+    named = sample_invariant(p, 50, seed, kind="named")
+    ranked = sample_invariant(p, 50, seed, kind="ranked")
+    assert named.method == ranked.method == "mixture"
+    assert np.all(named.draws >= 0.0)
+    assert np.allclose(named.draws.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert np.array_equal(ranked_weights(named.draws), ranked.draws)
 
 
 def test_sampler_input_validation():
@@ -469,7 +392,8 @@ def test_sampler_input_validation():
 @pytest.mark.parametrize("params", [
     ModelParams(a=[0.0, 0.0, 0.0], gamma=[1.0, 2.0, 0.5]),
     rank_jacobi([1.0, 1.0, 1.0]),
-], ids=["dirichlet", "spacing"])
+    ModelParams(a=[1.0, 0.5, 0.5], gamma=[0.3, 0.2, 0.1]),
+], ids=["dirichlet", "spacing", "mixture"])
 def test_sampler_options_reach_every_route(params):
     with pytest.raises(TypeError, match="burn_in"):
         sample_invariant(params, 10, seed=1, burn_in=5)

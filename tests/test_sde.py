@@ -682,7 +682,7 @@ def test_parallel_batches_independent_of_thread_count(params, n_paths, threads, 
 
 
 def test_substream_labels_sharing_a_prefix_get_distinct_streams():
-    labels = ["invariant-dirichlet", "invariant-spacing", "invariant-mcmc",
+    labels = ["invariant-dirichlet", "invariant-spacing", "invariant-mcmc", "invariant-mixture",
               "acceptance-foc", "acceptance-c6", "acceptance-c11", "pd-sticks"]
     firsts = {tuple(substream(7, label).random(4)) for label in labels}
     assert len(firsts) == len(labels)

@@ -15,7 +15,6 @@ from openjacobi import (
     SimplexError,
     as_ranked,
     as_simplex,
-    covariation_form,
     diffusion_c,
     growth_exists,
     monomial_integral,
@@ -253,18 +252,6 @@ def test_diffusion_kappa_mirrors_c():
     y = [0.5, 0.3, 0.2]
     assert np.allclose(diffusion_kappa(y, 1.7), diffusion_c(y, 1.7))
     assert np.abs(diffusion_kappa(y, 1.7).sum(axis=1)).max() < 1e-14
-
-
-def test_covariation_form_matches_matrix():
-    rng = np.random.default_rng(9)
-    for _ in range(30):
-        d = rng.integers(2, 7)
-        x = rng.dirichlet(np.ones(d))
-        u = rng.normal(size=d)
-        v = rng.normal(size=d)
-        sigma = rng.uniform(0.5, 2.0)
-        direct = u @ diffusion_c(x, sigma) @ v
-        assert covariation_form(u, v, x, sigma) == pytest.approx(direct, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
