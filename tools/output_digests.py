@@ -35,6 +35,8 @@ BACKTESTS = {       # growth backtests, each run at --threads 1 and 2
         "n": 5000, "sim": {"T": 20.0, "dt": 0.01, "paths": 6}}},
     "growth-rank-long": {"seed": 43, "model": RANK3, "open_market_size": 1,     # 4 blocks
                          "growth": {"n": 2000, "sim": {"T": 7.0, "dt": 1e-3, "paths": 4}}},
+    "growth-40-paths": {"seed": 83, "model": RANK3, "open_market_size": 1,  # two path chunks
+                        "growth": {"n": 2000, "sim": {"T": 3.0, "dt": 1e-3, "paths": 40}}},
 }
 BOUNDARY = [  # (name, query) on EDGE3, 5000 steps in three blocks
     ("rank-pushed", {"kind": "rank_pushed_only", "k": 2}),
