@@ -61,9 +61,7 @@ from .sde import (
     TimeAverageObserver,
     drift,
     gap_local_time,
-    model_covariation_integral,
     occupation_stats,
-    realized_covariation,
     run_paths,
     simulate,
     simulate_given_noise,

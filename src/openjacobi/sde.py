@@ -8,26 +8,27 @@ flagged as under-resolved.
 
 Paths are driven by counter-based Philox streams keyed by
 (master seed, path index), so batches are bit-reproducible regardless of
-block size, worker count, or dispatch order.  Long-horizon experiments
-avoid storing full trajectories by attaching observers that consume the
-simulation block by block; they get the run's dt once and then see each
-block's states with the per-path minima of its ranked weights
+block size, chunk size, worker count, or dispatch order.  Long-horizon
+experiments avoid storing full trajectories by attaching observers that
+consume the simulation block by block; they get the run's dt once and then
+see each block's states with the per-path minima of its ranked weights
 (``ranked_minima``).  ``_dips`` is the one epsilon-ladder test,
 lo < eps <= hi.
 
 Steps run in a compiled C kernel (``_kernel.c``, built on first use and
 cached; see ``_kernel``) that releases the GIL, so worker threads simulate
-in parallel.  ``run_paths`` hands it each block in chunks of ``PATH_CHUNK``
-paths, whose normals and rows stay in cache; the kernel steps a chunk's
-paths in lockstep and writes their slice of the block in place.
-``_advance_block_numpy`` is its reference: the C kernel repeats its
-arithmetic operation by operation, so both give bit-identical states, clip
-counts and ranked minima, and it runs instead, on whole batches, whenever
-the C kernel cannot be built.  ``euler_backend()`` names the kernel in use.
+in parallel.  ``run_paths`` runs each chunk of ``PATH_CHUNK`` paths over the
+whole horizon, with its own observer copies, so its normals and rows stay in
+cache; the kernel steps a chunk's paths in lockstep.  ``_advance_block_numpy``
+is its reference: the C kernel repeats its arithmetic operation by
+operation, so both give bit-identical states, clip counts and ranked minima,
+and it runs instead, on whole batches, whenever the C kernel cannot be built.
+``euler_backend()`` names the kernel in use.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -218,14 +219,15 @@ def sum_over_steps(arr) -> np.ndarray:
 class PathObserver:
     """Block-wise consumer of a simulation.
 
-    ``start`` sees the initial states (P, d) and the run's dt; every
-    ``update`` sees states (B+1, P, d) whose first row repeats the last row
-    of the previous call, so increments can be formed across block borders,
-    and ``low`` (P, d) = ``ranked_minima(states[1:])``, which the Euler
-    kernel computes from the rank order its drift already sorts.  The
-    states array is reused for the next block, so keep copies, not views.
-    Implementations must count each grid point exactly once: the initial
-    state in ``start`` and rows 1..B in ``update``.
+    Each path chunk of a run gets its own ``copy.copy``, so ``start`` must
+    bind fresh state; it sees the chunk's initial states (P, d) and the
+    run's dt.  Every ``update`` sees states (B+1, P, d) whose first row
+    repeats the last row of the previous call, so increments can be formed
+    across block borders, and ``low`` (P, d) = ``ranked_minima(states[1:])``,
+    which the Euler kernel computes from the rank order its drift already
+    sorts.  The states array is reused for the next block, so keep copies,
+    not views.  Implementations must count each grid point exactly once:
+    the initial state in ``start`` and rows 1..B in ``update``.
     """
 
     def start(self, states: np.ndarray, dt: float) -> None:  # pragma: no cover
@@ -236,6 +238,19 @@ class PathObserver:
 
     def result(self) -> dict:
         raise NotImplementedError
+
+    def merge(self, parts: list) -> dict:
+        """The batch result from the chunks' ``result()`` dicts in path order:
+        arrays join along their last axis, the paths; one chunk's comes back."""
+        return _merge_by_path(parts)
+
+
+def _merge_by_path(parts: list):
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], dict):
+        return {key: _merge_by_path([part[key] for part in parts]) for key in parts[0]}
+    return np.concatenate(parts, axis=-1)
 
 
 def _checked_start(params: ModelParams, x0, dt: float) -> np.ndarray:
@@ -252,13 +267,14 @@ def _checked_start(params: ModelParams, x0, dt: float) -> np.ndarray:
 def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
               n_paths: int = 1, observers=(), store: bool = False,
               block_steps: int = BLOCK_STEPS, path_offset: int = 0) -> BatchResult:
-    """Simulate ``n_paths`` trajectories to horizon T in lockstep blocks.
+    """Simulate ``n_paths`` trajectories to horizon T, one path chunk at a time.
 
     The trajectory of path i depends only on (seed, path_offset + i), so a
     batch may be split across workers in any way without changing results.
-    The compiled kernel advances each block ``PATH_CHUNK`` paths at a time,
-    drawing only that chunk's normals; the numpy kernel, whose cost is per
-    numpy call, advances the whole batch at once.
+    Chunks hold ``PATH_CHUNK`` paths with the compiled kernel and the whole
+    batch with the numpy kernel, whose cost is per numpy call.  Each chunk
+    runs the whole horizon with its own copy of every observer; ``merge``
+    joins the copies' results in path order.
     """
     x0 = _checked_start(params, x0, dt)
     if not 0 < T < math.inf:
@@ -270,49 +286,48 @@ def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
     d = params.d
     n_steps = int(math.ceil(T / dt - 1e-12))
     chunk = n_paths if _kernel.load() is None else min(PATH_CHUNK, n_paths)
-    states = np.tile(x0, (n_paths, 1))
-    streams = [path_stream(seed, path_offset + i) for i in range(n_paths)]
-    for ob in observers:
-        ob.start(states, dt)
-    stored = [states[:, None, :].copy()] if store else None
-    n_projected = np.zeros(n_paths, dtype=np.int64)
     width = min(block_steps, n_steps)
     normals = np.empty(chunk * width * d)
-    rows = np.empty((width + 1, n_paths, d))
-    low = np.empty((n_paths, d))
-    done = 0
-    while done < n_steps:
-        b = min(block_steps, n_steps - done)
-        block = rows[:b + 1]
-        block[0] = states
-        for start in range(0, n_paths, chunk):
-            paths = slice(start, min(start + chunk, n_paths))
-            z = normals[:(paths.stop - start) * b * d].reshape(-1, b, d)
-            for st, zp in zip(streams[paths], z):
+    rows = np.empty((width + 1, chunk, d))
+    final_states = np.empty((n_paths, d))
+    n_projected = np.zeros(n_paths, dtype=np.int64)
+    all_states = np.empty((n_paths, n_steps + 1, d)) if store else None
+    parts = []                                  # per chunk, each observer's result
+    for start in range(0, n_paths, chunk):
+        paths = slice(start, min(start + chunk, n_paths))
+        size = paths.stop - start
+        streams = [path_stream(seed, path_offset + i) for i in range(start, paths.stop)]
+        copies = [copy.copy(ob) for ob in observers]
+        for ob in copies:
+            ob.start(np.tile(x0, (size, 1)), dt)
+        rows[0, :size] = x0
+        for done in range(0, n_steps, block_steps):
+            b = min(block_steps, n_steps - done)
+            block = rows[:b + 1, :size]
+            z = normals[:size * b * d].reshape(size, b, d)
+            for st, zp in zip(streams, z):
                 st.standard_normal(out=zp)
-            clips, low[paths] = _advance_block(block[:, paths], params, dt, z)
+            clips, low = _advance_block(block, params, dt, z)
             n_projected[paths] += clips
-        for ob in observers:
-            ob.update(block, low)
-        if store:
-            stored.append(block[1:].transpose(1, 0, 2).copy())
-        states = block[-1].copy()
-        done += b
+            for ob in copies:
+                ob.update(block, low)
+            if store:
+                all_states[paths, done:done + b + 1] = block.transpose(1, 0, 2)
+            block[0] = block[-1]
+        final_states[paths] = rows[0, :size]
+        parts.append([ob.result() for ob in copies])
     result = BatchResult(
         params=params, seed=seed, n_paths=n_paths, n_steps=n_steps, dt=dt,
-        final_states=states, n_projected=n_projected,
+        final_states=final_states, n_projected=n_projected,
     )
     if store:
-        all_states = np.concatenate(stored, axis=1)   # (P, n+1, d)
         times = np.arange(n_steps + 1) * dt
-        result.paths = [
-            SimPath(times=times.copy(), states=all_states[i], params=params,
-                    seed=seed, path_index=path_offset + i, dt=dt,
-                    n_projected=int(n_projected[i]))
-            for i in range(n_paths)
-        ]
-    for ob in observers:
-        result.observations.update(ob.result())
+        times.flags.writeable = False             # shared by every stored path
+        result.paths = [SimPath(times=times, states=all_states[i], params=params, seed=seed,
+                                path_index=path_offset + i, dt=dt,
+                                n_projected=int(n_projected[i])) for i in range(n_paths)]
+    for ob, chunk_results in zip(observers, zip(*parts)):
+        result.observations.update(ob.merge(list(chunk_results)))
     return result
 
 
@@ -434,6 +449,11 @@ class OccupationObserver(PathObserver):
             }
         }
 
+    def merge(self, parts):
+        occ = _merge_by_path([{k: v for k, v in p["occupation"].items() if k != "eps"}
+                              for p in parts])
+        return {"occupation": {"eps": self.eps, **occ}}
+
 
 class HitObserver(PathObserver):
     """Whether a path-wise quantity dips below each epsilon at any grid time.
@@ -462,33 +482,14 @@ class HitObserver(PathObserver):
     def result(self):
         return {"hits": {"eps": self.eps, "hit": self._hit}}
 
+    def merge(self, parts):
+        hit = _merge_by_path([part["hits"]["hit"] for part in parts])
+        return {"hits": {"eps": self.eps, "hit": hit}}
+
 
 # ---------------------------------------------------------------------------
 # diagnostics on stored paths
 # ---------------------------------------------------------------------------
-
-def realized_covariation(path: SimPath, i: int, j: int) -> np.ndarray:
-    """Cumulative sum of increment products dX_i dX_j (names 1-based).
-
-    The terminal value approximates the integrated model covariation
-    integral of c_ij(X_t) dt along the same path.
-    """
-    d = path.states.shape[1]
-    if not (1 <= i <= d and 1 <= j <= d):
-        raise IndexError("names out of range")
-    dx = np.diff(path.states, axis=0)
-    return np.cumsum(dx[:, i - 1] * dx[:, j - 1])
-
-
-def model_covariation_integral(path: SimPath, i: int, j: int) -> np.ndarray:
-    """Cumulative left-endpoint integral of c_ij(X_t) dt along the path."""
-    x = path.states[:-1]
-    sig2 = path.params.sigma ** 2
-    xi = x[:, i - 1]
-    xj = x[:, j - 1]
-    rate = sig2 * (xi * ((i == j) - xj))
-    return np.cumsum(rate) * path.dt
-
 
 @dataclass(frozen=True)
 class OccupationReport:

@@ -1,12 +1,14 @@
 """Helpers that only the tests use: scalar rank/name lookups, tail and
-index-set sums, direct-algebra references for closed forms, and a nested
-scipy quadrature over the ordered simplex (d <= 3) that serves as an
-oracle independent of the ordered-simplex recursion."""
+index-set sums, direct-algebra references for closed forms, covariations
+along stored paths, and a nested scipy quadrature over the ordered simplex
+(d <= 3) that serves as an oracle independent of the ordered-simplex
+recursion."""
 
 import numpy as np
 from scipy import integrate
 
 from openjacobi.portfolio import _increments, optimal_rank_holdings
+from openjacobi.sde import SimPath
 from openjacobi.simplex import ModelParams, diffusion_c, ranking_order, ranks_of_names
 
 
@@ -103,3 +105,26 @@ def local_growth_direct(y, order, params: ModelParams, n_top: int) -> float:
 def wealth_increments(theta_left, states, dt, sigma):
     """d log V per step from left-evaluated holdings along stored states."""
     return _increments(theta_left, states, dt, sigma)[0]
+
+
+def realized_covariation(path: SimPath, i: int, j: int) -> np.ndarray:
+    """Cumulative sum of increment products dX_i dX_j (names 1-based).
+
+    The terminal value approximates the integrated model covariation
+    integral of c_ij(X_t) dt along the same path.
+    """
+    d = path.states.shape[1]
+    if not (1 <= i <= d and 1 <= j <= d):
+        raise IndexError("names out of range")
+    dx = np.diff(path.states, axis=0)
+    return np.cumsum(dx[:, i - 1] * dx[:, j - 1])
+
+
+def model_covariation_integral(path: SimPath, i: int, j: int) -> np.ndarray:
+    """Cumulative left-endpoint integral of c_ij(X_t) dt along the path."""
+    x = path.states[:-1]
+    sig2 = path.params.sigma ** 2
+    xi = x[:, i - 1]
+    xj = x[:, j - 1]
+    rate = sig2 * (xi * ((i == j) - xj))
+    return np.cumsum(rate) * path.dt

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,3 +253,21 @@ def test_nameset_sum_quadratic_variation_matches_model():
     realized = batch.observations["lambda_qv"]["realized"].mean()
     model = batch.observations["lambda_qv"]["model"].mean()
     assert abs(realized - model) / model < 0.05
+
+
+def test_rank_hits_run_holds_one_path_chunk_of_rows():
+    # 500 paths x 2048 steps: rows for the whole batch would be 16.4 MB,
+    # rows and normals for one PATH_CHUNK-path chunk are about 2 MB
+    if _kernel.load() is None:
+        pytest.skip(f"the compiled Euler kernel is unavailable: {_kernel.failure}")
+    p = rank_jacobi([1.5, 0.5])
+    query = BoundaryQuery(kind="rank_hits", k=2)
+    mc_hit_frequency(p, query, T=0.01, n_paths=2)          # imports and first-use set-up
+    tracemalloc.start()
+    try:
+        table = mc_hit_frequency(p, query, T=2.048, dt=1e-3, n_paths=500, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.n_paths == 500
+    assert peak < 4e6

@@ -20,9 +20,7 @@ from openjacobi import (
     diffusion_c,
     drift,
     gap_local_time,
-    model_covariation_integral,
     occupation_stats,
-    realized_covariation,
     run_paths,
     simulate,
     simulate_given_noise,
@@ -31,6 +29,9 @@ from openjacobi import _kernel, sde
 from openjacobi._util import path_stream, substream
 from openjacobi.cli import _parallel_batches
 from openjacobi.sde import PathObserver, SimPath
+
+from helpers import model_covariation_integral, realized_covariation
+
 
 requires_cc = pytest.mark.skipif(
     shutil.which("gcc") is None,
@@ -651,6 +652,68 @@ def test_paths_independent_of_chunks_and_kernel(params, n_paths, n_steps, block_
     for got, ref, whole in zip(compiled, per_path, numpy_run):
         assert np.array_equal(got, ref)
         assert np.array_equal(got, whole)
+
+
+class _LastRow(PathObserver):
+    """Each path's last state with the names on the first axis, and its
+    step count; the results merge by the base rule.  ``sizes`` is shared by
+    the per-chunk copies and records the width of each chunk."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def start(self, states, dt):
+        self.sizes.append(states.shape[0])
+        self._x = states.T.copy()
+        self._steps = np.zeros(states.shape[0], dtype=np.int64)
+
+    def update(self, states, low):
+        self._x = states[-1].T.copy()
+        self._steps += states.shape[0] - 1
+
+    def result(self):
+        return {"last_row": {"x": self._x, "steps": self._steps}}
+
+
+def _leaves(obs, prefix=()):
+    for key, value in obs.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + (key,))
+        else:
+            yield prefix + (key,), value
+
+
+@requires_cc
+@pytest.mark.parametrize("n_paths", [_C + 1, 2 * _C + 3])
+def test_observer_results_merge_by_path_index(n_paths):
+    # every chunk feeds its own observer copies; the merged results equal
+    # one run per path, and the eps ladders are not joined
+    compiled_kernel()
+    p = ModelParams(a=[1.0, 0.5, 0.5, 0.2], gamma=[0.3, 0.2, 0.1, 0.0], sigma=1.2)
+    x0 = np.full(p.d, 1.0 / p.d)
+    eps = (0.2, 1e-2, 1e-4)
+
+    def run(count, offset=0):
+        last = _LastRow()
+        observers = [WealthObserver(GrowthOptimalStrategy(p, 1), p), OccupationObserver(eps),
+                     HitObserver(BoundaryQuery("rank_hits", k=p.d).band, eps), last]
+        batch = run_paths(p, x0, 0.15, 1e-3, 9, n_paths=count, observers=observers,
+                          block_steps=40, path_offset=offset)
+        return batch, last.sizes
+
+    batch, sizes = run(n_paths)
+    assert sizes == [_C] * (n_paths // _C) + [n_paths % _C]
+    merged = dict(_leaves(batch.observations))
+    singles = [dict(_leaves(run(1, i)[0].observations)) for i in range(n_paths)]
+    assert set(merged) == set(singles[0])
+    for key, value in merged.items():
+        if key[-1] == "eps":
+            assert value.shape == (len(eps),)
+            assert np.array_equal(value, singles[0][key])
+        else:
+            assert np.array_equal(value, np.concatenate([one[key] for one in singles], axis=-1))
+    assert np.array_equal(merged[("last_row", "x")], batch.final_states.T)
+    assert merged[("hits", "hit")].any() and not merged[("hits", "hit")].all()
 
 
 @pytest.mark.parametrize("block_steps", [0, -3, 2.5])
