@@ -136,6 +136,9 @@ RUNS = [  # (name, command, config, extra argv)
 ] + [
     ("invariant-mixture", "invariant", {"seed": 79, "model": HYBRID3,
                                         "sampler": {"n": 1000, "method": "mixture"}}, []),
+] + [  # PD sticks over four blocks, and a degree too small for any power sum
+    ("pd-four-blocks", "pd", {"seed": 89, "pd": {"theta": 5.0, "n": 3000}}, []),
+    ("pd-max-degree-1", "pd", {"seed": 17, "pd": {"theta": 1.0, "n": 100, "max_degree": 1}}, []),
 ]
 
 
