@@ -27,6 +27,7 @@ from .pdlimit import (
     limit_growth_rate,
     make_schedule,
     moment_recursion,
+    pd_power_sums,
     pd_sample,
     power_sum,
     tilted_estimator,

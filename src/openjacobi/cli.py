@@ -348,19 +348,15 @@ def cmd_pd(cfg, out, threads):
         n = _count(block.get("n", 100_000))
         pdlimit_mod.PDConfig(theta=theta)
         pdlimit_mod.require_stick_cap(theta, n)
-        max_degree = _count(block.get("max_degree", 6))
-    seed = cfg["seed"]
-    sample = pdlimit_mod.pd_sample(theta, n, seed)
-    multisets = _multisets_up_to(max_degree)
+        max_degree = _count(block.get("max_degree", 6), minimum=2)
+    sums, tail_mass = pdlimit_mod.pd_power_sums(theta, n, cfg["seed"], max_degree)
     rows = []
     table = {}
-    sums = {m: pdlimit_mod.power_sum(sample.weights, m)
-            for m in sorted({m for ms in multisets for m in ms})}
-    for ms in multisets:
+    for ms in _multisets_up_to(max_degree):
         exact = pdlimit_mod.moment_recursion(theta, ms)
-        vals = np.ones(sample.n)
+        vals = np.ones(n)
         for m in ms:
-            vals = vals * sums[m]
+            vals = vals * sums[m - 2]
         mc, se = mean_and_se(vals)
         key = "*".join(f"phi{m}" for m in ms)
         rows.append((key, exact, mc, se))
@@ -370,7 +366,7 @@ def cmd_pd(cfg, out, threads):
         "results": {
             "theta": theta,
             "n": n,
-            "max_tail_mass": float(sample.tail_mass.max()),
+            "max_tail_mass": float(tail_mass.max()),
             "recursion_table": table,
         }
     }, cfg)

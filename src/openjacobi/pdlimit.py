@@ -1,10 +1,12 @@
 """Poisson-Dirichlet limits of rank-based stationary laws in high dimension.
 
 Covers: stick-breaking sampling of the Poisson-Dirichlet law PD(theta),
-symmetric power sums and their exact moment recursion, importance-sampled
-expectations under the power-tilted limit law, the flat d-indexed parameter
-schedule whose stationary laws converge to that limit, and the limiting
-robust growth rate.
+either as a ranked stick table (``pd_sample``, read by the tilted limit) or
+streamed into per-draw power sums with no table (``pd_power_sums``, read by
+the moment check), symmetric power sums and their exact moment recursion,
+importance-sampled expectations under the power-tilted limit law, the flat
+d-indexed parameter schedule whose stationary laws converge to that limit,
+and the limiting robust growth rate.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .simplex import ModelParams, tail_sums
 
 ESS_FLOOR_FRACTION = 0.05
 STICK_BLOCK = 64
+PD_ROW_CHUNK = 512                # draws broken at a time within a block of sticks
 HARD_TAIL_FLOOR = 1e-13           # stick breaking stops once every leftover is below this
 MAX_STICKS = 10_000               # most sticks one draw may take to get there
 STICK_CAP_RISK = 1e-9             # largest accepted chance that some draw needs more
@@ -72,7 +75,10 @@ class PDSample:
     columns beyond the stored width are implicitly zero (the generator stops
     once every draw's leftover stick mass is below ``HARD_TAIL_FLOOR``).
     ``tail_mass`` is the per-draw leftover, so each row sums to
-    1 - tail_mass within roundoff.
+    1 - tail_mass within roundoff.  The table holds every stick of every
+    draw, n × K with K growing like theta * ln(1 / HARD_TAIL_FLOOR); a
+    caller that reads only power sums should stream them with
+    ``pd_power_sums`` instead.
     """
 
     weights: np.ndarray          # (n, K) with K <= MAX_STICKS
@@ -106,25 +112,32 @@ def require_stick_cap(theta: float, n: int) -> None:
         )
 
 
-def pd_sample(theta: float, n: int, seed: int) -> PDSample:
-    """Draw n approximate PD(theta) points by stick breaking and sorting.
+def _break_sticks(theta: float, n: int, seed: int, take) -> np.ndarray:
+    """Break n draws of GEM(theta) sticks and hand them to ``take``; return
+    each draw's leftover mass (the tail).
 
     GEM(theta) sticks come from exponential gaps: 1 - V_j = exp(-E_j/theta)
     with E_j ~ Exp(1), so with Gamma_j = E_1 + ... + E_j stick j is
     exp(-Gamma_{j-1}/theta) * (1 - exp(-E_j/theta)), exact in law, and the
-    leftover after it is exp(-Gamma_j/theta).  Gaps are drawn in blocks until
-    every draw's leftover is below ``HARD_TAIL_FLOOR``.  ``require_stick_cap``
-    rejects (theta, n) before any stick is drawn when some draw may need more
-    than ``MAX_STICKS`` sticks; ``TruncationError`` is raised when the
-    realised count of some draw still does.
+    leftover after it is exp(-Gamma_j/theta).  Gaps are drawn in blocks of
+    ``STICK_BLOCK`` columns until every draw's leftover is below
+    ``HARD_TAIL_FLOOR``; within a block rows are drawn ``PD_ROW_CHUNK`` at a
+    time, in order, so the stream is consumed as one (n, width) draw per block
+    would consume it and no value depends on the chunk size.
+    ``take(row, minus)`` receives minus the sticks of draws row.. in the
+    current block, as a reused (rows, width) buffer that it may overwrite.
+    ``require_stick_cap`` rejects (theta, n) before any stick is drawn when
+    some draw may need more than ``MAX_STICKS`` sticks; ``TruncationError``
+    is raised when the realised count of some draw still does.
     """
     PDConfig(theta=theta)                  # reuse the validity checks
     require_stick_cap(theta, n)
     rng = substream(seed, "pd-sticks")
     stop = theta * math.log(1.0 / HARD_TAIL_FLOOR)
-    blocks = []
     gamma = np.zeros(n)                    # Gamma: the gap sum so far
     tail = np.ones(n)                      # exp(-Gamma/theta): the leftover
+    chunk = min(PD_ROW_CHUNK, n)
+    e_buf, left_buf = np.empty(chunk * STICK_BLOCK), np.empty(chunk * STICK_BLOCK)
     ncols = 0
     while True:
         width = min(STICK_BLOCK, MAX_STICKS - ncols)
@@ -132,29 +145,75 @@ def pd_sample(theta: float, n: int, seed: int) -> PDSample:
             raise TruncationError(
                 f"more than {MAX_STICKS} sticks needed to reach tail floor {HARD_TAIL_FLOOR}"
             )
-        e = rng.standard_exponential((n, width))
-        left = np.cumsum(e, axis=1)
-        left += gamma[:, None]
-        gamma = left[:, -1].copy()
-        left *= -1.0 / theta
-        np.exp(left, out=left)             # leftover after each stick
-        e *= -1.0 / theta
-        np.expm1(e, out=e)                 # minus each stick's share of the leftover before it
-        # scale by the stored leftover before each stick, so that rows sum to
-        # 1 - tail within roundoff at any theta; Gamma_j - E_j in its place
-        # loses digits to cancellation once E_j / theta is large
-        e[:, 0] *= tail
-        e[:, 1:] *= left[:, :-1]
-        blocks.append(e)                   # minus each stick
-        tail = left[:, -1].copy()
+        for row in range(0, n, chunk):
+            rows = slice(row, min(row + chunk, n))
+            e = e_buf[:(rows.stop - row) * width].reshape(-1, width)
+            rng.standard_exponential(out=e)
+            left = np.cumsum(e, axis=1, out=left_buf[:e.size].reshape(e.shape))
+            left += gamma[rows, None]
+            gamma[rows] = left[:, -1]
+            left *= -1.0 / theta
+            np.exp(left, out=left)         # leftover after each stick
+            e *= -1.0 / theta
+            np.expm1(e, out=e)             # minus each stick's share of the leftover before it
+            # scale by the stored leftover before each stick, so that rows sum
+            # to 1 - tail within roundoff at any theta; Gamma_j - E_j in its
+            # place loses digits to cancellation once E_j / theta is large
+            e[:, 0] *= tail[rows]
+            e[:, 1:] *= left[:, :-1]
+            tail[rows] = left[:, -1]
+            take(row, e)                   # minus each stick
         ncols += width
         if gamma.min() > stop:
-            break
-    weights = e if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-    del e, left, blocks                    # only the table is left to sort
+            return tail
+
+
+def pd_sample(theta: float, n: int, seed: int) -> PDSample:
+    """Draw n approximate PD(theta) points by stick breaking and sorting.
+
+    The sticks of ``_break_sticks`` are collected into one table per block,
+    the blocks joined and each row ranked in place, so the peak is the table,
+    twice over while more than one block is joined.  Callers that read only
+    power sums should use ``pd_power_sums``, which keeps no table.
+    """
+    blocks = []
+
+    def collect(row, minus):
+        if row == 0:
+            blocks.append(np.empty((n, minus.shape[1])))
+        blocks[-1][row:row + minus.shape[0]] = minus
+
+    tail = _break_sticks(theta, n, seed, collect)
+    weights = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    del blocks                             # only the table is left to sort
     weights.sort(axis=1)                   # ranked_weights, in place
     np.negative(weights, out=weights)
     return PDSample(weights=weights, tail_mass=tail, theta=theta)
+
+
+def pd_power_sums(theta: float, n: int, seed: int, max_degree: int):
+    """Power sums phi_2..phi_M (M = ``max_degree``) of the n draws that
+    ``pd_sample(theta, n, seed)`` would rank, and their tail masses.
+
+    Returns (sums, tail_mass) with sums[m - 2] = phi_m, an (M - 1, n) array.
+    Each chunk of sticks is raised to its powers by one product chain and
+    summed into the draws' totals, so no stick table is kept and nothing is
+    sorted; the sums equal ``power_sum`` on the ranked table up to the order
+    of summation.
+    """
+    if max_degree < 2:
+        raise ValueError(f"max_degree must be at least 2, got {max_degree}")
+    sums = np.zeros((max_degree - 1, n))
+
+    def add_powers(row, minus):
+        y = np.negative(minus, out=minus)  # the sticks
+        power = y
+        for phi in sums:                   # phi_2, phi_3, ..., phi_M
+            power = power * y
+            phi[row:row + len(y)] += power.sum(axis=1)
+
+    tail = _break_sticks(theta, n, seed, add_powers)
+    return sums, tail
 
 
 def power_sum(y, m: float) -> np.ndarray:

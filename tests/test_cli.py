@@ -204,6 +204,7 @@ def test_invalid_params_exit_two_with_violated_index(tmp_path, capsys):
      "ConfigError"),
     ("boundary", {"model": BASE_MODEL, "boundary": {"kind": "rank_hits", "k": 2,
                                                     "eps": [float("-inf")]}}, "ConfigError"),
+    ("pd", {"pd": {"theta": 1.0, "n": 100, "max_degree": 1}}, "ConfigError"),
 ])
 def test_typed_config_and_model_errors_exit_two(tmp_path, capsys, monkeypatch,
                                                 command, payload, error_class):
@@ -399,16 +400,17 @@ def test_pd_command_computes_each_power_sum_once(tmp_path, monkeypatch):
     import openjacobi.cli as cli
 
     calls = []
-    power_sum = cli.pdlimit_mod.power_sum
+    pd_power_sums = cli.pdlimit_mod.pd_power_sums
 
-    def counting(y, m):
-        calls.append(m)
-        return power_sum(y, m)
+    def counting(theta, n, seed, max_degree):
+        sums, tail_mass = pd_power_sums(theta, n, seed, max_degree)
+        calls.append(len(sums))
+        return sums, tail_mass
 
-    monkeypatch.setattr(cli.pdlimit_mod, "power_sum", counting)
+    monkeypatch.setattr(cli.pdlimit_mod, "pd_power_sums", counting)
     cfg = write_config(tmp_path, {"seed": 17, "pd": {"theta": 1.0, "n": 200, "max_degree": 6}})
     assert run(["pd", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert sorted(calls) == [2, 3, 4, 5, 6]     # not one call per part of 10 products
+    assert calls == [5]     # phi2..phi6 in one call, not one call per part of 10 products
 
 
 def test_limit_command_convergence_and_growth(tmp_path):

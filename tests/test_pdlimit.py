@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from openjacobi import (
     limit_growth_rate,
     make_schedule,
     moment_recursion,
+    pd_power_sums,
     pd_sample,
     power_sum,
     robust_growth_rate,
@@ -136,6 +142,70 @@ def test_pd_sample_top_share_moment():
 # ---------------------------------------------------------------------------
 # power sums
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("theta, n, seed", [
+    (0.5, 1_000, 3), (1.0, 5_000, 1), (2.0, 5_000, 4), (20.0, 2_000, 59), (50.0, 3_000, 5),
+])
+def test_streamed_power_sums_match_the_ranked_table(theta, n, seed):
+    # from one block of sticks (theta = 0.5) to 27 (theta = 50)
+    sample = pd_sample(theta, n, seed)
+    sums, tail_mass = pd_power_sums(theta, n, seed, max_degree=6)
+    assert sums.shape == (5, n)
+    for m in range(2, 7):
+        np.testing.assert_allclose(sums[m - 2], power_sum(sample.weights, m), rtol=1e-13, atol=0)
+    assert np.array_equal(tail_mass, sample.tail_mass)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 5_000])
+def test_stick_draws_do_not_depend_on_the_row_chunk(monkeypatch, chunk):
+    theta, n, seed = 5.0, 3_000, 89            # four blocks of sticks
+    sample = pd_sample(theta, n, seed)
+    sums, tail_mass = pd_power_sums(theta, n, seed, max_degree=4)
+    monkeypatch.setattr("openjacobi.pdlimit.PD_ROW_CHUNK", chunk)
+    chunked = pd_sample(theta, n, seed)
+    assert np.array_equal(chunked.weights, sample.weights)
+    assert np.array_equal(chunked.tail_mass, sample.tail_mass)
+    chunked_sums, chunked_tail = pd_power_sums(theta, n, seed, max_degree=4)
+    assert np.array_equal(chunked_sums, sums)
+    assert np.array_equal(chunked_tail, tail_mass)
+
+
+def test_streamed_power_sums_need_degree_two():
+    with pytest.raises(ValueError, match="max_degree"):
+        pd_power_sums(1.0, 10, 0, max_degree=1)
+
+
+STREAMED_PD_SCRIPT = """
+import json, sys, tempfile
+from pathlib import Path
+from openjacobi.cli import run
+
+with tempfile.TemporaryDirectory() as tmp:
+    cfg = Path(tmp) / "pd.json"
+    cfg.write_text(json.dumps({"seed": 5, "pd": {"theta": 300.0, "n": 15000}}))
+    code = run(["pd", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    rows = (Path(tmp) / "out" / "pd_moments.csv").read_text().splitlines()
+with open("/proc/self/status") as status:
+    peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps({"code": code, "rows": len(rows), "peak_mb": peak_kb / 1024}))
+"""
+
+
+# VmHWM is this process's own peak; ru_maxrss of an exec'd child would also
+# count the pages of the process that forked it
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_pd_command_keeps_no_stick_table_at_large_theta():
+    # about 9000 sticks for each of 15 000 draws: a stick table would take 1.08 GB
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", STREAMED_PD_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0
+    assert result["rows"] == 1 + 10               # products of total degree 2..6
+    assert result["peak_mb"] < 250.0
+
 
 def test_power_sum_conventions():
     y = np.array([[1.0, 0.0, 0.0], [0.25, 0.25, 0.25]])
