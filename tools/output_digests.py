@@ -139,6 +139,18 @@ RUNS = [  # (name, command, config, extra argv)
 ] + [  # PD sticks over four blocks, and a degree too small for any power sum
     ("pd-four-blocks", "pd", {"seed": 89, "pd": {"theta": 5.0, "n": 3000}}, []),
     ("pd-max-degree-1", "pd", {"seed": 17, "pd": {"theta": 1.0, "n": 100, "max_degree": 1}}, []),
+] + [  # statistic indices outside 1..d, and an ergodic check on a single path
+    (f"invariant-ergodic-{stat}", "invariant", {
+        "seed": 97, "model": RANK3, "sampler": {"n": 1000, "method": "spacing"},
+        "ergodic": {"T": 0.2, "dt": 1e-3, "paths": 2, "functions": [stat]}}, [])
+    for stat in ("y0", "y5")
+] + [
+    ("invariant-ergodic-1-path", "invariant", {
+        "seed": 97, "model": RANK3, "sampler": {"n": 1000, "method": "spacing"},
+        "ergodic": {"T": 0.2, "dt": 1e-3, "paths": 1, "functions": ["y1"]}}, []),
+    ("limit-y50", "limit", {"seed": 23, "pd": {"theta": 2.0, "tilt": [0.0]},
+                            "schedule": {"d_list": [5, 10]},
+                            "limit": {"n": 5000, "functions": ["y50"]}}, []),
 ]
 
 
