@@ -38,16 +38,12 @@ from .portfolio import (
     GrowthOptimalStrategy,
     GrowthReport,
     MarketPortfolio,
-    OpenMarketStrategy,
-    RankPowerGenerator,
-    RawStrategy,
     WealthLedger,
     WealthObserver,
     expand_open,
     foc_residual,
     growth_exists,
     growth_optimal_theta,
-    local_growth_rate,
     master_formula,
     optimal_rank_holdings,
     robust_growth_rate,
@@ -61,8 +57,6 @@ from .sde import (
     SimPath,
     TimeAverageObserver,
     drift,
-    gap_local_time,
-    occupation_stats,
     run_paths,
     simulate,
     simulate_given_noise,

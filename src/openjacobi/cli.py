@@ -228,10 +228,10 @@ def cmd_invariant(cfg, out, threads):
             raise ConfigError(f"unknown sampler method {method!r}")
         ergodic_cfg = cfg.get("ergodic")
         if ergodic_cfg:
-            funcs = {name: invariant_mod.make_statistic(name)
+            funcs = {name: invariant_mod.make_statistic(name, params.d)
                      for name in ergodic_cfg.get("functions", ["y1"])}
             T, dt = _positive(ergodic_cfg["T"]), _positive(ergodic_cfg["dt"])
-            n_paths = _count(ergodic_cfg.get("paths", 8))
+            n_paths = _count(ergodic_cfg.get("paths", 8), minimum=2)
             z_threshold = _real(cfg.get("tolerances", {}).get("ergodic_z", 3.0))
     seed = cfg["seed"]
     # the ergodic check needs named draws; ranking them gives back the
@@ -401,14 +401,15 @@ def cmd_limit(cfg, out, threads):
         n = _count(limit_block.get("n", 100_000))
         pdlimit_mod.require_stick_cap(pd_cfg.theta, n)
         func_names = limit_block.get("functions", ["phi2"])
-        funcs = {name: invariant_mod.make_statistic(name) for name in func_names}
+        funcs = {name: invariant_mod.make_statistic(name, min(schedule))
+                 for name in func_names}
         growth_block = limit_block.get("growth")
         if growth_block:
             sigma = _positive(growth_block.get("sigma", 1.0))
             if _real(growth_block.get("N", pd_cfg.n_tilted)) != pd_cfg.n_tilted:
                 raise ConfigError("limit.growth.N must equal the number of tilts")
             pdlimit_mod.require_limit_growth(pd_cfg)
-    estimate = pdlimit_mod.tilted_estimator(pd_cfg, n, cfg["seed"])
+    estimate = pdlimit_mod.tilted_estimator(pd_cfg, n, cfg["seed"], width=min(schedule))
     report = pdlimit_mod.convergence_experiment(schedule, estimate, funcs, n, cfg["seed"])
     report.to_csv(out / "limit_convergence.csv")
     payload = {"results": {"passed": report.passed, "final_gap_z": report.final_gap_z}}

@@ -394,29 +394,37 @@ _SAMPLERS = {"dirichlet": _sample_dirichlet, "spacing": _sample_spacing,
 # named statistics and the ergodic experiment
 # ---------------------------------------------------------------------------
 
-_STAT_PATTERNS = [
-    (re.compile(r"^one$"), lambda m: lambda x: np.ones(x.shape[:-1])),
-    (re.compile(r"^x(\d+)$"),
-     lambda m: lambda x, i=int(m.group(1)) - 1: x[..., i]),
-    (re.compile(r"^y(\d+)$"),
-     lambda m: lambda x, k=int(m.group(1)) - 1: ranked_weights(x)[..., k]),
-    (re.compile(r"^y(\d+)\^2$"),
-     lambda m: lambda x, k=int(m.group(1)) - 1: ranked_weights(x)[..., k] ** 2),
-    (re.compile(r"^phi(\d+)$"),
-     lambda m: lambda x, p=int(m.group(1)): (x ** p).sum(axis=-1)),
-    (re.compile(r"^rank(\d+)_is_(\d+)$"),
-     lambda m: lambda x, k=int(m.group(1)) - 1, i=int(m.group(2)) - 1:
+_INDEXED_STATS = [  # each group is a 1-based coordinate, rank or name
+    (re.compile(r"^x(\d+)$"), lambda i: lambda x:
+        x[..., i]),
+    (re.compile(r"^y(\d+)$"), lambda k: lambda x:
+        ranked_weights(x)[..., k]),
+    (re.compile(r"^y(\d+)\^2$"), lambda k: lambda x:
+        ranked_weights(x)[..., k] ** 2),
+    (re.compile(r"^rank(\d+)_is_(\d+)$"), lambda k, i: lambda x:
         (ranking_order(x)[..., k] == i).astype(float)),
 ]
 
 
-def make_statistic(spec: str):
+def make_statistic(spec: str, d: int | None = None):
     """Vectorized statistic from a short name: one, x3, y1, y1^2, phi2,
-    rank1_is_2 (indicator that name 2 occupies the top rank)."""
-    for pattern, build in _STAT_PATTERNS:
+    rank1_is_2 (indicator that name 2 occupies the top rank).
+
+    Indices are 1-based; one below 1, or above ``d`` when given (the
+    dimension of the points the statistic reads), raises ``ValueError``.
+    """
+    if spec == "one":
+        return lambda x: np.ones(x.shape[:-1])
+    m = re.match(r"^phi(\d+)$", spec)
+    if m:
+        return lambda x, p=int(m.group(1)): (x ** p).sum(axis=-1)
+    for pattern, build in _INDEXED_STATS:
         m = pattern.match(spec)
         if m:
-            return build(m)
+            indices = [int(g) for g in m.groups()]
+            if min(indices) < 1 or (d is not None and max(indices) > d):
+                raise ValueError(f"statistic {spec!r} needs indices in 1..{d or 'd'}")
+            return build(*(i - 1 for i in indices))
     raise ValueError(f"unknown statistic {spec!r}")
 
 
@@ -461,11 +469,14 @@ def ergodic_compare(params: ModelParams, funcs: dict, sample: SampleResult, *,
     Each named function is averaged along n_paths trajectories from the
     uniform state (pooled with a cross-path standard error) and over the
     named draws of ``sample`` (``sample_invariant(..., kind="named")``);
-    the discrepancy is expressed in combined standard errors.
+    the discrepancy is expressed in combined standard errors.  One path
+    gives no standard error, so ``n_paths`` below 2 raises ``ValueError``.
     """
     if sample.kind != "named":
         raise ValueError("ergodic_compare needs named stationary draws")
-    funcs = {name: (make_statistic(fn) if isinstance(fn, str) else fn)
+    if n_paths < 2:
+        raise ValueError(f"need n_paths >= 2 for a cross-path standard error, got {n_paths}")
+    funcs = {name: (make_statistic(fn, params.d) if isinstance(fn, str) else fn)
              for name, fn in funcs.items()}
     observer = TimeAverageObserver(funcs)
     batch = run_paths(params, np.full(params.d, 1.0 / params.d), T, dt, seed,

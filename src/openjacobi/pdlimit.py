@@ -85,10 +85,6 @@ class PDSample:
     tail_mass: np.ndarray        # (n,)
     theta: float
 
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
 
 def require_stick_cap(theta: float, n: int) -> None:
     """Raise ``ValueError`` when n draws at theta may need more than
@@ -269,18 +265,22 @@ class TiltedEstimate:
     n: int
 
 
-def tilted_estimator(cfg: PDConfig, n: int, seed: int):
+def tilted_estimator(cfg: PDConfig, n: int, seed: int, width: int = 0):
     """Map f -> self-normalized importance estimate of E[f] under the tilted
     limit law, over one weighted sample drawn once.
 
     Draws n PD(theta) points and weights them by prod_{k<=N} Y_k^{a_k}
-    (exactly 1 when there are no tilts).
+    (exactly 1 when there are no tilts).  f reads the ranked weights with
+    zeros appended up to ``width`` columns, where the stick table is
+    narrower.
     Raises ``HeavyTiltError`` here, before any f is evaluated, when the
     effective sample size is below 5% of n, which signals a tilt too heavy
     for the sample budget.
     """
     sample = pd_sample(cfg.theta, n, seed)
     y = sample.weights
+    if width > y.shape[1]:
+        y = np.pad(y, ((0, 0), (0, width - y.shape[1])))
     logw = np.zeros(n)
     for k, a_k in enumerate(cfg.tilt):
         if a_k != 0.0:
@@ -365,12 +365,13 @@ def convergence_experiment(schedule: dict, estimate, funcs: dict,
 
     ``estimate`` is a ``tilted_estimator`` of the limit law; each function's
     limit comes from its one weighted sample.  Finite-d draws (n per ladder
-    member) come from the exact rank-based sampler, zero-padded into the
-    infinite ordered simplex; ladder member d takes its seed from the
-    substream of ``seed`` labelled ``limit-ladder-d<d>``, so members never
-    reuse another run's master seed.  Passes when every function's gap
-    sequence decreases along the ladder and the final gap is within three
-    combined standard errors.
+    member) come from the exact rank-based sampler, d columns wide and not
+    padded, so a function may read only the coordinates 1..d of the
+    smallest member (``make_statistic`` given that d checks its indices).
+    Ladder member d takes its seed from the substream of ``seed`` labelled
+    ``limit-ladder-d<d>``, so members never reuse another run's master
+    seed.  Passes when every function's gap sequence decreases along the
+    ladder and the final gap is within three combined standard errors.
     """
     limits = {name: estimate(fn) for name, fn in funcs.items()}
     rows = []

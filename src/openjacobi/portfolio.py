@@ -17,16 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import mean_and_se, write_csv
+from ._util import mean_and_se
 from .boundary import rank_avoids_zero
 from .invariant import sample_invariant
-from .sde import PathObserver, SimPath, drift, gap_local_time, sum_over_steps
+from .sde import PathObserver, SimPath, drift, sum_over_steps
 from .simplex import (
     ModelParams,
     _check_open_size,
     diffusion_c,
     monomial_integral,
-    ranked_weights,
     ranking_order,
     small_cap_integral,
     to_names,
@@ -39,7 +38,7 @@ INTERIOR_FLOOR = 1e-10
 
 
 class SelfFinancingError(ValueError):
-    """A raw strategy failed the identity theta . x = 1."""
+    """A strategy's holdings failed the identity theta . x = 1."""
 
 
 class GrowthConditionError(ValueError):
@@ -104,17 +103,12 @@ def expand_open(h, x) -> np.ndarray:
     financing component only.  Satisfies theta . x = 1 identically.
     """
     x = np.asarray(x, dtype=float)
+    h = np.asarray(h, dtype=float)
     order = ranking_order(x)
-    return _expand_ranked(np.asarray(h, dtype=float), np.take_along_axis(x, order, axis=-1),
-                          order)
-
-
-def _expand_ranked(h, y, order) -> np.ndarray:
-    """``expand_open`` at states already ranked: ``y`` holds the ranked
-    weights and ``order`` the 0-based names by rank."""
     n_top = h.shape[-1]
-    _check_open_size(n_top, y.shape[-1])
-    financing = 1.0 - (h * y[..., :n_top]).sum(axis=-1, keepdims=True)
+    _check_open_size(n_top, x.shape[-1])
+    top = np.take_along_axis(x, order[..., :n_top], axis=-1)
+    financing = 1.0 - (h * top).sum(axis=-1, keepdims=True)
     return _spread(h + financing, financing, order)
 
 
@@ -180,22 +174,6 @@ def growth_exists(params: ModelParams, n_top: int):
     return report.valid and rank_avoids_zero(params, n_top + 1), detail
 
 
-def local_growth_rate(y, order, params: ModelParams, n_top: int) -> np.ndarray:
-    """Instantaneous optimal growth quadratic h^T kappa^N h, in closed form:
-    (sigma^2/4) (sum_{k<=N} (a_k+gamma_{n_k})^2 / y_k + small-cap term - total^2).
-    """
-    top_num, top, small_num, tail = _open_split(
-        np.asarray(y, dtype=float), np.asarray(order), params, n_top)
-    if np.any(top <= 0.0) or np.any(tail <= 0.0):
-        raise ValueError("local growth undefined at the boundary")
-    s2 = params.sigma ** 2
-    return (s2 / 4.0) * (
-        (top_num ** 2 / top).sum(axis=-1)
-        + (small_num ** 2 / tail)[..., 0]
-        - params.total_mass ** 2
-    )
-
-
 def foc_residual(y, order, params: ModelParams, n_top: int) -> float:
     """Max-norm residual of the first-order condition kappa^N h = (kappa rho)^N."""
     y = np.asarray(y, dtype=float)
@@ -234,35 +212,6 @@ class MarketPortfolio(Strategy):
     def theta(self, x):
         x = np.asarray(x, dtype=float)
         return np.ones_like(x)
-
-
-class RawStrategy(Strategy):
-    """Wraps an arbitrary theta(x) function; validates self-financing."""
-
-    def __init__(self, fn, name="raw"):
-        self.fn = fn
-        self.name = name
-
-    def theta(self, x):
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(self.fn(x), dtype=float)
-        _check_self_financing(theta, x, self.name, SELF_FINANCING_TOL)
-        return theta
-
-
-class OpenMarketStrategy(Strategy):
-    """Strategy given by direct holdings h(y, order) in the top N ranks."""
-
-    def __init__(self, n_top, h_fn, name="open"):
-        self.n_top = int(n_top)
-        self.h_fn = h_fn
-        self.name = name
-
-    def theta(self, x):
-        x = np.asarray(x, dtype=float)
-        order = ranking_order(x)
-        y = np.take_along_axis(x, order, axis=-1)
-        return _expand_ranked(np.asarray(self.h_fn(y, order), dtype=float), y, order)
 
 
 class GrowthOptimalStrategy(Strategy):
@@ -310,14 +259,6 @@ class WealthLedger:
     path_index: int
     n_guarded: int
     theta: np.ndarray              # (n+1, d)
-
-    @property
-    def terminal_rate(self) -> float:
-        return float(self.log_wealth[-1] / self.times[-1])
-
-    def to_csv(self, path) -> None:
-        rows = zip(self.times, self.log_wealth, self.drift_part, self.mart_part)
-        write_csv(path, ["time", "logV", "drift_part", "mart_part"], rows)
 
 
 def guarded_holdings(strategy: Strategy, states, prev):
@@ -409,50 +350,11 @@ class WealthObserver(PathObserver):
 # functional generation (master formula)
 # ---------------------------------------------------------------------------
 
-class Generator:
-    """Positive generating function G with the pieces the master formula needs."""
+class ExpLinearGenerator:
+    """Generating function G(x) = exp(c . x), smooth on the whole simplex.
 
-    name = "generator"
-
-    def log_value(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def grad_log(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def quad_form(self, x_left, dx) -> np.ndarray:
-        """sum_ij (d_ij G / G)(x_left) dx_i dx_j against realized increments.
-
-        Accumulated into the finite-variation drift of log G(X) as the
-        discrete stand-in for the quadratic-covariation integral.
-        """
-        raise NotImplementedError
-
-    def local_time_drift(self, path: SimPath) -> np.ndarray:
-        """Cumulative local-time terms of log G along a path: none for smooth G."""
-        return np.zeros(path.states.shape[0])
-
-
-class ConstantGenerator(Generator):
-    name = "constant"
-
-    def log_value(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1])
-
-    def grad_log(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def quad_form(self, x_left, dx):
-        dx = np.asarray(dx, dtype=float)
-        return np.zeros(dx.shape[:-1])
-
-
-class ExpLinearGenerator(Generator):
-    """G(x) = exp(c . x); smooth on the whole simplex.
-
-    log G is linear, so d_ij G / G = c_i c_j and the quadratic form is
-    just (c . dx)^2.
+    log G is linear, so d_ij G / G = c_i c_j and the quadratic form
+    ``quad_form`` is just (c . dx)^2.
     """
 
     def __init__(self, coeffs):
@@ -471,69 +373,6 @@ class ExpLinearGenerator(Generator):
         return (dx * self.coeffs).sum(axis=-1) ** 2
 
 
-class RankPowerGenerator(Generator):
-    """Rank-based generator of the growth-optimal strategy (rank-based models):
-    G(x) = tail^{abar/2} * prod_{k<=N} x_(k)^{a_k/2} with tail the small-cap mass.
-
-    Only piecewise smooth: across rank crossings its wealth representation
-    picks up ranked-gap local-time terms, estimated from the path.
-    """
-
-    def __init__(self, params: ModelParams, n_top: int):
-        if not params.is_rank_based:
-            raise ValueError("rank-power generator requires gamma = 0")
-        self.params = params
-        self.n_top = int(n_top)
-        self.name = f"rank_power_N{n_top}"
-
-    def _split(self, y):
-        return _open_split(y, None, self.params, self.n_top)
-
-    def log_value(self, x):
-        a, top, a_tail, tail = self._split(ranked_weights(x))
-        return 0.5 * ((a * np.log(top)).sum(axis=-1) + a_tail * np.log(tail[..., 0]))
-
-    def grad_log(self, x):
-        """Named gradient of log G, with nan rows where ``_near_floor`` holds."""
-        x = np.asarray(x, dtype=float)
-        order = ranking_order(x)
-        top_num, top, small_num, tail = self._split(np.take_along_axis(x, order, axis=-1))
-        grad = _spread(top_num / (2.0 * top), small_num / (2.0 * tail), order)
-        grad[_near_floor(top, tail)] = np.nan
-        return grad
-
-    def quad_form(self, x_left, dx):
-        """Realized quadratic form of d_kl F / F in ranked coordinates,
-        valid off the rank-crossing set.
-
-        With u the ranked gradient of log F and H its Hessian (diagonal in
-        the top block, constant in the small-cap block), the form is
-        (u . dy)^2 + dy^T H dy on ranked increments dy.
-        """
-        y = ranked_weights(x_left)
-        dy = ranked_weights(np.asarray(x_left, dtype=float) + np.asarray(dx, dtype=float)) - y
-        a, top, abar, tail = self._split(y)
-        _, d_top, _, d_tail = self._split(dy)
-        u_dy = (a / (2.0 * top) * d_top).sum(axis=-1) + (abar / (2.0 * tail) * d_tail)[..., 0]
-        h_dy = (-(a / (2.0 * top ** 2) * d_top ** 2).sum(axis=-1)
-                - (abar / (2.0 * tail ** 2) * d_tail ** 2)[..., 0])
-        return u_dy ** 2 + h_dy
-
-    def local_time_drift(self, path: SimPath) -> np.ndarray:
-        """Cumulative ranked-gap local-time corrections along a path."""
-        n = self.n_top
-        a, top, a_tail, tail = self._split(path.ranked_states())
-        total = np.zeros(path.times.size)
-        for k in range(1, n):
-            lt = gap_local_time(path, k, log_scale=True)
-            total[1:] += (a[k - 1] - a[k]) / 8.0 * lt
-        weight = (a[n - 1] - a_tail * top[:, n - 1] / tail[:, 0]) / 8.0
-        lt_n = gap_local_time(path, n, log_scale=True)
-        d_lt = np.diff(np.concatenate([[0.0], lt_n]))
-        total[1:] += np.cumsum(weight[:-1] * d_lt)
-        return total
-
-
 @dataclass
 class MasterFormulaResult:
     """Pathwise functional-generation decomposition for one stored path;
@@ -549,20 +388,19 @@ class MasterFormulaResult:
         return float(self.identity_gap.max())
 
 
-def master_formula(generator: Generator, path: SimPath) -> MasterFormulaResult:
+def master_formula(generator: ExpLinearGenerator, path: SimPath) -> MasterFormulaResult:
     """Evaluate a generated strategy along a path and check the wealth identity
     log V = log G(X_t) - log G(X_0) + Gamma(t).
 
-    For smooth generators Gamma is minus half the cumulative quadratic form
-    of the generator against the realized increments; for the rank-based
-    generator the ranked-gap local-time terms are added from their
-    occupation-density estimates.
+    Gamma is minus half the cumulative quadratic form
+    sum_ij (d_ij G / G)(X_left) dX_i dX_j of the smooth generator against
+    the realized increments, the discrete stand-in for the
+    quadratic-covariation integral.
     """
     ledger = wealth(path, GeneratedStrategy(generator), tol=1e-9)
     dx = np.diff(path.states, axis=0)
     correction = generator.quad_form(path.states[:-1], dx)
-    gamma_drift = (np.concatenate([[0.0], -0.5 * np.cumsum(correction)])
-                   + generator.local_time_drift(path))
+    gamma_drift = np.concatenate([[0.0], -0.5 * np.cumsum(correction)])
     log_g = generator.log_value(path.states)
     identity_gap = np.abs(ledger.log_wealth - (log_g - log_g[0] + gamma_drift))
     return MasterFormulaResult(

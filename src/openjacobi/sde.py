@@ -150,13 +150,6 @@ class SimPath:
     dt: float
     n_projected: int
 
-    @property
-    def n_steps(self) -> int:
-        return self.times.size - 1
-
-    def ranked_states(self) -> np.ndarray:
-        return ranked_weights(self.states)
-
     def to_csv(self, path) -> None:
         d = self.states.shape[1]
         header = ["time"] + [f"x_{i}" for i in range(1, d + 1)]
@@ -230,8 +223,8 @@ class PathObserver:
     the initial state in ``start`` and rows 1..B in ``update``.
     """
 
-    def start(self, states: np.ndarray, dt: float) -> None:  # pragma: no cover
-        pass
+    def start(self, states: np.ndarray, dt: float) -> None:
+        raise NotImplementedError
 
     def update(self, states: np.ndarray, low: np.ndarray) -> None:
         raise NotImplementedError
@@ -485,63 +478,3 @@ class HitObserver(PathObserver):
     def merge(self, parts):
         hit = _merge_by_path([part["hits"]["hit"] for part in parts])
         return {"hits": {"eps": self.eps, "hit": hit}}
-
-
-# ---------------------------------------------------------------------------
-# diagnostics on stored paths
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OccupationReport:
-    eps: float
-    gap_fractions: np.ndarray        # (d-1,)
-    min_weight_fraction: float
-    triple_fraction: float
-
-
-def occupation_stats(path: SimPath, eps: float) -> OccupationReport:
-    """Fractions of grid times with near-collisions or near-boundary states."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    counter = OccupationObserver((eps,))
-    counter.start(path.states[:1], path.dt)
-    states = path.states[:, None, :]
-    counter.update(states, ranked_minima(states[1:]))
-    occ = counter.result()["occupation"]
-    return OccupationReport(
-        eps=eps,
-        gap_fractions=occ["gap_fraction"][0, :, 0],
-        min_weight_fraction=float(occ["min_weight_fraction"][0, 0]),
-        triple_fraction=float(occ["triple_fraction"][0, 0]),
-    )
-
-
-def gap_local_time(path: SimPath, k: int, l: int | None = None,
-                   eps: float | None = None, log_scale: bool = False) -> np.ndarray:
-    """Occupation-density estimate of the local time of the ranked gap
-    Y_(k) - Y_(l) at zero (or of the log-gap when ``log_scale``).
-
-    Uses (1/eps) * integral of 1{0 <= gap < eps} against the model
-    quadratic-variation rate of the gap.  The default bandwidth eps scales
-    with the diffusive step size, eps = 2 sqrt(dt).
-    """
-    d = path.states.shape[1]
-    l = k + 1 if l is None else l
-    if not (1 <= k < l <= d):
-        raise IndexError("need 1 <= k < l <= d")
-    if eps is None:
-        eps = 2.0 * math.sqrt(path.dt)
-    y = path.ranked_states()[:-1]
-    yk = y[:, k - 1]
-    yl = y[:, l - 1]
-    sig2 = path.params.sigma ** 2
-    if log_scale:
-        with np.errstate(divide="ignore"):
-            gap = np.log(yk) - np.log(yl)
-            rate = sig2 * (1.0 / yk + 1.0 / yl)
-        rate[~np.isfinite(rate)] = 0.0
-    else:
-        gap = yk - yl
-        rate = sig2 * (yk + yl - gap * gap)
-    inside = (gap >= 0.0) & (gap < eps)
-    return np.cumsum(inside * rate) * (path.dt / eps)

@@ -1,15 +1,23 @@
 """Helpers that only the tests use: scalar rank/name lookups, tail and
-index-set sums, direct-algebra references for closed forms, covariations
-along stored paths, and a nested scipy quadrature over the ordered simplex
-(d <= 3) that serves as an oracle independent of the ordered-simplex
-recursion."""
+index-set sums, direct-algebra references for closed forms, a strategy
+given by a function, covariations and occupation fractions along stored
+paths, and a nested scipy quadrature over the ordered simplex (d <= 3)
+that serves as an oracle independent of the ordered-simplex recursion."""
+
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import integrate
 
-from openjacobi.portfolio import _increments, optimal_rank_holdings
-from openjacobi.sde import SimPath
-from openjacobi.simplex import ModelParams, diffusion_c, ranking_order, ranks_of_names
+from openjacobi.portfolio import INTERIOR_FLOOR, Strategy, _increments
+from openjacobi.sde import OccupationObserver, SimPath, ranked_minima
+from openjacobi.simplex import (
+    ModelParams,
+    diffusion_c,
+    ranked_weights,
+    ranking_order,
+    ranks_of_names,
+)
 
 
 def rank_of(x, i: int) -> int:
@@ -95,11 +103,41 @@ def optimal_share_field(x, params: ModelParams) -> np.ndarray:
     return (params.gamma + params.a[ranks_of_names(x)]) / (2.0 * x)
 
 
-def local_growth_direct(y, order, params: ModelParams, n_top: int) -> float:
-    """``local_growth_rate`` by direct matrix algebra (independent of the closed form)."""
-    kappa = diffusion_c(y, params.sigma)
-    h = optimal_rank_holdings(y, order, params, n_top)
-    return float(h @ kappa[:n_top, :n_top] @ h)
+class FnStrategy(Strategy):
+    """Holdings ``fn(x)`` at named states, unchecked: ``wealth`` checks
+    theta . x = 1."""
+
+    def __init__(self, fn, name="fn"):
+        self.fn = fn
+        self.name = name
+
+    def theta(self, x):
+        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
+
+
+class RankPowerGradient:
+    """The rank-power generator G = tail^(abar/2) prod_{k<=N} y_k^(a_k/2) of a
+    rank-based model, as far as ``GeneratedStrategy`` reads it: the named
+    gradient of log G, a_k / (2 x_i) for the name i at rank k <= N and
+    abar / (2 tail) below, with tail = y_(N+1) + ... + y_d and abar its
+    a-sum.  Rows with a top-N ranked weight or the tail under
+    ``INTERIOR_FLOOR`` are nan.  Its generated strategy is the
+    growth-optimal one, reached here without the open-market split."""
+
+    def __init__(self, params: ModelParams, n_top: int):
+        self.a = params.a
+        self.n_top = n_top
+        self.name = f"rank_power_N{n_top}"
+
+    def grad_log(self, x):
+        x = np.asarray(x, dtype=float)
+        n = self.n_top
+        ranks = ranks_of_names(x)
+        y = ranked_weights(x)
+        tail = y[..., n:].sum(axis=-1, keepdims=True)
+        grad = np.where(ranks < n, self.a[ranks] / (2.0 * x), self.a[n:].sum() / (2.0 * tail))
+        grad[(y[..., :n] < INTERIOR_FLOOR).any(axis=-1) | (tail[..., 0] < INTERIOR_FLOOR)] = np.nan
+        return grad
 
 
 def wealth_increments(theta_left, states, dt, sigma):
@@ -128,3 +166,19 @@ def model_covariation_integral(path: SimPath, i: int, j: int) -> np.ndarray:
     xj = x[:, j - 1]
     rate = sig2 * (xi * ((i == j) - xj))
     return np.cumsum(rate) * path.dt
+
+
+def occupation_stats(path: SimPath, eps: float) -> SimpleNamespace:
+    """Fractions of grid times with near-collisions or near-boundary states
+    along a stored path: ``OccupationObserver`` at one eps, fed the path as
+    one block."""
+    counter = OccupationObserver((eps,))
+    counter.start(path.states[:1], path.dt)
+    states = path.states[:, None, :]
+    counter.update(states, ranked_minima(states[1:]))
+    occ = counter.result()["occupation"]
+    return SimpleNamespace(
+        gap_fractions=occ["gap_fraction"][0, :, 0],
+        min_weight_fraction=float(occ["min_weight_fraction"][0, 0]),
+        triple_fraction=float(occ["triple_fraction"][0, 0]),
+    )

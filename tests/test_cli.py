@@ -205,6 +205,15 @@ def test_invalid_params_exit_two_with_violated_index(tmp_path, capsys):
     ("boundary", {"model": BASE_MODEL, "boundary": {"kind": "rank_hits", "k": 2,
                                                     "eps": [float("-inf")]}}, "ConfigError"),
     ("pd", {"pd": {"theta": 1.0, "n": 100, "max_degree": 1}}, "ConfigError"),
+    # statistic indices outside 1..d: index 0 would read the last coordinate
+    *[("invariant", {"model": BASE_MODEL, "sampler": {"n": 10},
+                     "ergodic": {"T": 0.01, "dt": 1e-3, "paths": 2, "functions": [stat]}},
+       "ConfigError") for stat in ("y0", "x0", "rank0_is_1", "y5")],
+    ("limit", {"pd": {"theta": 2.0, "tilt": [0.0]}, "schedule": {"d_list": [5, 10]},
+               "limit": {"n": 500, "functions": ["y50"]}}, "ConfigError"),
+    # one path gives no standard error for its time average
+    ("invariant", {"model": BASE_MODEL, "sampler": {"n": 10},
+                   "ergodic": {"T": 0.01, "dt": 1e-3, "paths": 1}}, "ConfigError"),
 ])
 def test_typed_config_and_model_errors_exit_two(tmp_path, capsys, monkeypatch,
                                                 command, payload, error_class):
@@ -223,6 +232,33 @@ def test_typed_config_and_model_errors_exit_two(tmp_path, capsys, monkeypatch,
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "validation"
     assert type(raised[0]).__name__ == error_class
+
+
+def test_ergodic_statistics_read_the_last_coordinate(tmp_path):
+    cfg = write_config(tmp_path, {
+        "seed": 4, "model": BASE_MODEL, "sampler": {"n": 200},
+        "ergodic": {"T": 0.05, "dt": 1e-3, "paths": 2,
+                    "functions": ["x3", "y3", "y3^2", "rank3_is_3"]},
+    })
+    out = tmp_path / "out"
+    assert run(["invariant", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = read_json(out / "invariant_report.json")["results"]["ergodic"]
+    assert [row["function_id"] for row in rows] == ["x3", "y3", "y3^2", "rank3_is_3"]
+    assert all(0.0 <= row["time_avg"] <= 1.0 for row in rows)
+
+
+def test_limit_statistic_reads_pd_weights_beyond_the_stick_table(tmp_path):
+    # theta = 0.5 leaves every draw within one 64-stick block, so rank 80 of
+    # the limit law is a zero appended to the table
+    cfg = write_config(tmp_path, {
+        "seed": 3, "pd": {"theta": 0.5, "tilt": [0.0]}, "schedule": {"d_list": [100, 120]},
+        "limit": {"n": 200, "functions": ["y80", "y100"]},
+    })
+    out = tmp_path / "out"
+    assert run(["limit", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "limit_convergence.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4
+    assert all(row.split(",")[4] == "0" for row in rows)
 
 
 def test_growth_quadrature_serves_every_open_market_size(tmp_path):
@@ -378,6 +414,27 @@ def test_boundary_command_outputs(tmp_path):
     assert len(lines) == 3
     verdict = read_json(out / "boundary_verdict.json")
     assert verdict["results"]["analytic_avoids"] is False
+
+
+@pytest.mark.parametrize("plain, pushed", [
+    ({"kind": "rank_hits", "k": 2}, {"kind": "rank_pushed_only", "k": 2}),
+    ({"kind": "nameset_hits", "names": [2]}, {"kind": "nameset_pushed_only", "names": [2]}),
+])
+def test_boundary_command_pushed_only_dips_are_dips(tmp_path, plain, pushed):
+    # the same seed drives the same paths, and a pushed-only dip is a dip
+    model = {"a": [1.0, 0.8, 0.7], "gamma": [0.2, 0.0, -0.1], "sigma": 1.0}
+    freqs = []
+    for name, query in (("plain", plain), ("pushed", pushed)):
+        cfg = write_config(tmp_path, {
+            "seed": 41, "model": model,
+            "boundary": {**query, "T": 2.0, "paths": 8, "eps": [0.2, 0.05, 1e-2]},
+        }, name=f"{name}.json")
+        out = tmp_path / name
+        assert run(["boundary", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "boundary_frequencies.csv").read_text().splitlines()[1:]
+        freqs.append(np.array([float(row.split(",")[1]) for row in rows]))
+    assert np.all(freqs[1] <= freqs[0])
+    assert freqs[0].max() > 0.0
 
 
 def test_pd_command_moment_tables(tmp_path):

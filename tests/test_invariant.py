@@ -425,6 +425,36 @@ def test_make_statistic_forms():
         make_statistic("nope")
 
 
+@pytest.mark.parametrize("spec", ["x0", "y0", "y0^2", "rank0_is_1", "rank1_is_0"])
+def test_make_statistic_rejects_index_zero(spec):
+    # index 0 would read the last coordinate
+    with pytest.raises(ValueError, match="1..3"):
+        make_statistic(spec, 3)
+    with pytest.raises(ValueError, match="indices"):
+        make_statistic(spec)
+
+
+@pytest.mark.parametrize("spec", ["x4", "y4", "y4^2", "rank4_is_1", "rank1_is_4"])
+def test_make_statistic_rejects_index_beyond_the_dimension(spec):
+    with pytest.raises(ValueError, match="1..3"):
+        make_statistic(spec, 3)
+    make_statistic(spec, 4)
+
+
+def test_make_statistic_accepts_the_last_index():
+    x = np.array([[0.2, 0.5, 0.3]])
+    assert make_statistic("y3", 3)(x)[0] == 0.2
+    assert make_statistic("rank3_is_1", 3)(x)[0] == 1.0
+
+
+def test_ergodic_compare_needs_two_paths():
+    # one path gives an infinite standard error, so z = 0 passed any function
+    p = rank_jacobi([1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="n_paths >= 2"):
+        ergodic_compare(p, {"y1": "y1"}, sample_invariant(p, 100, 41, kind="named"),
+                        T=0.2, dt=1e-3, n_paths=1, seed=41)
+
+
 def test_ergodic_compare_constant_function_is_exact():
     p = rank_jacobi([1.0, 1.0, 1.0])
     report = ergodic_compare(p, {"one": "one"}, sample_invariant(p, 100, 41, kind="named"),

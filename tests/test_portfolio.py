@@ -12,16 +12,12 @@ from openjacobi import (
     GrowthOptimalStrategy,
     MarketPortfolio,
     ModelParams,
-    OpenMarketStrategy,
-    RankPowerGenerator,
-    RawStrategy,
     diffusion_c,
     drift,
     expand_open,
     foc_residual,
     growth_exists,
     growth_optimal_theta,
-    local_growth_rate,
     master_formula,
     monomial_integral,
     optimal_rank_holdings,
@@ -36,7 +32,6 @@ from openjacobi import (
 )
 from openjacobi.portfolio import (
     SELF_FINANCING_TOL,
-    ConstantGenerator,
     GeneratedStrategy,
     GrowthConditionError,
     SelfFinancingError,
@@ -45,9 +40,11 @@ from openjacobi.portfolio import (
 )
 from openjacobi._util import path_stream
 from openjacobi.sde import SimPath, ranked_minima
+from openjacobi.simplex import ranked_weights
 
 from helpers import (
-    local_growth_direct,
+    FnStrategy,
+    RankPowerGradient,
     optimal_share_field,
     ordered_simplex_integral,
     wealth_increments,
@@ -313,31 +310,6 @@ def test_growth_exists_atlas_tail_specifications():
         assert not exists
 
 
-def test_local_growth_closed_form_matches_matrix_algebra():
-    rng = np.random.default_rng(10)
-    for _ in range(100):
-        p = random_hybrid(rng, 4)
-        y, order = ranked_state(rng, 4)
-        closed = local_growth_rate(y, order, p, 2)
-        direct = local_growth_direct(y, order, p, 2)
-        assert abs(closed - direct) < 1e-10
-
-
-def test_local_growth_symmetric_uniform_is_zero():
-    p = rank_jacobi([0.7, 0.7, 0.7])
-    val = local_growth_rate(np.full(3, 1 / 3), np.arange(3), p, 1)
-    assert abs(val) < 1e-14
-
-
-def test_local_growth_atlas_substitution():
-    eta, sigma = 1.2, 1.3
-    p = rank_jacobi([0.0, 0.6, 0.6], sigma=sigma)
-    y = np.array([0.5, 0.3, 0.2])
-    tail = y[1:].sum()
-    expected = sigma ** 2 / 4.0 * (eta ** 2 / tail - eta ** 2)
-    assert local_growth_rate(y, np.arange(3), p, 1) == pytest.approx(expected)
-
-
 # ---------------------------------------------------------------------------
 # wealth accounting
 # ---------------------------------------------------------------------------
@@ -352,7 +324,7 @@ def test_market_portfolio_wealth_is_identically_one():
 def test_buy_and_hold_tracks_single_asset():
     p = rank_jacobi([1.5, 1.5, 1.5])
     path = simulate(p, np.full(3, 1 / 3), T=2.0, dt=1e-3, seed=21)
-    hold = RawStrategy(lambda x: np.stack(
+    hold = FnStrategy(lambda x: np.stack(
         [1.0 / x[..., 0], np.zeros(x.shape[:-1]), np.zeros(x.shape[:-1])], axis=-1
     ), name="hold_first")
     ledger = wealth(path, hold)
@@ -393,7 +365,7 @@ def test_wealth_ledger_martingale_part_is_the_noise_term(a, gamma, n_top):
 def test_wealth_rejects_non_self_financing():
     p = rank_jacobi([1.0, 1.0])
     path = simulate(p, [0.5, 0.5], T=0.05, dt=1e-3, seed=23)
-    bad = RawStrategy(lambda x: np.full_like(x, 2.0), name="bad")
+    bad = FnStrategy(lambda x: np.full_like(x, 2.0), name="bad")
     with pytest.raises(SelfFinancingError):
         wealth(path, bad)
 
@@ -442,7 +414,7 @@ def observe(path, strategy, blocks=1):
     """Feed a stored path through a WealthObserver in ``blocks`` pieces."""
     obs = WealthObserver(strategy, path.params)
     obs.start(path.states[:1], path.dt)
-    edges = np.linspace(0, path.n_steps, blocks + 1).round().astype(int)
+    edges = np.linspace(0, path.times.size - 1, blocks + 1).round().astype(int)
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi > lo:
             states = path.states[lo:hi + 1, None, :]
@@ -476,7 +448,7 @@ def test_wealth_guards_states_in_the_floor_band(where):
     state = _FLOOR_BAND[where]
     path = stored_path([[0.5, 0.3, 0.2], state, [0.4, 0.35, 0.25], [0.5, 0.3, 0.2]], p)
     for strategy in (GrowthOptimalStrategy(p, 2),
-                     GeneratedStrategy(RankPowerGenerator(p, 2))):
+                     GeneratedStrategy(RankPowerGradient(p, 2))):
         ledger = wealth(path, strategy)
         streamed = observe(path, strategy)
         assert ledger.n_guarded == 1
@@ -487,19 +459,6 @@ def test_wealth_guards_states_in_the_floor_band(where):
         growth_optimal_theta(np.array(state), p, 2)
 
 
-@pytest.mark.parametrize("where", sorted(_FLOOR_BAND))
-def test_master_formula_returns_the_holdings_it_traded(where):
-    p = rank_jacobi([1.5, 1.2, 1.0])
-    path = stored_path([[0.5, 0.3, 0.2], _FLOOR_BAND[where], [0.4, 0.35, 0.25]], p)
-    generator = RankPowerGenerator(p, 2)
-    result = master_formula(generator, path)
-    traded, mask = guarded_holdings(GeneratedStrategy(generator), path.states, np.ones(3))
-    assert mask.tolist() == [False, True, False]
-    assert np.all(np.isfinite(result.theta))
-    assert np.array_equal(result.theta, traded)
-    assert np.array_equal(result.theta, result.ledger.theta)
-
-
 def _strategies(d, gamma):
     params = ModelParams(a=np.linspace(1.5, 0.5, d), gamma=gamma[:d])
     rank_params = ModelParams(a=params.a, gamma=np.zeros(d))
@@ -508,12 +467,12 @@ def _strategies(d, gamma):
         (params, MarketPortfolio()),
         # h = 0.1 / (rank-2 weight) is infinite at the boundary, so the
         # non-finite rows are guarded too
-        (params, OpenMarketStrategy(1, lambda y, order: 0.1 / y[..., 1:2])),
+        (params, FnStrategy(lambda x: expand_open(0.1 / ranked_weights(x)[..., 1:2], x))),
         (params, GrowthOptimalStrategy(params, d - 1)),
         (params, GrowthOptimalStrategy(params, 1)),
-        (params, GeneratedStrategy(ConstantGenerator())),
+        (params, GeneratedStrategy(ExpLinearGenerator(np.zeros(d)))),
         (params, GeneratedStrategy(ExpLinearGenerator(coeffs))),
-        (rank_params, GeneratedStrategy(RankPowerGenerator(rank_params, 1))),
+        (rank_params, GeneratedStrategy(RankPowerGradient(rank_params, 1))),
     ]
 
 
@@ -541,17 +500,6 @@ def test_ledger_and_observer_share_the_wealth_core(w, gamma, blocks):
                                                       rel=1e-12, abs=1e-12)
 
 
-def test_wealth_csv_export(tmp_path):
-    p = rank_jacobi([1.0, 1.0, 1.0])
-    path = simulate(p, [0.5, 0.3, 0.2], T=0.05, dt=1e-3, seed=27)
-    ledger = wealth(path, GrowthOptimalStrategy(p, 1))
-    out = tmp_path / "ledger.csv"
-    ledger.to_csv(out)
-    data = np.loadtxt(out, delimiter=",", skiprows=1)
-    assert data.shape == (51, 4)
-    assert np.allclose(data[:, 1], ledger.log_wealth)
-
-
 # ---------------------------------------------------------------------------
 # functional generation
 # ---------------------------------------------------------------------------
@@ -559,7 +507,7 @@ def test_wealth_csv_export(tmp_path):
 def test_constant_generator_reproduces_market_portfolio():
     p = rank_jacobi([1.0, 1.0, 1.0])
     path = simulate(p, [0.5, 0.3, 0.2], T=0.2, dt=1e-3, seed=28)
-    result = master_formula(ConstantGenerator(), path)
+    result = master_formula(ExpLinearGenerator(np.zeros(3)), path)
     assert np.allclose(result.theta, 1.0)
     assert np.abs(result.ledger.log_wealth).max() < 1e-12
     assert result.sup_gap < 1e-12
@@ -590,29 +538,13 @@ def test_exp_linear_identity_gap_shrinks_with_dt():
 
 def test_rank_power_generator_matches_growth_optimal_strategy():
     p = rank_jacobi([1.5, 1.0, 0.5, 0.5])
-    gen = RankPowerGenerator(p, 2)
+    gen = RankPowerGradient(p, 2)
     rng = np.random.default_rng(30)
     for _ in range(50):
         x = rng.dirichlet(np.ones(4))
         assert np.abs(
             GeneratedStrategy(gen).theta(x) - growth_optimal_theta(x, p, 2)
         ).max() < 1e-12
-
-
-def test_rank_power_wealth_identity_with_local_times():
-    # pathwise identity including ranked-gap local-time corrections; the
-    # occupation-density estimates are noisy, so the check is coarse
-    p = rank_jacobi([1.2, 1.0, 0.8])
-    path = simulate(p, np.full(3, 1 / 3), T=5.0, dt=2.5e-4, seed=31)
-    result = master_formula(RankPowerGenerator(p, 1), path)
-    spread = np.abs(result.ledger.log_wealth).max()
-    assert result.identity_gap[-1] < max(0.3 * spread, 0.05)
-
-
-def test_rank_power_generator_requires_rank_based_model():
-    p = ModelParams(a=[0.5, 0.5], gamma=[0.5, 0.2])
-    with pytest.raises(ValueError):
-        RankPowerGenerator(p, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -724,8 +656,6 @@ def test_open_market_size_outside_one_to_d_minus_one_is_rejected(monkeypatch, n_
     for method in ("mc", "quadrature"):
         with pytest.raises(ValueError, match="1 <= N < d"):
             robust_growth_rate(p, n_top, method=method, n=1_000)
-    with pytest.raises(ValueError, match="1 <= N < d"):
-        local_growth_rate(np.full(3, 1 / 3), np.arange(3), p, n_top)
 
 
 def test_robust_growth_rate_requires_strict_margins():
@@ -745,18 +675,11 @@ def test_simulated_growth_matches_robust_rate_small():
     rates = []
     for i in range(n_paths):
         path = simulate(p, np.full(3, 1 / 3), T=150.0, dt=1e-3, seed=700 + i)
-        rates.append(wealth(path, GrowthOptimalStrategy(p, 1)).terminal_rate)
+        ledger = wealth(path, GrowthOptimalStrategy(p, 1))
+        rates.append(ledger.log_wealth[-1] / ledger.times[-1])
     rates = np.asarray(rates)
     se = rates.std(ddof=1) / math.sqrt(n_paths)
     assert abs(rates.mean() - target) < max(4.0 * se, 0.1 * abs(target))
-
-
-def test_open_market_strategy_wrapper():
-    p = rank_jacobi([1.0, 1.0, 1.0])
-    strat = OpenMarketStrategy(1, lambda y, order: np.full(y.shape[:-1] + (1,), 0.5))
-    x = np.array([0.5, 0.3, 0.2])
-    theta = strat.theta(x)
-    assert (theta * x).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_invariant_sampler_reused_for_growth_is_seed_stable():

@@ -19,8 +19,6 @@ from openjacobi import (
     WealthObserver,
     diffusion_c,
     drift,
-    gap_local_time,
-    occupation_stats,
     run_paths,
     simulate,
     simulate_given_noise,
@@ -30,7 +28,7 @@ from openjacobi._util import path_stream, substream
 from openjacobi.cli import _parallel_batches
 from openjacobi.sde import PathObserver, SimPath
 
-from helpers import model_covariation_integral, realized_covariation
+from helpers import model_covariation_integral, occupation_stats, realized_covariation
 
 
 requires_cc = pytest.mark.skipif(
@@ -291,7 +289,7 @@ def test_model_covariation_integral_matches_quadratic_form():
 
 
 # ---------------------------------------------------------------------------
-# occupation statistics and local times
+# occupation statistics
 # ---------------------------------------------------------------------------
 
 def test_occupation_fraction_one_for_huge_eps():
@@ -321,34 +319,6 @@ def test_occupation_observer_matches_stored_stats():
     assert np.allclose(streamed["gap_fraction"][0, :, 0], stored.gap_fractions)
     assert streamed["min_weight_fraction"][0, 0] == pytest.approx(
         stored.min_weight_fraction)
-
-
-def test_gap_local_time_zero_when_gap_bounded_away():
-    p = rank_jacobi([1.0, 1.0])
-    states = np.tile([0.8, 0.2], (101, 1))
-    path = SimPath(times=np.arange(101) * 0.01, states=states, params=p,
-                   seed=0, path_index=0, dt=0.01, n_projected=0)
-    assert gap_local_time(path, 1)[-1] == 0.0
-
-
-def test_gap_local_time_nonadjacent_negligible():
-    # no triple collisions in the interior: the (1,3) pair accumulates far
-    # less than the adjacent pairs
-    p = rank_jacobi([1.0, 1.0, 1.0])
-    path = simulate(p, np.full(3, 1 / 3), T=50.0, dt=1e-3, seed=6)
-    wide = gap_local_time(path, 1, l=3)[-1]
-    adjacent = gap_local_time(path, 1)[-1] + gap_local_time(path, 2)[-1]
-    assert wide < 0.05 * adjacent
-
-
-def test_gap_local_time_bandwidth_robustness():
-    d2 = rank_jacobi([1.0, 1.0])
-    path = simulate(d2, [0.5, 0.5], T=50.0, dt=1e-3, seed=15)
-    dt = path.dt
-    est1 = gap_local_time(path, 1, eps=2.0 * np.sqrt(dt))[-1]
-    est2 = gap_local_time(path, 1, eps=4.0 * np.sqrt(dt))[-1]
-    assert est1 > 0.0
-    assert abs(est1 - est2) / est1 < 0.2
 
 
 # ---------------------------------------------------------------------------
