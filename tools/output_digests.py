@@ -151,6 +151,13 @@ RUNS = [  # (name, command, config, extra argv)
     ("limit-y50", "limit", {"seed": 23, "pd": {"theta": 2.0, "tilt": [0.0]},
                             "schedule": {"d_list": [5, 10]},
                             "limit": {"n": 5000, "functions": ["y50"]}}, []),
+] + [  # the largest seed over two path chunks, and many coordinates per step
+    ("boundary-top-seed", "boundary", {"seed": 2 ** 64 - 1,
+                                       "model": {"a": [1.5, 0.5], "gamma": [0.0, 0.0]},
+                                       "boundary": {"k": 2, "T": 2.0, "paths": 40,
+                                                    "eps": [1e-2, 1e-3]}}, ["--threads", "2"]),
+    ("simulate-d40", "simulate", {"seed": 101, "model": {"a": [1.0] * 40, "gamma": [0.5] * 40},
+                                  "sim": {"T": 0.2, "dt": 1e-3, "paths": 2}}, []),
 ]
 
 
