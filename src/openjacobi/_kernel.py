@@ -3,10 +3,20 @@
 The C source ships beside this module.  The first ``load()`` in a process
 compiles it with gcc into ``$XDG_CACHE_HOME/openjacobi`` (``~/.cache/openjacobi``
 when that variable is unset), under a file name keyed by a hash of the source
-and the compiler flags, so later processes reuse the library.  ``load()``
-returns None when gcc is missing, the build fails or the cache directory
-cannot be written; ``failure`` then says why, and the simulation uses the
-numpy kernel instead.
+and the compiler flags, so later processes reuse the library.
+
+The kernel draws each path's normals itself, from the path's Philox4x64-10
+stream with numpy's ziggurat, whose tables ``_kernel.c`` holds as the bit
+patterns of numpy's ``ziggurat_constants.h`` (BSD-3-Clause).  ``streams``
+lays out the stream states it advances: per path the counter, the key
+(path index, master seed), a four-word output buffer and its position, so
+path i under seed s draws what ``_util.path_stream(s, i).standard_normal``
+draws.  After loading, ``load()`` compares ``PROBE_NORMALS`` kernel normals
+with that generator's; a numpy whose normals differ fails the check.
+
+``load()`` returns None when gcc is missing, the build fails, the cache
+directory cannot be written or the normals check fails; ``failure`` then
+says why, and the simulation uses the numpy kernel instead.
 """
 
 from __future__ import annotations
@@ -21,16 +31,23 @@ import tempfile
 import threading
 from pathlib import Path
 
+import numpy as np
+
+from ._util import path_stream, stream_key
+
 SOURCE = Path(__file__).with_name("_kernel.c")
 CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 BUILD_TIMEOUT_S = 300
 
 _ARGTYPES = (
     [ctypes.c_int64] * 4              # B, P, d, row
-    + [ctypes.c_void_p] * 4           # block, z, a, gamma
+    + [ctypes.c_void_p] * 5           # block, z, streams, a, gamma
     + [ctypes.c_double] * 4           # half, total, dt, vol
     + [ctypes.c_void_p] * 2           # clips, low
 )
+STREAM_WORDS = 11                     # OJ_STREAM_WORDS: counter 4, key 2, buffer 4, position
+PROBE_KEY = (2 ** 64 - 1, 2 ** 63 + 12345)      # (master seed, path index) of the check
+PROBE_NORMALS = 4096
 
 _lock = threading.Lock()
 _done = False
@@ -77,23 +94,53 @@ def build(directory) -> Path:
     return target
 
 
+def streams(master_seed: int, first_index: int, count: int) -> np.ndarray:
+    """Fresh stream states (count, STREAM_WORDS) of the paths first_index,
+    first_index + 1, ... under ``master_seed``; each key is checked as
+    ``path_stream`` checks it."""
+    state = np.zeros((count, STREAM_WORDS), dtype=np.uint64)
+    for p in range(count):
+        key = stream_key(master_seed, first_index + p)
+        state[p, 4] = key & (2 ** 64 - 1)
+        state[p, 5] = key >> 64
+    state[:, 10] = 4                  # the output buffer starts used up
+    return state
+
+
+def _normals_match(library) -> bool:
+    """Whether the library's normals for ``PROBE_KEY`` equal numpy's."""
+    fill = library.oj_normals
+    fill.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    fill.restype = None
+    state = streams(*PROBE_KEY, 1)
+    ours = np.empty(PROBE_NORMALS)
+    fill(state.ctypes.data, PROBE_NORMALS, ours.ctypes.data)
+    return np.array_equal(ours, path_stream(*PROBE_KEY).standard_normal(PROBE_NORMALS))
+
+
 def load():
     """The kernel's ctypes function, or None when it cannot be had.
 
-    The first call builds and loads the library; its outcome is kept for
-    the life of the process.  A lock makes concurrent first calls from
-    worker threads wait for one build.
+    The first call builds and loads the library and checks its normals; its
+    outcome is kept for the life of the process.  A lock makes concurrent
+    first calls from worker threads wait for one build.
     """
     global _done, _function, failure
     if not _done:
         with _lock:
             if not _done:
                 try:
-                    function = ctypes.CDLL(str(build(cache_dir()))).oj_advance_block
-                    function.argtypes = _ARGTYPES
-                    function.restype = ctypes.c_int
-                    _function = function
+                    library = ctypes.CDLL(str(build(cache_dir())))
                 except (OSError, subprocess.SubprocessError) as exc:
                     failure = str(exc)
+                else:
+                    if _normals_match(library):
+                        function = library.oj_advance_block
+                        function.argtypes = _ARGTYPES
+                        function.restype = ctypes.c_int
+                        _function = function
+                    else:
+                        failure = (f"the kernel's Philox normals differ from numpy "
+                                   f"{np.__version__}'s standard_normal")
                 _done = True
     return _function

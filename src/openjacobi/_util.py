@@ -14,20 +14,24 @@ import numpy as np
 SEED_LIMIT = 1 << 64
 
 
+def stream_key(master_seed: int, path_index: int) -> int:
+    """The 128-bit Philox key ``master_seed << 64 | path_index``.  Both parts
+    must lie in [0, 2**64), so distinct pairs never share a key."""
+    if not 0 <= master_seed < SEED_LIMIT:
+        raise ValueError("master seed must be an integer in [0, 2**64)")
+    if not 0 <= path_index < SEED_LIMIT:
+        raise ValueError("path index must be an integer in [0, 2**64)")
+    return int(master_seed) << 64 | int(path_index)
+
+
 def path_stream(master_seed: int, path_index: int) -> np.random.Generator:
     """Counter-based stream keyed by (master seed, path index).
 
     Uses Philox so streams are independent and the assignment is
     order-free: path ``i`` always sees the same numbers no matter how
-    many workers run or in which order paths are dispatched.  Both parts
-    of the key must lie in [0, 2**64), so distinct pairs never share a key.
+    many workers run or in which order paths are dispatched.
     """
-    if not 0 <= master_seed < SEED_LIMIT:
-        raise ValueError("master seed must be an integer in [0, 2**64)")
-    if not 0 <= path_index < SEED_LIMIT:
-        raise ValueError("path index must be an integer in [0, 2**64)")
-    key = int(master_seed) << 64 | int(path_index)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=stream_key(master_seed, path_index)))
 
 
 def substream(master_seed: int, label: str) -> np.random.Generator:
@@ -93,11 +97,23 @@ def write_json(path, payload: dict, config_echo: dict, meta: dict | None = None)
 
 
 def write_csv(path, header: list[str], rows) -> None:
+    """Write a CSV with CRLF line ends and floats as ``%.17g``.  A row of
+    floats only is formatted with one format string; the csv writer takes
+    rows that hold anything else, value by value, with the same bytes."""
+    formats = {}                       # the float row format by row length
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            if isinstance(row, np.ndarray) and row.dtype.kind == "f":
+                row = row.tolist()
+            if all(isinstance(v, (float, np.floating)) for v in row):
+                n = len(row)
+                if n not in formats:
+                    formats[n] = ",".join(["%.17g"] * n) + "\r\n"
+                fh.write(formats[n] % tuple(row))
+            else:
+                writer.writerow([_fmt(v) for v in row])
 
 
 def _fmt(v):

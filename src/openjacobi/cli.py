@@ -276,7 +276,7 @@ def cmd_growth(cfg, out, threads):
         method = growth_cfg.get("method", "mc")
         if method not in ("mc", "quadrature"):
             raise ConfigError(f"unknown growth method {method!r}")
-        n = _count(growth_cfg.get("n", 100_000))
+        n = _count(growth_cfg.get("n", 100_000), minimum=2 if method == "mc" else 1)
         sim = growth_cfg.get("sim")
         if sim:
             T, dt = _positive(sim["T"]), _positive(sim["dt"])
@@ -345,7 +345,7 @@ def cmd_pd(cfg, out, threads):
     with _config_block("pd"):
         block = _require(cfg, "pd")
         theta = _real(_require(block, "theta"))
-        n = _count(block.get("n", 100_000))
+        n = _count(block.get("n", 100_000), minimum=2)
         pdlimit_mod.PDConfig(theta=theta)
         pdlimit_mod.require_stick_cap(theta, n)
         max_degree = _count(block.get("max_degree", 6), minimum=2)
@@ -398,7 +398,7 @@ def cmd_limit(cfg, out, threads):
         schedule = pdlimit_mod.make_schedule(pd_cfg.theta, pd_cfg.tilt,
                                              d_list=_counts(sched_block["d_list"]))
         limit_block = cfg.get("limit", {})
-        n = _count(limit_block.get("n", 100_000))
+        n = _count(limit_block.get("n", 100_000), minimum=2)
         pdlimit_mod.require_stick_cap(pd_cfg.theta, n)
         func_names = limit_block.get("functions", ["phi2"])
         funcs = {name: invariant_mod.make_statistic(name, min(schedule))

@@ -18,12 +18,15 @@ lo < eps <= hi.
 Steps run in a compiled C kernel (``_kernel.c``, built on first use and
 cached; see ``_kernel``) that releases the GIL, so worker threads simulate
 in parallel.  ``run_paths`` runs each chunk of ``PATH_CHUNK`` paths over the
-whole horizon, with its own observer copies, so its normals and rows stay in
-cache; the kernel steps a chunk's paths in lockstep.  ``_advance_block_numpy``
-is its reference: the C kernel repeats its arithmetic operation by
-operation, so both give bit-identical states, clip counts and ranked minima,
-and it runs instead, on whole batches, whenever the C kernel cannot be built.
-``euler_backend()`` names the kernel in use.
+whole horizon, with its own observer copies, so its rows stay in cache; the
+kernel steps a chunk's paths in lockstep and draws each path's normals
+itself, from the path's Philox state (``_kernel.streams``), where it uses
+them.  ``_advance_block_numpy`` is its reference: its normals come from
+``path_stream`` generators, which the kernel's streams match draw for draw,
+and the C kernel repeats its arithmetic operation by operation, so both give
+bit-identical states, clip counts and ranked minima.  It runs instead, on
+whole batches, whenever the C kernel cannot be built or its normals check
+fails.  ``euler_backend()`` names the kernel in use.
 """
 
 from __future__ import annotations
@@ -83,16 +86,26 @@ def _advance_block(block, params: ModelParams, dt: float, z):
     return _advance_block_c(kernel, block, params, dt, z)
 
 
-def _advance_block_c(kernel, block, params: ModelParams, dt: float, z):
+def _advance_block_c(kernel, block, params: ModelParams, dt: float, z, streams=None):
     """The compiled kernel behind ``_advance_block``'s contract.  ``block``
     may be a path slice ``wide[:, i:j]`` of a step-major float64 array: the
-    kernel writes its rows in place, through the row stride."""
-    P, B, d = z.shape
-    z = np.ascontiguousarray(z, dtype=float)
+    kernel writes its rows in place, through the row stride.  With ``z``
+    None, path p draws its normals from the stream state ``streams[p]``
+    (``_kernel.streams``) as its Philox stream's ``standard_normal(out=z[p])``
+    would, and the kernel advances that state in place."""
+    if z is not None:
+        P, B, d = z.shape
+        z = np.ascontiguousarray(z, dtype=float)
+    else:
+        B, P, d = block.shape[0] - 1, block.shape[1], block.shape[2]
+        if (streams.shape != (P, _kernel.STREAM_WORDS) or streams.dtype != np.uint64
+                or not streams.flags.c_contiguous or not streams.flags.writeable):
+            raise ValueError(f"need writeable C-contiguous uint64 stream states "
+                             f"({P}, {_kernel.STREAM_WORDS}), got {streams.shape}")
     a = np.ascontiguousarray(params.a, dtype=float)
     gamma = np.ascontiguousarray(params.gamma, dtype=float)
     if block.shape != (B + 1, P, d) or a.shape != (d,) or gamma.shape != (d,):
-        raise ValueError(f"block {block.shape}, normals {z.shape} and model "
+        raise ValueError(f"block {block.shape}, normals {(P, B, d)} and model "
                          f"dimension {a.shape} do not match")
     row, path, weight = block.strides
     if (block.dtype != np.float64 or not block.flags.writeable or weight != 8
@@ -102,8 +115,10 @@ def _advance_block_c(kernel, block, params: ModelParams, dt: float, z):
     sigma = params.sigma
     clips = np.zeros(P, dtype=np.int64)
     low = np.empty((P, d))
-    status = kernel(B, P, d, row // 8, block.ctypes.data, z.ctypes.data, a.ctypes.data,
-                    gamma.ctypes.data, float(0.5 * sigma * sigma),
+    status = kernel(B, P, d, row // 8, block.ctypes.data,
+                    None if z is None else z.ctypes.data,
+                    None if streams is None else streams.ctypes.data,
+                    a.ctypes.data, gamma.ctypes.data, float(0.5 * sigma * sigma),
                     float(params.total_mass), float(dt), float(sigma * math.sqrt(dt)),
                     clips.ctypes.data, low.ctypes.data)
     if status != 0:
@@ -264,10 +279,11 @@ def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
 
     The trajectory of path i depends only on (seed, path_offset + i), so a
     batch may be split across workers in any way without changing results.
-    Chunks hold ``PATH_CHUNK`` paths with the compiled kernel and the whole
-    batch with the numpy kernel, whose cost is per numpy call.  Each chunk
-    runs the whole horizon with its own copy of every observer; ``merge``
-    joins the copies' results in path order.
+    Chunks hold ``PATH_CHUNK`` paths with the compiled kernel, which draws
+    their normals itself, and the whole batch with the numpy kernel, whose
+    cost is per numpy call and whose normals fill a (batch, block, d)
+    buffer.  Each chunk runs the whole horizon with its own copy of every
+    observer; ``merge`` joins the copies' results in path order.
     """
     x0 = _checked_start(params, x0, dt)
     if not 0 < T < math.inf:
@@ -278,9 +294,10 @@ def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
         raise ValueError(f"block_steps must be a whole number >= 1, got {block_steps!r}")
     d = params.d
     n_steps = int(math.ceil(T / dt - 1e-12))
-    chunk = n_paths if _kernel.load() is None else min(PATH_CHUNK, n_paths)
+    kernel = _kernel.load()
+    chunk = n_paths if kernel is None else min(PATH_CHUNK, n_paths)
     width = min(block_steps, n_steps)
-    normals = np.empty(chunk * width * d)
+    normals = np.empty(chunk * width * d) if kernel is None else None
     rows = np.empty((width + 1, chunk, d))
     final_states = np.empty((n_paths, d))
     n_projected = np.zeros(n_paths, dtype=np.int64)
@@ -289,7 +306,10 @@ def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
     for start in range(0, n_paths, chunk):
         paths = slice(start, min(start + chunk, n_paths))
         size = paths.stop - start
-        streams = [path_stream(seed, path_offset + i) for i in range(start, paths.stop)]
+        if kernel is None:
+            streams = [path_stream(seed, path_offset + i) for i in range(start, paths.stop)]
+        else:
+            streams = _kernel.streams(seed, path_offset + start, size)
         copies = [copy.copy(ob) for ob in observers]
         for ob in copies:
             ob.start(np.tile(x0, (size, 1)), dt)
@@ -297,10 +317,13 @@ def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
         for done in range(0, n_steps, block_steps):
             b = min(block_steps, n_steps - done)
             block = rows[:b + 1, :size]
-            z = normals[:size * b * d].reshape(size, b, d)
-            for st, zp in zip(streams, z):
-                st.standard_normal(out=zp)
-            clips, low = _advance_block(block, params, dt, z)
+            if kernel is None:
+                z = normals[:size * b * d].reshape(size, b, d)
+                for st, zp in zip(streams, z):
+                    st.standard_normal(out=zp)
+                clips, low = _advance_block_numpy(block, params, dt, z)
+            else:
+                clips, low = _advance_block_c(kernel, block, params, dt, None, streams)
             n_projected[paths] += clips
             for ob in copies:
                 ob.update(block, low)

@@ -214,6 +214,12 @@ def test_invalid_params_exit_two_with_violated_index(tmp_path, capsys):
     # one path gives no standard error for its time average
     ("invariant", {"model": BASE_MODEL, "sampler": {"n": 10},
                    "ergodic": {"T": 0.01, "dt": 1e-3, "paths": 1}}, "ConfigError"),
+    # one draw gives no standard error for a Monte Carlo mean
+    ("limit", {"pd": {"theta": 2.0, "tilt": [0.0]}, "schedule": {"d_list": [10, 40]},
+               "limit": {"n": 1, "functions": ["y1"]}}, "ConfigError"),
+    ("growth", {"model": {"a": [1.5, 1.5, 1.5], "gamma": [0.0] * 3}, "open_market_size": 1,
+                "growth": {"method": "mc", "n": 1}}, "ConfigError"),
+    ("pd", {"pd": {"theta": 1.0, "n": 1}}, "ConfigError"),
 ])
 def test_typed_config_and_model_errors_exit_two(tmp_path, capsys, monkeypatch,
                                                 command, payload, error_class):
@@ -724,6 +730,26 @@ def test_outputs_identical_across_euler_backends(tmp_path, monkeypatch, command,
     assert fast_files == slow_files
     assert {m["euler_backend"] for m in fast_meta.values()} == {"c"}
     assert {m["euler_backend"] for m in slow_meta.values()} == {"numpy"}
+
+
+def test_write_csv_float_rows_match_the_csv_writer(tmp_path):
+    # float-only rows take one format string, the others the csv writer;
+    # both must give the bytes of formatting every value for the csv writer
+    import csv
+
+    from openjacobi._util import write_csv
+
+    rows = [[0.0, -0.0, 1.0], np.array([5e-324, np.nan, -np.inf]),
+            [np.float64(0.1), np.float32(0.1), 1e300], ["phi2", 1.5, 2],
+            (np.int64(3), 2 ** 60, True), [0.25, "a,b", None], []]
+    write_csv(tmp_path / "fast.csv", ["a", "b", "c"], iter(rows))
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["a", "b", "c"])
+        for row in rows:
+            writer.writerow([f"{float(v):.17g}" if isinstance(v, (float, np.floating))
+                             else int(v) if isinstance(v, np.integer) else v for v in row])
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_euler_backend_only_in_reports_that_took_euler_steps(tmp_path):

@@ -524,6 +524,143 @@ def test_load_reports_an_unwritable_cache(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# in-kernel normals: each path's Philox stream, consumed as numpy consumes it
+# ---------------------------------------------------------------------------
+
+_TOP = 2 ** 64 - 1
+
+
+def _philox_words(generator):
+    """A Philox generator's state in the kernel's stream layout."""
+    state = generator.bit_generator.state
+    return np.concatenate([state["state"]["counter"], state["state"]["key"], state["buffer"],
+                           np.array([state["buffer_pos"]], dtype=np.uint64)])
+
+
+def test_fresh_stream_states_are_numpys_philox_keys():
+    streams = _kernel.streams(_TOP, _TOP - 1, 2)
+    for p, index in enumerate((_TOP - 1, _TOP)):
+        words = _philox_words(path_stream(_TOP, index))
+        assert np.array_equal(streams[p, :6], words[:6])     # counter and key
+        assert streams[p, 10] == words[10] == 4              # the buffer is used up
+    with pytest.raises(ValueError):
+        _kernel.streams(_TOP, _TOP, 2)                        # index 2**64 has no key
+    with pytest.raises(ValueError):
+        _kernel.streams(2 ** 64, 0, 1)
+
+
+@requires_cc
+def test_kernel_streams_consume_numpy_philox_exactly():
+    # 64 paths x 8000 steps x d = 2 draw 1.02e6 normals, so the ziggurat's
+    # wedge (about 1% of draws) and tail branches run; every stream must end
+    # in the state its numpy generator reaches after the same normals
+    kernel = compiled_kernel()
+    P, B, d = 64, 8000, 2
+    params = rank_jacobi([1.0, 0.5])
+    first = _TOP - P + 1
+    streams = _kernel.streams(_TOP, first, P)
+    generators = [path_stream(_TOP, first + p) for p in range(P)]
+    z = np.stack([g.standard_normal((B, d)) for g in generators])
+    assert (np.abs(z) > 3.6541528853610087).sum() > 0           # tail draws
+    drawn = np.empty((B + 1, P, d))
+    drawn[0] = 1.0 / d
+    given_z = drawn.copy()
+    got = sde._advance_block_c(kernel, drawn, params, 1e-3, None, streams)
+    ref = sde._advance_block_c(kernel, given_z, params, 1e-3, z)
+    assert np.array_equal(drawn, given_z)
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    assert np.array_equal(streams, np.stack([_philox_words(g) for g in generators]))
+
+
+def test_compiled_kernel_rejects_bad_stream_states():
+    p = rank_jacobi([1.0, 1.0, 1.0])
+    good = _kernel.streams(1, 0, 2)
+    read_only = good.copy()
+    read_only.flags.writeable = False
+    for streams in (good[:1], good.astype(np.int64), good[:, ::2], read_only):
+        with pytest.raises(ValueError, match="stream"):
+            sde._advance_block_c(None, np.empty((4, 2, 3)), p, 1e-3, None, streams)
+
+
+_STREAM_MODELS = {
+    2: rank_jacobi([1.0, 0.5]),
+    3: ModelParams(a=[1.2, 0.8, 0.6], gamma=[0.3, -0.1, -0.2]),
+    40: ModelParams(a=np.linspace(1.5, 0.5, 40), gamma=np.full(40, 0.1)),
+}
+
+
+def _both_kernels(params, seed, n_paths, n_steps, dt, block_steps=sde.BLOCK_STEPS, offset=0):
+    """An observed, stored run's results with the compiled kernel and with
+    the numpy kernel."""
+    d = params.d
+
+    def run():
+        observers = [
+            TimeAverageObserver({"y1": lambda s: s.max(axis=-1), "x1": lambda s: s[..., 0]}),
+            HitObserver(BoundaryQuery("rank_hits", k=d).band, (0.2, 1e-2, 1e-4)),
+        ]
+        batch = run_paths(params, np.full(d, 1.0 / d), n_steps * dt, dt, seed,
+                          n_paths=n_paths, observers=observers, store=True,
+                          block_steps=block_steps, path_offset=offset)
+        obs = batch.observations
+        return [batch.final_states, batch.n_projected,
+                np.stack([path.states for path in batch.paths]),
+                obs["time_averages"]["y1"], obs["time_averages"]["x1"], obs["hits"]["hit"]]
+
+    compiled_kernel()
+    compiled = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "load", lambda: None)
+        return compiled, run()
+
+
+@requires_cc
+@pytest.mark.parametrize("d", sorted(_STREAM_MODELS))
+@pytest.mark.parametrize("block_steps", [1, 7, 2048])
+@pytest.mark.parametrize("n_paths", [1, 33, 70])
+@pytest.mark.parametrize("seed, last_offset", [(0, False), (0, True), (_TOP, False), (_TOP, True)])
+def test_in_kernel_streams_match_the_numpy_kernel(seed, last_offset, n_paths, block_steps, d):
+    # the compiled kernel draws each path's normals itself; the numpy
+    # kernel fills them from path_stream generators: the runs agree bit for
+    # bit, at the extreme seeds and path indices too
+    offset = 2 ** 64 - n_paths if last_offset else 0
+    compiled, numpy_run = _both_kernels(_STREAM_MODELS[d], seed, n_paths, 15, 0.05,
+                                        block_steps, offset)
+    for got, ref in zip(compiled, numpy_run):
+        assert np.array_equal(got, ref)
+
+
+@requires_cc
+def test_in_kernel_streams_match_the_numpy_kernel_over_a_million_normals():
+    # 70 paths x 400 steps x d = 40: 1.12e6 normals, so wedge and tail draws
+    # occur in every run
+    compiled, numpy_run = _both_kernels(_STREAM_MODELS[40], 5, 70, 400, 1e-3)
+    for got, ref in zip(compiled, numpy_run):
+        assert np.array_equal(got, ref)
+
+
+@requires_cc
+def test_load_falls_back_to_numpy_when_the_kernel_normals_differ(monkeypatch):
+    # a numpy whose normals differ from the kernel's fails the check in
+    # load(), and runs take the numpy kernel with numpy's normals
+    compiled_kernel()
+    p = ModelParams(a=[1.0, 0.5, 0.5], gamma=[0.3, 0.2, 0.1])
+    args = (p, [0.5, 0.3, 0.2], 0.5, 1e-2, 17)
+    ref = run_paths(*args, n_paths=3, store=True)
+    monkeypatch.setattr(_kernel, "_done", False)
+    monkeypatch.setattr(_kernel, "_function", None)
+    monkeypatch.setattr(_kernel, "failure", None)
+    monkeypatch.setattr(_kernel, "path_stream", lambda seed, index: path_stream(seed, index ^ 1))
+    assert _kernel.load() is None
+    assert "normals differ" in _kernel.failure
+    assert sde.euler_backend() == "numpy"
+    got = run_paths(*args, n_paths=3, store=True)
+    assert np.array_equal(got.final_states, ref.final_states)
+    for a, b in zip(got.paths, ref.paths):
+        assert np.array_equal(a.states, b.states)
+
+
+# ---------------------------------------------------------------------------
 # properties, under the compiled kernel
 # ---------------------------------------------------------------------------
 
