@@ -158,6 +158,14 @@ RUNS = [  # (name, command, config, extra argv)
                                                     "eps": [1e-2, 1e-3]}}, ["--threads", "2"]),
     ("simulate-d40", "simulate", {"seed": 101, "model": {"a": [1.0] * 40, "gamma": [0.5] * 40},
                                   "sim": {"T": 0.2, "dt": 1e-3, "paths": 2}}, []),
+] + [  # a hybrid beyond the permutation sums' d <= 6, and a named hybrid with abar_1 <= 0
+    ("invariant-hybrid7", "invariant", {
+        "seed": 103, "model": {"a": [1.5, 1.2, 1.0, 0.8, 0.6, 0.5, 0.5],
+                               "gamma": [0.3, -0.1, 0.2, 0.0, -0.2, 0.1, 0.4]},
+        "sampler": {"n": 1000, "kind": "named"}}, []),
+    ("invariant-hybrid-abar1-negative", "invariant", {
+        "seed": 107, "model": {"a": [-3.0, 1.0, 0.8], "gamma": [0.1, 0.5, 0.2]},
+        "sampler": {"n": 1000, "kind": "named"}}, []),
 ]
 
 
