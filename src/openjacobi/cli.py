@@ -246,7 +246,6 @@ def cmd_invariant(cfg, out, threads):
             "method": sample.method,
             "acceptance_rate": sample.acceptance_rate,
             "ess": sample.ess,
-            "rhat": sample.rhat,
             "warnings": sample.warnings,
         }
     }

@@ -3,15 +3,15 @@
 The stationary density of the named weights is, up to the normalizer Z,
 prod_k y_k^(a_k + gamma_{name at rank k} - 1) evaluated at the ranked
 rearrangement.  The ranked weights carry the permutation-summed density.
-Every sampler is exact and returns independent draws.  Sampling routes by
-structure: Dirichlet when the rank part is absent (a = 0), an
-exponential-spacing rejection sampler when the name part is absent
-(gamma = 0), and for the general hybrid case a mixture over name-to-rank
-assignments sigma, weighted by the ordered-simplex integrals
-Q(a + gamma_sigma) whose sum is Z, of spacing laws with exponents
-a + gamma_sigma.  The spacing sampler's envelope is an exponential tilt
-from the weighted AM-GM inequality, at the point of the simplex that
-maximizes its acceptance.
+Every sampler is exact and returns independent draws.  Sampling has two
+routes: Dirichlet when the rank part is absent (a = 0), and an
+exponential-spacing rejection sampler for every other model.  The spacing
+sampler proposes ranked weights from the rank-based law with exponents
+a + g, g the decreasing rearrangement of gamma, under an envelope that is
+an exponential tilt from the weighted AM-GM inequality, at the point of the
+simplex that maximizes its acceptance.  When gamma != 0 each proposal also
+draws its names uniformly and is thinned by a factor at most 1, so the
+hybrid law needs no normalizer and no bound on d.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ ACCEPTANCE_FLOOR = 1e-3
 SPACING_CHUNK = 20_000    # spacing proposals drawn per round
 SPACING_MAX_PROPOSALS = 10 ** 6   # with none accepted, acceptance is below 3e-6
                                   # at 95% confidence, far under ACCEPTANCE_FLOOR
-SAMPLER_METHODS = ("dirichlet", "spacing", "mixture", "mcmc")   # "mcmc": alias of "mixture"
+SAMPLER_METHODS = ("dirichlet", "spacing", "mixture", "mcmc")   # the last two: aliases of "spacing"
 ENVELOPE_MAX_ITER = 1_000  # steps toward the spacing envelope's best point
 ENVELOPE_TOL = 1e-12      # smallest gain (and step) that counts
 
@@ -113,16 +113,9 @@ def normalizer(params: ModelParams) -> float:
     if params.is_rank_based:
         return math.factorial(d) * monomial_integral(params.a)
     total = 0.0
-    for q in _assignment_integrals(params):
-        total += q
+    for perm in _permutations_array(d):
+        total += monomial_integral(params.a + params.gamma[perm])
     return total
-
-
-def _assignment_integrals(params: ModelParams) -> list:
-    """Q(a + gamma_sigma) for every name-to-rank assignment sigma, in the
-    order of ``_permutations_array``: the terms of Z."""
-    return [monomial_integral(params.a + params.gamma[perm])
-            for perm in _permutations_array(params.d)]
 
 
 # ---------------------------------------------------------------------------
@@ -133,23 +126,23 @@ def _assignment_integrals(params: ModelParams) -> list:
 class SampleResult:
     """Draws from the stationary law plus sampler diagnostics.
 
-    ``acceptance_rate`` is the spacing rejection sampler's rate, pooled over
-    the assignments of a mixture.  Every route returns independent draws;
-    the mixture reports ``ess`` = n for them and no ``rhat``, since no
-    chain needs a convergence check.
+    ``acceptance_rate`` is the spacing rejection sampler's rate.  Every
+    route returns independent draws, so ``ess`` is n.
     """
 
     draws: np.ndarray                # (n, d); ranked or named per ``kind``
     kind: str                        # "ranked" | "named"
-    method: str                      # "dirichlet" | "spacing" | "mixture"
+    method: str                      # "dirichlet" | "spacing"
     acceptance_rate: float | None = None
-    ess: float | None = None
-    rhat: float | None = None
     warnings: list = field(default_factory=list)
 
     @property
     def n(self) -> int:
         return self.draws.shape[0]
+
+    @property
+    def ess(self) -> float:
+        return float(self.n)
 
 
 def sample_invariant(params: ModelParams, n: int, seed: int, kind: str = "ranked",
@@ -157,9 +150,10 @@ def sample_invariant(params: ModelParams, n: int, seed: int, kind: str = "ranked
     """Draw n samples from the stationary law.
 
     ``kind`` selects ranked or named coordinates; ``method`` overrides the
-    automatic routing (Dirichlet for a = 0, spacing rejection for
-    gamma = 0, the assignment mixture otherwise).  ``options`` go to the
-    routed sampler, so one it does not take raises ``TypeError``.
+    automatic routing (Dirichlet for a = 0, spacing rejection otherwise).
+    ``"mixture"`` and ``"mcmc"`` name the spacing route, as saved configs
+    still do.  ``options`` go to the routed sampler, so one it does not take
+    raises ``TypeError``.
     """
     require_valid(params)
     if n < 1:
@@ -167,20 +161,16 @@ def sample_invariant(params: ModelParams, n: int, seed: int, kind: str = "ranked
     if kind not in ("ranked", "named"):
         raise ValueError("kind must be 'ranked' or 'named'")
     if method is None:
-        if np.all(params.a == 0.0):
-            method = "dirichlet"
-        elif params.is_rank_based:
-            method = "spacing"
-        else:
-            method = "mixture"
+        method = "dirichlet" if np.all(params.a == 0.0) else "spacing"
     if method not in SAMPLER_METHODS:
         raise ValueError(f"unknown sampler method {method!r}")
     if method == "mcmc":
-        # Alias left for the stationary-laws benchmark config, which still
-        # names the former Metropolis route and passes its burn_in; it goes
-        # once a benchmark change renames that config to "mixture".
-        method = "mixture"
+        # The stationary-laws benchmark config still names the former
+        # Metropolis route and passes its burn_in; the alias goes once a
+        # benchmark change renames that config to "spacing".
         options.pop("burn_in", None)
+    if method != "dirichlet":
+        method = "spacing"
     rng = substream(seed, f"invariant-{method}")
     return _SAMPLERS[method](params, n, rng, kind, **options)
 
@@ -292,43 +282,17 @@ def _spacing_envelope(abar):
     return _envelope_rates(abar, w), log_acceptance
 
 
-def _spacing_draws(exponents, n, rng):
-    """n ranked draws of the rank-based law with exponents b, by exact
-    rejection, with the numbers of accepted and proposed points.
+def _name_log_factor(gamma_by_rank, g, cum):
+    """log prod_k y_k^(gamma_sigma(k) - g_k) for proposals with cumulative
+    log-spacings ``cum`` and names sigma, ``gamma_by_rank`` = gamma[sigma].
 
-    In log-spacings z_k = log(y_(k-1) / y_k) (k = 2..d) the ranked law has
-    density proportional to y_1^abar_1 exp(-sum_k abar_k z_k), abar the
-    tail sums of b.  For abar_1 > 0 the weighted AM-GM inequality bounds,
-    for any w on the simplex, y_1 <= prod_k w_k^w_k exp(sum_j W_j z_j) with
-    W_j = w_j + ... + w_d; the sampler proposes z_j ~ Exp(abar_j -
-    abar_1 W_j) and accepts with probability
-    exp(abar_1 (log y_1 - sum_j W_j z_j - sum_k w_k log w_k)) <= 1.  The
-    point w maximizes the acceptance (``_envelope_weights``); w = e_1 is
-    the plain bound y_1 <= 1.  For abar_1 <= 0 it proposes z_k ~ Exp(abar_k)
-    and uses y_1 >= 1/d.  The accepted count includes proposals beyond the
-    n draws returned; more than SPACING_MAX_PROPOSALS proposals with none
-    accepted raise ``SamplerStallError``.
+    The exponents sum to 0, so this is -sum_(k>=2) (gamma_sigma(k) - g_k)
+    log(y_1 / y_k).  Summed by parts over the spacings z_j >= 0 its
+    coefficients become differences of tail sums from j >= 2, each at least
+    0 because g's tail sums are the sums of the smallest gamma: the factor
+    is at most 1.
     """
-    abar = tail_sums(exponents)
-    rates, log_acceptance = _spacing_envelope(abar)
-    out = np.empty((n, abar.size))
-    got = 0
-    accepted = 0
-    proposed = 0
-    while got < n:
-        m = min(SPACING_CHUNK, max(1024, n - got))
-        y, cum = _spacing_proposal(rates, m, rng)
-        keep = np.flatnonzero(np.log(rng.random(m)) < log_acceptance(y, cum))
-        take = keep[: n - got]
-        if take.size:
-            out[got:got + take.size] = y[take]
-            got += take.size
-        accepted += keep.size
-        proposed += m
-        if proposed > SPACING_MAX_PROPOSALS and got == 0:
-            raise SamplerStallError(
-                f"rejection sampler accepted none of {proposed} proposals")
-    return out, accepted, proposed
+    return -((gamma_by_rank[:, 1:] - g[1:]) * cum).sum(axis=1)
 
 
 def _acceptance_warnings(rate) -> list:
@@ -338,56 +302,67 @@ def _acceptance_warnings(rate) -> list:
 
 
 def _sample_spacing(params, n, rng, kind):
-    """Exact rejection sampler for the rank-based stationary law
-    (``_spacing_draws``); named draws give the ranks to names uniformly."""
-    if not params.is_rank_based:
-        raise InvalidModelError("spacing sampler requires gamma = 0")
-    out, accepted, proposed = _spacing_draws(params.a, n, rng)
-    rate = accepted / proposed
+    """Exact rejection sampler for the stationary law of any model.
+
+    In log-spacings z_k = log(y_(k-1) / y_k) (k = 2..d) the rank-based law
+    with exponents b has density proportional to y_1^bbar_1
+    exp(-sum_k bbar_k z_k), bbar the tail sums of b.  The proposal takes
+    b = a + g, g the decreasing rearrangement of gamma, so bbar_k for k >= 2
+    are the model's tail margins.  For bbar_1 > 0 the weighted AM-GM
+    inequality bounds, for any w on the simplex, y_1 <= prod_k w_k^w_k
+    exp(sum_j W_j z_j) with W_j = w_j + ... + w_d; the sampler proposes
+    z_j ~ Exp(bbar_j - bbar_1 W_j) and accepts with probability
+    exp(bbar_1 (log y_1 - sum_j W_j z_j - sum_k w_k log w_k)) <= 1.  The
+    point w maximizes the acceptance (``_envelope_weights``); w = e_1 is
+    the plain bound y_1 <= 1.  For bbar_1 <= 0 it proposes z_k ~ Exp(bbar_k)
+    and uses y_1 >= 1/d.
+
+    When gamma != 0 each proposal also draws its names sigma (the name at
+    each rank) uniformly and takes the further factor
+    prod_k y_k^(gamma_sigma(k) - g_k) <= 1 (``_name_log_factor``).  The
+    accepted pairs then follow prod_k y_k^(a_k + gamma_sigma(k) - 1), the
+    stationary law, and a named draw puts y_k at name sigma(k).  Named
+    rank-based draws give the ranks to names uniformly after the loop.
+    Ranking the named draws gives back the ranked ones bit for bit.  The
+    acceptance rate counts proposals beyond the n draws returned; more than
+    SPACING_MAX_PROPOSALS proposals with none accepted raise
+    ``SamplerStallError``.
+    """
+    d = params.d
+    g = ranked_weights(params.gamma)
+    rates, log_acceptance = _spacing_envelope(tail_sums(params.a + g))
+    hybrid = not params.is_rank_based
+    out = np.empty((n, d))
+    names = np.empty((n, d), dtype=np.intp) if hybrid else None
+    got = accepted = proposed = 0
+    while got < n:
+        m = min(SPACING_CHUNK, max(1024, n - got))
+        y, cum = _spacing_proposal(rates, m, rng)
+        log_accept = log_acceptance(y, cum)
+        if hybrid:
+            sigma = rng.permuted(np.broadcast_to(np.arange(d), (m, d)), axis=1)
+            log_accept += _name_log_factor(params.gamma[sigma], g, cum)
+        keep = np.flatnonzero(np.log(rng.random(m)) < log_accept)
+        take = keep[: n - got]
+        out[got:got + take.size] = y[take]
+        if hybrid:
+            names[got:got + take.size] = sigma[take]
+        got += take.size
+        accepted += keep.size
+        proposed += m
+        if proposed > SPACING_MAX_PROPOSALS and got == 0:
+            raise SamplerStallError(
+                f"rejection sampler accepted none of {proposed} proposals")
     if kind == "named":
-        d = params.d
-        out = to_names(out, rng.permuted(np.broadcast_to(np.arange(d), (n, d)), axis=1))
+        if not hybrid:
+            names = rng.permuted(np.broadcast_to(np.arange(d), (n, d)), axis=1)
+        out = to_names(out, names)
+    rate = accepted / proposed
     return SampleResult(draws=out, kind=kind, method="spacing",
                         acceptance_rate=rate, warnings=_acceptance_warnings(rate))
 
 
-def _sample_mixture(params, n, rng, kind):
-    """Exact sampler for the hybrid stationary law, by composition.
-
-    The name-to-rank assignment sigma has probability Q(a + gamma_sigma)/Z,
-    and given sigma the ranked weights follow the rank-based law with
-    exponents a + gamma_sigma, whose tail sums are at least the model's
-    positive tail margins.  So the sampler draws how many rows each
-    assignment gets from a multinomial over the d! integrals, draws those
-    rows with ``_spacing_draws`` and names them by their assignment, then
-    shuffles all rows with one permutation so that the draws are
-    independent in their returned order.  The random stream does not depend
-    on ``kind``: ranking the named draws gives back the ranked ones bit for
-    bit.  The acceptance rate pools the proposals of every assignment.
-    """
-    perms = _permutations_array(params.d)
-    q = np.array(_assignment_integrals(params))
-    counts = rng.multinomial(n, q / q.sum())
-    draws = np.empty((n, params.d))
-    accepted = proposed = start = 0
-    for perm, count in zip(perms, counts):
-        if count == 0:
-            continue
-        y, acc, prop = _spacing_draws(params.a + params.gamma[perm], count, rng)
-        if kind == "named":
-            y = to_names(y, np.broadcast_to(perm, y.shape))
-        draws[start:start + count] = y
-        start += count
-        accepted += acc
-        proposed += prop
-    rate = accepted / proposed
-    return SampleResult(draws=draws[rng.permutation(n)], kind=kind, method="mixture",
-                        acceptance_rate=rate, ess=float(n),
-                        warnings=_acceptance_warnings(rate))
-
-
-_SAMPLERS = {"dirichlet": _sample_dirichlet, "spacing": _sample_spacing,
-             "mixture": _sample_mixture}
+_SAMPLERS = {"dirichlet": _sample_dirichlet, "spacing": _sample_spacing}
 
 
 # ---------------------------------------------------------------------------

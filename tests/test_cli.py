@@ -146,7 +146,7 @@ def test_invalid_params_exit_two_with_violated_index(tmp_path, capsys):
     ("simulate", {"model": BASE_MODEL, "sim": {"T": 1.0, "dt": 1e-3, "x0": [0.7, 0.7, -0.4]}},
      "SimplexError"),
     ("invariant", {"model": {"a": [1.0, 1.0], "gamma": [0.5, 0.0]},
-                   "sampler": {"method": "spacing"}}, "InvalidModelError"),
+                   "sampler": {"method": "dirichlet"}}, "InvalidModelError"),
     ("limit", {"pd": {"theta": 2.0, "tilt": [0.0]}, "schedule": {"d_list": [10, 40]},
                "limit": {"growth": {"sigma": 1.0, "N": 2}}}, "ConfigError"),
     ("growth", {"model": {"a": [2.0, 2.0, 2.0, 2.0]}, "open_market_size": 4}, "ConfigError"),
@@ -580,12 +580,24 @@ def test_invariant_reports_acceptance_and_rhat(tmp_path):
     res = read_json(tmp_path / "mcmc" / "invariant_report.json")["results"]
     assert 0.0 < res["acceptance_rate"] < 1.0
     assert res["ess"] >= 1_000
-    assert res["rhat"] is None
+    assert "rhat" not in res
     cfg = write_config(tmp_path, {"seed": 19, "model": BASE_MODEL, "sampler": {"n": 100}})
     assert run(["invariant", "--config", str(cfg), "--out", str(tmp_path / "spacing")]) == 0
     res = read_json(tmp_path / "spacing" / "invariant_report.json")["results"]
     assert res["method"] == "spacing"
-    assert res["rhat"] is None
+    assert "rhat" not in res
+
+
+def test_invariant_samples_a_hybrid_beyond_six_names(tmp_path):
+    cfg = write_config(tmp_path, {
+        "seed": 5, "sampler": {"n": 500, "kind": "named"},
+        "model": {"a": [1.5, 1.2, 1.0, 0.8, 0.6, 0.5, 0.5],
+                  "gamma": [0.3, -0.1, 0.2, 0.0, -0.2, 0.1, 0.4]},
+    })
+    assert run(["invariant", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    samples = np.loadtxt(tmp_path / "o" / "invariant_samples.csv", delimiter=",", skiprows=1)
+    assert samples.shape == (500, 7)
+    assert np.allclose(samples.sum(axis=1), 1.0)
 
 
 # abar_1 = -15 at d = 10: the spacing sampler's y_1 >= 1/d bound accepts

@@ -283,7 +283,7 @@ def test_mcmc_agrees_with_spacing_on_rank_models():
 def test_mcmc_hybrid_matches_quadrature_oracle():
     p = ModelParams(a=[0.5, 0.5], gamma=[1.0, 0.5])
     res = sample_invariant(p, 4_000, seed=31, kind="ranked")
-    assert res.method == "mixture"
+    assert res.method == "spacing"
     z = normalizer(p)
     target = ordered_simplex_integral(
         lambda y: y[0] * density_q(y, p) / z, 2, rel_tol=1e-8
@@ -311,9 +311,9 @@ def test_mcmc_hybrid_named_mean_matches_monomial_ratio():
 def test_mixture_reports_pooled_acceptance_and_no_rhat():
     p = ModelParams(a=[1.0, 0.5, 0.5], gamma=[0.3, 0.2, 0.1])
     res = sample_invariant(p, 2_000, seed=53, kind="named")
-    assert res.method == "mixture" and res.n == 2_000 and not res.warnings
+    assert res.method == "spacing" and res.n == 2_000 and not res.warnings
     assert 0.0 < res.acceptance_rate <= 1.0
-    assert res.ess == 2_000 and res.rhat is None
+    assert res.ess == 2_000 and not hasattr(res, "rhat")
     again = sample_invariant(p, 2_000, seed=53, kind="named")
     assert np.array_equal(res.draws, again.draws)
 
@@ -352,15 +352,15 @@ def test_mcmc_is_an_alias_of_the_mixture_route():
     p = ModelParams(a=[1.2, 0.8, 0.6], gamma=[0.3, -0.1, -0.2])
     mixture = sample_invariant(p, 500, seed=19, kind="named", method="mixture")
     alias = sample_invariant(p, 500, seed=19, kind="named", method="mcmc", burn_in=200)
-    assert alias.method == "mixture"
+    assert alias.method == mixture.method == "spacing"
     assert np.array_equal(alias.draws, mixture.draws)
     with pytest.raises(TypeError, match="thin"):
         sample_invariant(p, 10, seed=1, method="mcmc", thin=5)
 
 
 @st.composite
-def _hybrid_models(draw):
-    d = draw(st.integers(2, 4))
+def _hybrid_models(draw, max_d=4):
+    d = draw(st.integers(2, max_d))
     a = draw(st.lists(st.floats(-0.5, 2.0), min_size=d, max_size=d))
     gamma = draw(st.lists(st.floats(-0.5, 1.0), min_size=d, max_size=d))
     p = ModelParams(a=a, gamma=gamma)
@@ -373,10 +373,52 @@ def _hybrid_models(draw):
 def test_mixture_draws_lie_on_the_simplex_and_rank_to_the_ranked_draws(p, seed):
     named = sample_invariant(p, 50, seed, kind="named")
     ranked = sample_invariant(p, 50, seed, kind="ranked")
-    assert named.method == ranked.method == "mixture"
+    assert named.method == ranked.method == "spacing"
     assert np.all(named.draws >= 0.0)
     assert np.allclose(named.draws.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
     assert np.array_equal(ranked_weights(named.draws), ranked.draws)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_hybrid_models(max_d=8), seed=st.integers(0, 2 ** 32 - 1))
+def test_spacing_bounds_every_hybrid_proposal(p, seed):
+    # exactness rests on this: the envelope's factor and the names' factor
+    # together are at most 1; 1e-9 absorbs rounding in the logs
+    g = ranked_weights(p.gamma)
+    rates, log_acceptance = invariant._spacing_envelope(tail_sums(p.a + g))
+    assert np.all(rates > 0.0)
+    rng = np.random.default_rng(seed)
+    y, cum = invariant._spacing_proposal(rates, 2_000, rng)
+    names = rng.permuted(np.broadcast_to(np.arange(p.d), (2_000, p.d)), axis=1)
+    total = log_acceptance(y, cum) + invariant._name_log_factor(p.gamma[names], g, cum)
+    assert total.max() <= 1e-9
+
+
+@pytest.mark.parametrize("d, seed", [(8, 131), (10, 137)])
+def test_constant_a_hybrid_is_dirichlet_of_c_plus_gamma(d, seed):
+    # with a = c, prod_k y_k^(c + gamma_sigma(k) - 1) is prod_i x_i^(c + gamma_i - 1):
+    # the named law is Dirichlet(c + gamma), here beyond the permutation sums' d
+    c = 0.7
+    gamma = np.linspace(0.9, -0.3, d)
+    p = ModelParams(a=np.full(d, c), gamma=gamma)
+    n = 20_000
+    res = sample_invariant(p, n, seed=seed, kind="named")
+    assert res.method == "spacing" and not res.warnings
+    alpha = c + gamma
+    for i in range(d):
+        assert abs(moment_z(res.draws[:, i], alpha[i] / alpha.sum())) < 4.0, i
+    top = ranked_weights(np.random.default_rng(seed).dirichlet(alpha, size=n))[:, 0]
+    z = moment_z(res.draws.max(axis=1), top.mean(), top.std(ddof=1) / math.sqrt(n))
+    assert abs(z) < 4.0
+
+
+def test_every_spacing_name_draws_one_stream():
+    p = ModelParams(a=[1.2, 0.8, 0.6], gamma=[0.3, -0.1, -0.2])
+    default = sample_invariant(p, 500, seed=19, kind="named")
+    for method in ("spacing", "mixture", "mcmc"):
+        res = sample_invariant(p, 500, seed=19, kind="named", method=method)
+        assert res.method == "spacing"
+        assert np.array_equal(res.draws, default.draws)
 
 
 def test_sampler_input_validation():
