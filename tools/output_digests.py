@@ -166,6 +166,10 @@ RUNS = [  # (name, command, config, extra argv)
     ("invariant-hybrid-abar1-negative", "invariant", {
         "seed": 107, "model": {"a": [-3.0, 1.0, 0.8], "gamma": [0.1, 0.5, 0.2]},
         "sampler": {"n": 1000, "kind": "named"}}, []),
+] + [  # a concentrated d = 6 hybrid: a and gamma scaled up together
+    ("invariant-hybrid6-concentrated", "invariant", {
+        "seed": 109, "model": {"a": [5.0] * 6, "gamma": [25.0, 20.0, 15.0, 10.0, 5.0, 0.0]},
+        "sampler": {"n": 1000, "kind": "named"}}, []),
 ]
 
 
