@@ -10,8 +10,9 @@ sampler proposes ranked weights from the rank-based law with exponents
 a + g, g the decreasing rearrangement of gamma, under an envelope that is
 an exponential tilt from the weighted AM-GM inequality, at the point of the
 simplex that maximizes its acceptance.  When gamma != 0 each proposal also
-draws its names uniformly and is thinned by a factor at most 1, so the
-hybrid law needs no normalizer and no bound on d.
+draws its names, which raise the rates of the spacings below them; the
+weights of the names come from tables over the 2^d name sets, so the
+hybrid law needs no normalizer and d is limited to NAME_SET_MAX_DIM.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ ACCEPTANCE_FLOOR = 1e-3
 SPACING_CHUNK = 20_000    # spacing proposals drawn per round
 SPACING_MAX_PROPOSALS = 10 ** 6   # with none accepted, acceptance is below 3e-6
                                   # at 95% confidence, far under ACCEPTANCE_FLOOR
-SAMPLER_METHODS = ("dirichlet", "spacing", "mixture", "mcmc")   # the last two: aliases of "spacing"
+SAMPLER_METHODS = ("dirichlet", "spacing", "mcmc")   # "mcmc": alias of "spacing"
 ENVELOPE_MAX_ITER = 1_000  # steps toward the spacing envelope's best point
 ENVELOPE_TOL = 1e-12      # smallest gain (and step) that counts
+NAME_SET_MAX_DIM = 20     # hybrid names are drawn from tables over all 2^d name sets
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +153,9 @@ def sample_invariant(params: ModelParams, n: int, seed: int, kind: str = "ranked
 
     ``kind`` selects ranked or named coordinates; ``method`` overrides the
     automatic routing (Dirichlet for a = 0, spacing rejection otherwise).
-    ``"mixture"`` and ``"mcmc"`` name the spacing route, as saved configs
-    still do.  ``options`` go to the routed sampler, so one it does not take
-    raises ``TypeError``.
+    ``"mcmc"`` names the spacing route, as the stationary-laws benchmark
+    config still does.  ``options`` go to the routed sampler, so one it
+    does not take raises ``TypeError``.
     """
     require_valid(params)
     if n < 1:
@@ -168,11 +170,11 @@ def sample_invariant(params: ModelParams, n: int, seed: int, kind: str = "ranked
         # The stationary-laws benchmark config still names the former
         # Metropolis route and passes its burn_in; the alias goes once a
         # benchmark change renames that config to "spacing".
-        options.pop("burn_in", None)
-    if method != "dirichlet":
         method = "spacing"
+        options.pop("burn_in", None)
     rng = substream(seed, f"invariant-{method}")
-    return _SAMPLERS[method](params, n, rng, kind, **options)
+    sampler = _sample_dirichlet if method == "dirichlet" else _sample_spacing
+    return sampler(params, n, rng, kind, **options)
 
 
 def _sample_dirichlet(params, n, rng, kind):
@@ -251,9 +253,9 @@ def _envelope_weights(abar) -> np.ndarray:
 
 def _spacing_proposal(rates, n, rng):
     """Ranked points from independent exponential log-spacings
-    z_k ~ Exp(rates_k) (k = 2..d), with their cumulative sums
-    Z_k = z_2 + ... + z_k = log(y_1 / y_k)."""
-    d = rates.size + 1
+    z_k ~ Exp(rates_k) (k = 2..d; one row of rates or one per point), with
+    their cumulative sums Z_k = z_2 + ... + z_k = log(y_1 / y_k)."""
+    d = rates.shape[-1] + 1
     z = rng.exponential(1.0, size=(n, d - 1)) / rates
     cum = np.cumsum(z, axis=1)
     rel = np.exp(-cum)                               # y_k / y_1 for k = 2..d
@@ -282,23 +284,59 @@ def _spacing_envelope(abar):
     return _envelope_rates(abar, w), log_acceptance
 
 
-def _name_log_factor(gamma_by_rank, g, cum):
-    """log prod_k y_k^(gamma_sigma(k) - g_k) for proposals with cumulative
-    log-spacings ``cum`` and names sigma, ``gamma_by_rank`` = gamma[sigma].
+def _name_sets(gamma, rates):
+    """Tilts T and weights V of the name sets S of a hybrid model, indexed
+    by bitmask (bit i for name i).
 
-    The exponents sum to 0, so this is -sum_(k>=2) (gamma_sigma(k) - g_k)
-    log(y_1 / y_k).  Summed by parts over the spacings z_j >= 0 its
-    coefficients become differences of tail sums from j >= 2, each at least
-    0 because g's tail sums are the sums of the smallest gamma: the factor
-    is at most 1.
+    With sigma the name at each rank and S_j the names at ranks j..d, the
+    stationary law is the rank-based law with exponents a + g times
+    prod_k y_k^(gamma_sigma(k) - g_k) = exp(-sum_(j>=2) T(S_j) z_j), where
+    T(S) = gamma(S) - (sum of the |S| smallest gamma) >= 0.  So drawing
+    z_j ~ Exp(r_j + T(S_j)) gives (z, sigma) the envelope's density times
+    that factor if sigma has probability prod_(j>=2) phi(S_j) / V(all),
+    phi(S) = r_j / (r_j + T(S)) at j = d - |S| + 1 (1 for all names).
+    V(S) = phi(S) sum_(i in S) V(S - {i}), V(empty) = 1, so choosing the
+    name at each rank in turn with probability proportional to V of the
+    names left does that.
     """
-    return -((gamma_by_rank[:, 1:] - g[1:]) * cum).sum(axis=1)
+    d = gamma.size
+    total = np.zeros(1)
+    for x in gamma:                                  # masks with bit i: the upper half
+        total = np.concatenate([total, total + x])
+    masks = np.arange(1 << d)
+    size = np.bitwise_count(masks)
+    tilt = total - np.concatenate([[0.0], np.cumsum(np.sort(gamma))])[size]
+    rate = np.concatenate([[math.inf], rates[::-1], [math.inf]])[size]
+    phi = 1.0 / (1.0 + tilt / rate)
+    weight = np.zeros(1 << d)
+    weight[0] = 1.0
+    for s in range(1, d + 1):
+        level = masks[size == s]
+        # S ^ bit with bit outside S lies one level up, still 0 here
+        weight[level] = phi[level] * sum(weight[level ^ (1 << i)] for i in range(d))
+    return tilt, weight
 
 
-def _acceptance_warnings(rate) -> list:
-    if rate < ACCEPTANCE_FLOOR:
-        return [f"rejection acceptance rate {rate:.2e} below floor {ACCEPTANCE_FLOOR}"]
-    return []
+def _draw_names(rates, tilt, weight, m, rng):
+    """m name assignments sigma (the name at each rank) drawn with the
+    weights of ``_name_sets``, and each one's spacing rates r_j + T(S_j)
+    (j = 2..d)."""
+    d = rates.size + 1
+    bits = 1 << np.arange(d)
+    left = np.full(m, (1 << d) - 1)
+    sigma = np.empty((m, d), dtype=np.intp)
+    step_rates = np.empty((m, d - 1))
+    u = rng.random((m, d - 1))
+    for k in range(d - 1):
+        rest = left[:, None] ^ bits
+        cw = weight[rest]
+        cw[rest > left[:, None]] = 0.0               # name i is already placed
+        np.cumsum(cw, axis=1, out=cw)
+        sigma[:, k] = (cw <= u[:, k, None] * cw[:, -1:]).sum(axis=1)
+        left ^= bits[sigma[:, k]]
+        step_rates[:, k] = rates[k] + tilt[left]
+    sigma[:, -1] = np.argmax(left[:, None] & bits, axis=1)
+    return sigma, step_rates
 
 
 def _sample_spacing(params, n, rng, kind):
@@ -317,11 +355,11 @@ def _sample_spacing(params, n, rng, kind):
     the plain bound y_1 <= 1.  For bbar_1 <= 0 it proposes z_k ~ Exp(bbar_k)
     and uses y_1 >= 1/d.
 
-    When gamma != 0 each proposal also draws its names sigma (the name at
-    each rank) uniformly and takes the further factor
-    prod_k y_k^(gamma_sigma(k) - g_k) <= 1 (``_name_log_factor``).  The
-    accepted pairs then follow prod_k y_k^(a_k + gamma_sigma(k) - 1), the
-    stationary law, and a named draw puts y_k at name sigma(k).  Named
+    When gamma != 0 each proposal first draws sigma, the name at each rank,
+    whose names raise the rates of the spacings below them (``_name_sets``);
+    the same envelope test then makes the accepted pairs follow
+    prod_k y_k^(a_k + gamma_sigma(k) - 1), the stationary law.  A named
+    draw puts y_k at name sigma(k).  Named
     rank-based draws give the ranks to names uniformly after the loop.
     Ranking the named draws gives back the ranked ones bit for bit.  The
     acceptance rate counts proposals beyond the n draws returned; more than
@@ -332,17 +370,21 @@ def _sample_spacing(params, n, rng, kind):
     g = ranked_weights(params.gamma)
     rates, log_acceptance = _spacing_envelope(tail_sums(params.a + g))
     hybrid = not params.is_rank_based
+    if hybrid:
+        if d > NAME_SET_MAX_DIM:
+            raise InvalidModelError(
+                f"hybrid sampling is limited to d <= {NAME_SET_MAX_DIM}")
+        tilt, weight = _name_sets(params.gamma, rates)
     out = np.empty((n, d))
     names = np.empty((n, d), dtype=np.intp) if hybrid else None
     got = accepted = proposed = 0
     while got < n:
         m = min(SPACING_CHUNK, max(1024, n - got))
-        y, cum = _spacing_proposal(rates, m, rng)
-        log_accept = log_acceptance(y, cum)
+        step_rates = rates
         if hybrid:
-            sigma = rng.permuted(np.broadcast_to(np.arange(d), (m, d)), axis=1)
-            log_accept += _name_log_factor(params.gamma[sigma], g, cum)
-        keep = np.flatnonzero(np.log(rng.random(m)) < log_accept)
+            sigma, step_rates = _draw_names(rates, tilt, weight, m, rng)
+        y, cum = _spacing_proposal(step_rates, m, rng)
+        keep = np.flatnonzero(np.log(rng.random(m)) < log_acceptance(y, cum))
         take = keep[: n - got]
         out[got:got + take.size] = y[take]
         if hybrid:
@@ -358,11 +400,10 @@ def _sample_spacing(params, n, rng, kind):
             names = rng.permuted(np.broadcast_to(np.arange(d), (n, d)), axis=1)
         out = to_names(out, names)
     rate = accepted / proposed
+    warnings = ([f"rejection acceptance rate {rate:.2e} below floor {ACCEPTANCE_FLOOR}"]
+                if rate < ACCEPTANCE_FLOOR else [])
     return SampleResult(draws=out, kind=kind, method="spacing",
-                        acceptance_rate=rate, warnings=_acceptance_warnings(rate))
-
-
-_SAMPLERS = {"dirichlet": _sample_dirichlet, "spacing": _sample_spacing}
+                        acceptance_rate=rate, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .simplex import ModelParams, tail_sums
 ESS_FLOOR_FRACTION = 0.05
 STICK_BLOCK = 64
 PD_ROW_CHUNK = 512                # draws broken at a time within a block of sticks
-POWER_SUM_ROWS = 4096             # rows raised to a power at a time by power_sum
 HARD_TAIL_FLOOR = 1e-13           # stick breaking stops once every leftover is below this
 MAX_STICKS = 10_000               # most sticks one draw may take to get there
 STICK_CAP_RISK = 1e-9             # largest accepted chance that some draw needs more
@@ -215,18 +214,11 @@ def pd_power_sums(theta: float, n: int, seed: int, max_degree: int):
 
 def power_sum(y, m: float) -> np.ndarray:
     """Symmetric power sum sum_k y_k^m over the last axis; m = 1 returns 1
-    identically (the mass convention, immune to truncation).  Rows are
-    raised POWER_SUM_ROWS at a time, so the temporary stays small; each
-    row's sum is the same as over the whole array."""
+    identically (the mass convention, immune to truncation)."""
     y = np.asarray(y, dtype=float)
     if m == 1:
         return np.ones(y.shape[:-1])
-    if y.ndim < 2:
-        return (y ** m).sum(axis=-1)
-    out = np.empty(y.shape[:-1])
-    for i in range(0, y.shape[0], POWER_SUM_ROWS):
-        out[i:i + POWER_SUM_ROWS] = (y[i:i + POWER_SUM_ROWS] ** m).sum(axis=-1)
-    return out
+    return (y ** m).sum(axis=-1)
 
 
 def moment_recursion(theta: float, powers) -> float:

@@ -350,12 +350,16 @@ def test_mixture_name_at_rank_frequencies_match_assignment_weights(a, gamma, see
 
 def test_mcmc_is_an_alias_of_the_mixture_route():
     p = ModelParams(a=[1.2, 0.8, 0.6], gamma=[0.3, -0.1, -0.2])
-    mixture = sample_invariant(p, 500, seed=19, kind="named", method="mixture")
+    default = sample_invariant(p, 500, seed=19, kind="named")
+    spacing = sample_invariant(p, 500, seed=19, kind="named", method="spacing")
     alias = sample_invariant(p, 500, seed=19, kind="named", method="mcmc", burn_in=200)
-    assert alias.method == mixture.method == "spacing"
-    assert np.array_equal(alias.draws, mixture.draws)
+    assert alias.method == spacing.method == default.method == "spacing"
+    assert np.array_equal(alias.draws, default.draws)
+    assert np.array_equal(spacing.draws, default.draws)
     with pytest.raises(TypeError, match="thin"):
         sample_invariant(p, 10, seed=1, method="mcmc", thin=5)
+    with pytest.raises(ValueError, match="unknown sampler method"):
+        sample_invariant(p, 10, seed=1, method="mixture")
 
 
 @st.composite
@@ -382,24 +386,51 @@ def test_mixture_draws_lie_on_the_simplex_and_rank_to_the_ranked_draws(p, seed):
 @settings(max_examples=60, deadline=None)
 @given(p=_hybrid_models(max_d=8), seed=st.integers(0, 2 ** 32 - 1))
 def test_spacing_bounds_every_hybrid_proposal(p, seed):
-    # exactness rests on this: the envelope's factor and the names' factor
-    # together are at most 1; 1e-9 absorbs rounding in the logs
+    # exactness rests on this: names only raise the spacing rates, and the
+    # envelope's factor stays at most 1 on the tilted proposals; 1e-9
+    # absorbs rounding in the logs
     g = ranked_weights(p.gamma)
     rates, log_acceptance = invariant._spacing_envelope(tail_sums(p.a + g))
-    assert np.all(rates > 0.0)
+    tilt, weight = invariant._name_sets(p.gamma, rates)
+    assert np.all(rates > 0.0) and tilt.min() >= -1e-12
     rng = np.random.default_rng(seed)
-    y, cum = invariant._spacing_proposal(rates, 2_000, rng)
-    names = rng.permuted(np.broadcast_to(np.arange(p.d), (2_000, p.d)), axis=1)
-    total = log_acceptance(y, cum) + invariant._name_log_factor(p.gamma[names], g, cum)
-    assert total.max() <= 1e-9
+    sigma, step_rates = invariant._draw_names(rates, tilt, weight, 2_000, rng)
+    assert np.array_equal(np.sort(sigma, axis=1), np.broadcast_to(np.arange(p.d), sigma.shape))
+    y, cum = invariant._spacing_proposal(step_rates, 2_000, rng)
+    assert log_acceptance(y, cum).max() <= 1e-9
 
 
-@pytest.mark.parametrize("d, seed", [(8, 131), (10, 137)])
-def test_constant_a_hybrid_is_dirichlet_of_c_plus_gamma(d, seed):
+def test_name_draws_follow_the_name_set_weights():
+    # each assignment sigma has probability prod_(j>=2) r_j / (r_j + T(S_j)) / V(all)
+    p = ModelParams(a=[1.0, 0.8, 0.6, 0.5], gamma=[0.4, -0.2, 0.1, -0.3])
+    rates, _ = invariant._spacing_envelope(tail_sums(p.a + ranked_weights(p.gamma)))
+    tilt, weight = invariant._name_sets(p.gamma, rates)
+    perms = list(itertools.permutations(range(p.d)))
+    exact = []
+    for perm in perms:
+        below = np.cumsum([1 << i for i in perm[::-1]])[::-1][1:]   # names at ranks j..d
+        exact.append(np.prod(rates / (rates + tilt[below])))
+    exact = np.array(exact)
+    assert exact.sum() == pytest.approx(weight[-1], rel=1e-12)
+    exact /= exact.sum()
+    n = 50_000
+    sigma, _ = invariant._draw_names(rates, tilt, weight, n, np.random.default_rng(7))
+    index = {perm: i for i, perm in enumerate(perms)}
+    freq = np.bincount([index[tuple(row)] for row in sigma.tolist()], minlength=len(perms)) / n
+    assert np.all(np.abs(freq - exact) < 4.0 * np.sqrt(exact * (1.0 - exact) / n))
+
+
+@pytest.mark.parametrize("c, gamma, seed", [
+    (0.7, np.linspace(0.9, -0.3, 8), 131),
+    (0.7, np.linspace(0.9, -0.3, 10), 137),
+    (5.0, 5.0 * np.arange(5.0, -1.0, -1.0), 139),
+], ids=["d8", "d10", "d6-concentrated"])
+def test_constant_a_hybrid_is_dirichlet_of_c_plus_gamma(c, gamma, seed):
     # with a = c, prod_k y_k^(c + gamma_sigma(k) - 1) is prod_i x_i^(c + gamma_i - 1):
-    # the named law is Dirichlet(c + gamma), here beyond the permutation sums' d
-    c = 0.7
-    gamma = np.linspace(0.9, -0.3, d)
+    # the named law is Dirichlet(c + gamma), here beyond the permutation sums'
+    # d or with a and gamma scaled up together, where uniform names would
+    # rarely be accepted
+    d = gamma.size
     p = ModelParams(a=np.full(d, c), gamma=gamma)
     n = 20_000
     res = sample_invariant(p, n, seed=seed, kind="named")
@@ -412,15 +443,6 @@ def test_constant_a_hybrid_is_dirichlet_of_c_plus_gamma(d, seed):
     assert abs(z) < 4.0
 
 
-def test_every_spacing_name_draws_one_stream():
-    p = ModelParams(a=[1.2, 0.8, 0.6], gamma=[0.3, -0.1, -0.2])
-    default = sample_invariant(p, 500, seed=19, kind="named")
-    for method in ("spacing", "mixture", "mcmc"):
-        res = sample_invariant(p, 500, seed=19, kind="named", method=method)
-        assert res.method == "spacing"
-        assert np.array_equal(res.draws, default.draws)
-
-
 def test_sampler_input_validation():
     p = rank_jacobi([1.0, 1.0])
     with pytest.raises(ValueError):
@@ -429,6 +451,9 @@ def test_sampler_input_validation():
         sample_invariant(p, 10, seed=1, kind="middle")
     with pytest.raises(ValueError):
         sample_invariant(p, 10, seed=1, method="dirichlet")   # a != 0 required
+    d = invariant.NAME_SET_MAX_DIM + 1                        # beyond the name-set tables
+    with pytest.raises(InvalidModelError, match="hybrid sampling"):
+        sample_invariant(ModelParams(a=np.ones(d), gamma=np.linspace(0.2, -0.2, d)), 10, seed=1)
 
 
 @pytest.mark.parametrize("params", [

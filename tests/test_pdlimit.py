@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,6 @@ from openjacobi import (
     tilted_estimator,
 )
 from openjacobi._util import z_score
-from openjacobi import pdlimit
 from openjacobi.pdlimit import HeavyTiltError, TruncationError, require_stick_cap
 
 
@@ -390,20 +388,3 @@ def test_finite_d_growth_rates_approach_limit():
         gaps.append(abs(report.lambda_hat - limit.value))
     assert gaps[-1] < gaps[0]
     assert gaps[-1] < 0.05 * abs(limit.value) + 3.0 * limit.se
-
-
-def test_power_sum_sums_row_chunks_bit_for_bit_with_a_small_temporary():
-    rows = 2 * pdlimit.POWER_SUM_ROWS + 123
-    y = np.random.default_rng(5).dirichlet(np.ones(64), size=rows)
-    for m in (2, 3, 2.5):
-        assert np.array_equal(power_sum(y, m), (y ** m).sum(axis=-1)), m
-        assert np.array_equal(power_sum(y[:, ::3], m), (y[:, ::3] ** m).sum(axis=-1)), m
-    tracemalloc.start()
-    try:
-        power_sum(y, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one chunk's powers plus row-sized arrays; y ** 2 whole is twice the chunk
-    chunk = pdlimit.POWER_SUM_ROWS * y.shape[1] * y.itemsize
-    assert peak < chunk + 3 * rows * y.itemsize + 65_536

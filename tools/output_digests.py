@@ -129,13 +129,10 @@ RUNS = [  # (name, command, config, extra argv)
     ("simulate-infinite-dt", "simulate", {"seed": 11, "model": HYBRID3,
                                           "sim": {"T": 0.5, "dt": float("inf"), "paths": 2}}, []),
     ("pd-nan-theta", "pd", {"seed": 17, "pd": {"theta": float("nan"), "n": 5000}}, []),
-] + [  # hybrid d = 4 with negative gamma on the default route, and the mixture route by name
+] + [  # hybrid d = 4 with negative gamma on the default route
     (f"invariant-hybrid4-{kind}", "invariant", {
         "seed": 73, "model": HYBRID4, "sampler": {"n": 1000, "kind": kind}}, [])
     for kind in ("named", "ranked")
-] + [
-    ("invariant-mixture", "invariant", {"seed": 79, "model": HYBRID3,
-                                        "sampler": {"n": 1000, "method": "mixture"}}, []),
 ] + [  # PD sticks over four blocks, and a degree too small for any power sum
     ("pd-four-blocks", "pd", {"seed": 89, "pd": {"theta": 5.0, "n": 3000}}, []),
     ("pd-max-degree-1", "pd", {"seed": 17, "pd": {"theta": 1.0, "n": 100, "max_degree": 1}}, []),
