@@ -167,6 +167,14 @@ RUNS = [  # (name, command, config, extra argv)
     ("invariant-hybrid6-concentrated", "invariant", {
         "seed": 109, "model": {"a": [5.0] * 6, "gamma": [25.0, 20.0, 15.0, 10.0, 5.0, 0.0]},
         "sampler": {"n": 1000, "kind": "named"}}, []),
+] + [  # a backtest over three unequal worker jobs, and the mass statistic phi1
+    ("growth-7-paths-t3", "growth", {"seed": 113, "model": RANK3, "open_market_size": 1,
+                                     "growth": {"n": 2000, "sim": {"T": 1.0, "dt": 1e-3,
+                                                                   "paths": 7}}},
+     ["--threads", "3"]),
+    ("limit-phi1", "limit", {"seed": 127, "pd": {"theta": 2.0, "tilt": [0.5]},
+                             "schedule": {"d_list": [10, 40]},
+                             "limit": {"n": 5000, "functions": ["phi1"]}}, []),
 ]
 
 
