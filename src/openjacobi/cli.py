@@ -164,31 +164,25 @@ def _x0(cfg_block, d):
     return x0
 
 
-def _parallel_batches(params, x0, T, dt, seed, n_paths, threads, observer_factory):
-    """Simulate path chunks on a worker pool; results merge by path index,
-    so the outcome does not depend on the number of workers."""
+def _parallel_batches(params, x0, T, dt, seed, n_paths, threads, observers):
+    """Simulate consecutive path ranges on a worker pool, which share the
+    observers (``run_paths`` copies them per chunk), and join their batches
+    in path order, so the outcome does not depend on the number of workers."""
     jobs = [c for c in np.array_split(np.arange(n_paths), threads) if c.size]
 
     def run(job):
         return sde_mod.run_paths(params, x0, T, dt, seed, n_paths=job.size,
-                                 observers=[observer_factory()],
-                                 path_offset=int(job[0]))
+                                 observers=observers, path_offset=int(job[0]))
 
     if threads <= 1 or len(jobs) == 1:
-        return [run(job) for job in jobs]
+        return sde_mod.join_batches([run(job) for job in jobs])
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, jobs))
+        return sde_mod.join_batches(list(pool.map(run, jobs)))
 
 
 def _euler_meta():
     """``meta`` entries of a report whose run took Euler steps."""
     return {"euler_backend": sde_mod.euler_backend()}
-
-
-def _merged_projection(batches):
-    total = sum(int(b.n_projected.sum()) for b in batches)
-    steps = sum(b.n_steps * b.n_paths for b in batches)
-    return total / max(steps, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +287,15 @@ def cmd_growth(cfg, out, threads):
             pass                # the robust rate needs strict margins on a rank model
     if exists and sim:
         strategy = portfolio_mod.GrowthOptimalStrategy(params, n_top)
-        batches = _parallel_batches(
-            params, x0, T, dt, seed, n_paths, threads,
-            lambda: portfolio_mod.WealthObserver(strategy, params),
-        )
-        logv = np.concatenate([b.observations["wealth"]["log_wealth"] for b in batches])
-        guarded = np.concatenate([b.observations["wealth"]["n_guarded"] for b in batches])
+        batch = _parallel_batches(params, x0, T, dt, seed, n_paths, threads,
+                                  [portfolio_mod.WealthObserver(strategy, params)])
+        wealth = batch.observations["wealth"]
         payload["results"]["backtest"] = {
-            "per_path_log_wealth": logv,
-            "mean_rate": float(logv.mean() / (batches[0].horizon)),
-            "horizon": batches[0].horizon,
-            "n_guarded": guarded,
-            "projection_rate": _merged_projection(batches),
+            "per_path_log_wealth": wealth["log_wealth"],
+            "mean_rate": float(wealth["log_wealth"].mean() / batch.horizon),
+            "horizon": batch.horizon,
+            "n_guarded": wealth["n_guarded"],
+            "projection_rate": batch.projection_rate,
         }
     backtest = payload["results"].get("backtest")
     write_json(out / "growth_report.json", payload, cfg,

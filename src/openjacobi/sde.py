@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -168,11 +168,7 @@ class SimPath:
     def to_csv(self, path) -> None:
         d = self.states.shape[1]
         header = ["time"] + [f"x_{i}" for i in range(1, d + 1)]
-        rows = (
-            [self.times[t]] + list(self.states[t])
-            for t in range(self.times.size)
-        )
-        write_csv(path, header, rows)
+        write_csv(path, header, np.column_stack((self.times, self.states)))
 
 
 @dataclass
@@ -236,6 +232,10 @@ class PathObserver:
     sorts.  The states array is reused for the next block, so keep copies,
     not views.  Implementations must count each grid point exactly once:
     the initial state in ``start`` and rows 1..B in ``update``.
+
+    ``result`` returns a dict of arrays with the paths on their last axis,
+    which ``join_batches`` joins key by key; a value that every copy returns
+    as the same object, such as an ``eps`` ladder, is a run constant.
     """
 
     def start(self, states: np.ndarray, dt: float) -> None:
@@ -247,17 +247,26 @@ class PathObserver:
     def result(self) -> dict:
         raise NotImplementedError
 
-    def merge(self, parts: list) -> dict:
-        """The batch result from the chunks' ``result()`` dicts in path order:
-        arrays join along their last axis, the paths; one chunk's comes back."""
-        return _merge_by_path(parts)
+
+def join_batches(batches: list) -> BatchResult:
+    """The batch of one run from the batches of its consecutive path
+    ranges, in path order; the observations join by ``_join_by_path``."""
+    return replace(batches[0], n_paths=sum(b.n_paths for b in batches),
+                   final_states=np.concatenate([b.final_states for b in batches]),
+                   n_projected=np.concatenate([b.n_projected for b in batches]),
+                   paths=[path for b in batches for path in b.paths],
+                   observations=_join_by_path([b.observations for b in batches]))
 
 
-def _merge_by_path(parts: list):
-    if len(parts) == 1:
-        return parts[0]
-    if isinstance(parts[0], dict):
-        return {key: _merge_by_path([part[key] for part in parts]) for key in parts[0]}
+def _join_by_path(parts: list):
+    """Dicts join key by key and arrays along their last axis, the paths;
+    a value that every part holds as the same object, a run constant, is
+    kept once."""
+    first = parts[0]
+    if all(part is first for part in parts):
+        return first
+    if isinstance(first, dict):
+        return {key: _join_by_path([part[key] for part in parts]) for key in first}
     return np.concatenate(parts, axis=-1)
 
 
@@ -283,7 +292,7 @@ def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
     their normals itself, and the whole batch with the numpy kernel, whose
     cost is per numpy call and whose normals fill a (batch, block, d)
     buffer.  Each chunk runs the whole horizon with its own copy of every
-    observer; ``merge`` joins the copies' results in path order.
+    observer into a batch of its own; ``join_batches`` joins them.
     """
     x0 = _checked_start(params, x0, dt)
     if not 0 < T < math.inf:
@@ -299,20 +308,21 @@ def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
     width = min(block_steps, n_steps)
     normals = np.empty(chunk * width * d) if kernel is None else None
     rows = np.empty((width + 1, chunk, d))
-    final_states = np.empty((n_paths, d))
-    n_projected = np.zeros(n_paths, dtype=np.int64)
-    all_states = np.empty((n_paths, n_steps + 1, d)) if store else None
-    parts = []                                  # per chunk, each observer's result
+    if store:
+        times = np.arange(n_steps + 1) * dt
+        times.flags.writeable = False             # shared by every stored path
+    parts = []
     for start in range(0, n_paths, chunk):
-        paths = slice(start, min(start + chunk, n_paths))
-        size = paths.stop - start
+        size = min(chunk, n_paths - start)
         if kernel is None:
-            streams = [path_stream(seed, path_offset + i) for i in range(start, paths.stop)]
+            streams = [path_stream(seed, path_offset + start + i) for i in range(size)]
         else:
             streams = _kernel.streams(seed, path_offset + start, size)
         copies = [copy.copy(ob) for ob in observers]
         for ob in copies:
             ob.start(np.tile(x0, (size, 1)), dt)
+        n_projected = np.zeros(size, dtype=np.int64)
+        states = np.empty((size, n_steps + 1, d)) if store else None
         rows[0, :size] = x0
         for done in range(0, n_steps, block_steps):
             b = min(block_steps, n_steps - done)
@@ -324,27 +334,22 @@ def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
                 clips, low = _advance_block_numpy(block, params, dt, z)
             else:
                 clips, low = _advance_block_c(kernel, block, params, dt, None, streams)
-            n_projected[paths] += clips
+            n_projected += clips
             for ob in copies:
                 ob.update(block, low)
             if store:
-                all_states[paths, done:done + b + 1] = block.transpose(1, 0, 2)
+                states[:, done:done + b + 1] = block.transpose(1, 0, 2)
             block[0] = block[-1]
-        final_states[paths] = rows[0, :size]
-        parts.append([ob.result() for ob in copies])
-    result = BatchResult(
-        params=params, seed=seed, n_paths=n_paths, n_steps=n_steps, dt=dt,
-        final_states=final_states, n_projected=n_projected,
-    )
-    if store:
-        times = np.arange(n_steps + 1) * dt
-        times.flags.writeable = False             # shared by every stored path
-        result.paths = [SimPath(times=times, states=all_states[i], params=params, seed=seed,
-                                path_index=path_offset + i, dt=dt,
-                                n_projected=int(n_projected[i])) for i in range(n_paths)]
-    for ob, chunk_results in zip(observers, zip(*parts)):
-        result.observations.update(ob.merge(list(chunk_results)))
-    return result
+        part = BatchResult(params=params, seed=seed, n_paths=size, n_steps=n_steps, dt=dt,
+                           final_states=rows[0, :size].copy(), n_projected=n_projected)
+        if store:
+            part.paths = [SimPath(times=times, states=states[i], params=params, seed=seed,
+                                  path_index=path_offset + start + i, dt=dt,
+                                  n_projected=int(n_projected[i])) for i in range(size)]
+        for ob in copies:
+            part.observations.update(ob.result())
+        parts.append(part)
+    return join_batches(parts)
 
 
 def simulate(params: ModelParams, x0, T: float, dt: float, seed: int) -> SimPath:
@@ -465,11 +470,6 @@ class OccupationObserver(PathObserver):
             }
         }
 
-    def merge(self, parts):
-        occ = _merge_by_path([{k: v for k, v in p["occupation"].items() if k != "eps"}
-                              for p in parts])
-        return {"occupation": {"eps": self.eps, **occ}}
-
 
 class HitObserver(PathObserver):
     """Whether a path-wise quantity dips below each epsilon at any grid time.
@@ -497,7 +497,3 @@ class HitObserver(PathObserver):
 
     def result(self):
         return {"hits": {"eps": self.eps, "hit": self._hit}}
-
-    def merge(self, parts):
-        hit = _merge_by_path([part["hits"]["hit"] for part in parts])
-        return {"hits": {"eps": self.eps, "hit": hit}}

@@ -840,12 +840,11 @@ def test_parallel_batches_independent_of_thread_count(params, n_paths, threads, 
     x0 = np.full(params.d, 1.0 / params.d)
 
     def run(workers):
-        batches = _parallel_batches(
+        batch = _parallel_batches(
             params, x0, 0.1, 1e-3, seed, n_paths, workers,
-            lambda: TimeAverageObserver({"y1": lambda s: s.max(axis=-1)}))
-        return (np.concatenate([b.final_states for b in batches]),
-                np.concatenate([b.n_projected for b in batches]),
-                np.concatenate([b.observations["time_averages"]["y1"] for b in batches]))
+            [TimeAverageObserver({"y1": lambda s: s.max(axis=-1)})])
+        return (batch.final_states, batch.n_projected,
+                batch.observations["time_averages"]["y1"])
 
     for got, ref in zip(run(threads), run(1)):
         assert np.array_equal(got, ref)
