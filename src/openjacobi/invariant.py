@@ -33,6 +33,7 @@ from .simplex import (
     as_ranked,
     as_simplex,
     monomial_integral,
+    power_sum,
     ranked_weights,
     ranking_order,
     require_valid,
@@ -433,7 +434,7 @@ def make_statistic(spec: str, d: int | None = None):
         return lambda x: np.ones(x.shape[:-1])
     m = re.match(r"^phi(\d+)$", spec)
     if m:
-        return lambda x, p=int(m.group(1)): (x ** p).sum(axis=-1)
+        return lambda x, p=int(m.group(1)): power_sum(x, p)
     for pattern, build in _INDEXED_STATS:
         m = pattern.match(spec)
         if m:

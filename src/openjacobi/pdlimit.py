@@ -19,7 +19,7 @@ import numpy as np
 
 from ._util import SEED_LIMIT, mean_and_se, substream, write_csv, z_score
 from .invariant import sample_invariant
-from .simplex import ModelParams, tail_sums
+from .simplex import ModelParams, power_sum, tail_sums
 
 ESS_FLOOR_FRACTION = 0.05
 STICK_BLOCK = 64
@@ -210,15 +210,6 @@ def pd_power_sums(theta: float, n: int, seed: int, max_degree: int):
 
     tail = _break_sticks(theta, n, seed, add_powers)
     return sums, tail
-
-
-def power_sum(y, m: float) -> np.ndarray:
-    """Symmetric power sum sum_k y_k^m over the last axis; m = 1 returns 1
-    identically (the mass convention, immune to truncation)."""
-    y = np.asarray(y, dtype=float)
-    if m == 1:
-        return np.ones(y.shape[:-1])
-    return (y ** m).sum(axis=-1)
 
 
 def moment_recursion(theta: float, powers) -> float:

@@ -1,15 +1,15 @@
 """Simplex-valued state primitives.
 
 Vectors of market weights live on the standard simplex (nonnegative entries
-summing to one); their decreasing rearrangements live on the ordered simplex.
-This module provides validated constructors for both, rank/name bookkeeping
-with a deterministic lexicographic tie-break, tail sums, model-parameter
-validation, the Wright-Fisher-type diffusion matrix, and monomial integrals
-over the ordered simplex (the normalizing-constant machinery used by the
-invariant-density code) together with the open market's small-cap
-integral.  Each integral is one backward recursion over a single scalar per
-dimension, each level a Chebyshev table filled by a Gauss rule, so its cost
-grows linearly in d.
+summing to one); their decreasing rearrangements live on the ordered
+simplex.  This module provides validated constructors for both, rank/name
+bookkeeping with a deterministic lexicographic tie-break, tail and power
+sums, model-parameter validation, the Wright-Fisher-type diffusion matrix,
+and monomial integrals over the ordered simplex (the normalizing-constant
+machinery used by the invariant-density code) together with the open
+market's small-cap integral.  Each integral is one backward recursion over a
+single scalar per dimension, each level a Chebyshev table filled by a Gauss
+rule, so its cost grows linearly in d.
 
 Measure convention: all integrals over the simplex and the ordered simplex
 are taken with respect to the pushforward of Lebesgue measure on R^{d-1}
@@ -151,13 +151,22 @@ def to_names(by_rank, order) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tail sums
+# tail sums and power sums
 # ---------------------------------------------------------------------------
 
 def tail_sums(v) -> np.ndarray:
     """All tail sums: ``out[k-1] = v_k + ... + v_d`` for k = 1..d."""
     v = np.asarray(v, dtype=float)
     return np.cumsum(v[..., ::-1], axis=-1)[..., ::-1]
+
+
+def power_sum(y, m: float) -> np.ndarray:
+    """Symmetric power sum sum_k y_k^m over the last axis; m = 1 returns 1
+    identically (the mass convention, immune to truncation)."""
+    y = np.asarray(y, dtype=float)
+    if m == 1:
+        return np.ones(y.shape[:-1])
+    return (y ** m).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
