@@ -220,6 +220,7 @@ def test_invalid_params_exit_two_with_violated_index(tmp_path, capsys):
     ("growth", {"model": {"a": [1.5, 1.5, 1.5], "gamma": [0.0] * 3}, "open_market_size": 1,
                 "growth": {"method": "mc", "n": 1}}, "ConfigError"),
     ("pd", {"pd": {"theta": 1.0, "n": 1}}, "ConfigError"),
+    ("invariant", {"model": BASE_MODEL, "sampler": {"n": 10, "kind": "sorted"}}, "ConfigError"),
 ])
 def test_typed_config_and_model_errors_exit_two(tmp_path, capsys, monkeypatch,
                                                 command, payload, error_class):
@@ -606,16 +607,20 @@ LOW_ACCEPTANCE_MODEL = {"a": [-19.5] + [0.5] * 9, "gamma": [0.0] * 10, "sigma": 
 
 
 def test_growth_mc_exits_three_on_sampler_warnings(tmp_path, capsys):
-    cfg = write_config(tmp_path, {
-        "seed": 5, "model": LOW_ACCEPTANCE_MODEL, "open_market_size": 1,
-        "growth": {"method": "mc", "n": 20},
-    })
-    assert run(["growth", "--config", str(cfg), "--out", str(tmp_path)]) == 3
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "diagnostic"
-    assert "below floor" in err["detail"]
-    growth = read_json(tmp_path / "growth_report.json")["results"]["robust_growth"]
-    assert growth["warnings"] == [err["detail"]]
+    # the growth rate's sampler, and the invariant command's the same way
+    for command, block, report in [
+        ("growth", {"open_market_size": 1, "growth": {"method": "mc", "n": 20}},
+         "growth_report.json"),
+        ("invariant", {"sampler": {"n": 20}}, "invariant_report.json"),
+    ]:
+        cfg = write_config(tmp_path, {"seed": 5, "model": LOW_ACCEPTANCE_MODEL, **block})
+        out = tmp_path / command
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "diagnostic"
+        assert "below floor" in err["detail"]
+        results = read_json(out / report)["results"]
+        assert results.get("robust_growth", results)["warnings"] == [err["detail"]]
 
 
 def test_spacing_sampler_stall_exits_three(tmp_path, capsys):

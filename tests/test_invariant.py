@@ -308,7 +308,7 @@ def test_mcmc_hybrid_named_mean_matches_monomial_ratio():
     assert abs(z_score(res.draws[:, 0].mean(), se, target, 0.0)) < 4.0
 
 
-def test_mixture_reports_pooled_acceptance_and_no_rhat():
+def test_hybrid_spacing_reports_pooled_acceptance_and_no_rhat():
     p = ModelParams(a=[1.0, 0.5, 0.5], gamma=[0.3, 0.2, 0.1])
     res = sample_invariant(p, 2_000, seed=53, kind="named")
     assert res.method == "spacing" and res.n == 2_000 and not res.warnings
@@ -322,7 +322,7 @@ def test_mixture_reports_pooled_acceptance_and_no_rhat():
     ([1.2, 0.8, 0.6], [0.3, -0.1, -0.2], 83),
     ([1.0, 0.8, 0.6, 0.5], [0.4, -0.2, 0.1, -0.3], 89),
 ], ids=["d3", "d4"])
-def test_mixture_name_at_rank_frequencies_match_assignment_weights(a, gamma, seed):
+def test_hybrid_spacing_name_at_rank_frequencies_match_assignment_weights(a, gamma, seed):
     # exact oracle: sigma has probability Q(a + gamma_sigma) / Z, so name i
     # sits at rank k with the summed weight of the assignments that put it there
     p = ModelParams(a=a, gamma=gamma)
@@ -348,7 +348,7 @@ def test_mixture_name_at_rank_frequencies_match_assignment_weights(a, gamma, see
     assert abs(same.sum() - (n - 1) * p2) < 3.0 * math.sqrt(var)
 
 
-def test_mcmc_is_an_alias_of_the_mixture_route():
+def test_mcmc_is_an_alias_of_the_spacing_route():
     p = ModelParams(a=[1.2, 0.8, 0.6], gamma=[0.3, -0.1, -0.2])
     default = sample_invariant(p, 500, seed=19, kind="named")
     spacing = sample_invariant(p, 500, seed=19, kind="named", method="spacing")
@@ -374,7 +374,7 @@ def _hybrid_models(draw, max_d=4):
 
 @settings(max_examples=30, deadline=None)
 @given(p=_hybrid_models(), seed=st.integers(0, 2 ** 32 - 1))
-def test_mixture_draws_lie_on_the_simplex_and_rank_to_the_ranked_draws(p, seed):
+def test_hybrid_spacing_draws_lie_on_the_simplex_and_rank_to_the_ranked_draws(p, seed):
     named = sample_invariant(p, 50, seed, kind="named")
     ranked = sample_invariant(p, 50, seed, kind="ranked")
     assert named.method == ranked.method == "spacing"
