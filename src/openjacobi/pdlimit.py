@@ -19,7 +19,8 @@ import numpy as np
 
 from ._util import SEED_LIMIT, mean_and_se, substream, write_csv, z_score
 from .invariant import sample_invariant
-from .simplex import ModelParams, power_sum, tail_sums
+from .simplex import ModelParams, tail_sums
+from .simplex import power_sum  # noqa: F401  (re-exported under its old name)
 
 ESS_FLOOR_FRACTION = 0.05
 STICK_BLOCK = 64
