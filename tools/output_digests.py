@@ -1,7 +1,8 @@
 """SHA-256 digests of the CLI outputs on fixed configs, for byte-identity checks.
 
 Runs ``openjacobi.cli.run`` in a temporary directory on the configs below and
-prints ``sha256  run/file`` per output and ``exit  run  code  stderr`` per run.
+prints ``sha256  run/file`` per output and ``exit  run  code  stderr`` per run
+(the first 240 characters of stderr, enough for the stick-cap refusal's risk).
 JSON reports are hashed without ``meta`` (timestamps, Euler backend).  The
 package comes from ``PYTHONPATH``; compare two source trees by diffing runs:
 
@@ -175,6 +176,9 @@ RUNS = [  # (name, command, config, extra argv)
     ("limit-phi1", "limit", {"seed": 127, "pd": {"theta": 2.0, "tilt": [0.5]},
                              "schedule": {"d_list": [10, 40]},
                              "limit": {"n": 5000, "functions": ["phi1"]}}, []),
+] + [  # either side of the stick cap at theta = 312: risk 7.13e-07 refuses n = 1e5
+    ("pd-theta312-n2", "pd", {"seed": 131, "pd": {"theta": 312.0, "n": 2}}, []),
+    ("pd-theta312-refused", "pd", {"seed": 131, "pd": {"theta": 312.0, "n": 100000}}, []),
 ]
 
 
@@ -196,7 +200,7 @@ def main() -> None:
                 code = run([command, "--config", str(config), "--out", str(out), *extra])
             for path in sorted(out.iterdir()) if out.exists() else ():
                 print(f"{digest(path)}  {name}/{path.name}")
-            print(f"exit  {name}  {code}  {err.getvalue().strip()[:120]}")
+            print(f"exit  {name}  {code}  {err.getvalue().strip()[:240]}")
 
 
 if __name__ == "__main__":
