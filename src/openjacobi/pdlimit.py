@@ -97,16 +97,35 @@ def require_stick_cap(theta: float, n: int) -> None:
     the union bound n * P(Poisson(c) >= MAX_STICKS) must not exceed
     ``STICK_CAP_RISK``.
     """
-    from scipy import special
-
     c = theta * math.log(1.0 / HARD_TAIL_FLOOR)
-    risk = n * special.pdtrc(MAX_STICKS - 1, c)
+    risk = n * _poisson_upper_tail(MAX_STICKS, c)
     if risk > STICK_CAP_RISK:
         raise ValueError(
             f"theta={theta} needs more than {MAX_STICKS} sticks per draw to reach "
             f"the tail floor {HARD_TAIL_FLOOR} with probability up to {risk:.3g} "
             f"over n={n} draws (accepted: {STICK_CAP_RISK:g})"
         )
+
+
+def _poisson_upper_tail(k_min: int, c: float) -> float:
+    """P(Poisson(c) >= k_min), summed upward from the term at k_min.
+
+    When k_min lies more than 10 standard deviations below c, the lower tail
+    is below exp(-50) (Chernoff), so the answer is 1 and no term is summed.
+    Otherwise the first term, from ``math.lgamma``, is above about 1e-25
+    wherever it is not the largest, so it underflows only when the whole
+    tail does.  Terms (times c/k) are added until one falls below 1e-17 of
+    the sum, about (c - k_min) + 9 sqrt(c) of them at most.
+    """
+    if c - k_min > 10.0 * math.sqrt(c):
+        return 1.0
+    term = math.exp(k_min * math.log(c) - c - math.lgamma(k_min + 1))
+    total, k = term, k_min
+    while term > 1e-17 * total:
+        k += 1
+        term *= c / k
+        total += term
+    return min(total, 1.0)
 
 
 def _break_sticks(theta: float, n: int, seed: int, take) -> np.ndarray:

@@ -292,7 +292,9 @@ def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
     their normals itself, and the whole batch with the numpy kernel, whose
     cost is per numpy call and whose normals fill a (batch, block, d)
     buffer.  Each chunk runs the whole horizon with its own copy of every
-    observer into a batch of its own; ``join_batches`` joins them.
+    observer into a batch of its own; ``join_batches`` joins them.  Each
+    result key may come from one observer only, so two observers of one type
+    raise ``ValueError`` instead of one overwriting the other.
     """
     x0 = _checked_start(params, x0, dt)
     if not 0 < T < math.inf:
@@ -347,7 +349,11 @@ def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
                                   path_index=path_offset + start + i, dt=dt,
                                   n_projected=int(n_projected[i])) for i in range(size)]
         for ob in copies:
-            part.observations.update(ob.result())
+            found = ob.result()
+            clash = sorted(found.keys() & part.observations.keys())
+            if clash:
+                raise ValueError(f"two observers report the result key {clash[0]!r}")
+            part.observations.update(found)
         parts.append(part)
     return join_batches(parts)
 

@@ -40,8 +40,7 @@ class _OnFirstUse:
         return getattr(importlib.import_module(self._name), attr)
 
 
-# scipy is imported only inside the functions that call it, so commands
-# that never do start without it.  No code here calls scipy.integrate;
+# No code here calls scipy, which the package does not depend on.
 # ``integrate`` stays bound, unloaded, because bench/tracing.py wraps
 # ``simplex.integrate`` to count quad calls.  It goes when bench/ drops
 # CountingIntegrate.
@@ -436,10 +435,35 @@ def _chebyshev(n: int):
 
 @functools.lru_cache(maxsize=1024)
 def _jacobi(n: int, c: float):
-    """Gauss-Jacobi rule on [0, 1] for the weight u^(c - 1), c > 0."""
-    from scipy import special
+    """Gauss-Jacobi rule on [0, 1] for the weight u^(c - 1), c > 0.
 
-    x, w = special.roots_jacobi(n, 0.0, c - 1.0)
-    u, w = (1.0 + x) / 2.0, w * 2.0 ** -c
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    polynomials orthogonal for u^(c - 1) on [0, 1], the Jacobi polynomials
+    with alpha = 0, beta = c - 1 moved from x to u = (1 + x) / 2.  Building
+    the matrix in u, not x, keeps the absolute accuracy of nodes near 0,
+    where small c puts most of the mass.  The weights are the Christoffel
+    numbers 1 / (c sum_(k<n) p_k(u)^2), with p_k orthonormal for the
+    probability measure (p_0 = 1) from the three-term recurrence; a sum that
+    overflows gives weight 0.  The squared first eigenvector components
+    would give the weights only to about 1e-16 of the largest one, and the
+    steep integrands of large exponents need the small weights to full
+    relative accuracy.
+    """
+    beta = c - 1.0
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + beta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mid = (1.0 + beta * beta / (s * (s + 2.0))) / 2.0
+    mid[0] = c / (c + 1.0)
+    k, s = k[1:], s[1:]
+    off = k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    u = np.linalg.eigvalsh(np.diag(mid) + np.diag(off, -1))
+    below = np.concatenate(([0.0], off))
+    p_prev, p, total = np.zeros(n), np.ones(n), np.ones(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n - 1):
+            p_prev, p = p, ((u - mid[j]) * p - below[j] * p_prev) / off[j]
+            total += p * p
+    w = np.where(np.isfinite(total), 1.0 / (c * total), 0.0)
     u.flags.writeable = w.flags.writeable = False
     return u, w

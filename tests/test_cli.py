@@ -786,22 +786,30 @@ from pathlib import Path
 
 from openjacobi import cli, simplex
 
-configs = {
-    "boundary": {"seed": 7, "model": {"a": [1.5, 0.5], "gamma": [0.0, 0.0], "sigma": 1.0},
-                 "boundary": {"kind": "rank_hits", "k": 2, "T": 0.5, "paths": 4,
-                              "eps": [1e-2]}},
-    "growth": {"seed": 13, "open_market_size": 1,
-               "model": {"a": [1.5, 1.5, 1.5], "gamma": [0.0, 0.0, 0.0], "sigma": 1.0},
-               "growth": {"n": 500, "sim": {"T": 0.1, "dt": 1e-3, "paths": 2}}},
-}
+rank3 = {"a": [1.5, 1.5, 1.5], "gamma": [0.0, 0.0, 0.0], "sigma": 1.0}
+runs = [
+    ("simulate", {"seed": 11, "model": rank3, "sim": {"T": 0.05, "dt": 1e-3, "paths": 2}}),
+    ("boundary", {"seed": 7, "model": {"a": [1.5, 0.5], "gamma": [0.0, 0.0], "sigma": 1.0},
+                  "boundary": {"kind": "rank_hits", "k": 2, "T": 0.5, "paths": 4,
+                               "eps": [1e-2]}}),
+    ("invariant", {"seed": 19, "sampler": {"n": 200},
+                   "model": {"a": [1.2, 0.8, 0.6], "gamma": [0.3, -0.1, -0.2], "sigma": 1.0}}),
+    ("growth", {"seed": 13, "open_market_size": 1, "model": rank3,
+                "growth": {"n": 500, "sim": {"T": 0.1, "dt": 1e-3, "paths": 2}}}),
+    ("growth", {"seed": 4, "open_market_size": 1, "model": rank3,
+                "growth": {"method": "quadrature"}}),
+    ("pd", {"seed": 17, "pd": {"theta": 1.0, "n": 500, "max_degree": 4}}),
+    ("limit", {"seed": 23, "pd": {"theta": 2.0, "tilt": [0.0]}, "schedule": {"d_list": [10]},
+               "limit": {"n": 500, "growth": {"sigma": 1.0, "N": 1}}}),
+]
 with tempfile.TemporaryDirectory() as tmp:
-    for command, payload in configs.items():
-        cfg = Path(tmp) / f"{command}.json"
+    for i, (command, payload) in enumerate(runs):
+        cfg = Path(tmp) / f"{i}.json"
         cfg.write_text(json.dumps(payload))
-        code = cli.run([command, "--config", str(cfg), "--out", str(Path(tmp) / command)])
-        assert code == 0, (command, code)
-loaded = [m for m in ("scipy.special._ufuncs", "scipy.integrate._quadpack") if m in sys.modules]
-assert not loaded, loaded
+        code = cli.run([command, "--config", str(cfg), "--out", str(Path(tmp) / str(i))])
+        assert code == 0, (command, payload, code)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded[:5]
 assert callable(simplex.integrate.quad)        # the benchmark tracer wraps it
 """
 

@@ -460,7 +460,7 @@ def test_sampler_input_validation():
     ModelParams(a=[0.0, 0.0, 0.0], gamma=[1.0, 2.0, 0.5]),
     rank_jacobi([1.0, 1.0, 1.0]),
     ModelParams(a=[1.0, 0.5, 0.5], gamma=[0.3, 0.2, 0.1]),
-], ids=["dirichlet", "spacing", "mixture"])
+], ids=["dirichlet", "spacing", "hybrid"])
 def test_sampler_options_reach_every_route(params):
     with pytest.raises(TypeError, match="burn_in"):
         sample_invariant(params, 10, seed=1, burn_in=5)

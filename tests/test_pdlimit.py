@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
+from scipy.special import pdtrc
 
 from openjacobi import (
     ModelParams,
@@ -24,7 +25,14 @@ from openjacobi import (
     tilted_estimator,
 )
 from openjacobi._util import z_score
-from openjacobi.pdlimit import HeavyTiltError, TruncationError, require_stick_cap
+from openjacobi.pdlimit import (
+    HARD_TAIL_FLOOR,
+    MAX_STICKS,
+    HeavyTiltError,
+    TruncationError,
+    _poisson_upper_tail,
+    require_stick_cap,
+)
 
 
 def mc_z(values, target):
@@ -77,6 +85,26 @@ def test_stick_cap_counts_every_draw(monkeypatch):
         require_stick_cap(312.0, 100_000)
     with pytest.raises(ValueError, match="n=100000"):
         pd_sample(theta=312.0, n=100_000, seed=0)
+
+
+@pytest.mark.parametrize("theta", [1, 250, 300, 309, 312, 314, 320, 334, 340, 360, 1000, 5000])
+def test_stick_cap_risk_matches_the_poisson_tail(theta):
+    # the refusal boundary lies near theta 309-314; the tail sums from
+    # MAX_STICKS through the mean c until theta ~ 369, beyond which it is 1
+    # without a sum (a sum from MAX_STICKS would underflow to 0 from theta ~ 480)
+    c = theta * math.log(1.0 / HARD_TAIL_FLOOR)
+    risk, ref = _poisson_upper_tail(MAX_STICKS, c), pdtrc(MAX_STICKS - 1, c)
+    if ref == 0.0:
+        assert risk == 0.0
+    else:
+        assert risk == pytest.approx(ref, rel=1e-9)
+
+
+def test_stick_cap_refuses_large_theta_and_reports_the_risk():
+    with pytest.raises(ValueError, match="sticks per draw"):
+        require_stick_cap(1000.0, 2)
+    with pytest.raises(ValueError, match="probability up to 7.13e-07 over n=100000"):
+        require_stick_cap(312.0, 100_000)
 
 
 # ---------------------------------------------------------------------------

@@ -823,6 +823,15 @@ def test_observer_results_merge_by_path_index(n_paths):
     assert merged[("hits", "hit")].any() and not merged[("hits", "hit")].all()
 
 
+def test_two_observers_of_one_type_are_refused():
+    # both report "hits"; merging them would keep only the second ladder
+    p = rank_jacobi([1.0, 1.0, 1.0])
+    band = BoundaryQuery("rank_hits", k=p.d).band
+    observers = [HitObserver(band, (0.2,)), HitObserver(band, (1e-2, 1e-4))]
+    with pytest.raises(ValueError, match="'hits'"):
+        run_paths(p, np.full(p.d, 1.0 / p.d), 0.01, 1e-3, 9, n_paths=2, observers=observers)
+
+
 @pytest.mark.parametrize("block_steps", [0, -3, 2.5])
 def test_run_paths_rejects_block_steps_below_one(block_steps):
     # with 0 each block would advance no step, so the loop would never end

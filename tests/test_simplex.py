@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -25,8 +26,10 @@ from openjacobi import (
 )
 from openjacobi.sde import drift
 from openjacobi.simplex import (
+    _SHELL_RULE_SIZES,
     RENORM_TOL,
     SUM_TOL,
+    _jacobi,
     ranked_weights,
     small_cap_integral,
     to_names,
@@ -341,6 +344,46 @@ def test_monomial_integral_raises_when_rel_tol_cannot_be_met():
         monomial_integral(b, rel_tol=1e-15)
     error = float(str(info.value).split("estimated error ")[1].split()[0])
     assert error > 0.0
+
+
+@pytest.mark.parametrize("c", [0.05, 0.5, 1.0, 7.0, 40.0, 200.0])
+@pytest.mark.parametrize("n", _SHELL_RULE_SIZES)
+def test_jacobi_rule_integrates_moments(n, c):
+    # an n-point Gauss rule for u^(c - 1) on [0, 1] is exact to degree 2n - 1
+    u, w = _jacobi(n, c)
+    for m in (0, 1, 5, n, 2 * n - 1):
+        assert (w * u ** m).sum() == pytest.approx(1.0 / (c + m), rel=1e-10)
+
+
+@pytest.mark.parametrize("c", [0.05, 0.5, 1.0, 7.0, 40.0, 200.0])
+@pytest.mark.parametrize("n", _SHELL_RULE_SIZES)
+def test_jacobi_rule_matches_scipy(n, c):
+    # scipy's own rules miss the moment identities by up to 1.5e-8, hence
+    # the weight tolerance; weights below 1e-280 are left out
+    x, ref = special.roots_jacobi(n, 0.0, c - 1.0)
+    ref = ref * 2.0 ** -c
+    u, w = _jacobi(n, c)
+    np.testing.assert_allclose(u, (1.0 + x) / 2.0, rtol=0.0, atol=1e-13)
+    kept = ref >= 1e-280
+    np.testing.assert_allclose(w[kept], ref[kept], rtol=1e-7)
+
+
+_rng = np.random.default_rng(0)
+DIRICHLET_EXPONENTS = {d: _rng.uniform(0.3, 1.5, d) for d in (3, 4)}
+
+
+@pytest.mark.parametrize("scale", [20, 60, 120])
+@pytest.mark.parametrize("d", sorted(DIRICHLET_EXPONENTS))
+def test_monomial_integrals_over_every_ordering_sum_to_dirichlet(d, scale):
+    # the d! ordered cells tile the simplex, so the Q(b_sigma) over all
+    # orderings add up to prod Gamma(b_i) / Gamma(sum b); exponents this
+    # large need the smallest Gauss-Jacobi weights to full relative accuracy
+    b = DIRICHLET_EXPONENTS[d] * scale
+    exact = math.exp(sum(math.lgamma(x) for x in b) - math.lgamma(b.sum()))
+    assert exact > 1e-300
+    total = math.fsum(monomial_integral(b[list(order)])
+                      for order in itertools.permutations(range(d)))
+    assert total == pytest.approx(exact, rel=1e-6)
 
 
 @pytest.mark.parametrize("a", [
