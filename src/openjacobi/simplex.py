@@ -439,15 +439,17 @@ def _jacobi(n: int, c: float):
 
     Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
     polynomials orthogonal for u^(c - 1) on [0, 1], the Jacobi polynomials
-    with alpha = 0, beta = c - 1 moved from x to u = (1 + x) / 2.  Building
-    the matrix in u, not x, keeps the absolute accuracy of nodes near 0,
-    where small c puts most of the mass.  The weights are the Christoffel
-    numbers 1 / (c sum_(k<n) p_k(u)^2), with p_k orthonormal for the
-    probability measure (p_0 = 1) from the three-term recurrence; a sum that
-    overflows gives weight 0.  The squared first eigenvector components
-    would give the weights only to about 1e-16 of the largest one, and the
-    steep integrands of large exponents need the small weights to full
-    relative accuracy.
+    with alpha = 0, beta = c - 1 moved from x to u = (1 + x) / 2.  In u the
+    matrix is positive definite, and eigvalsh finds its smallest eigenvalues,
+    the nodes near 0 where small c puts most of the mass, far more accurately
+    than 1 + x (n = 256, c = 0.05: the smallest node to 2e-11 relative,
+    against 2e-9 through x).  The weights are the Christoffel numbers
+    1 / (c sum_(k<n) p_k(u)^2), with p_k orthonormal for the probability
+    measure (p_0 = 1) from the three-term recurrence; a sum that overflows
+    gives weight 0.  The squared first eigenvector components would give
+    the weights only to about 1e-16 of the largest one, and the steep
+    integrands of large exponents need the small weights to full relative
+    accuracy.
     """
     beta = c - 1.0
     k = np.arange(n, dtype=float)
