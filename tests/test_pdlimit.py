@@ -89,9 +89,10 @@ def test_stick_cap_counts_every_draw(monkeypatch):
 
 @pytest.mark.parametrize("theta", [1, 250, 300, 309, 312, 314, 320, 334, 340, 360, 1000, 5000])
 def test_stick_cap_risk_matches_the_poisson_tail(theta):
-    # the refusal boundary lies near theta 309-314; the tail sums from
-    # MAX_STICKS through the mean c until theta ~ 369, beyond which it is 1
-    # without a sum (a sum from MAX_STICKS would underflow to 0 from theta ~ 480)
+    # the refusal boundary lies near theta 309-314; up to theta ~ 369 the
+    # tail is summed from MAX_STICKS (through the mean c once theta > 334),
+    # beyond that it is 1 without a sum, where a sum from MAX_STICKS would
+    # underflow to 0 from theta ~ 480
     c = theta * math.log(1.0 / HARD_TAIL_FLOOR)
     risk, ref = _poisson_upper_tail(MAX_STICKS, c), pdtrc(MAX_STICKS - 1, c)
     if ref == 0.0:
