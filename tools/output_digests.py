@@ -179,6 +179,11 @@ RUNS = [  # (name, command, config, extra argv)
 ] + [  # either side of the stick cap at theta = 312: risk 7.13e-07 refuses n = 1e5
     ("pd-theta312-n2", "pd", {"seed": 131, "pd": {"theta": 312.0, "n": 2}}, []),
     ("pd-theta312-refused", "pd", {"seed": 131, "pd": {"theta": 312.0, "n": 100000}}, []),
+] + [  # time averages of four more statistics, joined over two path chunks
+    ("invariant-ergodic-stats-40", "invariant", {
+        "seed": 137, "model": RANK3, "sampler": {"n": 1000, "method": "spacing"},
+        "ergodic": {"T": 0.5, "dt": 1e-3, "paths": 40,
+                    "functions": ["y1^2", "phi2", "rank1_is_2", "x3"]}}, []),
 ]
 
 
