@@ -160,11 +160,11 @@ def mc_hit_frequency(params: ModelParams, query: BoundaryQuery, *,
     """
     observer = HitObserver(query.band, eps)
     batch = run_paths(params, np.full(params.d, 1.0 / params.d), T, dt, seed,
-                      n_paths=n_paths, observers=[observer])
-    hits = batch.observations["hits"]                 # eps (E,), hit (E, P) booleans
-    lo, hi = np.array([wilson_interval(int(h.sum()), n_paths) for h in hits["hit"]]).T
+                      n_paths=n_paths, observers={"hits": observer})
+    hit = batch.observations["hits"]                  # (E, P) booleans
+    lo, hi = np.array([wilson_interval(int(h.sum()), n_paths) for h in hit]).T
     return FrequencyTable(
         query=query, analytic_avoids=query.analytic_avoids(params),
-        eps=hits["eps"], frequency=hits["hit"].mean(axis=1), ci_lo=lo, ci_hi=hi,
+        eps=observer.eps, frequency=hit.mean(axis=1), ci_lo=lo, ci_hi=hi,
         n_paths=n_paths, horizon=batch.horizon, under_resolved=batch.under_resolved,
     )

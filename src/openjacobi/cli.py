@@ -288,7 +288,7 @@ def cmd_growth(cfg, out, threads):
     if exists and sim:
         strategy = portfolio_mod.GrowthOptimalStrategy(params, n_top)
         batch = _parallel_batches(params, x0, T, dt, seed, n_paths, threads,
-                                  [portfolio_mod.WealthObserver(strategy, params)])
+                                  {"wealth": portfolio_mod.WealthObserver(strategy, params)})
         wealth = batch.observations["wealth"]
         payload["results"]["backtest"] = {
             "per_path_log_wealth": wealth["log_wealth"],

@@ -495,9 +495,8 @@ def ergodic_compare(params: ModelParams, funcs: dict, sample: SampleResult, *,
         raise ValueError(f"need n_paths >= 2 for a cross-path standard error, got {n_paths}")
     funcs = {name: (make_statistic(fn, params.d) if isinstance(fn, str) else fn)
              for name, fn in funcs.items()}
-    observer = TimeAverageObserver(funcs)
     batch = run_paths(params, np.full(params.d, 1.0 / params.d), T, dt, seed,
-                      n_paths=n_paths, observers=[observer])
+                      n_paths=n_paths, observers={"time_averages": TimeAverageObserver(funcs)})
     averages = batch.observations["time_averages"]
     entries = []
     for name, fn in funcs.items():

@@ -84,7 +84,6 @@ class PDSample:
 
     weights: np.ndarray          # (n, K) with K <= MAX_STICKS
     tail_mass: np.ndarray        # (n,)
-    theta: float
 
 
 def require_stick_cap(theta: float, n: int) -> None:
@@ -204,7 +203,7 @@ def pd_sample(theta: float, n: int, seed: int) -> PDSample:
     del blocks                             # only the table is left to sort
     weights.sort(axis=1)                   # ranked_weights, in place
     np.negative(weights, out=weights)
-    return PDSample(weights=weights, tail_mass=tail, theta=theta)
+    return PDSample(weights=weights, tail_mass=tail)
 
 
 def pd_power_sums(theta: float, n: int, seed: int, max_degree: int):

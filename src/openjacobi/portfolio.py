@@ -255,8 +255,6 @@ class WealthLedger:
     log_wealth: np.ndarray
     drift_part: np.ndarray
     mart_part: np.ndarray
-    strategy: str
-    path_index: int
     n_guarded: int
     theta: np.ndarray              # (n+1, d)
 
@@ -312,8 +310,6 @@ def wealth(path: SimPath, strategy: Strategy, tol: float = SELF_FINANCING_TOL) -
         log_wealth=log_wealth,
         drift_part=drift_part,
         mart_part=log_wealth - drift_part,
-        strategy=strategy.name,
-        path_index=path.path_index,
         n_guarded=int(mask[:-1].sum()),
         theta=theta,
     )
@@ -343,7 +339,7 @@ class WealthObserver(PathObserver):
         self._prev_theta = theta[-1].copy()
 
     def result(self):
-        return {"wealth": {"log_wealth": self._logv.copy(), "n_guarded": self._guarded.copy()}}
+        return {"log_wealth": self._logv.copy(), "n_guarded": self._guarded.copy()}
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ Paths are driven by counter-based Philox streams keyed by
 (master seed, path index), so batches are bit-reproducible regardless of
 block size, chunk size, worker count, or dispatch order.  Long-horizon
 experiments avoid storing full trajectories by attaching observers that
-consume the simulation block by block; they get the run's dt once and then
-see each block's states with the per-path minima of its ranked weights
-(``ranked_minima``).  ``_dips`` is the one epsilon-ladder test,
-lo < eps <= hi.
+consume the simulation block by block, each under a result key the caller
+names; they get the run's dt once and then see each block's states with the
+per-path minima of its ranked weights (``ranked_minima``).  ``_dips`` is the
+one epsilon-ladder test, lo < eps <= hi.
 
 Steps run in a compiled C kernel (``_kernel.c``, built on first use and
 cached; see ``_kernel``) that releases the GIL, so worker threads simulate
@@ -173,10 +173,9 @@ class SimPath:
 
 @dataclass
 class BatchResult:
-    """Outcome of a multi-path run: terminal states plus observer payloads."""
+    """Outcome of a multi-path run: terminal states plus observer results,
+    each under the key its observer was given."""
 
-    params: ModelParams
-    seed: int
     n_paths: int
     n_steps: int
     dt: float
@@ -233,9 +232,9 @@ class PathObserver:
     not views.  Implementations must count each grid point exactly once:
     the initial state in ``start`` and rows 1..B in ``update``.
 
-    ``result`` returns a dict of arrays with the paths on their last axis,
-    which ``join_batches`` joins key by key; a value that every copy returns
-    as the same object, such as an ``eps`` ladder, is a run constant.
+    ``result`` returns the chunk's per-path data only: an array, or a dict
+    of arrays, with the paths on the last axis, which ``join_batches``
+    concatenates along that axis.
     """
 
     def start(self, states: np.ndarray, dt: float) -> None:
@@ -244,7 +243,7 @@ class PathObserver:
     def update(self, states: np.ndarray, low: np.ndarray) -> None:
         raise NotImplementedError
 
-    def result(self) -> dict:
+    def result(self):
         raise NotImplementedError
 
 
@@ -259,14 +258,9 @@ def join_batches(batches: list) -> BatchResult:
 
 
 def _join_by_path(parts: list):
-    """Dicts join key by key and arrays along their last axis, the paths;
-    a value that every part holds as the same object, a run constant, is
-    kept once."""
-    first = parts[0]
-    if all(part is first for part in parts):
-        return first
-    if isinstance(first, dict):
-        return {key: _join_by_path([part[key] for part in parts]) for key in first}
+    """Dicts join key by key and arrays along their last axis, the paths."""
+    if isinstance(parts[0], dict):
+        return {key: _join_by_path([part[key] for part in parts]) for key in parts[0]}
     return np.concatenate(parts, axis=-1)
 
 
@@ -282,7 +276,7 @@ def _checked_start(params: ModelParams, x0, dt: float) -> np.ndarray:
 
 
 def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
-              n_paths: int = 1, observers=(), store: bool = False,
+              n_paths: int = 1, observers=None, store: bool = False,
               block_steps: int = BLOCK_STEPS, path_offset: int = 0) -> BatchResult:
     """Simulate ``n_paths`` trajectories to horizon T, one path chunk at a time.
 
@@ -291,10 +285,10 @@ def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
     Chunks hold ``PATH_CHUNK`` paths with the compiled kernel, which draws
     their normals itself, and the whole batch with the numpy kernel, whose
     cost is per numpy call and whose normals fill a (batch, block, d)
-    buffer.  Each chunk runs the whole horizon with its own copy of every
-    observer into a batch of its own; ``join_batches`` joins them.  Each
-    result key may come from one observer only, so two observers of one type
-    raise ``ValueError`` instead of one overwriting the other.
+    buffer.  ``observers`` maps result keys to observers, and
+    ``observations[key]`` holds the result of the observer under that key.
+    Each chunk runs the whole horizon with its own copy of every observer
+    into a batch of its own; ``join_batches`` joins them.
     """
     x0 = _checked_start(params, x0, dt)
     if not 0 < T < math.inf:
@@ -320,8 +314,8 @@ def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
             streams = [path_stream(seed, path_offset + start + i) for i in range(size)]
         else:
             streams = _kernel.streams(seed, path_offset + start, size)
-        copies = [copy.copy(ob) for ob in observers]
-        for ob in copies:
+        copies = {key: copy.copy(ob) for key, ob in (observers or {}).items()}
+        for ob in copies.values():
             ob.start(np.tile(x0, (size, 1)), dt)
         n_projected = np.zeros(size, dtype=np.int64)
         states = np.empty((size, n_steps + 1, d)) if store else None
@@ -337,23 +331,18 @@ def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
             else:
                 clips, low = _advance_block_c(kernel, block, params, dt, None, streams)
             n_projected += clips
-            for ob in copies:
+            for ob in copies.values():
                 ob.update(block, low)
             if store:
                 states[:, done:done + b + 1] = block.transpose(1, 0, 2)
             block[0] = block[-1]
-        part = BatchResult(params=params, seed=seed, n_paths=size, n_steps=n_steps, dt=dt,
-                           final_states=rows[0, :size].copy(), n_projected=n_projected)
+        part = BatchResult(n_paths=size, n_steps=n_steps, dt=dt,
+                           final_states=rows[0, :size].copy(), n_projected=n_projected,
+                           observations={key: ob.result() for key, ob in copies.items()})
         if store:
             part.paths = [SimPath(times=times, states=states[i], params=params, seed=seed,
                                   path_index=path_offset + start + i, dt=dt,
                                   n_projected=int(n_projected[i])) for i in range(size)]
-        for ob in copies:
-            found = ob.result()
-            clash = sorted(found.keys() & part.observations.keys())
-            if clash:
-                raise ValueError(f"two observers report the result key {clash[0]!r}")
-            part.observations.update(found)
         parts.append(part)
     return join_batches(parts)
 
@@ -431,11 +420,7 @@ class TimeAverageObserver(PathObserver):
         self._elapsed += self._dt * left.shape[0]
 
     def result(self):
-        return {
-            "time_averages": {
-                name: acc / self._elapsed for name, acc in self._acc.items()
-            }
-        }
+        return {name: acc / self._elapsed for name, acc in self._acc.items()}
 
 
 class OccupationObserver(PathObserver):
@@ -468,12 +453,9 @@ class OccupationObserver(PathObserver):
     def result(self):
         n = float(self._n)
         return {
-            "occupation": {
-                "eps": self.eps,
-                "gap_fraction": self._counts[..., :-2].transpose(0, 2, 1) / n,   # (E, d-1, P)
-                "min_weight_fraction": self._counts[..., -2] / n,
-                "triple_fraction": self._counts[..., -1] / n,
-            }
+            "gap_fraction": self._counts[..., :-2].transpose(0, 2, 1) / n,   # (E, d-1, P)
+            "min_weight_fraction": self._counts[..., -2] / n,
+            "triple_fraction": self._counts[..., -1] / n,
         }
 
 
@@ -502,4 +484,4 @@ class HitObserver(PathObserver):
         self._hit |= _dips(*self.band(rows, low), self.eps).any(axis=1)
 
     def result(self):
-        return {"hits": {"eps": self.eps, "hit": self._hit}}
+        return self._hit

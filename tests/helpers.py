@@ -176,7 +176,7 @@ def occupation_stats(path: SimPath, eps: float) -> SimpleNamespace:
     counter.start(path.states[:1], path.dt)
     states = path.states[:, None, :]
     counter.update(states, ranked_minima(states[1:]))
-    occ = counter.result()["occupation"]
+    occ = counter.result()
     return SimpleNamespace(
         gap_fractions=occ["gap_fraction"][0, :, 0],
         min_weight_fraction=float(occ["min_weight_fraction"][0, 0]),

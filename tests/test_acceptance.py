@@ -71,7 +71,8 @@ def ergodic_run():
     averages = TimeAverageObserver(funcs)
     occupation = OccupationObserver(eps_ladder=(1e-2, 1e-3, 1e-4))
     return run_paths(ERGODIC_PARAMS, np.full(3, 1 / 3), T=2000.0, dt=1e-3,
-                     seed=41001, n_paths=20, observers=[averages, occupation])
+                     seed=41001, n_paths=20,
+                     observers={"time_averages": averages, "occupation": occupation})
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +81,7 @@ def growth_run():
     strategy = GrowthOptimalStrategy(GROWTH_PARAMS, 1)
     observer = WealthObserver(strategy, GROWTH_PARAMS)
     return run_paths(GROWTH_PARAMS, np.full(3, 1 / 3), T=2000.0, dt=1e-3,
-                     seed=52001, n_paths=20, observers=[observer])
+                     seed=52001, n_paths=20, observers={"wealth": observer})
 
 
 # ---------------------------------------------------------------------------

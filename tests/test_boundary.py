@@ -210,11 +210,10 @@ def test_hit_observer_matches_a_stepwise_check(backend, query, monkeypatch):
     eps = (0.1, 3e-2, 1e-2)
     observer = HitObserver(query.band, eps)
     batch = run_paths(p, np.full(3, 1 / 3), T=1.0, dt=1e-3, seed=11, n_paths=12,
-                      observers=[observer], store=True, block_steps=300)
-    hits = batch.observations["hits"]
+                      observers={"hits": observer}, store=True, block_steps=300)
     expected = np.array([[any(_dips_at(query, x.tolist(), e) for x in path.states)
-                          for path in batch.paths] for e in hits["eps"]])
-    assert np.array_equal(hits["hit"], expected)
+                          for path in batch.paths] for e in observer.eps])
+    assert np.array_equal(batch.observations["hits"], expected)
     assert expected.any() and not expected.all()
 
 
@@ -241,7 +240,7 @@ class _LambdaQV(PathObserver):
         self.model += (self.sigma ** 2 * left * (1.0 - left)).sum(axis=0) * dt
 
     def result(self):
-        return {"lambda_qv": {"realized": self.realized, "model": self.model}}
+        return {"realized": self.realized, "model": self.model}
 
 
 def test_nameset_sum_quadratic_variation_matches_model():
@@ -249,7 +248,7 @@ def test_nameset_sum_quadratic_variation_matches_model():
     p = rank_jacobi([1.0, 1.0, 1.0], sigma=1.2)
     obs = _LambdaQV([1, 3], p.sigma)
     batch = run_paths(p, np.full(3, 1 / 3), T=5.0, dt=1e-3, seed=7,
-                      n_paths=50, observers=[obs])
+                      n_paths=50, observers={"lambda_qv": obs})
     realized = batch.observations["lambda_qv"]["realized"].mean()
     model = batch.observations["lambda_qv"]["model"].mean()
     assert abs(realized - model) / model < 0.05

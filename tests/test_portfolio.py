@@ -419,7 +419,7 @@ def observe(path, strategy, blocks=1):
         if hi > lo:
             states = path.states[lo:hi + 1, None, :]
             obs.update(states, ranked_minima(states[1:]))
-    return obs.result()["wealth"]
+    return obs.result()
 
 
 def test_wealth_guard_ignores_terminal_state():

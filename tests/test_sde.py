@@ -180,7 +180,7 @@ def test_long_run_mean_matches_symmetric_dirichlet():
     p = ModelParams(a=np.zeros(d), gamma=np.full(d, 2.0), sigma=1.0)
     obs = TimeAverageObserver({"x1": lambda s: s[..., 0]})
     batch = run_paths(p, np.full(d, 1.0 / d), T=100.0, dt=1e-3, seed=21,
-                      n_paths=4, observers=[obs])
+                      n_paths=4, observers={"time_averages": obs})
     avg = batch.observations["time_averages"]["x1"]
     assert abs(avg.mean() - 1.0 / d) < 0.02
 
@@ -206,7 +206,7 @@ def test_observers_get_the_run_dt_once_then_states_and_ranked_minima():
     dt = 0.1 / 3                  # a block time grid would reproduce this dt only to an ulp
     rec = _Recorder()
     batch = run_paths(p, [0.5, 0.3, 0.2], T=3.0, dt=dt, seed=5, n_paths=2,
-                      observers=[rec], block_steps=7)
+                      observers={"rec": rec}, block_steps=7)
     (kind, (states, got_dt)), *updates = rec.calls
     assert kind == "start" and states.shape == (2, 3)
     assert got_dt == dt
@@ -245,7 +245,7 @@ class _CovariationTerminal(PathObserver):
         self.model += rate.sum(axis=0) * dt
 
     def result(self):
-        return {"cov": {"realized": self.realized, "model": self.model}}
+        return {"realized": self.realized, "model": self.model}
 
 
 @pytest.mark.parametrize("i,j", [(1, 1), (1, 2)])
@@ -254,9 +254,9 @@ def test_realized_covariation_tracks_model_integral(i, j):
     diag = _CovariationTerminal(i, j, p)
     scale = _CovariationTerminal(i, i, p)
     batch = run_paths(p, np.full(3, 1 / 3), T=10.0, dt=1e-3, seed=77,
-                      n_paths=100, observers=[diag])
+                      n_paths=100, observers={"cov": diag})
     batch2 = run_paths(p, np.full(3, 1 / 3), T=10.0, dt=1e-3, seed=77,
-                       n_paths=100, observers=[scale])
+                       n_paths=100, observers={"cov": scale})
     gap = (batch.observations["cov"]["realized"]
            - batch.observations["cov"]["model"]).mean()
     norm = batch2.observations["cov"]["model"].mean()
@@ -313,7 +313,7 @@ def test_occupation_observer_matches_stored_stats():
     p = rank_jacobi([1.0, 1.0, 1.0])
     obs = OccupationObserver(eps_ladder=(1e-2,))
     batch = run_paths(p, [0.5, 0.3, 0.2], T=1.0, dt=1e-3, seed=13, n_paths=1,
-                      observers=[obs], store=True, block_steps=173)
+                      observers={"occupation": obs}, store=True, block_steps=173)
     stored = occupation_stats(batch.paths[0], eps=1e-2)
     streamed = batch.observations["occupation"]
     assert np.allclose(streamed["gap_fraction"][0, :, 0], stored.gap_fractions)
@@ -595,17 +595,18 @@ def _both_kernels(params, seed, n_paths, n_steps, dt, block_steps=sde.BLOCK_STEP
     d = params.d
 
     def run():
-        observers = [
-            TimeAverageObserver({"y1": lambda s: s.max(axis=-1), "x1": lambda s: s[..., 0]}),
-            HitObserver(BoundaryQuery("rank_hits", k=d).band, (0.2, 1e-2, 1e-4)),
-        ]
+        observers = {
+            "time_averages": TimeAverageObserver({"y1": lambda s: s.max(axis=-1),
+                                                  "x1": lambda s: s[..., 0]}),
+            "hits": HitObserver(BoundaryQuery("rank_hits", k=d).band, (0.2, 1e-2, 1e-4)),
+        }
         batch = run_paths(params, np.full(d, 1.0 / d), n_steps * dt, dt, seed,
                           n_paths=n_paths, observers=observers, store=True,
                           block_steps=block_steps, path_offset=offset)
         obs = batch.observations
         return [batch.final_states, batch.n_projected,
                 np.stack([path.states for path in batch.paths]),
-                obs["time_averages"]["y1"], obs["time_averages"]["x1"], obs["hits"]["hit"]]
+                obs["time_averages"]["y1"], obs["time_averages"]["x1"], obs["hits"]]
 
     compiled_kernel()
     compiled = run()
@@ -700,19 +701,20 @@ def test_observers_independent_of_block_steps(params, n_paths, n_steps, block_st
     eps = (0.2, 1e-2, 1e-4)
 
     def run(steps):
-        observers = [
-            TimeAverageObserver({"y1": lambda s: s.max(axis=-1), "x1": lambda s: s[..., 0]}),
-            OccupationObserver(eps),
-            HitObserver(BoundaryQuery("rank_hits", k=params.d).band, eps),
-            WealthObserver(GrowthOptimalStrategy(params, 1), params),
-        ]
+        observers = {
+            "time_averages": TimeAverageObserver({"y1": lambda s: s.max(axis=-1),
+                                                  "x1": lambda s: s[..., 0]}),
+            "occupation": OccupationObserver(eps),
+            "hits": HitObserver(BoundaryQuery("rank_hits", k=params.d).band, eps),
+            "wealth": WealthObserver(GrowthOptimalStrategy(params, 1), params),
+        }
         return run_paths(params, x0, n_steps * dt, dt, seed, n_paths=n_paths,
                          observers=observers, block_steps=steps).observations
 
     got, ref = run(block_steps), run(n_steps)
     for key in ("gap_fraction", "min_weight_fraction", "triple_fraction"):
         assert np.array_equal(got["occupation"][key], ref["occupation"][key])
-    assert np.array_equal(got["hits"]["hit"], ref["hits"]["hit"])
+    assert np.array_equal(got["hits"], ref["hits"])
     assert np.array_equal(got["wealth"]["n_guarded"], ref["wealth"]["n_guarded"])
     floats = [(got["time_averages"][k], ref["time_averages"][k]) for k in ("y1", "x1")]
     floats += [(got["wealth"][k], ref["wealth"][k]) for k in ("log_wealth",)]
@@ -736,16 +738,16 @@ def test_paths_independent_of_chunks_and_kernel(params, n_paths, n_steps, block_
     dt, eps = 0.2, (0.2, 1e-2, 1e-4)
 
     def run(count, offset=0):
-        observers = [
-            TimeAverageObserver({"y1": lambda s: s.max(axis=-1)}),
-            OccupationObserver(eps),
-            HitObserver(BoundaryQuery("rank_hits", k=params.d).band, eps),
-        ]
+        observers = {
+            "time_averages": TimeAverageObserver({"y1": lambda s: s.max(axis=-1)}),
+            "occupation": OccupationObserver(eps),
+            "hits": HitObserver(BoundaryQuery("rank_hits", k=params.d).band, eps),
+        }
         batch = run_paths(params, x0, n_steps * dt, dt, seed, n_paths=count, store=True,
                           observers=observers, block_steps=block_steps, path_offset=offset)
         obs = batch.observations
         return [np.stack([path.states for path in batch.paths]), batch.n_projected,
-                obs["time_averages"]["y1"], obs["hits"]["hit"].T,
+                obs["time_averages"]["y1"], obs["hits"].T,
                 obs["occupation"]["gap_fraction"].transpose(2, 0, 1),
                 obs["occupation"]["min_weight_fraction"].T]
 
@@ -779,7 +781,7 @@ class _LastRow(PathObserver):
         self._steps += states.shape[0] - 1
 
     def result(self):
-        return {"last_row": {"x": self._x, "steps": self._steps}}
+        return {"x": self._x, "steps": self._steps}
 
 
 def _leaves(obs, prefix=()):
@@ -794,7 +796,7 @@ def _leaves(obs, prefix=()):
 @pytest.mark.parametrize("n_paths", [_C + 1, 2 * _C + 3])
 def test_observer_results_merge_by_path_index(n_paths):
     # every chunk feeds its own observer copies; the merged results equal
-    # one run per path, and the eps ladders are not joined
+    # one run per path
     compiled_kernel()
     p = ModelParams(a=[1.0, 0.5, 0.5, 0.2], gamma=[0.3, 0.2, 0.1, 0.0], sigma=1.2)
     x0 = np.full(p.d, 1.0 / p.d)
@@ -802,8 +804,10 @@ def test_observer_results_merge_by_path_index(n_paths):
 
     def run(count, offset=0):
         last = _LastRow()
-        observers = [WealthObserver(GrowthOptimalStrategy(p, 1), p), OccupationObserver(eps),
-                     HitObserver(BoundaryQuery("rank_hits", k=p.d).band, eps), last]
+        observers = {"wealth": WealthObserver(GrowthOptimalStrategy(p, 1), p),
+                     "occupation": OccupationObserver(eps),
+                     "hits": HitObserver(BoundaryQuery("rank_hits", k=p.d).band, eps),
+                     "last_row": last}
         batch = run_paths(p, x0, 0.15, 1e-3, 9, n_paths=count, observers=observers,
                           block_steps=40, path_offset=offset)
         return batch, last.sizes
@@ -814,22 +818,43 @@ def test_observer_results_merge_by_path_index(n_paths):
     singles = [dict(_leaves(run(1, i)[0].observations)) for i in range(n_paths)]
     assert set(merged) == set(singles[0])
     for key, value in merged.items():
-        if key[-1] == "eps":
-            assert value.shape == (len(eps),)
-            assert np.array_equal(value, singles[0][key])
-        else:
-            assert np.array_equal(value, np.concatenate([one[key] for one in singles], axis=-1))
+        assert np.array_equal(value, np.concatenate([one[key] for one in singles], axis=-1))
     assert np.array_equal(merged[("last_row", "x")], batch.final_states.T)
-    assert merged[("hits", "hit")].any() and not merged[("hits", "hit")].all()
+    assert merged[("hits",)].any() and not merged[("hits",)].all()
 
 
-def test_two_observers_of_one_type_are_refused():
-    # both report "hits"; merging them would keep only the second ladder
-    p = rank_jacobi([1.0, 1.0, 1.0])
+def _hit_ladders(p):
     band = BoundaryQuery("rank_hits", k=p.d).band
-    observers = [HitObserver(band, (0.2,)), HitObserver(band, (1e-2, 1e-4))]
-    with pytest.raises(ValueError, match="'hits'"):
-        run_paths(p, np.full(p.d, 1.0 / p.d), 0.01, 1e-3, 9, n_paths=2, observers=observers)
+    return {"coarse": HitObserver(band, (0.2,)), "fine": HitObserver(band, (1e-2, 1e-4))}
+
+
+def _wealth_strategies(p):
+    # the growth-optimal strategy of the simulated model and that of a rival
+    rival = rank_jacobi([1.8, 1.2, 1.5])
+    return {"optimal": WealthObserver(GrowthOptimalStrategy(p, 1), p),
+            "rival": WealthObserver(GrowthOptimalStrategy(rival, 1), p)}
+
+
+@pytest.mark.parametrize("pair", [_hit_ladders, _wealth_strategies],
+                         ids=["hit-ladders", "wealth-strategies"])
+def test_two_observers_of_one_type_share_a_run(pair):
+    # each key holds exactly what its observer reports alone on the same seed
+    p = rank_jacobi([1.5, 1.5, 1.5])
+    observers = pair(p)
+
+    def run(chosen):
+        return run_paths(p, np.full(p.d, 1.0 / p.d), 0.5, 1e-3, 9, n_paths=_C + 1,
+                         observers=chosen).observations
+
+    both = dict(_leaves(run(observers)))
+    alone = {}
+    for key, ob in observers.items():
+        alone.update(_leaves(run({key: ob})))
+    assert both.keys() == alone.keys()
+    for leaf, value in both.items():
+        assert np.array_equal(value, alone[leaf])
+    first, second = ([v for leaf, v in both.items() if leaf[0] == key] for key in observers)
+    assert not all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 @pytest.mark.parametrize("block_steps", [0, -3, 2.5])
@@ -851,7 +876,7 @@ def test_parallel_batches_independent_of_thread_count(params, n_paths, threads, 
     def run(workers):
         batch = _parallel_batches(
             params, x0, 0.1, 1e-3, seed, n_paths, workers,
-            [TimeAverageObserver({"y1": lambda s: s.max(axis=-1)})])
+            {"time_averages": TimeAverageObserver({"y1": lambda s: s.max(axis=-1)})})
         return (batch.final_states, batch.n_projected,
                 batch.observations["time_averages"]["y1"])
 
