@@ -34,14 +34,12 @@ from .pdlimit import (
 )
 from .portfolio import (
     ExpLinearGenerator,
-    GeneratedStrategy,
-    GrowthOptimalStrategy,
     GrowthReport,
-    MarketPortfolio,
     WealthLedger,
     WealthObserver,
     expand_open,
     foc_residual,
+    generated_theta,
     growth_exists,
     growth_optimal_theta,
     master_formula,

@@ -277,7 +277,7 @@ def cmd_growth(cfg, out, threads):
             x0 = _x0(sim, params.d)
     seed = cfg["seed"]
     payload = {"results": {"exists": exists, "existence_report": detail}}
-    growth = None
+    growth = batch = None
     if exists:
         try:
             growth = portfolio_mod.robust_growth_rate(params, n_top, method=method, n=n,
@@ -286,9 +286,9 @@ def cmd_growth(cfg, out, threads):
         except portfolio_mod.GrowthConditionError:
             pass                # the robust rate needs strict margins on a rank model
     if exists and sim:
-        strategy = portfolio_mod.GrowthOptimalStrategy(params, n_top)
-        batch = _parallel_batches(params, x0, T, dt, seed, n_paths, threads,
-                                  {"wealth": portfolio_mod.WealthObserver(strategy, params)})
+        observer = portfolio_mod.WealthObserver(
+            lambda x: portfolio_mod.growth_optimal_theta(x, params, n_top), params.sigma)
+        batch = _parallel_batches(params, x0, T, dt, seed, n_paths, threads, {"wealth": observer})
         wealth = batch.observations["wealth"]
         payload["results"]["backtest"] = {
             "per_path_log_wealth": wealth["log_wealth"],
@@ -297,12 +297,11 @@ def cmd_growth(cfg, out, threads):
             "n_guarded": wealth["n_guarded"],
             "projection_rate": batch.projection_rate,
         }
-    backtest = payload["results"].get("backtest")
     write_json(out / "growth_report.json", payload, cfg,
-               meta=_euler_meta() if backtest else None)
+               meta=None if batch is None else _euler_meta())
     if growth is not None and growth.warnings:
         raise DiagnosticError("; ".join(growth.warnings))
-    if backtest and backtest["projection_rate"] > sde_mod.UNDER_RESOLVED_RATE:
+    if batch is not None and batch.under_resolved:
         raise DiagnosticError("wealth backtest ran under-resolved")
     return EXIT_OK
 

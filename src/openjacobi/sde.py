@@ -160,7 +160,6 @@ class SimPath:
     times: np.ndarray            # (n+1,)
     states: np.ndarray           # (n+1, d)
     params: ModelParams
-    seed: int
     path_index: int
     dt: float
     n_projected: int
@@ -340,7 +339,7 @@ def run_paths(params: ModelParams, x0, T: float, dt: float, seed: int,
                            final_states=rows[0, :size].copy(), n_projected=n_projected,
                            observations={key: ob.result() for key, ob in copies.items()})
         if store:
-            part.paths = [SimPath(times=times, states=states[i], params=params, seed=seed,
+            part.paths = [SimPath(times=times, states=states[i], params=params,
                                   path_index=path_offset + start + i, dt=dt,
                                   n_projected=int(n_projected[i])) for i in range(size)]
         parts.append(part)
@@ -372,7 +371,6 @@ def simulate_given_noise(params: ModelParams, x0, dt: float, gaussians) -> SimPa
         times=np.arange(n_steps + 1) * dt,
         states=block[:, 0, :].copy(),
         params=params,
-        seed=-1,
         path_index=0,
         dt=dt,
         n_projected=int(clips[0]),

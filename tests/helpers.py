@@ -1,15 +1,15 @@
 """Helpers that only the tests use: scalar rank/name lookups, tail and
-index-set sums, direct-algebra references for closed forms, a strategy
-given by a function, covariations and occupation fractions along stored
-paths, and a nested scipy quadrature over the ordered simplex (d <= 3)
-that serves as an oracle independent of the ordered-simplex recursion."""
+index-set sums, direct-algebra references for closed forms, covariations
+and occupation fractions along stored paths, and a nested scipy quadrature
+over the ordered simplex (d <= 3) that serves as an oracle independent of
+the ordered-simplex recursion."""
 
 from types import SimpleNamespace
 
 import numpy as np
 from scipy import integrate
 
-from openjacobi.portfolio import INTERIOR_FLOOR, Strategy, _increments
+from openjacobi.portfolio import INTERIOR_FLOOR, _increments
 from openjacobi.sde import OccupationObserver, SimPath, ranked_minima
 from openjacobi.simplex import (
     ModelParams,
@@ -103,21 +103,9 @@ def optimal_share_field(x, params: ModelParams) -> np.ndarray:
     return (params.gamma + params.a[ranks_of_names(x)]) / (2.0 * x)
 
 
-class FnStrategy(Strategy):
-    """Holdings ``fn(x)`` at named states, unchecked: ``wealth`` checks
-    theta . x = 1."""
-
-    def __init__(self, fn, name="fn"):
-        self.fn = fn
-        self.name = name
-
-    def theta(self, x):
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-
-
 class RankPowerGradient:
     """The rank-power generator G = tail^(abar/2) prod_{k<=N} y_k^(a_k/2) of a
-    rank-based model, as far as ``GeneratedStrategy`` reads it: the named
+    rank-based model, as far as ``generated_theta`` reads it: the named
     gradient of log G, a_k / (2 x_i) for the name i at rank k <= N and
     abar / (2 tail) below, with tail = y_(N+1) + ... + y_d and abar its
     a-sum.  Rows with a top-N ranked weight or the tail under
@@ -127,7 +115,6 @@ class RankPowerGradient:
     def __init__(self, params: ModelParams, n_top: int):
         self.a = params.a
         self.n_top = n_top
-        self.name = f"rank_power_N{n_top}"
 
     def grad_log(self, x):
         x = np.asarray(x, dtype=float)

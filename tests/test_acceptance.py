@@ -14,8 +14,6 @@ import pytest
 from openjacobi import (
     BoundaryQuery,
     ExpLinearGenerator,
-    GrowthOptimalStrategy,
-    MarketPortfolio,
     ModelParams,
     OccupationObserver,
     PDConfig,
@@ -78,8 +76,8 @@ def ergodic_run():
 @pytest.fixture(scope="module")
 def growth_run():
     """Criterion 5: wealth of the growth-optimal strategy over T = 2000."""
-    strategy = GrowthOptimalStrategy(GROWTH_PARAMS, 1)
-    observer = WealthObserver(strategy, GROWTH_PARAMS)
+    observer = WealthObserver(lambda x: growth_optimal_theta(x, GROWTH_PARAMS, 1),
+                              GROWTH_PARAMS.sigma)
     return run_paths(GROWTH_PARAMS, np.full(3, 1 / 3), T=2000.0, dt=1e-3,
                      seed=52001, n_paths=20, observers={"wealth": observer})
 
@@ -300,9 +298,9 @@ def test_criterion_11_invariant_algebra():
     # self-financing identity along a wealth run, and the market portfolio
     params = GROWTH_PARAMS
     path = simulate(params, np.full(3, 1 / 3), T=2.0, dt=1e-3, seed=110012)
-    theta = GrowthOptimalStrategy(params, 1).theta(path.states)
+    theta = growth_optimal_theta(path.states, params, 1)
     worst_sf = np.abs((theta * path.states).sum(axis=1) - 1.0).max()
-    market = wealth(path, MarketPortfolio())
+    market = wealth(path, np.ones_like)
     worst_market = np.abs(market.log_wealth).max()
     passed = worst_theta < 1e-12 and worst_sf < 1e-12 and worst_market < 1e-12
     report(11, passed,

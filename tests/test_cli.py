@@ -221,6 +221,13 @@ def test_invalid_params_exit_two_with_violated_index(tmp_path, capsys):
                 "growth": {"method": "mc", "n": 1}}, "ConfigError"),
     ("pd", {"pd": {"theta": 1.0, "n": 1}}, "ConfigError"),
     ("invariant", {"model": BASE_MODEL, "sampler": {"n": 10, "kind": "sorted"}}, "ConfigError"),
+    ("simulate", {"model": BASE_MODEL, "sim": {"T": 0.5, "dt": 1e-3, "x0": "corner"}},
+     "ConfigError"),
+    ("simulate", {"model": BASE_MODEL, "sim": {"T": 0.5, "dt": 1e-3, "x0": [0.5, 0.5]}},
+     "ConfigError"),
+    # theta > 1, but theta plus the tilt tail from k = 2 is 0.7
+    ("limit", {"pd": {"theta": 1.5, "tilt": [1.0, -0.8]}, "schedule": {"d_list": [10, 40]},
+               "limit": {"n": 500, "growth": {"sigma": 1.0, "N": 2}}}, "ConfigError"),
 ])
 def test_typed_config_and_model_errors_exit_two(tmp_path, capsys, monkeypatch,
                                                 command, payload, error_class):

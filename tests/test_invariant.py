@@ -157,6 +157,16 @@ def test_hybrid_normalizer_and_density_q_finish_up_to_max_dim(d):
     assert math.isfinite(q) and q > 0.0
 
 
+def test_hybrid_normalizer_and_density_q_refuse_past_max_dim():
+    d = MAX_PERMUTATION_DIM + 1
+    p = ModelParams(a=np.linspace(1.5, 0.5, d), gamma=np.linspace(0.4, -0.2, d)[::-1])
+    y = np.linspace(2.0, 1.0, d)
+    with pytest.raises(InvalidModelError, match=f"limited to d <= {MAX_PERMUTATION_DIM}"):
+        normalizer(p)
+    with pytest.raises(InvalidModelError, match=f"limited to d <= {MAX_PERMUTATION_DIM}"):
+        density_q(y / y.sum(), p)
+
+
 # ---------------------------------------------------------------------------
 # samplers against quadrature oracles
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,13 +10,12 @@ from hypothesis.extra import numpy as hnp
 
 from openjacobi import (
     ExpLinearGenerator,
-    GrowthOptimalStrategy,
-    MarketPortfolio,
     ModelParams,
     diffusion_c,
     drift,
     expand_open,
     foc_residual,
+    generated_theta,
     growth_exists,
     growth_optimal_theta,
     master_formula,
@@ -32,7 +32,6 @@ from openjacobi import (
 )
 from openjacobi.portfolio import (
     SELF_FINANCING_TOL,
-    GeneratedStrategy,
     GrowthConditionError,
     SelfFinancingError,
     WealthObserver,
@@ -43,7 +42,6 @@ from openjacobi.sde import SimPath, ranked_minima
 from openjacobi.simplex import ranked_weights
 
 from helpers import (
-    FnStrategy,
     RankPowerGradient,
     optimal_share_field,
     ordered_simplex_integral,
@@ -317,17 +315,16 @@ def test_growth_exists_atlas_tail_specifications():
 def test_market_portfolio_wealth_is_identically_one():
     p = rank_jacobi([1.0, 1.0, 1.0])
     path = simulate(p, [0.5, 0.3, 0.2], T=2.0, dt=1e-3, seed=20)
-    ledger = wealth(path, MarketPortfolio())
+    ledger = wealth(path, np.ones_like)
     assert np.abs(ledger.log_wealth).max() < 1e-12
 
 
 def test_buy_and_hold_tracks_single_asset():
     p = rank_jacobi([1.5, 1.5, 1.5])
     path = simulate(p, np.full(3, 1 / 3), T=2.0, dt=1e-3, seed=21)
-    hold = FnStrategy(lambda x: np.stack(
+    ledger = wealth(path, lambda x: np.stack(
         [1.0 / x[..., 0], np.zeros(x.shape[:-1]), np.zeros(x.shape[:-1])], axis=-1
-    ), name="hold_first")
-    ledger = wealth(path, hold)
+    ))
     target = math.log(path.states[-1, 0] / path.states[0, 0])
     assert ledger.log_wealth[-1] == pytest.approx(target, abs=0.3)
 
@@ -335,7 +332,7 @@ def test_buy_and_hold_tracks_single_asset():
 def test_wealth_ledger_drift_mart_split_consistent():
     p = rank_jacobi([1.0, 1.0, 1.0])
     path = simulate(p, [0.5, 0.3, 0.2], T=1.0, dt=1e-3, seed=22)
-    ledger = wealth(path, GrowthOptimalStrategy(p, 1))
+    ledger = wealth(path, lambda x: growth_optimal_theta(x, p, 1))
     recon = ledger.drift_part + ledger.mart_part
     assert np.abs(recon - ledger.log_wealth).max() < 1e-10
     assert ledger.log_wealth[0] == 0.0
@@ -356,7 +353,7 @@ def test_wealth_ledger_martingale_part_is_the_noise_term(a, gamma, n_top):
     assert path.n_projected == 0
     x = path.states[:-1]
     noise = p.sigma * math.sqrt(dt) * (np.sqrt(x) * z - x * (np.sqrt(x) * z).sum(-1, keepdims=True))
-    for strategy in (GrowthOptimalStrategy(p, n_top), MarketPortfolio()):
+    for strategy in (lambda x: growth_optimal_theta(x, p, n_top), np.ones_like):
         ledger = wealth(path, strategy)
         expected = (ledger.theta[:-1] * noise).sum(-1)
         assert np.abs(np.diff(ledger.mart_part) - expected).max() < 1e-12
@@ -365,9 +362,8 @@ def test_wealth_ledger_martingale_part_is_the_noise_term(a, gamma, n_top):
 def test_wealth_rejects_non_self_financing():
     p = rank_jacobi([1.0, 1.0])
     path = simulate(p, [0.5, 0.5], T=0.05, dt=1e-3, seed=23)
-    bad = FnStrategy(lambda x: np.full_like(x, 2.0), name="bad")
     with pytest.raises(SelfFinancingError):
-        wealth(path, bad)
+        wealth(path, lambda x: np.full_like(x, 2.0))
 
 
 def test_market_shift_leaves_increments_unchanged():
@@ -386,9 +382,9 @@ def test_growth_rate_invariant_under_name_relabeling():
     path = simulate(p, [0.5, 0.3, 0.2], T=1.0, dt=1e-3, seed=26)
     perm = [2, 0, 1]
     permuted = SimPath(times=path.times, states=path.states[:, perm],
-                       params=p, seed=path.seed, path_index=0, dt=path.dt,
+                       params=p, path_index=0, dt=path.dt,
                        n_projected=path.n_projected)
-    strategy = GrowthOptimalStrategy(p, 1)
+    strategy = partial(growth_optimal_theta, params=p, n_top=1)
     a = wealth(path, strategy)
     b = wealth(permuted, strategy)
     assert abs(a.log_wealth[-1] - b.log_wealth[-1]) < 1e-12
@@ -398,8 +394,8 @@ def test_wealth_guard_counts_boundary_steps():
     p = rank_jacobi([1.0, 1.0])
     states = np.array([[0.6, 0.4], [1.0, 0.0], [0.7, 0.3], [0.5, 0.5]])
     path = SimPath(times=np.arange(4) * 0.01, states=states, params=p,
-                   seed=0, path_index=0, dt=0.01, n_projected=0)
-    ledger = wealth(path, GrowthOptimalStrategy(p, 1))
+                   path_index=0, dt=0.01, n_projected=0)
+    ledger = wealth(path, lambda x: growth_optimal_theta(x, p, 1))
     assert ledger.n_guarded == 1
     assert np.all(np.isfinite(ledger.log_wealth))
 
@@ -407,12 +403,12 @@ def test_wealth_guard_counts_boundary_steps():
 def stored_path(states, params, dt=0.01):
     states = np.asarray(states, dtype=float)
     return SimPath(times=np.arange(states.shape[0]) * dt, states=states, params=params,
-                   seed=0, path_index=0, dt=dt, n_projected=0)
+                   path_index=0, dt=dt, n_projected=0)
 
 
 def observe(path, strategy, blocks=1):
     """Feed a stored path through a WealthObserver in ``blocks`` pieces."""
-    obs = WealthObserver(strategy, path.params)
+    obs = WealthObserver(strategy, path.params.sigma)
     obs.start(path.states[:1], path.dt)
     edges = np.linspace(0, path.times.size - 1, blocks + 1).round().astype(int)
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -425,7 +421,7 @@ def observe(path, strategy, blocks=1):
 def test_wealth_guard_ignores_terminal_state():
     p = rank_jacobi([1.0, 1.0])
     path = stored_path([[0.6, 0.4], [0.7, 0.3], [0.5, 0.5], [1.0, 0.0]], p)
-    strategy = GrowthOptimalStrategy(p, 1)
+    strategy = partial(growth_optimal_theta, params=p, n_top=1)
     ledger = wealth(path, strategy)
     streamed = observe(path, strategy)
     assert ledger.n_guarded == 0
@@ -447,8 +443,8 @@ def test_wealth_guards_states_in_the_floor_band(where):
     p = rank_jacobi([1.5, 1.2, 1.0])
     state = _FLOOR_BAND[where]
     path = stored_path([[0.5, 0.3, 0.2], state, [0.4, 0.35, 0.25], [0.5, 0.3, 0.2]], p)
-    for strategy in (GrowthOptimalStrategy(p, 2),
-                     GeneratedStrategy(RankPowerGradient(p, 2))):
+    for strategy in (partial(growth_optimal_theta, params=p, n_top=2),
+                     partial(generated_theta, generator=RankPowerGradient(p, 2))):
         ledger = wealth(path, strategy)
         streamed = observe(path, strategy)
         assert ledger.n_guarded == 1
@@ -462,17 +458,20 @@ def test_wealth_guards_states_in_the_floor_band(where):
 def _strategies(d, gamma):
     params = ModelParams(a=np.linspace(1.5, 0.5, d), gamma=gamma[:d])
     rank_params = ModelParams(a=params.a, gamma=np.zeros(d))
+    volatile = ModelParams(a=params.a, gamma=gamma[:d], sigma=1.7)
     coeffs = np.linspace(-2.0, 3.0, d)
     return [
-        (params, MarketPortfolio()),
+        (params, np.ones_like),
         # h = 0.1 / (rank-2 weight) is infinite at the boundary, so the
         # non-finite rows are guarded too
-        (params, FnStrategy(lambda x: expand_open(0.1 / ranked_weights(x)[..., 1:2], x))),
-        (params, GrowthOptimalStrategy(params, d - 1)),
-        (params, GrowthOptimalStrategy(params, 1)),
-        (params, GeneratedStrategy(ExpLinearGenerator(np.zeros(d)))),
-        (params, GeneratedStrategy(ExpLinearGenerator(coeffs))),
-        (rank_params, GeneratedStrategy(RankPowerGradient(rank_params, 1))),
+        (params, lambda x: expand_open(0.1 / ranked_weights(x)[..., 1:2], x)),
+        (params, partial(growth_optimal_theta, params=params, n_top=d - 1)),
+        (params, partial(growth_optimal_theta, params=params, n_top=1)),
+        (params, partial(generated_theta, generator=ExpLinearGenerator(np.zeros(d)))),
+        (params, partial(generated_theta, generator=ExpLinearGenerator(coeffs))),
+        (rank_params, partial(generated_theta, generator=RankPowerGradient(rank_params, 1))),
+        # sigma != 1, so an observer that dropped its sigma would part from the ledger
+        (volatile, partial(growth_optimal_theta, params=volatile, n_top=1)),
     ]
 
 
@@ -508,7 +507,7 @@ def test_constant_generator_reproduces_market_portfolio():
     p = rank_jacobi([1.0, 1.0, 1.0])
     path = simulate(p, [0.5, 0.3, 0.2], T=0.2, dt=1e-3, seed=28)
     result = master_formula(ExpLinearGenerator(np.zeros(3)), path)
-    assert np.allclose(result.theta, 1.0)
+    assert np.allclose(result.ledger.theta, 1.0)
     assert np.abs(result.ledger.log_wealth).max() < 1e-12
     assert result.sup_gap < 1e-12
 
@@ -516,7 +515,7 @@ def test_constant_generator_reproduces_market_portfolio():
 def test_exp_linear_strategy_form():
     gen = ExpLinearGenerator([0.5, -0.2, 0.3])
     x = np.array([0.5, 0.3, 0.2])
-    theta = GeneratedStrategy(gen).theta(x)
+    theta = generated_theta(x, gen)
     c = gen.coeffs
     assert np.allclose(theta, c + 1.0 - c @ x)
 
@@ -543,7 +542,7 @@ def test_rank_power_generator_matches_growth_optimal_strategy():
     for _ in range(50):
         x = rng.dirichlet(np.ones(4))
         assert np.abs(
-            GeneratedStrategy(gen).theta(x) - growth_optimal_theta(x, p, 2)
+            generated_theta(x, gen) - growth_optimal_theta(x, p, 2)
         ).max() < 1e-12
 
 
@@ -675,7 +674,7 @@ def test_simulated_growth_matches_robust_rate_small():
     rates = []
     for i in range(n_paths):
         path = simulate(p, np.full(3, 1 / 3), T=150.0, dt=1e-3, seed=700 + i)
-        ledger = wealth(path, GrowthOptimalStrategy(p, 1))
+        ledger = wealth(path, lambda x: growth_optimal_theta(x, p, 1))
         rates.append(ledger.log_wealth[-1] / ledger.times[-1])
     rates = np.asarray(rates)
     se = rates.std(ddof=1) / math.sqrt(n_paths)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from openjacobi import (
     BoundaryQuery,
-    GrowthOptimalStrategy,
     HitObserver,
     InvalidModelError,
     ModelParams,
@@ -19,6 +18,7 @@ from openjacobi import (
     WealthObserver,
     diffusion_c,
     drift,
+    growth_optimal_theta,
     run_paths,
     simulate,
     simulate_given_noise,
@@ -275,7 +275,7 @@ def test_realized_covariation_zero_on_frozen_coordinate():
     p = rank_jacobi([1.0, 1.0])
     states = np.tile([0.6, 0.4], (11, 1))
     path = SimPath(times=np.arange(11) * 0.1, states=states, params=p,
-                   seed=0, path_index=0, dt=0.1, n_projected=0)
+                   path_index=0, dt=0.1, n_projected=0)
     assert np.all(realized_covariation(path, 1, 1) == 0.0)
 
 
@@ -338,14 +338,18 @@ def test_path_csv_export(tmp_path):
     assert header == "time,x_1,x_2,x_3"
 
 
-def test_simulate_given_noise_matches_stream_draws():
+@pytest.mark.parametrize("backend", ["c", "numpy"])
+def test_simulate_given_noise_matches_stream_draws(backend, monkeypatch):
+    # both backends replay the path's own stream, so the states agree bit for bit
+    if backend == "numpy":
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    elif _kernel.load() is None:
+        pytest.skip(f"the compiled Euler kernel is unavailable: {_kernel.failure}")
     p = rank_jacobi([1.0, 1.0, 1.0])
-    from openjacobi._util import path_stream
-
     z = path_stream(123, 0).standard_normal((200, 3))
     replay = simulate_given_noise(p, [0.5, 0.3, 0.2], 1e-3, z)
     direct = simulate(p, [0.5, 0.3, 0.2], T=0.2, dt=1e-3, seed=123)
-    assert np.allclose(replay.states, direct.states)
+    assert np.array_equal(replay.states, direct.states)
 
 
 @pytest.mark.parametrize("dt, gaussians, match", [
@@ -706,7 +710,8 @@ def test_observers_independent_of_block_steps(params, n_paths, n_steps, block_st
                                                   "x1": lambda s: s[..., 0]}),
             "occupation": OccupationObserver(eps),
             "hits": HitObserver(BoundaryQuery("rank_hits", k=params.d).band, eps),
-            "wealth": WealthObserver(GrowthOptimalStrategy(params, 1), params),
+            "wealth": WealthObserver(lambda x: growth_optimal_theta(x, params, 1),
+                                     params.sigma),
         }
         return run_paths(params, x0, n_steps * dt, dt, seed, n_paths=n_paths,
                          observers=observers, block_steps=steps).observations
@@ -804,7 +809,8 @@ def test_observer_results_merge_by_path_index(n_paths):
 
     def run(count, offset=0):
         last = _LastRow()
-        observers = {"wealth": WealthObserver(GrowthOptimalStrategy(p, 1), p),
+        observers = {"wealth": WealthObserver(lambda x: growth_optimal_theta(x, p, 1),
+                                              p.sigma),
                      "occupation": OccupationObserver(eps),
                      "hits": HitObserver(BoundaryQuery("rank_hits", k=p.d).band, eps),
                      "last_row": last}
@@ -831,8 +837,8 @@ def _hit_ladders(p):
 def _wealth_strategies(p):
     # the growth-optimal strategy of the simulated model and that of a rival
     rival = rank_jacobi([1.8, 1.2, 1.5])
-    return {"optimal": WealthObserver(GrowthOptimalStrategy(p, 1), p),
-            "rival": WealthObserver(GrowthOptimalStrategy(rival, 1), p)}
+    return {"optimal": WealthObserver(lambda x: growth_optimal_theta(x, p, 1), p.sigma),
+            "rival": WealthObserver(lambda x: growth_optimal_theta(x, rival, 1), p.sigma)}
 
 
 @pytest.mark.parametrize("pair", [_hit_ladders, _wealth_strategies],
