@@ -226,7 +226,7 @@ def cmd_invariant(cfg, out, threads):
                      for name in ergodic_cfg.get("functions", ["y1"])}
             T, dt = _positive(ergodic_cfg["T"]), _positive(ergodic_cfg["dt"])
             n_paths = _count(ergodic_cfg.get("paths", 8), minimum=2)
-            z_threshold = _real(cfg.get("tolerances", {}).get("ergodic_z", 3.0))
+            z_threshold = _positive(cfg.get("tolerances", {}).get("ergodic_z", 3.0))
     seed = cfg["seed"]
     # the ergodic check needs named draws; ranking them gives back the
     # sampler's ranked rows, so one draw serves both

@@ -2,7 +2,10 @@
 
 The stationary density of the named weights is, up to the normalizer Z,
 prod_k y_k^(a_k + gamma_{name at rank k} - 1) evaluated at the ranked
-rearrangement.  The ranked weights carry the permutation-summed density.
+rearrangement.  The ranked weights carry the density summed over the
+name-to-rank assignments; for a hybrid model that sum, and the one over
+the assignments' monomial integrals that gives Z, run over the 2^d name
+sets rather than the d! assignments.
 Every sampler is exact and returns independent draws.  Sampling has two
 routes: Dirichlet when the rank part is absent (a = 0), and an
 exponential-spacing rejection sampler for every other model.  The spacing
@@ -12,13 +15,12 @@ an exponential tilt from the weighted AM-GM inequality, at the point of the
 simplex that maximizes its acceptance.  When gamma != 0 each proposal also
 draws its names, which raise the rates of the spacings below them; the
 weights of the names come from tables over the 2^d name sets, so the
-hybrid law needs no normalizer and d is limited to NAME_SET_MAX_DIM.
+sampler needs no normalizer.  Every hybrid computation is limited to
+d <= NAME_SET_MAX_DIM.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -30,6 +32,9 @@ from .sde import TimeAverageObserver, run_paths
 from .simplex import (
     InvalidModelError,
     ModelParams,
+    _name_set_sums,
+    _settle,
+    _shell_recursion,
     as_ranked,
     as_simplex,
     monomial_integral,
@@ -41,7 +46,6 @@ from .simplex import (
     to_names,
 )
 
-MAX_PERMUTATION_DIM = 6   # permutation sums grow like d!
 ACCEPTANCE_FLOOR = 1e-3
 SPACING_CHUNK = 20_000    # spacing proposals drawn per round
 SPACING_MAX_PROPOSALS = 10 ** 6   # with none accepted, acceptance is below 3e-6
@@ -49,7 +53,7 @@ SPACING_MAX_PROPOSALS = 10 ** 6   # with none accepted, acceptance is below 3e-6
 SAMPLER_METHODS = ("dirichlet", "spacing", "mcmc")   # "mcmc": alias of "spacing"
 ENVELOPE_MAX_ITER = 1_000  # steps toward the spacing envelope's best point
 ENVELOPE_TOL = 1e-12      # smallest gain (and step) that counts
-NAME_SET_MAX_DIM = 20     # hybrid names are drawn from tables over all 2^d name sets
+NAME_SET_MAX_DIM = 20     # hybrid laws are computed from tables over all 2^d name sets
 
 
 # ---------------------------------------------------------------------------
@@ -68,12 +72,11 @@ def density_p(x, params: ModelParams) -> float:
     return float(_monomial_at(x[order], params.a + params.gamma[order]))
 
 
-@functools.lru_cache(maxsize=None)
-def _permutations_array(d: int) -> np.ndarray:
-    """All name-to-rank assignments of d names as rows, in ``itertools`` order."""
-    if d > MAX_PERMUTATION_DIM:
-        raise InvalidModelError(f"permutation sums are limited to d <= {MAX_PERMUTATION_DIM}")
-    return np.array(list(itertools.permutations(range(d))))
+def _require_name_sets(d: int, what: str) -> None:
+    """Raise ``InvalidModelError`` if a hybrid model is too large for the
+    tables over its 2^d name sets."""
+    if d > NAME_SET_MAX_DIM:
+        raise InvalidModelError(f"hybrid {what} is limited to d <= {NAME_SET_MAX_DIM}")
 
 
 def density_q(y, params: ModelParams) -> float:
@@ -83,14 +86,32 @@ def density_q(y, params: ModelParams) -> float:
     Sums the named density over all name-to-rank assignments, so that
     divided by ``normalizer(params)`` it integrates to one over the ordered
     simplex.  In the rank-based case (gamma = 0) this is
-    d! prod y_k^(a_k - 1).
+    d! prod y_k^(a_k - 1).  Otherwise the sum is a permanent of the factors
+    y_k^(a_k + gamma_i - 1), taken rank by rank over the 2^d name sets
+    (bitmask-indexed, as in ``_name_sets``): the sum over the sets S of
+    names at ranks 1..m is the sum over i in S of the sum for S - {i} times
+    the factor of name i at rank m.  Every term is nonnegative.  A factor
+    of +inf (0 to a negative power) lies on (d-1)! assignments and
+    outweighs a zero factor in its term, as in ``density_p``, so it makes
+    the density +inf.  Hybrid models are limited to d <= NAME_SET_MAX_DIM.
     """
     y = as_ranked(y)
     d = params.d
     if params.is_rank_based:
         return math.factorial(d) * float(_monomial_at(y, params.a))
-    exponents = params.a[None, :] + params.gamma[_permutations_array(d)]
-    return float(_monomial_at(y, exponents).sum())
+    _require_name_sets(d, "densities")
+    # each (rank, name) factor as a one-term monomial, for its conventions at 0
+    factors = _monomial_at(y[:, None, None], (params.a[:, None] + params.gamma)[..., None])
+    if np.any(factors == math.inf):
+        return math.inf
+    _, size = _name_set_sums(params.gamma)
+    total = np.zeros(size.size)
+    total[0] = 1.0
+    for k in range(d):
+        level = np.flatnonzero(size == k + 1)
+        # S ^ bit with bit outside S lies one level up, still 0 here
+        total[level] = sum(total[level ^ (1 << i)] * factors[k, i] for i in range(d))
+    return float(total[-1])
 
 
 def _monomial_at(y, b) -> np.ndarray:
@@ -105,20 +126,22 @@ def _monomial_at(y, b) -> np.ndarray:
 
 
 def normalizer(params: ModelParams) -> float:
-    """Normalizer Z of the named density, as a sum of ordered-simplex
-    monomial integrals over name-to-rank assignments.
+    """Normalizer Z of the named density: the sum of the ordered-simplex
+    monomial integrals Q(a + gamma_sigma) over all name-to-rank assignments
+    sigma.
 
-    The permutation sum limits this to d <= 6; invalid parameters raise
-    with the violated tail-sum index attached.
+    A rank-based model gives d! Q(a).  A hybrid one takes the sum from one
+    ``_shell_recursion`` over its 2^d name sets, limited to
+    d <= NAME_SET_MAX_DIM.  Invalid parameters raise with the violated
+    tail-sum index attached.
     """
     require_valid(params)
     d = params.d
     if params.is_rank_based:
         return math.factorial(d) * monomial_integral(params.a)
-    total = 0.0
-    for perm in _permutations_array(d):
-        total += monomial_integral(params.a + params.gamma[perm])
-    return total
+    _require_name_sets(d, "normalizers")
+    tails = tail_sums(params.a)
+    return _settle(lambda n: _shell_recursion(tails, n, gamma=params.gamma), 1e-8, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +202,10 @@ def sample_invariant(params: ModelParams, n: int, seed: int, kind: str = "ranked
 
 
 def _sample_dirichlet(params, n, rng, kind):
+    """Dirichlet(gamma) draws; with a = 0 the smallest gamma_i is the last
+    tail margin, which ``require_valid`` has made positive."""
     if not np.all(params.a == 0.0):
         raise InvalidModelError("exact Dirichlet sampling requires a = 0")
-    if np.any(params.gamma <= 0.0):
-        raise InvalidModelError("Dirichlet weights require every gamma_i > 0")
     draws = rng.dirichlet(params.gamma, size=n)
     if kind == "ranked":
         draws = ranked_weights(draws)
@@ -301,18 +324,14 @@ def _name_sets(gamma, rates):
     names left does that.
     """
     d = gamma.size
-    total = np.zeros(1)
-    for x in gamma:                                  # masks with bit i: the upper half
-        total = np.concatenate([total, total + x])
-    masks = np.arange(1 << d)
-    size = np.bitwise_count(masks)
+    total, size = _name_set_sums(gamma)
     tilt = total - np.concatenate([[0.0], np.cumsum(np.sort(gamma))])[size]
     rate = np.concatenate([[math.inf], rates[::-1], [math.inf]])[size]
     phi = 1.0 / (1.0 + tilt / rate)
     weight = np.zeros(1 << d)
     weight[0] = 1.0
     for s in range(1, d + 1):
-        level = masks[size == s]
+        level = np.flatnonzero(size == s)
         # S ^ bit with bit outside S lies one level up, still 0 here
         weight[level] = phi[level] * sum(weight[level ^ (1 << i)] for i in range(d))
     return tilt, weight
@@ -372,9 +391,7 @@ def _sample_spacing(params, n, rng, kind):
     rates, log_acceptance = _spacing_envelope(tail_sums(params.a + g))
     hybrid = not params.is_rank_based
     if hybrid:
-        if d > NAME_SET_MAX_DIM:
-            raise InvalidModelError(
-                f"hybrid sampling is limited to d <= {NAME_SET_MAX_DIM}")
+        _require_name_sets(d, "sampling")
         tilt, weight = _name_sets(params.gamma, rates)
     out = np.empty((n, d))
     names = np.empty((n, d), dtype=np.intp) if hybrid else None
@@ -449,9 +466,7 @@ def make_statistic(spec: str, d: int | None = None):
 class ErgodicEntry:
     function_id: str
     time_avg: float
-    time_se: float
     invariant_avg: float
-    invariant_se: float
     z_score: float
     passed: bool
 
@@ -505,8 +520,7 @@ def ergodic_compare(params: ModelParams, funcs: dict, sample: SampleResult, *,
         i_avg, i_se = mean_and_se(vals)
         z = z_score(t_avg, t_se, i_avg, i_se)
         entries.append(ErgodicEntry(
-            function_id=name, time_avg=t_avg, time_se=t_se,
-            invariant_avg=i_avg, invariant_se=i_se, z_score=z,
+            function_id=name, time_avg=t_avg, invariant_avg=i_avg, z_score=z,
             passed=bool(abs(z) < z_threshold),
         ))
     return ErgodicReport(entries=entries, under_resolved=batch.under_resolved)

@@ -340,7 +340,6 @@ class MasterFormulaResult:
     """Pathwise functional-generation decomposition for one stored path."""
 
     ledger: WealthLedger
-    gamma_drift: np.ndarray        # (n+1,) finite-variation part
     identity_gap: np.ndarray       # (n+1,) |logV - (logG(X_t)-logG(X_0)+Gamma)|
 
     @property
@@ -363,7 +362,7 @@ def master_formula(generator: ExpLinearGenerator, path: SimPath) -> MasterFormul
     gamma_drift = np.concatenate([[0.0], -0.5 * np.cumsum(correction)])
     log_g = generator.log_value(path.states)
     identity_gap = np.abs(ledger.log_wealth - (log_g - log_g[0] + gamma_drift))
-    return MasterFormulaResult(ledger=ledger, gamma_drift=gamma_drift, identity_gap=identity_gap)
+    return MasterFormulaResult(ledger=ledger, identity_gap=identity_gap)
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,15 @@ def diffusion_c(x, sigma: float = 1.0) -> np.ndarray:
     return sigma * sigma * (np.diag(x) - np.outer(x, x))
 
 
+def _name_set_sums(values):
+    """The sum of ``values`` over each set S of indices, indexed by bitmask
+    (bit i for index i), and the size |S| of each set."""
+    total = np.zeros(1)
+    for x in values:                                 # masks with bit i: the upper half
+        total = np.concatenate([total, total + x])
+    return total, np.bitwise_count(np.arange(total.size))
+
+
 # ---------------------------------------------------------------------------
 # monomial integrals over the ordered simplex
 # ---------------------------------------------------------------------------
@@ -279,6 +288,7 @@ def monomial_integral_finite(exponents) -> bool:
 
 
 _SHELL_RULE_SIZES = (8, 16, 32, 64, 128, 256)
+SHELL_SLICE_ELEMENTS = 1 << 20   # rule points (sets x n x n) of one slice of a level
 
 
 def monomial_integral(exponents, rel_tol: float = 1e-8) -> float:
@@ -357,9 +367,10 @@ def _settle(recursion, rel_tol: float, scale: float) -> float:
     )
 
 
-def _shell_recursion(tails, n: int, junction: int = 0) -> float:
+def _shell_recursion(tails, n: int, junction: int = 0, gamma=None) -> float:
     """Q(b), the monomial integral over the ordered simplex, from the tail
-    sums of b, with rules of size n.
+    sums of b, with rules of size n; with ``gamma``, the sum of
+    Q(b + gamma_sigma) over all d! assignments sigma of names to ranks.
 
     With u_k = y_k / y_{k-1} and sigma_k = y_k / (y_1 + ... + y_k), so that
     sigma_1 = 1 and sigma_k = u_k s / (1 + u_k s) for s = sigma_{k-1},
@@ -376,6 +387,16 @@ def _shell_recursion(tails, n: int, junction: int = 0) -> float:
     Gauss-Jacobi for the weight u^(bbar_k - 1), integrable exactly when
     ``monomial_integral_finite`` holds.
 
+    Under sigma, bbar_k = b_bar_k + gamma(S_k), with S_k the names at ranks
+    k..d, so Q(b + gamma_sigma) depends on sigma only through those name
+    sets, and the recursion is linear in H_k.  So each name set S, indexed
+    by bitmask as ``_name_set_sums`` does, gets its own table: H_j[S], for S
+    the names at ranks j+1..d, integrates the sum of H_(j+1)[S - {i}] over
+    i in S with exponent b_bar_(j+1) + gamma(S), and the sum is that of
+    H_1[S] over the d sets of d - 1 names, 2^d tables in place of d!
+    recursions.  Without ``gamma`` each level has one set, the ranks j+1..d,
+    the only case that takes a junction.  A level's sets are taken SHELL_SLICE_ELEMENTS rule points at a time.
+
     A junction N >= 1 instead integrates F_b(u) max(1, u_(N+1))^(1 - bbar_(N+1))
     with u_(N+1) over [0, inf), as ``small_cap_integral`` needs.  H_j for
     j > N is unchanged but lives on [0, 1/(j - N)].  On u_(N+1) >= 1 the
@@ -385,40 +406,55 @@ def _shell_recursion(tails, n: int, junction: int = 0) -> float:
     recursion with bbar_(j+1) and bbar_1 each lowered by one.
     """
     d = tails.size
-    table = None                     # H_k / envelope on [0, hi] as (coefficients, hi)
+    if gamma is None:                # set m is the ranks d-m+1..d, its subset m - 1
+        set_sums, size = np.zeros(d), np.arange(d)
+        subsets = lambda sets: sets[:, None] - 1
+    else:                            # S ^ bit with bit outside S is one level up, still 0
+        set_sums, size = _name_set_sums(gamma)
+        subsets = lambda sets: sets[:, None] ^ (1 << np.arange(d))
+    coef = np.zeros((size.size, n))  # per set, H / envelope in Chebyshev coefficients
+    result = 0.0
     for j in range(d - 1, 0, -1):    # integrate u_(j+1) out, giving H_j
-        total = tails[0] - (j < junction)
+        total = tails[0] + set_sums[-1] - (j < junction)
+        t_hi = hi if j < d - 1 else None
         if j == 1:
             s = np.ones(1)
         else:
             hi = 1.0 / (j - junction if j > junction else j)
             s = hi * (_chebyshev(n)[0] + 1.0) / 2.0
-        u, weights = _jacobi(n, tails[j] - (j < junction))
-        us = u * s[:, None]
-        # (1 + u s)^(-bbar_1) times the envelope of H_(j+1) at u s / (1 + u s)
-        # is (1 + m u s)^(-bbar_1); dividing by H_j's envelope at s leaves
         m = d - j
-        vals = weights * np.exp(-total * (np.log1p(m * us) - np.log1p(m * s[:, None])))
-        x_next = us / (1.0 + us)
-        if j == junction:
-            # G_N's envelope is (1 + m s)^(1 - bbar_1); x = (s + t) / (1 + s)
-            # on u >= 1, so H_(N+1)'s envelope there is (1 + m s + (m - 1) t)^(-bbar_1)
-            # times (1 + s)^bbar_1
-            t, w = _jacobi(n, total - 1.0)
-            t = 1.0 - t
-            s_col = s[:, None]
-            far = w * (1.0 + s_col) * (1.0 + (m - 1) * t / (1.0 + m * s_col)) ** -total
-            vals = np.concatenate([vals * s_col, far], axis=1) / (1.0 + m * s_col)
-            x_next = np.concatenate([x_next, (s_col + t) / (1.0 + s_col)], axis=1)
-            total -= 1.0
-        if table is not None:
-            coef, t_hi = table
-            z = np.clip((2.0 * x_next - t_hi) / t_hi, -1.0, 1.0)
-            vals *= chebyshev.chebval(z, coef)
-        h = vals.sum(axis=1)
-        if j == 1:
-            return float(h[0]) * float(d) ** -total
-        table = (_chebyshev(n)[1] @ h, hi)
+        level = np.flatnonzero(size == m)
+        step = max(1, SHELL_SLICE_ELEMENTS // (n * n))
+        for sets in (level[i:i + step] for i in range(0, level.size, step)):
+            c = tails[j] + set_sums[sets] - (j < junction)
+            u, weights = (_jacobi(n, c.item()) if c.size == 1 else _jacobi_rules(n, c))
+            us = u[..., None, :] * s[:, None]
+            # (1 + u s)^(-bbar_1) times the envelope of H_(j+1) at u s / (1 + u s)
+            # is (1 + m u s)^(-bbar_1); dividing by H_j's envelope at s leaves
+            vals = weights[..., None, :] * np.exp(
+                -total * (np.log1p(m * us) - np.log1p(m * s[:, None])))
+            x_next = us / (1.0 + us)
+            if j == junction:
+                # G_N's envelope is (1 + m s)^(1 - bbar_1); x = (s + t) / (1 + s)
+                # on u >= 1, so H_(N+1)'s envelope there is (1 + m s + (m - 1) t)^(-bbar_1)
+                # times (1 + s)^bbar_1
+                t, w = _jacobi(n, total - 1.0)
+                t = 1.0 - t
+                s_col = s[:, None]
+                far = w * (1.0 + s_col) * (1.0 + (m - 1) * t / (1.0 + m * s_col)) ** -total
+                vals = np.concatenate([vals * s_col, far], axis=-1) / (1.0 + m * s_col)
+                x_next = np.concatenate([x_next, (s_col + t) / (1.0 + s_col)], axis=-1)
+            if t_hi is not None:
+                below = coef[subsets(sets)].sum(axis=-2)
+                z = np.clip((2.0 * x_next - t_hi) / t_hi, -1.0, 1.0)
+                vals *= chebyshev.chebval(z, below.T.reshape(below.T.shape + (1,) * (z.ndim - 1)),
+                                          tensor=False)
+            h = vals.sum(axis=-1)
+            if j == 1:
+                result += float(h.sum())
+            else:
+                coef[sets] = np.reshape(h, (sets.size, n)) @ _chebyshev(n)[1].T
+    return result * float(d) ** -(total - (junction == 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -435,7 +471,16 @@ def _chebyshev(n: int):
 
 @functools.lru_cache(maxsize=1024)
 def _jacobi(n: int, c: float):
-    """Gauss-Jacobi rule on [0, 1] for the weight u^(c - 1), c > 0.
+    """Gauss-Jacobi rule on [0, 1] for the weight u^(c - 1), c > 0: the row
+    of ``_jacobi_rules`` for one exponent, cached."""
+    u, w = (r[0] for r in _jacobi_rules(n, np.array([c])))
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
+def _jacobi_rules(n: int, c):
+    """Gauss-Jacobi rules on [0, 1] for the weights u^(c - 1), c > 0, one
+    row of nodes and one of weights per exponent in the 1-d array c.
 
     Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
     polynomials orthogonal for u^(c - 1) on [0, 1], the Jacobi polynomials
@@ -451,21 +496,24 @@ def _jacobi(n: int, c: float):
     integrands of large exponents need the small weights to full relative
     accuracy.
     """
+    c = c[:, None]
     beta = c - 1.0
     k = np.arange(n, dtype=float)
     s = 2.0 * k + beta
     with np.errstate(divide="ignore", invalid="ignore"):
         mid = (1.0 + beta * beta / (s * (s + 2.0))) / 2.0
-    mid[0] = c / (c + 1.0)
-    k, s = k[1:], s[1:]
+    mid[:, 0] = (c / (c + 1.0))[:, 0]
+    k, s = k[1:], s[:, 1:]
     off = k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
-    u = np.linalg.eigvalsh(np.diag(mid) + np.diag(off, -1))
-    below = np.concatenate(([0.0], off))
-    p_prev, p, total = np.zeros(n), np.ones(n), np.ones(n)
+    matrix = np.zeros((c.size, n, n))
+    diagonal = np.arange(n)
+    matrix[:, diagonal, diagonal] = mid
+    matrix[:, diagonal[1:], diagonal[:-1]] = off
+    u = np.linalg.eigvalsh(matrix)
+    below = np.concatenate([np.zeros_like(c), off], axis=1)
+    p_prev, p, total = np.zeros_like(u), np.ones_like(u), np.ones_like(u)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n - 1):
-            p_prev, p = p, ((u - mid[j]) * p - below[j] * p_prev) / off[j]
+            p_prev, p = p, ((u - mid[:, j, None]) * p - below[:, j, None] * p_prev) / off[:, j, None]
             total += p * p
-    w = np.where(np.isfinite(total), 1.0 / (c * total), 0.0)
-    u.flags.writeable = w.flags.writeable = False
-    return u, w
+    return u, np.where(np.isfinite(total), 1.0 / (c * total), 0.0)

@@ -228,6 +228,9 @@ def test_invalid_params_exit_two_with_violated_index(tmp_path, capsys):
     # theta > 1, but theta plus the tilt tail from k = 2 is 0.7
     ("limit", {"pd": {"theta": 1.5, "tilt": [1.0, -0.8]}, "schedule": {"d_list": [10, 40]},
                "limit": {"n": 500, "growth": {"sigma": 1.0, "N": 2}}}, "ConfigError"),
+    # a z threshold below zero would fail every function
+    ("invariant", {"model": BASE_MODEL, "sampler": {"n": 10}, "tolerances": {"ergodic_z": -1},
+                   "ergodic": {"T": 0.01, "dt": 1e-3, "paths": 2}}, "ConfigError"),
 ])
 def test_typed_config_and_model_errors_exit_two(tmp_path, capsys, monkeypatch,
                                                 command, payload, error_class):

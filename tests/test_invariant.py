@@ -22,7 +22,7 @@ from openjacobi import (
 )
 from openjacobi._util import z_score
 from openjacobi import invariant, sde
-from openjacobi.invariant import MAX_PERMUTATION_DIM, SamplerStallError
+from openjacobi.invariant import NAME_SET_MAX_DIM, SamplerStallError
 from openjacobi.simplex import ranked_weights, ranking_order, tail_sums
 
 from helpers import ordered_simplex_integral
@@ -100,14 +100,28 @@ def test_density_q_flat_d2_value():
 
 
 def test_density_q_name_based_matches_permutation_sum():
-    p = ModelParams(a=np.zeros(3), gamma=[2.0, 1.2, 0.6])
     rng = np.random.default_rng(3)
-    y = -np.sort(-rng.dirichlet(np.ones(3)))
-    brute = sum(
-        np.prod(y ** (p.gamma[list(perm)] - 1.0))
-        for perm in itertools.permutations(range(3))
-    )
-    assert density_q(y, p) == pytest.approx(brute, rel=1e-12)
+    d7 = ModelParams(a=np.linspace(1.5, 0.5, 7), gamma=np.linspace(0.4, -0.2, 7)[::-1])
+    edge = np.array([0.6, 0.4, 0.0])
+    cases = [
+        (ModelParams(a=np.zeros(3), gamma=[2.0, 1.2, 0.6]), -np.sort(-rng.dirichlet(np.ones(3)))),
+        (d7, -np.sort(-rng.dirichlet(np.ones(7)))),
+        # y_3 = 0 with every exponent at rank 3 positive (0), one negative
+        # (+inf, though a zero factor sits on other assignments) and one
+        # exactly zero (0^0 = 1)
+        (ModelParams(a=[1.2, 1.0, 0.5], gamma=[0.8, 0.7, 0.6]), edge),
+        (ModelParams(a=[1.2, 0.8, 1.0], gamma=[0.3, 0.0, -0.2]), edge),
+        (ModelParams(a=[1.2, 0.8, 1.0], gamma=[0.3, 0.0, 0.2]), edge),
+    ]
+    for p, y in cases:
+        with np.errstate(divide="ignore"):
+            brute = sum(
+                np.prod(y ** (p.a + p.gamma[list(perm)] - 1.0))
+                for perm in itertools.permutations(range(p.d))
+            )
+        assert density_q(y, p) == pytest.approx(brute, rel=1e-12)
+    assert [density_q(edge, p) for p, _ in cases[2:4]] == [0.0, math.inf]
+    assert 0.0 < density_q(edge, cases[4][0]) < math.inf
 
 
 @pytest.mark.parametrize("params", [
@@ -134,18 +148,19 @@ def test_normalizer_invalid_params_raise_with_index():
     assert err.value.violated_index == 2
 
 
-@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("d", range(3, 11))
 def test_hybrid_normalizer_with_constant_a_is_a_dirichlet_integral(d):
     # with a = c the permutation sum tiles the simplex with the ordered cells
-    # of the Dirichlet(c + gamma) integrand; distinct gamma makes the cells differ
-    c = 0.7
+    # of the Dirichlet(c + gamma) integrand; distinct gamma makes the cells
+    # differ, and c = 0 is the rank-free Dirichlet law itself
     gamma = np.linspace(0.1, 0.9, d)
-    oracle = math.exp(special.gammaln(c + gamma).sum() - special.gammaln(d * c + gamma.sum()))
-    p = ModelParams(a=np.full(d, c), gamma=gamma)
-    assert normalizer(p) == pytest.approx(oracle, rel=1e-9)
+    for c in (0.7, 0.0):
+        oracle = math.exp(special.gammaln(c + gamma).sum() - special.gammaln(d * c + gamma.sum()))
+        p = ModelParams(a=np.full(d, c), gamma=gamma)
+        assert normalizer(p) == pytest.approx(oracle, rel=1e-9)
 
 
-@pytest.mark.parametrize("d", range(5, MAX_PERMUTATION_DIM + 1))
+@pytest.mark.parametrize("d", range(5, 11))
 def test_hybrid_normalizer_and_density_q_finish_up_to_max_dim(d):
     p = ModelParams(a=np.linspace(1.5, 0.5, d), gamma=np.linspace(0.4, -0.2, d)[::-1])
     start = time.perf_counter()
@@ -157,13 +172,18 @@ def test_hybrid_normalizer_and_density_q_finish_up_to_max_dim(d):
     assert math.isfinite(q) and q > 0.0
 
 
-def test_hybrid_normalizer_and_density_q_refuse_past_max_dim():
-    d = MAX_PERMUTATION_DIM + 1
+def test_hybrid_normalizer_and_density_q_refuse_past_max_dim(monkeypatch):
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a name-set table was built")
+
+    monkeypatch.setattr(invariant, "_name_set_sums", no_tables)
+    monkeypatch.setattr(invariant, "_shell_recursion", no_tables)
+    d = NAME_SET_MAX_DIM + 1
     p = ModelParams(a=np.linspace(1.5, 0.5, d), gamma=np.linspace(0.4, -0.2, d)[::-1])
     y = np.linspace(2.0, 1.0, d)
-    with pytest.raises(InvalidModelError, match=f"limited to d <= {MAX_PERMUTATION_DIM}"):
+    with pytest.raises(InvalidModelError, match=f"limited to d <= {NAME_SET_MAX_DIM}"):
         normalizer(p)
-    with pytest.raises(InvalidModelError, match=f"limited to d <= {MAX_PERMUTATION_DIM}"):
+    with pytest.raises(InvalidModelError, match=f"limited to d <= {NAME_SET_MAX_DIM}"):
         density_q(y / y.sum(), p)
 
 

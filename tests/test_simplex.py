@@ -30,8 +30,11 @@ from openjacobi.simplex import (
     RENORM_TOL,
     SUM_TOL,
     _jacobi,
+    _settle,
+    _shell_recursion,
     ranked_weights,
     small_cap_integral,
+    tail_sums,
     to_names,
 )
 
@@ -384,6 +387,16 @@ def test_monomial_integrals_over_every_ordering_sum_to_dirichlet(d, scale):
     total = math.fsum(monomial_integral(b[list(order)])
                       for order in itertools.permutations(range(d)))
     assert total == pytest.approx(exact, rel=1e-6)
+
+
+@pytest.mark.parametrize("d", range(7, 11))
+def test_name_set_recursion_with_zero_gamma_counts_every_ordering(d):
+    # with gamma = 0 all d! assignments give Q(a), so the name-set tables
+    # must carry each ordering exactly once
+    a = np.linspace(1.5, 0.5, d)
+    tails = tail_sums(a)
+    total = _settle(lambda n: _shell_recursion(tails, n, gamma=np.zeros(d)), 1e-8, 1.0)
+    assert total == pytest.approx(math.factorial(d) * monomial_integral(a), rel=1e-12)
 
 
 @pytest.mark.parametrize("a", [
