@@ -3,9 +3,8 @@
 The stationary density of the named weights is, up to the normalizer Z,
 prod_k y_k^(a_k + gamma_{name at rank k} - 1) evaluated at the ranked
 rearrangement.  The ranked weights carry the density summed over the
-name-to-rank assignments; for a hybrid model that sum, and the one over
-the assignments' monomial integrals that gives Z, run over the 2^d name
-sets rather than the d! assignments.
+name-to-rank assignments; for a hybrid model that sum and Z run over the
+2^d name sets rather than the d! assignments.
 Every sampler is exact and returns independent draws.  Sampling has two
 routes: Dirichlet when the rank part is absent (a = 0), and an
 exponential-spacing rejection sampler for every other model.  The spacing
@@ -15,8 +14,7 @@ an exponential tilt from the weighted AM-GM inequality, at the point of the
 simplex that maximizes its acceptance.  When gamma != 0 each proposal also
 draws its names, which raise the rates of the spacings below them; the
 weights of the names come from tables over the 2^d name sets, so the
-sampler needs no normalizer.  Every hybrid computation is limited to
-d <= NAME_SET_MAX_DIM.
+sampler needs no normalizer and d is limited to NAME_SET_MAX_DIM.
 """
 
 from __future__ import annotations
@@ -54,6 +52,7 @@ SAMPLER_METHODS = ("dirichlet", "spacing", "mcmc")   # "mcmc": alias of "spacing
 ENVELOPE_MAX_ITER = 1_000  # steps toward the spacing envelope's best point
 ENVELOPE_TOL = 1e-12      # smallest gain (and step) that counts
 NAME_SET_MAX_DIM = 20     # hybrid laws are computed from tables over all 2^d name sets
+HYBRID_NORMALIZER_MAX_DIM = 14   # time grows like 2^d n^3: the largest d timed
 
 
 # ---------------------------------------------------------------------------
@@ -72,38 +71,41 @@ def density_p(x, params: ModelParams) -> float:
     return float(_monomial_at(x[order], params.a + params.gamma[order]))
 
 
-def _require_name_sets(d: int, what: str) -> None:
+def _require_name_sets(d: int, what: str, limit: int = NAME_SET_MAX_DIM) -> None:
     """Raise ``InvalidModelError`` if a hybrid model is too large for the
     tables over its 2^d name sets."""
-    if d > NAME_SET_MAX_DIM:
-        raise InvalidModelError(f"hybrid {what} is limited to d <= {NAME_SET_MAX_DIM}")
+    if d > limit:
+        raise InvalidModelError(f"hybrid {what} is limited to d <= {limit}")
 
 
 def density_q(y, params: ModelParams) -> float:
     """Unnormalized stationary density of the ranked weights at a single
-    ranked point.
+    ranked point: the named density summed over all name-to-rank
+    assignments, so that divided by ``normalizer(params)`` it integrates to
+    one over the ordered simplex.
 
-    Sums the named density over all name-to-rank assignments, so that
-    divided by ``normalizer(params)`` it integrates to one over the ordered
-    simplex.  In the rank-based case (gamma = 0) this is
-    d! prod y_k^(a_k - 1).  Otherwise the sum is a permanent of the factors
-    y_k^(a_k + gamma_i - 1), taken rank by rank over the 2^d name sets
-    (bitmask-indexed, as in ``_name_sets``): the sum over the sets S of
-    names at ranks 1..m is the sum over i in S of the sum for S - {i} times
-    the factor of name i at rank m.  Every term is nonnegative.  A factor
-    of +inf (0 to a negative power) lies on (d-1)! assignments and
-    outweighs a zero factor in its term, as in ``density_p``, so it makes
-    the density +inf.  Hybrid models are limited to d <= NAME_SET_MAX_DIM.
+    In the rank-based case (gamma = 0) this is d! prod y_k^(a_k - 1).
+    Otherwise it is the permanent of the factors y_k^(a_k + gamma_i - 1),
+    summed rank by rank over the 2^d name sets (bitmask-indexed, as in
+    ``_name_sets``): the sum for the set S of names at ranks 1..m is that
+    for S - {i} times the factor of name i at rank m, summed over i in S.
+    A factor 0^(negative) makes the density +inf, as in ``density_p``.
+    Each rank's factors are divided by their largest in logs, so no single
+    factor overflows or underflows.  Hybrid models are limited to
+    d <= NAME_SET_MAX_DIM.
     """
     y = as_ranked(y)
     d = params.d
     if params.is_rank_based:
         return math.factorial(d) * float(_monomial_at(y, params.a))
-    _require_name_sets(d, "densities")
-    # each (rank, name) factor as a one-term monomial, for its conventions at 0
-    factors = _monomial_at(y[:, None, None], (params.a[:, None] + params.gamma)[..., None])
-    if np.any(factors == math.inf):
+    _require_name_sets(d, "density")
+    logs = _log_powers(y[:, None], params.a[:, None] + params.gamma - 1.0)  # (rank, name)
+    if np.any(logs == math.inf):
         return math.inf
+    top = logs.max(axis=1)
+    if np.any(top == -math.inf):     # a rank whose every factor is 0
+        return 0.0
+    factors = np.exp(logs - top[:, None])
     _, size = _name_set_sums(params.gamma)
     total = np.zeros(size.size)
     total[0] = 1.0
@@ -111,18 +113,24 @@ def density_q(y, params: ModelParams) -> float:
         level = np.flatnonzero(size == k + 1)
         # S ^ bit with bit outside S lies one level up, still 0 here
         total[level] = sum(total[level ^ (1 << i)] * factors[k, i] for i in range(d))
-    return float(total[-1])
+    with np.errstate(divide="ignore", over="ignore"):
+        return float(np.exp(np.log(total[-1]) + top.sum()))
 
 
 def _monomial_at(y, b) -> np.ndarray:
     """prod_k y_k^(b_k - 1) for each row of exponents b (..., d), with
     0^0 = 1, 0 to a positive power = 0 and 0 to a negative power = +inf
     (which wins over a zero factor in the same row)."""
-    expo = np.asarray(b, dtype=float) - 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(expo == 0.0, 0.0, expo * np.log(y))
+    logs = _log_powers(y, np.asarray(b, dtype=float) - 1.0)
     singular = np.any(logs == math.inf, axis=-1)
     return np.where(singular, math.inf, np.exp(logs.sum(axis=-1)))
+
+
+def _log_powers(y, expo) -> np.ndarray:
+    """log y^expo, with 0^0 = 1, 0 to a positive power = 0 (-inf) and 0 to
+    a negative power = +inf (+inf)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(expo == 0.0, 0.0, expo * np.log(y))
 
 
 def normalizer(params: ModelParams) -> float:
@@ -130,16 +138,15 @@ def normalizer(params: ModelParams) -> float:
     monomial integrals Q(a + gamma_sigma) over all name-to-rank assignments
     sigma.
 
-    A rank-based model gives d! Q(a).  A hybrid one takes the sum from one
-    ``_shell_recursion`` over its 2^d name sets, limited to
-    d <= NAME_SET_MAX_DIM.  Invalid parameters raise with the violated
-    tail-sum index attached.
+    A rank-based model gives d! Q(a), a hybrid one a ``_shell_recursion``
+    over its 2^d name sets, limited to d <= HYBRID_NORMALIZER_MAX_DIM.
+    Invalid parameters raise with the violated tail-sum index attached.
     """
     require_valid(params)
     d = params.d
     if params.is_rank_based:
         return math.factorial(d) * monomial_integral(params.a)
-    _require_name_sets(d, "normalizers")
+    _require_name_sets(d, "normalizer", HYBRID_NORMALIZER_MAX_DIM)
     tails = tail_sums(params.a)
     return _settle(lambda n: _shell_recursion(tails, n, gamma=params.gamma), 1e-8, 1.0)
 

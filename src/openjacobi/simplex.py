@@ -387,15 +387,15 @@ def _shell_recursion(tails, n: int, junction: int = 0, gamma=None) -> float:
     Gauss-Jacobi for the weight u^(bbar_k - 1), integrable exactly when
     ``monomial_integral_finite`` holds.
 
-    Under sigma, bbar_k = b_bar_k + gamma(S_k), with S_k the names at ranks
-    k..d, so Q(b + gamma_sigma) depends on sigma only through those name
-    sets, and the recursion is linear in H_k.  So each name set S, indexed
-    by bitmask as ``_name_set_sums`` does, gets its own table: H_j[S], for S
-    the names at ranks j+1..d, integrates the sum of H_(j+1)[S - {i}] over
-    i in S with exponent b_bar_(j+1) + gamma(S), and the sum is that of
-    H_1[S] over the d sets of d - 1 names, 2^d tables in place of d!
-    recursions.  Without ``gamma`` each level has one set, the ranks j+1..d,
-    the only case that takes a junction.  A level's sets are taken SHELL_SLICE_ELEMENTS rule points at a time.
+    Under sigma, bbar_k = b_bar_k + gamma(S_k), S_k the names at ranks
+    k..d, and the recursion is linear in H_k, so each name set S (bitmask
+    as in ``_name_set_sums``) gets one table: H_j[S], S the names at ranks
+    j+1..d, integrates the sum of H_(j+1)[S - {i}] over i in S with
+    exponent b_bar_(j+1) + gamma(S), and the sum over sigma is that of
+    H_1[S] over the d sets of d - 1 names.  Without ``gamma`` each level
+    has one set, the only case that takes a junction.  A level's sets go
+    SHELL_SLICE_ELEMENTS rule points at a time; with ``gamma`` the time
+    grows like 2^d n^3 and the tables' memory like 2^d n.
 
     A junction N >= 1 instead integrates F_b(u) max(1, u_(N+1))^(1 - bbar_(N+1))
     with u_(N+1) over [0, inf), as ``small_cap_integral`` needs.  H_j for
@@ -427,7 +427,8 @@ def _shell_recursion(tails, n: int, junction: int = 0, gamma=None) -> float:
         step = max(1, SHELL_SLICE_ELEMENTS // (n * n))
         for sets in (level[i:i + step] for i in range(0, level.size, step)):
             c = tails[j] + set_sums[sets] - (j < junction)
-            u, weights = (_jacobi(n, c.item()) if c.size == 1 else _jacobi_rules(n, c))
+            u, weights = (_jacobi(n, c.item()) if c.size == 1
+                          else np.stack([_jacobi(n, x) for x in c], axis=1))
             us = u[..., None, :] * s[:, None]
             # (1 + u s)^(-bbar_1) times the envelope of H_(j+1) at u s / (1 + u s)
             # is (1 + m u s)^(-bbar_1); dividing by H_j's envelope at s leaves
@@ -471,16 +472,7 @@ def _chebyshev(n: int):
 
 @functools.lru_cache(maxsize=1024)
 def _jacobi(n: int, c: float):
-    """Gauss-Jacobi rule on [0, 1] for the weight u^(c - 1), c > 0: the row
-    of ``_jacobi_rules`` for one exponent, cached."""
-    u, w = (r[0] for r in _jacobi_rules(n, np.array([c])))
-    u.flags.writeable = w.flags.writeable = False
-    return u, w
-
-
-def _jacobi_rules(n: int, c):
-    """Gauss-Jacobi rules on [0, 1] for the weights u^(c - 1), c > 0, one
-    row of nodes and one of weights per exponent in the 1-d array c.
+    """Gauss-Jacobi rule on [0, 1] for the weight u^(c - 1), c > 0.
 
     Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
     polynomials orthogonal for u^(c - 1) on [0, 1], the Jacobi polynomials
@@ -496,24 +488,21 @@ def _jacobi_rules(n: int, c):
     integrands of large exponents need the small weights to full relative
     accuracy.
     """
-    c = c[:, None]
     beta = c - 1.0
     k = np.arange(n, dtype=float)
     s = 2.0 * k + beta
     with np.errstate(divide="ignore", invalid="ignore"):
         mid = (1.0 + beta * beta / (s * (s + 2.0))) / 2.0
-    mid[:, 0] = (c / (c + 1.0))[:, 0]
-    k, s = k[1:], s[:, 1:]
+    mid[0] = c / (c + 1.0)
+    k, s = k[1:], s[1:]
     off = k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
-    matrix = np.zeros((c.size, n, n))
-    diagonal = np.arange(n)
-    matrix[:, diagonal, diagonal] = mid
-    matrix[:, diagonal[1:], diagonal[:-1]] = off
-    u = np.linalg.eigvalsh(matrix)
-    below = np.concatenate([np.zeros_like(c), off], axis=1)
-    p_prev, p, total = np.zeros_like(u), np.ones_like(u), np.ones_like(u)
+    u = np.linalg.eigvalsh(np.diag(mid) + np.diag(off, -1))
+    below = np.concatenate(([0.0], off))
+    p_prev, p, total = np.zeros(n), np.ones(n), np.ones(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n - 1):
-            p_prev, p = p, ((u - mid[:, j, None]) * p - below[:, j, None] * p_prev) / off[:, j, None]
+            p_prev, p = p, ((u - mid[j]) * p - below[j] * p_prev) / off[j]
             total += p * p
-    return u, np.where(np.isfinite(total), 1.0 / (c * total), 0.0)
+    w = np.where(np.isfinite(total), 1.0 / (c * total), 0.0)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w

@@ -22,7 +22,7 @@ from openjacobi import (
 )
 from openjacobi._util import z_score
 from openjacobi import invariant, sde
-from openjacobi.invariant import NAME_SET_MAX_DIM, SamplerStallError
+from openjacobi.invariant import HYBRID_NORMALIZER_MAX_DIM, NAME_SET_MAX_DIM, SamplerStallError
 from openjacobi.simplex import ranked_weights, ranking_order, tail_sums
 
 from helpers import ordered_simplex_integral
@@ -112,16 +112,20 @@ def test_density_q_name_based_matches_permutation_sum():
         (ModelParams(a=[1.2, 1.0, 0.5], gamma=[0.8, 0.7, 0.6]), edge),
         (ModelParams(a=[1.2, 0.8, 1.0], gamma=[0.3, 0.0, -0.2]), edge),
         (ModelParams(a=[1.2, 0.8, 1.0], gamma=[0.3, 0.0, 0.2]), edge),
+        # every term near 1e160 though (1e-160)^-2 alone overflows
+        (ModelParams(a=[1.0, -1.0, 2.0], gamma=[0.1, 0.0, 0.0]),
+         np.array([1.0 - 2e-160, 1e-160, 1e-160])),
     ]
     for p, y in cases:
-        with np.errstate(divide="ignore"):
-            brute = sum(
-                np.prod(y ** (p.a + p.gamma[list(perm)] - 1.0))
-                for perm in itertools.permutations(range(p.d))
-            )
+        # each term's factors summed in logs; xlogy keeps 0^0 = 1
+        brute = sum(
+            np.exp(special.xlogy(p.a + p.gamma[list(perm)] - 1.0, y).sum())
+            for perm in itertools.permutations(range(p.d))
+        )
         assert density_q(y, p) == pytest.approx(brute, rel=1e-12)
     assert [density_q(edge, p) for p, _ in cases[2:4]] == [0.0, math.inf]
     assert 0.0 < density_q(edge, cases[4][0]) < math.inf
+    assert 1e159 < density_q(cases[5][1], cases[5][0]) < 1e161
 
 
 @pytest.mark.parametrize("params", [
@@ -176,15 +180,18 @@ def test_hybrid_normalizer_and_density_q_refuse_past_max_dim(monkeypatch):
     def no_tables(*args, **kwargs):
         raise AssertionError("a name-set table was built")
 
+    def model(d):
+        return ModelParams(a=np.linspace(1.5, 0.5, d), gamma=np.linspace(0.4, -0.2, d)[::-1])
+
     monkeypatch.setattr(invariant, "_name_set_sums", no_tables)
     monkeypatch.setattr(invariant, "_shell_recursion", no_tables)
+    limit = HYBRID_NORMALIZER_MAX_DIM
+    with pytest.raises(InvalidModelError, match=f"hybrid normalizer is limited to d <= {limit}"):
+        normalizer(model(limit + 1))
     d = NAME_SET_MAX_DIM + 1
-    p = ModelParams(a=np.linspace(1.5, 0.5, d), gamma=np.linspace(0.4, -0.2, d)[::-1])
     y = np.linspace(2.0, 1.0, d)
-    with pytest.raises(InvalidModelError, match=f"limited to d <= {NAME_SET_MAX_DIM}"):
-        normalizer(p)
-    with pytest.raises(InvalidModelError, match=f"limited to d <= {NAME_SET_MAX_DIM}"):
-        density_q(y / y.sum(), p)
+    with pytest.raises(InvalidModelError, match=f"hybrid density is limited to d <= {NAME_SET_MAX_DIM}"):
+        density_q(y / y.sum(), model(d))
 
 
 # ---------------------------------------------------------------------------
