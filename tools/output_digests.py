@@ -184,6 +184,9 @@ RUNS = [  # (name, command, config, extra argv)
         "seed": 137, "model": RANK3, "sampler": {"n": 1000, "method": "spacing"},
         "ergodic": {"T": 0.5, "dt": 1e-3, "paths": 40,
                     "functions": ["y1^2", "phi2", "rank1_is_2", "x3"]}}, []),
+] + [  # a ladder member with no small-cap rank beyond the two tilts: exit 2
+    ("limit-d-too-small", "limit", {"seed": 23, "pd": {"theta": 2.0, "tilt": [0.5, 0.3]},
+                                    "schedule": {"d_list": [3]}, "limit": {"n": 5000}}, []),
 ]
 
 
