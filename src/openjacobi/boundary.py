@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import wilson_interval, write_csv
+from ._util import wilson_interval
 from .sde import HitObserver, run_paths
 from .simplex import ModelParams, ranked_weights, tail_sums
 
@@ -125,27 +125,6 @@ class FrequencyTable:
     n_paths: int
     horizon: float
     under_resolved: bool
-
-    def rows(self):
-        return list(zip(self.eps, self.frequency, self.ci_lo, self.ci_hi))
-
-    def to_csv(self, path):
-        write_csv(path, ["eps", "frequency", "ci_lo", "ci_hi"], self.rows())
-
-    def as_dict(self):
-        return {
-            "kind": self.query.kind,
-            "k": self.query.k,
-            "names": list(self.query.names),
-            "analytic_avoids": self.analytic_avoids,
-            "eps": self.eps,
-            "frequency": self.frequency,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "n_paths": self.n_paths,
-            "horizon": self.horizon,
-            "under_resolved": self.under_resolved,
-        }
 
 
 def mc_hit_frequency(params: ModelParams, query: BoundaryQuery, *,

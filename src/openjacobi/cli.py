@@ -7,6 +7,9 @@ worker counts.  Exit codes: 0 success, 2 config/validation error (a bad
 config, an invalid model, a point off the simplex), 3 numerical-diagnostic
 failure (divergence, low sampler quality, under-resolved discretization),
 4 any other error, which is a bug.  Errors go to stderr as single-line JSON.
+
+The library returns result types and writes no file: each ``cmd_*`` lays
+out its report, whose keys and columns are field names unless it says not.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -198,10 +202,14 @@ def cmd_simulate(cfg, out, threads):
         x0 = _x0(sim, params.d)
     seed = cfg["seed"]
     batch = sde_mod.run_paths(params, x0, T, dt, seed, n_paths=n_paths, store=True)
+    header = ["time"] + [f"x_{i}" for i in range(1, params.d + 1)]
     for path in batch.paths:
-        path.to_csv(out / f"path_{path.path_index:04d}.csv")
-    write_json(out / "simulate_summary.json", {"results": batch.summary()}, cfg,
-               meta=_euler_meta())
+        write_csv(out / f"path_{path.path_index:04d}.csv", header,
+                  np.column_stack((path.times, path.states)))
+    summary = {name: getattr(batch, name) for name in (
+        "n_paths", "n_steps", "dt", "horizon", "projection_rate", "under_resolved")}
+    summary["per_path_projected"] = batch.n_projected
+    write_json(out / "simulate_summary.json", {"results": summary}, cfg, meta=_euler_meta())
     if batch.under_resolved:
         raise DiagnosticError(
             f"under-resolved run: projection rate {batch.projection_rate:.2%} > 1%"
@@ -249,7 +257,9 @@ def cmd_invariant(cfg, out, threads):
             params, funcs, sample, T=T, dt=dt, n_paths=n_paths, seed=seed,
             z_threshold=z_threshold,
         )
-        payload["results"]["ergodic"] = report.rows()
+        payload["results"]["ergodic"] = [     # each entry's ``passed`` is written as "pass"
+            {"pass" if key == "passed" else key: value for key, value in asdict(entry).items()}
+            for entry in report.entries]
         payload["results"]["ergodic_pass"] = report.passed
     write_json(out / "invariant_report.json", payload, cfg,
                meta=_euler_meta() if report is not None else None)
@@ -282,7 +292,9 @@ def cmd_growth(cfg, out, threads):
         try:
             growth = portfolio_mod.robust_growth_rate(params, n_top, method=method, n=n,
                                                       seed=seed)
-            payload["results"]["robust_growth"] = growth.as_dict()
+            payload["results"]["robust_growth"] = asdict(growth)
+            if growth.method != "mc":           # only the sampler gives warnings
+                del payload["results"]["robust_growth"]["warnings"]
         except portfolio_mod.GrowthConditionError:
             pass                # the robust rate needs strict margins on a rank model
     if exists and sim:
@@ -322,9 +334,12 @@ def cmd_boundary(cfg, out, threads):
     table = boundary_mod.mc_hit_frequency(
         params, query, T=T, eps=eps, n_paths=n_paths, dt=dt, seed=cfg["seed"],
     )
-    table.to_csv(out / "boundary_frequencies.csv")
-    write_json(out / "boundary_verdict.json", {"results": table.as_dict()}, cfg,
-               meta=_euler_meta())
+    columns = ["eps", "frequency", "ci_lo", "ci_hi"]
+    write_csv(out / "boundary_frequencies.csv", columns,
+              zip(*(getattr(table, name) for name in columns)))
+    verdict = asdict(table)
+    verdict.update(verdict.pop("query"))      # kind, k and names at the top level
+    write_json(out / "boundary_verdict.json", {"results": verdict}, cfg, meta=_euler_meta())
     if table.under_resolved:
         raise DiagnosticError("boundary simulation ran under-resolved")
     return EXIT_OK
@@ -400,7 +415,9 @@ def cmd_limit(cfg, out, threads):
             pdlimit_mod.require_limit_growth(pd_cfg)
     estimate = pdlimit_mod.tilted_estimator(pd_cfg, n, cfg["seed"], width=min(schedule))
     report = pdlimit_mod.convergence_experiment(schedule, estimate, funcs, n, cfg["seed"])
-    report.to_csv(out / "limit_convergence.csv")
+    write_csv(out / "limit_convergence.csv",
+              [f.name for f in fields(pdlimit_mod.ConvergenceRow)],
+              [astuple(row) for row in report.rows])
     payload = {"results": {"passed": report.passed, "final_gap_z": report.final_gap_z}}
     if growth_block:
         est = pdlimit_mod.limit_growth_rate(pd_cfg, sigma, estimate)

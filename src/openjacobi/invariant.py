@@ -487,18 +487,6 @@ class ErgodicReport:
     def passed(self) -> bool:
         return all(e.passed for e in self.entries) and not self.under_resolved
 
-    def rows(self):
-        return [
-            {
-                "function_id": e.function_id,
-                "time_avg": e.time_avg,
-                "invariant_avg": e.invariant_avg,
-                "z_score": e.z_score,
-                "pass": e.passed,
-            }
-            for e in self.entries
-        ]
-
 
 def ergodic_compare(params: ModelParams, funcs: dict, sample: SampleResult, *,
                     T: float, dt: float, n_paths: int, seed: int,

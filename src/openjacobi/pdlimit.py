@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import SEED_LIMIT, mean_and_se, substream, write_csv, z_score
+from ._util import SEED_LIMIT, mean_and_se, substream, z_score
 from .invariant import sample_invariant
-from .simplex import ModelParams, tail_sums
+from .simplex import ModelParams
 from .simplex import power_sum  # noqa: F401  (re-exported under its old name)
 
 ESS_FLOOR_FRACTION = 0.05
@@ -321,8 +321,9 @@ def make_schedule(theta: float, tilt, d_list) -> dict:
     """The flat schedule as {d: rank-based ModelParams} in increasing d,
     with a^d = (tilts..., theta / (d - N), ..., theta / (d - N)): the d - N
     small-cap entries sum to theta and their largest tends to zero along
-    the d-ladder.  Every d must be a whole number and every member must
-    have positive tail sums."""
+    the d-ladder.  Every d must be a whole number above N + 1.  Every member
+    has positive tail sums: ``PDConfig`` makes each tilt tail from k = 2
+    exceed -theta, and the small-cap entries are positive."""
     cfg = PDConfig(theta=theta, tilt=tuple(tilt))
     n = cfg.n_tilted
     if len(d_list) == 0:
@@ -335,8 +336,6 @@ def make_schedule(theta: float, tilt, d_list) -> dict:
         if d <= n + 1:
             raise ValueError(f"d={d} too small for {n} tilted ranks")
         a = np.concatenate([np.asarray(cfg.tilt), np.full(d - n, theta / (d - n))])
-        if np.any(tail_sums(a)[1:] <= 0.0):
-            raise ValueError(f"schedule member d={d} violates positive tail sums")
         schedule[d] = ModelParams(a=a, gamma=np.zeros(d))
     return schedule
 
@@ -356,16 +355,6 @@ class ConvergenceReport:
     rows: list
     passed: bool
     final_gap_z: dict
-
-    def csv_rows(self):
-        return [
-            (r.d, r.function_id, r.estimate, r.se, r.tilted_limit, r.gap)
-            for r in self.rows
-        ]
-
-    def to_csv(self, path):
-        write_csv(path, ["d", "function_id", "estimate", "se", "tilted_limit", "gap"],
-                  self.csv_rows())
 
 
 def convergence_experiment(schedule: dict, estimate, funcs: dict,

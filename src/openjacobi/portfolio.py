@@ -378,18 +378,6 @@ class GrowthReport:
     n: int
     warnings: tuple = ()                # the sampler's, on the mc route
 
-    def as_dict(self):
-        out = {
-            "lambda_hat": self.lambda_hat,
-            "stderr": self.stderr,
-            "method": self.method,
-            "condition_margins": self.condition_margins,
-            "n": self.n,
-        }
-        if self.method == "mc":
-            out["warnings"] = list(self.warnings)
-        return out
-
 
 def _require_strict_growth(params: ModelParams, n_top: int) -> np.ndarray:
     """Margins a_bar_k - 1 for k = 2..N+1; raises ``GrowthConditionError``

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernel
-from ._util import path_stream, write_csv
+from ._util import path_stream
 from .simplex import ModelParams, as_simplex, ranked_weights, ranks_of_names, require_valid
 
 UNDER_RESOLVED_RATE = 0.01
@@ -164,11 +164,6 @@ class SimPath:
     dt: float
     n_projected: int
 
-    def to_csv(self, path) -> None:
-        d = self.states.shape[1]
-        header = ["time"] + [f"x_{i}" for i in range(1, d + 1)]
-        write_csv(path, header, np.column_stack((self.times, self.states)))
-
 
 @dataclass
 class BatchResult:
@@ -194,17 +189,6 @@ class BatchResult:
     @property
     def under_resolved(self) -> bool:
         return self.projection_rate > UNDER_RESOLVED_RATE
-
-    def summary(self) -> dict:
-        return {
-            "n_paths": self.n_paths,
-            "n_steps": self.n_steps,
-            "dt": self.dt,
-            "horizon": self.horizon,
-            "projection_rate": self.projection_rate,
-            "under_resolved": self.under_resolved,
-            "per_path_projected": self.n_projected,
-        }
 
 
 def sum_over_steps(arr) -> np.ndarray:

@@ -36,6 +36,12 @@ def test_simulate_writes_paths_and_summary(tmp_path):
     assert code == 0
     assert (out / "path_0000.csv").exists()
     assert (out / "path_0001.csv").exists()
+    lines = (out / "path_0000.csv").read_text().splitlines()
+    assert lines[0] == "time,x_1,x_2,x_3"
+    data = np.loadtxt(lines[1:], delimiter=",")
+    assert data.shape == (201, 4)
+    assert np.allclose(data[:, 0], np.arange(201) * 1e-3)
+    assert np.allclose(data[:, 1:].sum(axis=1), 1.0)
     summary = read_json(out / "simulate_summary.json")
     assert summary["results"]["n_paths"] == 2
     assert summary["config"]["seed"] == 11
@@ -57,6 +63,47 @@ def test_outputs_byte_identical_for_same_seed(tmp_path):
     sa.pop("meta")
     sb.pop("meta")
     assert sa == sb
+
+
+RANK3 = {"a": [1.5, 1.5, 1.5], "gamma": [0.0, 0.0, 0.0]}
+
+
+# report keys and CSV columns come from the result types' fields, so a new
+# field would change a report without this test failing
+@pytest.mark.parametrize("command, payload, report, where, keys", [
+    ("simulate", {"model": BASE_MODEL, "sim": {"T": 0.05, "dt": 1e-3}},
+     "simulate_summary.json", [], ["dt", "horizon", "n_paths", "n_steps",
+                                   "per_path_projected", "projection_rate", "under_resolved"]),
+    ("invariant", {"model": BASE_MODEL, "sampler": {"n": 200},
+                   "ergodic": {"T": 0.05, "dt": 1e-3, "paths": 2}},
+     "invariant_report.json", ["ergodic", 0],
+     ["function_id", "invariant_avg", "pass", "time_avg", "z_score"]),
+    ("growth", {"model": RANK3, "open_market_size": 1, "growth": {"n": 2000}},
+     "growth_report.json", ["robust_growth"],
+     ["condition_margins", "lambda_hat", "method", "n", "stderr", "warnings"]),
+    ("growth", {"model": RANK3, "open_market_size": 1, "growth": {"method": "quadrature"}},
+     "growth_report.json", ["robust_growth"],
+     ["condition_margins", "lambda_hat", "method", "n", "stderr"]),
+    ("boundary", {"model": {"a": [1.5, 0.5]}, "boundary": {"k": 2, "T": 0.5, "paths": 4}},
+     "boundary_verdict.json", [],
+     ["analytic_avoids", "ci_hi", "ci_lo", "eps", "frequency", "horizon", "k", "kind",
+      "n_paths", "names", "under_resolved"]),
+    ("limit", {"pd": {"theta": 2.0, "tilt": [0.0]}, "schedule": {"d_list": [5, 10]},
+               "limit": {"n": 500}},
+     "limit_convergence.csv", None, ["d", "function_id", "estimate", "se", "tilted_limit", "gap"]),
+], ids=["simulate", "invariant-ergodic", "growth-mc", "growth-quadrature", "boundary", "limit"])
+def test_report_keys_are_pinned(tmp_path, command, payload, report, where, keys):
+    cfg = write_config(tmp_path, {"seed": 4, **payload})
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 0
+    if where is None:
+        found = (out / report).read_text().splitlines()[0].split(",")
+    else:
+        found = read_json(out / report)["results"]
+        for step in where:
+            found = found[step]
+        found = sorted(found)
+    assert found == keys
 
 
 def test_threads_do_not_change_growth_backtest(tmp_path):
@@ -231,6 +278,9 @@ def test_invalid_params_exit_two_with_violated_index(tmp_path, capsys):
     # a z threshold below zero would fail every function
     ("invariant", {"model": BASE_MODEL, "sampler": {"n": 10}, "tolerances": {"ergodic_z": -1},
                    "ergodic": {"T": 0.01, "dt": 1e-3, "paths": 2}}, "ConfigError"),
+    # a ladder member needs d > N + 1
+    ("limit", {"pd": {"theta": 2.0, "tilt": [0.5, 0.3]}, "schedule": {"d_list": [3]},
+               "limit": {"n": 500}}, "ConfigError"),
 ])
 def test_typed_config_and_model_errors_exit_two(tmp_path, capsys, monkeypatch,
                                                 command, payload, error_class):

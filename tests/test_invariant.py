@@ -596,8 +596,7 @@ def test_ergodic_compare_rank_jacobi_top_weight():
     )
     assert not report.under_resolved
     assert report.passed, [e.z_score for e in report.entries]
-    rows = report.rows()
-    assert {r["function_id"] for r in rows} == {"y1", "x1"}
+    assert {e.function_id for e in report.entries} == {"y1", "x1"}
 
 
 def test_rank_occupancy_is_uniform_for_symmetric_name_model():

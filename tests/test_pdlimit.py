@@ -343,6 +343,12 @@ def test_make_schedule_rejects_a_fractional_dimension():
         make_schedule(2.0, (0.0,), [10.5, 40])
 
 
+def test_make_schedule_rejects_a_dimension_without_small_caps():
+    # d must exceed N + 1: two tilts and d = 3 leave a single small-cap rank
+    with pytest.raises(ValueError, match="too small"):
+        make_schedule(2.0, (0.5, 0.3), [3])
+
+
 def test_convergence_experiment_plain_pd():
     theta = 2.0
     sched = make_schedule(theta, (), d_list=[10, 40, 320])

@@ -657,6 +657,11 @@ def test_open_market_size_outside_one_to_d_minus_one_is_rejected(monkeypatch, n_
             robust_growth_rate(p, n_top, method=method, n=1_000)
 
 
+def test_robust_growth_rate_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown method"):
+        robust_growth_rate(rank_jacobi([1.5, 1.5, 1.5]), 1, method="bogus")
+
+
 def test_robust_growth_rate_requires_strict_margins():
     p = rank_jacobi([1.0, 1.0, 1.0])      # tail sum at k = 3 is exactly 1
     with pytest.raises(GrowthConditionError):

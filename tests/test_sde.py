@@ -325,19 +325,6 @@ def test_occupation_observer_matches_stored_stats():
 # storage / export
 # ---------------------------------------------------------------------------
 
-def test_path_csv_export(tmp_path):
-    p = rank_jacobi([1.0, 1.0, 1.0])
-    path = simulate(p, [0.5, 0.3, 0.2], T=0.05, dt=1e-3, seed=1)
-    out = tmp_path / "path.csv"
-    path.to_csv(out)
-    data = np.loadtxt(out, delimiter=",", skiprows=1)
-    assert data.shape == (51, 4)
-    assert np.allclose(data[:, 0], path.times)
-    assert np.allclose(data[:, 1:], path.states)
-    header = out.read_text().splitlines()[0]
-    assert header == "time,x_1,x_2,x_3"
-
-
 @pytest.mark.parametrize("backend", ["c", "numpy"])
 def test_simulate_given_noise_matches_stream_draws(backend, monkeypatch):
     # both backends replay the path's own stream, so the states agree bit for bit
@@ -373,6 +360,16 @@ def test_run_paths_rejects_non_finite_horizon_and_step(T, dt):
     p = rank_jacobi([1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="finite"):
         run_paths(p, [0.5, 0.3, 0.2], T, dt, 1)
+
+
+@pytest.mark.parametrize("x0, n_paths, match", [
+    ([0.5, 0.3, 0.2], 0, "n_paths"),
+    ([0.5, 0.5], 1, "dimension"),
+])
+def test_run_paths_rejects_no_paths_and_a_start_of_another_dimension(x0, n_paths, match):
+    p = rank_jacobi([1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match=match):
+        run_paths(p, x0, 0.01, 1e-3, 1, n_paths=n_paths)
 
 
 def test_under_resolved_flag_for_coarse_dt():
