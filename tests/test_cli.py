@@ -68,8 +68,8 @@ def test_outputs_byte_identical_for_same_seed(tmp_path):
 RANK3 = {"a": [1.5, 1.5, 1.5], "gamma": [0.0, 0.0, 0.0]}
 
 
-# report keys and CSV columns come from the result types' fields, so a new
-# field would change a report without this test failing
+# report keys and CSV columns come from the result types' fields: without
+# this test a new field would change a report unnoticed
 @pytest.mark.parametrize("command, payload, report, where, keys", [
     ("simulate", {"model": BASE_MODEL, "sim": {"T": 0.05, "dt": 1e-3}},
      "simulate_summary.json", [], ["dt", "horizon", "n_paths", "n_steps",
