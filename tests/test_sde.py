@@ -1,4 +1,5 @@
 import itertools
+import json
 import shutil
 import sys
 import threading
@@ -25,7 +26,7 @@ from openjacobi import (
 )
 from openjacobi import _kernel, sde
 from openjacobi._util import path_stream, substream
-from openjacobi.cli import _parallel_batches
+from openjacobi.cli import _parallel_batches, run
 from openjacobi.sde import PathObserver, SimPath
 
 from helpers import model_covariation_integral, occupation_stats, realized_covariation
@@ -324,6 +325,27 @@ def test_occupation_observer_matches_stored_stats():
 # ---------------------------------------------------------------------------
 # storage / export
 # ---------------------------------------------------------------------------
+
+def test_path_csv_export(tmp_path):
+    # the simulate command writes path 0 of its seed as `simulate` returns it
+    p = rank_jacobi([1.0, 1.0, 1.0])
+    path = simulate(p, [0.5, 0.3, 0.2], T=0.05, dt=1e-3, seed=1)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "seed": 1,
+        "model": {"a": [1.0, 1.0, 1.0], "gamma": [0.0, 0.0, 0.0], "sigma": 1.0},
+        "sim": {"T": 0.05, "dt": 1e-3, "x0": [0.5, 0.3, 0.2]},
+    }))
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    csv = out / "path_0000.csv"
+    data = np.loadtxt(csv, delimiter=",", skiprows=1)
+    assert data.shape == (51, 4)
+    assert np.allclose(data[:, 0], path.times)
+    assert np.allclose(data[:, 1:], path.states)
+    header = csv.read_text().splitlines()[0]
+    assert header == "time,x_1,x_2,x_3"
+
 
 @pytest.mark.parametrize("backend", ["c", "numpy"])
 def test_simulate_given_noise_matches_stream_draws(backend, monkeypatch):
